@@ -31,11 +31,13 @@ class CodeSpec:
 
     Derived data (field contexts, evaluation-point arrays, the delta lookup
     table) is computed once here.  Treat instances as immutable; the numpy
-    arrays are marked read-only.
+    arrays are marked read-only.  from_quadratic_map records whether the
+    evaluation points are delta + delta^2*gamma, as the closed-form decoder
+    assumes; specs built with alpha_rows are not.
     """
 
     __slots__ = ("p", "g", "delta", "n", "field", "ext", "delta_index",
-                 "_alpha", "_dtype")
+                 "from_quadratic_map", "_alpha", "_dtype")
 
     def __init__(self, p: int, g: MonicCubic, delta: Sequence[int], *,
                  alpha_rows=None):
@@ -59,6 +61,7 @@ class CodeSpec:
         self.delta_index = {d: i + 1 for i, d in enumerate(delta)}
         dtype = np.int64 if p <= _INT64_MAX_P else object
         self._dtype = dtype
+        self.from_quadratic_map = alpha_rows is None
         if alpha_rows is None:
             d = np.array(delta, dtype=dtype)
             alpha = np.stack([d, d * d % p, np.zeros(n, dtype=dtype)], axis=1)

@@ -24,8 +24,21 @@ theta = a/r,
     d1 = d2*(1 + 2*c - 2*t*theta) + theta*(c - t*theta)
 
 The quadratic behind d2 has a second root -a/(2r); it forces d2 = d3 and is
-never returned.  If r = 0 or the denominator vanishes the solver signals
-needs-fallback and the triple search runs instead.
+never returned.
+
+The closed form never degenerates on a channel output.  For a true triple
+with distinct locators, p2 gives a = -r*(d2 + d3).  If r = 0 then a = 0 and
+b = r + a*g2 = 0, so beta = c lies in F_p, and p0, p1 then force
+(d1 - d2)*(d1 - d3) = 0; hence r != 0 and theta = -(d2 + d3).  Substituting
+d3 = -d2 - theta into p0 gives c - t*theta = (d2 - d1)/(d3 - d2) =: u, and
+the denominator above is exactly 2*u*(u + 1) with u + 1 = (d3 - d1)/(d3 - d2),
+nonzero as well.  A nondegenerate solve returns the unique solution, so when
+the solver returns None, or locators outside the code or out of order, no
+increasing triple explains beta and the word is rejected; a triple search
+could find nothing.  The same algebra shows the ratio map is injective on
+increasing triples for every spec built from the quadratic map (two triples
+with one ratio yield the same solve), and verify.check_injectivity stays as
+the independent empirical oracle for that claim.
 """
 
 from __future__ import annotations
@@ -37,9 +50,10 @@ from typing import Optional
 import numpy as np
 
 from .channel import DeletionPattern
-from .code import CodeSpec, Message, Codeword, encode, gamma_map, interpolate, lookup_delta
+from .code import CodeSpec, Message, Codeword, encode, interpolate, lookup_delta
 from .errors import (
     InconsistentReceivedWordError,
+    ParameterError,
     UnrecognizedReceivedWordError,
 )
 from .field import ExtElem, PrimeField
@@ -57,7 +71,6 @@ OPS_EXT_SUB = 3
 OPS_EXT_MUL = 25
 OPS_EXT_INV = 80
 OPS_BETA = 2 * OPS_EXT_SUB + OPS_EXT_INV + OPS_EXT_MUL
-OPS_GAMMA_MAP = 2 * OPS_EXT_SUB + OPS_EXT_INV + OPS_EXT_MUL
 OPS_SOLVE = 24              # straight-line closed form incl. two F_p inversions
 OPS_INTERPOLATE = 2 * OPS_EXT_SUB + OPS_EXT_INV + 2 * OPS_EXT_MUL
 OPS_THIRD_POINT = OPS_EXT_MUL + OPS_EXT_ADD
@@ -74,8 +87,8 @@ class DecodeInstrumentation:
     """Field-operation and timing probe threaded through one or more decodes.
 
     total_ops accumulates every priced operation; search_ops only those spent
-    identifying the kept triple (beta, coefficient extraction, solving and
-    validation for the linear path; beta plus the scan for the cubic path).
+    identifying the kept triple (beta, coefficient extraction and solving
+    for the linear path; beta plus the scan for the cubic path).
     """
 
     total_ops: int = 0
@@ -146,11 +159,13 @@ def extract_coefficients(beta: ExtElem,
 
 def solve_deltas(pf: PrimeField, coeffs,
                  inst: Optional[DecodeInstrumentation] = None):
-    """Closed-form kept delta values (d1, d2, d3), or None for needs-fallback.
+    """Closed-form kept delta values (d1, d2, d3), or None.
 
     None is returned when r = 0 (theta undefined) or the d2 denominator is 0
-    (the quadratic degenerates).  The alternate quadratic root -a/(2r) is
-    never produced; it would force d2 = d3.
+    (the quadratic degenerates).  Neither happens for coefficients of a true
+    locator triple (see the module docstring), so None means no triple
+    explains beta.  The alternate quadratic root -a/(2r) is never produced;
+    it would force d2 = d3.
     """
     a, b, c, r, s, t = coeffs
     p = pf.p
@@ -311,11 +326,20 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
 
 def decode_linear(spec: CodeSpec, y: ReceivedTriple,
                   inst: Optional[DecodeInstrumentation] = None) -> DecodeOutcome:
-    """Decode via the closed form; falls back to the triple search on
-    degeneracy or failed validation.
+    """Decode via the closed form, or reject the word.
 
-    Triple identification costs O(1) field operations, re-encoding O(n).
+    Takes O(1) identification work (one ratio, one coefficient read, one
+    straight-line solve, three table lookups) plus O(n) re-encode time and
+    memory on every input, garbage included: a word whose closed form does
+    not give an increasing in-code locator triple raises
+    UnrecognizedReceivedWordError at once.  Raises ParameterError for specs
+    not built from the quadratic evaluation map, which the closed form
+    assumes.
     """
+    if not spec.from_quadratic_map:
+        raise ParameterError(
+            "the closed form needs evaluation points delta + delta^2*gamma; "
+            "use decode_cubic for this spec")
     t0 = perf_counter()
     ops0 = inst.total_ops if inst else 0
     beta = compute_beta(y, inst)
@@ -323,25 +347,11 @@ def decode_linear(spec: CodeSpec, y: ReceivedTriple,
         return _constant_outcome(spec, y, inst)
     coeffs = extract_coefficients(beta, inst)
     sol = solve_deltas(spec.field, coeffs, inst)
-    if sol is not None:
-        i1 = lookup_delta(spec, sol[0])
-        i2 = lookup_delta(spec, sol[1])
-        i3 = lookup_delta(spec, sol[2])
-        if (i1 is not None and i2 is not None and i3 is not None
-                and i1 < i2 < i3):
-            if inst:
-                inst.total_ops += OPS_GAMMA_MAP
-            if gamma_map(spec, i1, i2, i3) == beta:
-                if inst:
-                    inst.search_ops += inst.total_ops - ops0
-                    inst.search_seconds += perf_counter() - t0
-                return _finish(spec, y, (i1, i2, i3), PATH_CLOSED_FORM, inst)
-    # needs-fallback: degenerate closed form or validation failed
-    kappa = _search_triple(spec, beta.coords, inst)
+    kappa = None if sol is None else tuple(lookup_delta(spec, d) for d in sol)
     if inst:
         inst.search_ops += inst.total_ops - ops0
         inst.search_seconds += perf_counter() - t0
-    if kappa is None:
+    if kappa is None or None in kappa or not kappa[0] < kappa[1] < kappa[2]:
         raise UnrecognizedReceivedWordError(
             "no kept triple is consistent with the received word")
-    return _finish(spec, y, kappa, PATH_FALLBACK, inst)
+    return _finish(spec, y, kappa, PATH_CLOSED_FORM, inst)

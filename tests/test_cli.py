@@ -191,6 +191,29 @@ def test_check_condition(tmp_path, capsys):
     assert "refusing" in err
 
 
+def test_decode_budget(tmp_path, capsys):
+    # only the Theta(n^3) cubic scan is capped: C(6,3) = 20 triples > 10
+    spec = gen(tmp_path, capsys)
+    cw = tmp_path / "cw.sym"
+    rx = tmp_path / "rx.sym"
+    run(capsys, "encode", "--spec", str(spec), "--random", "--out", str(cw))
+    run(capsys, "corrupt", "--spec", str(spec), "--in", str(cw),
+        "--keep", "1,3,6", "--out", str(rx))
+    dec = tmp_path / "d.sym"
+
+    def decode(algo, budget):
+        return run(capsys, "decode", "--spec", str(spec), "--received", str(rx),
+                   "--algo", algo, "--budget", str(budget), "--out", str(dec))
+
+    rc, _, err = decode("cubic", 10)
+    assert rc == 2
+    assert "refusing" in err and not dec.exists()
+    rc, _, _ = decode("linear", 10)
+    assert rc == 0 and dec.read_text() == cw.read_text()
+    rc, _, _ = decode("cubic", 20)
+    assert rc == 0
+
+
 def test_audit_command(tmp_path, capsys):
     spec = gen(tmp_path, capsys)
     rc, out, _ = run(capsys, "audit", "--spec", str(spec), "--pairs", "200",

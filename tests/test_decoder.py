@@ -1,12 +1,13 @@
 """Decoder behaviour: ratio extraction, the closed form, both search paths.
 
-The closed form is checked three ways: a worked small-field example, a sympy
+The closed form is checked four ways: a worked small-field example, a sympy
 symbolic identity (its output satisfies the defining coordinate system for
-arbitrary inputs), and exhaustive enumeration of locator triples over small
-fields.
+arbitrary inputs), a sympy proof that it never degenerates on a true triple,
+and exhaustive enumeration of locator triples and ratios over small fields.
 """
 
 import random
+from math import comb
 
 import pytest
 
@@ -26,8 +27,14 @@ from rsdel.decoder import (
     extract_coefficients,
     solve_deltas,
 )
-from rsdel.errors import InconsistentReceivedWordError, UnrecognizedReceivedWordError
+from rsdel.errors import (
+    InconsistentReceivedWordError,
+    ParameterError,
+    RSDelError,
+    UnrecognizedReceivedWordError,
+)
 from rsdel.field import PrimeField
+from rsdel.verify import base_field_spec
 
 from conftest import get_spec
 
@@ -85,6 +92,7 @@ def test_solve_deltas_worked_example():
 
 
 def test_solve_deltas_needs_fallback():
+    # coefficients no locator triple produces
     pf = PrimeField(5)
     assert solve_deltas(pf, (1, 2, 3, 0, 0, 0)) is None  # r = 0
     assert solve_deltas(pf, (0, 1, 0, 1, 0, 0)) is None  # denominator = 0
@@ -125,13 +133,46 @@ def test_solve_deltas_symbolic_identity():
     assert sp.simplify((-alt_d2 - theta) - alt_d2) == 0
 
 
+def test_closed_form_never_degenerates_on_true_triples():
+    """On the coefficients of a true triple, r != 0 and den == 2*u*(u + 1).
+
+    p0, p1, p2 are linear in (a, b, c) once r, s, t are written through the
+    modulus; their matrix is multiplication by alpha_3 - alpha_2 != 0, so the
+    generic solution below specializes to every odd p and irreducible g.
+    With u = (d2 - d1)/(d3 - d2) and u + 1 = (d3 - d1)/(d3 - d2), distinct
+    locators make den nonzero.
+    """
+    sp = pytest.importorskip("sympy")
+    d1, d2, d3, a, b, c, g0, g1, g2 = sp.symbols("d1 d2 d3 a b c g0 g1 g2")
+
+    def system(a, b, c):
+        r, s, t = b - a * g2, c - a * g1, -a * g0
+        return (d1 - d2 + c * (d3 - d2) + t * (d3**2 - d2**2),
+                d1**2 - d2**2 + b * (d3 - d2) + s * (d3**2 - d2**2),
+                a * (d3 - d2) + r * (d3**2 - d2**2))
+
+    (sol,) = sp.solve(system(a, b, c), [a, b, c], dict=True)
+    A, B, C = sol[a], sol[b], sol[c]
+    r, t = B - A * g2, -A * g0
+    # p2 gives a = -r*(d2 + d3): r = 0 forces a = 0 and b = r + a*g2 = 0
+    assert sp.simplify(A + r * (d2 + d3)) == 0
+    # ... so beta = c lies in F_p, and then p0 and p1 force d1 in {d2, d3}
+    p0, p1, _ = system(0, 0, c)
+    (c_fp,) = sp.solve(p0, c)
+    assert sp.simplify(p1.subs(c, c_fp) - (d1 - d2) * (d1 - d3)) == 0
+    # r != 0, theta = a/r, and the d2 denominator factors as 2*u*(u + 1)
+    tt = t * A / r
+    den = 2 * (C + C * C - 2 * C * tt + tt * (tt - 1))
+    u = (d2 - d1) / (d3 - d2)
+    assert sp.cancel(sp.together(den - 2 * u * (u + 1))) == 0
+
+
 def test_solve_deltas_exhaustive_small_fields():
-    # every ordered triple of distinct nonzero locators: the solver either
-    # reproduces it exactly or reports needs-fallback, never a wrong answer
+    # every ordered triple of distinct nonzero locators: the solver never
+    # degenerates and reproduces the triple exactly
     for p in (5, 7, 11):
         spec = get_spec(p, p - 1)
         pf = PrimeField(p)
-        fallbacks = 0
         total = 0
         for d1 in range(1, p):
             for d2 in range(1, p):
@@ -142,14 +183,9 @@ def test_solve_deltas_exhaustive_small_fields():
                     a2 = spec.ext.elem(d2, d2 * d2 % p, 0)
                     a3 = spec.ext.elem(d3, d3 * d3 % p, 0)
                     beta = (a1 - a2) / (a2 - a3)
-                    got = solve_deltas(pf, extract_coefficients(beta))
+                    assert solve_deltas(pf, extract_coefficients(beta)) == (d1, d2, d3)
                     total += 1
-                    if got is None:
-                        fallbacks += 1
-                    else:
-                        assert got == (d1, d2, d3)
         assert total == (p - 1) * (p - 2) * (p - 3)
-        assert fallbacks < total
 
 
 def test_from_symbols():
@@ -224,20 +260,38 @@ def test_decode_all_triples_small():
                 assert out.message == m and out.kappa == pat
 
 
-def test_linear_fallback_on_degenerate_solve(monkeypatch):
-    # force the needs-fallback branch; the search must still recover everything
-    import rsdel.decoder as dec
+def _outcome(decode, spec, y):
+    try:
+        out = decode(spec, y)
+    except RSDelError as exc:
+        return type(exc)
+    return (out.kappa.kept, out.message, out.codeword)
 
-    monkeypatch.setattr(dec, "solve_deltas", lambda *args, **kw: None)
-    spec = get_spec(10007, 48)
-    rng = random.Random(40)
-    for _ in range(10):
-        m = random_message(spec, rng)
-        kept = tuple(sorted(rng.sample(range(1, 49), 3)))
-        out = dec.decode_linear(spec, received(spec, m, kept))
-        assert out.message == m
-        assert out.kappa.kept == kept
-        assert out.path == PATH_FALLBACK
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_linear_matches_cubic_on_every_beta(p):
+    # y = (beta, 0, -1) has ratio beta; sweeping every beta in F_{p^3} covers
+    # every ratio a received word can have, so the closed form must accept
+    # exactly the words the full scan accepts and reject the rest the same way
+    spec = get_spec(p, p - 1)
+    ext = spec.ext
+    accepted = 0
+    for x0 in range(p):
+        for x1 in range(p):
+            for x2 in range(p):
+                y = ReceivedTriple(ext.elem(x0, x1, x2), ext.zero, -ext.one)
+                lin = _outcome(decode_linear, spec, y)
+                assert lin == _outcome(decode_cubic, spec, y), (x0, x1, x2)
+                accepted += isinstance(lin, tuple)
+    assert accepted == comb(spec.n, 3)
+
+
+def test_decode_linear_refuses_non_quadratic_spec():
+    spec = base_field_spec(11, 10)
+    assert not spec.from_quadratic_map and get_spec(11, 10).from_quadratic_map
+    m = Message(spec.ext.one, spec.ext.one)
+    with pytest.raises(ParameterError):
+        decode_linear(spec, received(spec, m, (1, 2, 3)))
 
 
 def test_decode_rejects_two_equal_symbols():
