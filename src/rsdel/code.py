@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DegenerateInterpolationError, FieldMismatchError, ParameterError
 from .field import CubicField, ExtElem, MonicCubic, PrimeField, find_irreducible_cubic
 
-# int64 vector math keeps sums of five coordinate products below 2^63 as long
-# as p stays below this bound; beyond it arrays switch to object dtype.
+# int64 vector math is exact while p stays below this bound: an encode matmul
+# entry is at most 3p^2 + p < 2^63; beyond it arrays switch to object dtype.
 _INT64_MAX_P = 1 << 30
 
 
@@ -174,25 +174,24 @@ class Codeword:
         return f"Codeword(n={self.spec.n}, p={self.spec.p})"
 
 
+def _require_field(ext: CubicField, elems, what: str) -> None:
+    """Raise FieldMismatchError unless every element lies in the field ext."""
+    for e in elems:
+        if e.field is not ext and e.field != ext:
+            raise FieldMismatchError(f"{what} lies in {e.field!r}, not in {ext!r}")
+
+
 def encode(spec: CodeSpec, m: Message) -> Codeword:
-    """Evaluate m1 + m2*alpha_i at every evaluation point, vectorized."""
-    if m.m1.field != spec.ext or m.m2.field != spec.ext:
-        raise FieldMismatchError("message does not belong to this code's field")
-    p = spec.p
-    a0 = spec._alpha[:, 0]
-    a1 = spec._alpha[:, 1]
-    a2 = spec._alpha[:, 2]
-    e0, e1, e2 = m.m2.coords
-    m10, m11, m12 = m.m1.coords
-    h0, h1, h2, k0, k1, k2 = spec.ext._consts
-    # schoolbook product of the constant m2 with each alpha_i, degree-3 and
-    # degree-4 terms folded back in; z3/z4 reduced early to bound int64 growth
-    z3 = (e1 * a2 + e2 * a1) % p
-    z4 = e2 * a2 % p
-    c0 = (e0 * a0 + z3 * h0 + z4 * k0 + m10) % p
-    c1 = (e0 * a1 + e1 * a0 + z3 * h1 + z4 * k1 + m11) % p
-    c2 = (e0 * a2 + e1 * a1 + e2 * a0 + z3 * h2 + z4 * k2 + m12) % p
-    return Codeword(spec, np.stack([c0, c1, c2], axis=1))
+    """Evaluate m1 + m2*alpha_i at every evaluation point.
+
+    One matmul: row i of alpha @ M_{m2} is alpha_i * m2.  Takes O(n) time
+    and memory.
+    """
+    _require_field(spec.ext, (m.m1, m.m2), "message")
+    dtype = spec._dtype
+    m2 = np.array(spec.ext.mul_matrix(m.m2.coords), dtype=dtype)
+    m1 = np.array(m.m1.coords, dtype=dtype)
+    return Codeword(spec, (spec._alpha @ m2 + m1) % spec.p)
 
 
 def interpolate(spec: CodeSpec, i: int, j: int, y_i: ExtElem, y_j: ExtElem) -> Message:
@@ -202,11 +201,14 @@ def interpolate(spec: CodeSpec, i: int, j: int, y_i: ExtElem, y_j: ExtElem) -> M
     """
     if i == j:
         raise DegenerateInterpolationError(f"positions coincide: i = j = {i}")
-    ai = spec.alpha_at(i)
-    aj = spec.alpha_at(j)
-    m2 = (y_i - y_j) / (ai - aj)
-    m1 = y_i - m2 * ai
-    return Message(m1, m2)
+    ext = spec.ext
+    _require_field(ext, (y_i, y_j), "received symbol")
+    ai = spec.alpha_coords(i)
+    aj = spec.alpha_coords(j)
+    yi = y_i.coords
+    m2 = ext.mul(ext.sub(yi, y_j.coords), ext.inv(ext.sub(ai, aj)))
+    m1 = ext.sub(yi, ext.mul(m2, ai))
+    return Message(ExtElem(ext, m1), ExtElem(ext, m2))
 
 
 def gamma_map(spec: CodeSpec, i: int, j: int, k: int) -> ExtElem:

@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import DeletionPattern
-from .code import CodeSpec, Message, Codeword, encode, interpolate, lookup_delta
+from .code import CodeSpec, Message, Codeword, _require_field, encode, interpolate, lookup_delta
 from .errors import (
     InconsistentReceivedWordError,
     ParameterError,
@@ -63,9 +63,9 @@ PATH_FALLBACK = "fallback-search"
 PATH_CONSTANT = "constant"
 
 # Nominal F_p costs per operation, used by the instrumentation so counts are
-# exactly reproducible (extension inversion has a rare data-dependent step
-# count that would otherwise leak into them).  add/sub/mul/inv on F_p cost 1;
-# extension ops are priced at their schoolbook decomposition.
+# exactly reproducible and do not move when a kernel is rewritten.
+# add/sub/mul/inv on F_p cost 1; extension ops are priced at their schoolbook
+# decomposition.
 OPS_EXT_ADD = 3
 OPS_EXT_SUB = 3
 OPS_EXT_MUL = 25
@@ -74,7 +74,7 @@ OPS_BETA = 2 * OPS_EXT_SUB + OPS_EXT_INV + OPS_EXT_MUL
 OPS_SOLVE = 24              # straight-line closed form incl. two F_p inversions
 OPS_INTERPOLATE = 2 * OPS_EXT_SUB + OPS_EXT_INV + 2 * OPS_EXT_MUL
 OPS_THIRD_POINT = OPS_EXT_MUL + OPS_EXT_ADD
-OPS_ENCODE_PER_SYMBOL = 15  # vectorized schoolbook product + fold, per symbol
+OPS_ENCODE_PER_SYMBOL = 15  # nominal: one row of the alpha @ M_{m2} matmul plus m1
 OPS_SEARCH_SETUP_PER_POS = OPS_EXT_MUL + OPS_EXT_ADD  # beta*alpha_j, target per j
 OPS_SEARCH_ROW_PER_ENTRY = OPS_EXT_ADD  # candidate sum per scanned k entry
 OPS_SEARCH_PER_TRIPLE = 1   # one ratio test (key comparison) per scanned triple
@@ -129,17 +129,21 @@ def compute_beta(y: ReceivedTriple, inst: Optional[DecodeInstrumentation] = None
 
     Exactly two equal symbols cannot come out of the channel: a degree-one
     codeword is constant (m2 = 0) or injective on evaluation points.
+    Symbols from different fields raise FieldMismatchError.
     """
-    e12 = y.y1 == y.y2
-    e23 = y.y2 == y.y3
+    ext = y.y1.field
+    _require_field(ext, (y.y2, y.y3), "received symbol")
+    y1, y2, y3 = y.y1.coords, y.y2.coords, y.y3.coords
+    e12 = y1 == y2
+    e23 = y2 == y3
     if e12 and e23:
         return None
-    if e12 or e23 or y.y1 == y.y3:
+    if e12 or e23 or y1 == y3:
         raise InconsistentReceivedWordError(
             "exactly two of three received symbols are equal")
     if inst:
         inst.total_ops += OPS_BETA
-    return (y.y1 - y.y2) / (y.y2 - y.y3)
+    return ExtElem(ext, ext.mul(ext.sub(y1, y2), ext.inv(ext.sub(y2, y3))))
 
 
 def extract_coefficients(beta: ExtElem,
@@ -149,9 +153,8 @@ def extract_coefficients(beta: ExtElem,
     beta = a*gamma^2 + b*gamma + c, beta*gamma = r*gamma^2 + s*gamma + t.
     Equivalently r = b - a*g2, s = c - a*g1, t = -a*g0.
     """
-    c, b, a = beta.decompose()
-    bg = beta * beta.field.gamma
-    t, s, r = bg.decompose()
+    c, b, a = beta.coords
+    t, s, r = beta.field.mul_matrix(beta.coords)[1]
     if inst:
         inst.total_ops += OPS_EXT_MUL
     return (a, b, c, r, s, t)
@@ -230,16 +233,11 @@ def _search_triple_python(spec: CodeSpec, beta, inst):
 def _search_triple_numpy(spec: CodeSpec, beta, inst):
     p = spec.p
     n = spec.n
-    a0 = spec._alpha[:, 0]
-    a1 = spec._alpha[:, 1]
-    a2 = spec._alpha[:, 2]
-    e0, e1, e2 = beta
-    h0, h1, h2, k0, k1, k2 = spec.ext._consts
-    z3 = (e1 * a2 + e2 * a1) % p
-    z4 = e2 * a2 % p
-    b0 = (e0 * a0 + z3 * h0 + z4 * k0) % p
-    b1 = (e0 * a1 + e1 * a0 + z3 * h1 + z4 * k1) % p
-    b2 = (e0 * a2 + e1 * a1 + e2 * a0 + z3 * h2 + z4 * k2) % p
+    alpha = spec._alpha
+    a0, a1, a2 = alpha.T
+    # beta*alpha_j for every j in one matmul, one contiguous row per coordinate
+    balpha = alpha @ np.array(spec.ext.mul_matrix(beta), dtype=alpha.dtype) % p
+    b0, b1, b2 = np.ascontiguousarray(balpha.T)
     pp = p * p
     # packed keys are exact: coordinates are canonical and p^3 < 2^63
     kv = (a0 + b0) % p + ((a1 + b1) % p) * p + ((a2 + b2) % p) * pp
@@ -288,12 +286,13 @@ def _constant_outcome(spec, y, inst):
 
 
 def _finish(spec, y, kappa, path, inst):
+    ext = spec.ext
     k1, k2, k3 = kappa
     m = interpolate(spec, k1, k2, y.y1, y.y2)
-    third = m.m1 + m.m2 * spec.alpha_at(k3)
+    third = ext.add(m.m1.coords, ext.mul(m.m2.coords, spec.alpha_coords(k3)))
     if inst:
         inst.total_ops += OPS_INTERPOLATE + OPS_THIRD_POINT
-    if third != y.y3:
+    if third != y.y3.coords:
         raise UnrecognizedReceivedWordError(
             f"third received symbol is off the interpolated line at {kappa}")
     cw = encode(spec, m)
@@ -307,8 +306,10 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
     """Decode by scanning all increasing triples for a ratio match.
 
     Worst case Theta(n^3) ratio tests; raises UnrecognizedReceivedWordError
-    when no triple matches.
+    when no triple matches, and FieldMismatchError before any arithmetic when
+    a symbol is not in spec's field.
     """
+    _require_field(spec.ext, y, "received symbol")
     t0 = perf_counter()
     ops0 = inst.total_ops if inst else 0
     beta = compute_beta(y, inst)
@@ -334,12 +335,14 @@ def decode_linear(spec: CodeSpec, y: ReceivedTriple,
     not give an increasing in-code locator triple raises
     UnrecognizedReceivedWordError at once.  Raises ParameterError for specs
     not built from the quadratic evaluation map, which the closed form
-    assumes.
+    assumes, and FieldMismatchError before any arithmetic when a symbol is
+    not in spec's field.
     """
     if not spec.from_quadratic_map:
         raise ParameterError(
             "the closed form needs evaluation points delta + delta^2*gamma; "
             "use decode_cubic for this spec")
+    _require_field(spec.ext, y, "received symbol")
     t0 = perf_counter()
     ops0 = inst.total_ops if inst else 0
     beta = compute_beta(y, inst)

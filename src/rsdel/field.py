@@ -304,45 +304,38 @@ class CubicField:
     def mul(self, x, y):
         return _mul3(self.p, self._consts, x, y)
 
-    def inv(self, x):
-        """Inverse by the extended Euclidean algorithm on polynomials."""
+    def mul_matrix(self, x):
+        """Rows (x, x*gamma, x*gamma^2) of the multiply-by-x matrix M_x.
+
+        A coordinate row vector v times M_x is v*x.  Each row is the one
+        above times gamma: shift up a power, fold gamma^3 back in.  x is
+        taken as canonical coordinates.
+        """
         p = self.p
-        b = _trim([x[0] % p, x[1] % p, x[2] % p])
-        if not b:
+        h0, h1, h2, _, _, _ = self._consts
+        x0, x1, x2 = x
+        y0 = x2 * h0 % p
+        y1 = (x0 + x2 * h1) % p
+        y2 = (x1 + x2 * h2) % p
+        return (x, (y0, y1, y2), (y2 * h0 % p, (y0 + y2 * h1) % p, (y1 + y2 * h2) % p))
+
+    def inv(self, x):
+        """Inverse by Cramer's rule on the multiply-by-x matrix M_x.
+
+        x^-1 is the row vector v with v * M_x = (1, 0, 0), i.e. the first row
+        of adj(M_x) / det(M_x): O(1) F_p operations plus one F_p inverse.
+        det(M_x) is the norm of x, nonzero exactly when x is.
+        """
+        p = self.p
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self.mul_matrix(x)
+        a0 = m11 * m22 - m12 * m21
+        a1 = m02 * m21 - m01 * m22
+        a2 = m01 * m12 - m02 * m11
+        det = (m00 * a0 + m10 * a1 + m20 * a2) % p
+        if det == 0:
             raise ZeroDivisionError("inverse of zero in F_{p^3}")
-        g = self.g
-        a = [g.g0, g.g1, g.g2, 1]
-        # track s with s * x = r (mod g) along the remainder chain
-        s_a, s_b = [], [1]
-        while len(b) > 1:
-            # one division step: a = q*b + r
-            r = a[:]
-            q = [0] * (len(a) - len(b) + 1)
-            inv_lead = pow(b[-1], -1, p)
-            while len(r) >= len(b) and r:
-                coef = r[-1] * inv_lead % p
-                shift = len(r) - len(b)
-                q[shift] = coef
-                for i, bc in enumerate(b):
-                    r[i + shift] = (r[i + shift] - coef * bc) % p
-                _trim(r)
-            # s update: s_new = s_a - q * s_b
-            qs = [0] * (len(q) + len(s_b) - 1) if s_b else []
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s_b):
-                        qs[i + j] = (qs[i + j] + qc * sc) % p
-            s_new = [0] * max(len(s_a), len(qs))
-            for i, sc in enumerate(s_a):
-                s_new[i] = sc
-            for i, qc in enumerate(qs):
-                s_new[i] = (s_new[i] - qc) % p
-            a, b = b, r
-            s_a, s_b = s_b, _trim(s_new)
-        # b is a nonzero constant: scale s_b by its inverse
-        c = pow(b[0], -1, p)
-        out = [sc * c % p for sc in s_b] + [0, 0]
-        return (out[0], out[1], out[2])
+        d = pow(det, -1, p)
+        return (a0 * d % p, a1 * d % p, a2 * d % p)
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from rsdel.code import (
@@ -106,6 +107,22 @@ def test_encode_matches_scalar_evaluation():
         cw = encode(spec, m)
         for i in range(1, spec.n + 1):
             assert cw[i - 1] == m.m1 + m.m2 * spec.alpha_at(i)
+
+
+@pytest.mark.parametrize("p", [1073741789, 2**61 - 1])
+def test_encode_exact_at_dtype_boundary(p):
+    # 1073741789 is the largest prime <= 2^30, the last int64 regime: a
+    # matmul entry can reach 3p^2 + p, which must stay below 2^63.  The
+    # n largest residues put alpha's first coordinates next to p, and a
+    # message of all p-1 coordinates maximises M_{m2}'s inputs.
+    n = 40
+    spec = get_spec(p, n, tuple(range(p - n, p)))
+    assert spec._dtype == (np.int64 if p <= 1 << 30 else object)
+    ext = spec.ext
+    m1 = m2 = (p - 1, p - 1, p - 1)
+    got = encode(spec, Message(ext.from_coords(m1), ext.from_coords(m2))).symbol_tuples()
+    for i in range(1, n + 1):
+        assert got[i - 1] == ext.add(m1, ext.mul(m2, spec.alpha_coords(i)))
 
 
 def test_encode_rejects_foreign_message():

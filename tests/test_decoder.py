@@ -7,12 +7,13 @@ and exhaustive enumeration of locator triples and ratios over small fields.
 """
 
 import random
+from itertools import product
 from math import comb
 
 import pytest
 
 from rsdel.channel import DeletionPattern, apply_deletions, enumerate_triples
-from rsdel.code import Message, encode, gamma_map, random_message
+from rsdel.code import Message, encode, gamma_map, interpolate, random_message
 from rsdel.decoder import (
     PATH_CLOSED_FORM,
     PATH_CONSTANT,
@@ -28,12 +29,20 @@ from rsdel.decoder import (
     solve_deltas,
 )
 from rsdel.errors import (
+    FieldMismatchError,
     InconsistentReceivedWordError,
     ParameterError,
     RSDelError,
     UnrecognizedReceivedWordError,
 )
-from rsdel.field import PrimeField
+from rsdel.field import (
+    CubicField,
+    ExtElem,
+    MonicCubic,
+    PrimeField,
+    find_irreducible_cubic,
+    is_irreducible_cubic,
+)
 from rsdel.verify import base_field_spec
 
 from conftest import get_spec
@@ -292,6 +301,32 @@ def test_decode_linear_refuses_non_quadratic_spec():
     m = Message(spec.ext.one, spec.ext.one)
     with pytest.raises(ParameterError):
         decode_linear(spec, received(spec, m, (1, 2, 3)))
+
+
+def test_decode_rejects_foreign_field():
+    # another p, and the same p with another irreducible cubic: the decoders
+    # refuse such symbols before any arithmetic, whatever the word looks like
+    spec = get_spec(11, 10)
+    other_g = next(g for g in map(MonicCubic._make, product(range(11), repeat=3))
+                   if g != spec.g and is_irreducible_cubic(11, g))
+    foreigns = (CubicField(PrimeField(13), find_irreducible_cubic(13)),
+                CubicField(PrimeField(11), other_g))
+    rng = random.Random(1105)
+    for F in foreigns:
+        e, f = F.elem(3, 1, 0), F.elem(1, 2, 0)
+        words = [(e, e, e), (e, e, f)]
+        for pat in enumerate_triples(spec.n):
+            y = received(spec, random_message(spec, rng), pat.kept)
+            moved = tuple(ExtElem(F, sym.coords) for sym in y)
+            words += [moved, (y.y1, y.y2, moved[2])]
+        for word in words:
+            for decode in (decode_cubic, decode_linear):
+                with pytest.raises(FieldMismatchError):
+                    decode(spec, ReceivedTriple(*word))
+        with pytest.raises(FieldMismatchError):
+            interpolate(spec, 1, 2, e, f)
+        with pytest.raises(FieldMismatchError):
+            compute_beta(ReceivedTriple(spec.ext.one, spec.ext.zero, f))
 
 
 def test_decode_rejects_two_equal_symbols():

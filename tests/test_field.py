@@ -2,11 +2,13 @@
 
 Oracles used here:
   - exhaustive inverse scan over F_p
+  - exhaustive sweep of F_{p^3} inverses and multiply-by-x matrices, p <= 7
   - schoolbook polynomial multiply + long division for extension products
   - full lex enumeration of monic cubics for the irreducibility search
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -214,6 +216,22 @@ def test_ext_inverse():
             n_checked += 1
         with pytest.raises(ZeroDivisionError):
             F.zero.inverse()
+
+
+def test_ext_inverse_and_mul_matrix_exhaustive_small():
+    # every element under every irreducible monic cubic for p <= 7
+    gamma, gamma2 = (0, 1, 0), (0, 0, 1)
+    for p in (3, 5, 7):
+        for g in map(MonicCubic._make, product(range(p), repeat=3)):
+            if not is_irreducible_cubic(p, g):
+                continue
+            F = CubicField(PrimeField(p), g)
+            for x in product(range(p), repeat=3):
+                assert F.mul_matrix(x) == (x, F.mul(x, gamma), F.mul(x, gamma2))
+                if x != (0, 0, 0):
+                    assert F.mul(x, F.inv(x)) == (1, 0, 0)
+            with pytest.raises(ZeroDivisionError):
+                F.inv((0, 0, 0))
 
 
 def test_ext_int_embedding_and_mismatch():
