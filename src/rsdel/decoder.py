@@ -52,6 +52,7 @@ import numpy as np
 from .channel import DeletionPattern
 from .code import CodeSpec, Message, Codeword, _require_field, encode, interpolate, lookup_delta
 from .errors import (
+    FieldMismatchError,
     InconsistentReceivedWordError,
     ParameterError,
     UnrecognizedReceivedWordError,
@@ -98,9 +99,18 @@ class DecodeInstrumentation:
 
 @dataclass(frozen=True)
 class ReceivedTriple:
+    """Three received symbols; a member that is not an ExtElem raises
+    FieldMismatchError when the triple is built."""
+
     y1: ExtElem
     y2: ExtElem
     y3: ExtElem
+
+    def __post_init__(self):
+        for name, y in zip(("y1", "y2", "y3"), self):
+            if not isinstance(y, ExtElem):
+                raise FieldMismatchError(
+                    f"received symbol {name} is a {type(y).__name__}, not an ExtElem")
 
     @classmethod
     def from_symbols(cls, symbols, truncate: bool = False) -> "ReceivedTriple":

@@ -2,17 +2,21 @@
 
 Nothing here shares logic with the decoders: injectivity is certified by
 exhaustive enumeration, the determinant is expanded directly rather than
-through the ratio map, and LCS is a plain dynamic program.  A code corrects
-t deletions iff every distinct codeword pair has LCS < n - t, so for these
-codes (t = n - 3) the audit target is max LCS <= 2.
+through the ratio map, and LCS is computed by Hunt-Szymanski on the
+codeword symbols.  A code corrects t deletions iff every distinct codeword
+pair has LCS < n - t, so for these codes (t = n - 3) the audit target is
+max LCS <= 2.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .code import CodeSpec, Message, encode, random_message
 from .errors import BudgetExceededError, ParameterError
@@ -31,36 +35,96 @@ class CollisionWitness:
 def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[CollisionWitness]:
     """Certify the ratio map injective by evaluating every increasing triple.
 
-    Returns None on success, the first CollisionWitness otherwise.  Refuses
-    (BudgetExceededError) when C(n, 3) exceeds the budget: the certification
-    is exhaustive or it is nothing.
+    Returns None on success, the first CollisionWitness otherwise: triple_b
+    is the lowest-rank triple (lexicographic order) whose ratio value already
+    occurs at a lower rank, triple_a that lower-rank triple.  Refuses
+    (BudgetExceededError) when C(n, 3) exceeds the budget, before anything is
+    allocated: the certification is exhaustive or it is nothing.
+
+    Every ratio is computed in numpy, one block of pairs (j, k) per i, and
+    the C(n, 3) values are sorted to find repeats.  Time is O(n^2) F_{p^3}
+    inversions plus O(T log T) numpy work for T = C(n, 3) triples.  Memory
+    is O(n^2) scratch plus, for p < 2^21, 17 B per triple (packed int64
+    keys, a sorted copy and one comparison flag), so the default budget
+    implies about 180 MB; naming a collision takes up to 25 B per triple.
+    Larger p keep three int64 coordinate columns and their lexsort order,
+    about 51 B per triple with sort scratch; for p >= 2^63 the columns
+    hold Python ints.
     """
     n = spec.n
     total = comb(n, 3)
     if total > budget:
         raise BudgetExceededError(
             f"C({n},3) = {total} triples exceeds the budget of {budget}")
-    ext = spec.ext
+    ext, p, dtype = spec.ext, spec.p, spec._dtype
     alpha = [spec.alpha_coords(i) for i in range(1, n + 1)]
-    # invert each alpha_j - alpha_k once; the triple loop is then pure mul
-    inv_jk = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            inv_jk[j][k] = ext.inv(ext.sub(alpha[j], alpha[k]))
-    seen: dict = {}
+    pair_j, pair_k = np.triu_indices(n, 1)  # pairs j < k in lexicographic order
+    mats = np.array([ext.mul_matrix(ext.inv(ext.sub(alpha[j], alpha[k])))
+                     for j, k in zip(pair_j.tolist(), pair_k.tolist())], dtype=dtype)
+    # (alpha_i, 1) @ table[:, 3t:3t+3] is the ratio of triple (i, j, k) for
+    # pair t = (j, k): rows 0-2 hold M_{1/(alpha_j - alpha_k)} side by side,
+    # row 3 holds -alpha_j/(alpha_j - alpha_k).  int64 stays exact, since an
+    # entry of the product is at most 3p^2 + p < 2^63 for p <= 2^30.
+    table = np.empty((4, len(mats), 3), dtype=dtype)
+    table[:3] = mats.transpose(1, 0, 2)
+    table[3] = -(spec._alpha[pair_j][:, None, :] @ mats)[:, 0, :] % p
+    table = table.reshape(4, -1)
+    del mats
+    lifted = np.concatenate([spec._alpha, np.ones((n, 1), dtype=dtype)], axis=1)
+    packed = p < (1 << 21)
+    if packed:
+        keys = np.empty(total, dtype=np.int64)
+        weights = np.array([1, p, p * p], dtype=np.int64)
+    else:
+        keys = np.empty((3, total), dtype=np.int64 if p < (1 << 63) else object)
+    block_rank, block_pair = [], []   # first triple rank and first pair of block i
+    rank = pair = 0
     for i in range(n - 2):
-        ai = alpha[i]
-        for j in range(i + 1, n - 1):
-            num = ext.sub(ai, alpha[j])
-            row = inv_jk[j]
-            for k in range(j + 1, n):
-                val = ext.mul(num, row[k])
-                prev = seen.get(val)
-                if prev is not None:
-                    return CollisionWitness(prev, (i + 1, j + 1, k + 1),
-                                            ExtElem(ext, val))
-                seen[val] = (i + 1, j + 1, k + 1)
-    return None
+        pair += n - 1 - i   # the first pair (j, k) with j > i
+        block_rank.append(rank)
+        block_pair.append(pair)
+        block = (lifted[i] @ table[:, 3 * pair:] % p).reshape(-1, 3)
+        if packed:
+            keys[rank:rank + len(block)] = block @ weights
+        else:
+            keys[:, rank:rank + len(block)] = block.T
+        rank += len(block)
+
+    if packed:
+        ordered = np.sort(keys)
+        if not (ordered[1:] == ordered[:-1]).any():
+            return None
+        del ordered
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        same = ordered[1:] == ordered[:-1]
+    else:
+        order = np.lexsort(keys[::-1])
+        same = np.ones(total - 1, dtype=bool)
+        for column in keys:
+            ordered = column[order]
+            same &= ordered[1:] == ordered[:-1]
+        if not same.any():
+            return None
+    del ordered
+    # the sort is stable, so a run of equal values lists their ranks in
+    # increasing order: every entry after the run's first is a repeat, and
+    # the lowest-rank repeat is the second entry of its run
+    repeats = np.flatnonzero(same) + 1
+    pos_b = repeats[np.argmin(order[repeats])]
+
+    def triple(r):
+        i = bisect_right(block_rank, r) - 1
+        t = block_pair[i] + r - block_rank[i]
+        return (i + 1, int(pair_j[t]) + 1, int(pair_k[t]) + 1)
+
+    rank_b = int(order[pos_b])
+    if packed:
+        key = int(keys[rank_b])
+        value = (key % p, key // p % p, key // (p * p))
+    else:
+        value = tuple(int(c) for c in keys[:, rank_b])
+    return CollisionWitness(triple(int(order[pos_b - 1])), triple(rank_b), ExtElem(ext, value))
 
 
 def vandermonde_det(spec: CodeSpec, triple_a, triple_b) -> ExtElem:
@@ -78,24 +142,37 @@ def vandermonde_det(spec: CodeSpec, triple_a, triple_b) -> ExtElem:
 
 
 def lcs_length(xs: Sequence, ys: Sequence) -> int:
-    """Longest common subsequence length, classic two-row dynamic program."""
-    xs = list(xs)
-    ys = list(ys)
-    prev = [0] * (len(ys) + 1)
+    """Longest common subsequence length, by Hunt-Szymanski.
+
+    Index ys by symbol, then feed each x's matching positions in ys, in
+    decreasing order, into a strictly increasing patience-sorting LIS: a
+    common subsequence is exactly a chain of matches increasing in both
+    words, and the decreasing order lets each x extend a chain at most once.
+    Symbols must be hashable.  Takes O((n + m + r) log n) time and O(n + m)
+    memory for lengths n, m and r matching position pairs; r <= n for two
+    distinct codewords of these codes, whose symbols are pairwise distinct
+    unless the word is constant.
+    """
+    where: dict = {}
+    for j, y in enumerate(ys):
+        where.setdefault(y, []).append(j)
+    tails: list = []   # tails[l]: least end position in ys of a chain of l + 1
     for x in xs:
-        cur = [0]
-        for j, y in enumerate(ys, 1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
+        for j in reversed(where.get(x, ())):
+            at = bisect_left(tails, j)
+            if at == len(tails):
+                tails.append(j)
             else:
-                cur.append(max(cur[-1], prev[j]))
-        prev = cur
-    return prev[-1]
+                tails[at] = j
+    return len(tails)
 
 
 def fll_distance(xs: Sequence, ys: Sequence) -> int:
     """n - LCS for two equal-length words (deletion balls of radius t
-    intersect exactly when this is <= t)."""
+    intersect exactly when this is <= t).
+
+    Costs one lcs_length: O((n + r) log n) time and O(n) memory.
+    """
     xs = list(xs)
     ys = list(ys)
     if len(xs) != len(ys):
@@ -115,7 +192,9 @@ def audit_code(spec: CodeSpec, pairs) -> AuditResult:
     """Max pairwise codeword LCS over the given distinct message pairs.
 
     A maximum of 3 or more disproves (n-3)-deletion correction; the witness
-    pair achieving the maximum is always named.
+    pair achieving the maximum is always named.  Each pair costs two O(n)
+    encodes and one lcs_length, O(n log n) for distinct codewords; memory
+    is O(n) beyond the pairs themselves.
     """
     best = -1
     witness = None

@@ -329,6 +329,24 @@ def test_decode_rejects_foreign_field():
             compute_beta(ReceivedTriple(spec.ext.one, spec.ext.zero, f))
 
 
+def test_received_triple_rejects_non_elements():
+    # plain coordinate tuples, ints and None are refused when the triple is
+    # built, with a typed error instead of an AttributeError inside a decoder
+    spec = get_spec(11, 6)
+    e = spec.ext.elem(1, 2, 3)
+    words = [((1, 2, 3), (2, 3, 4), (5, 6, 7))]
+    for bad in ((1, 2, 3), 5, None):
+        words += [(bad, e, e), (e, bad, e), (e, e, bad), (bad, bad, bad)]
+    for word in words:
+        with pytest.raises(FieldMismatchError):
+            ReceivedTriple.from_symbols(word)
+        with pytest.raises(FieldMismatchError):
+            ReceivedTriple.from_symbols(word + (e,), truncate=True)
+        for decode in (decode_cubic, decode_linear):
+            with pytest.raises(FieldMismatchError):
+                decode(spec, ReceivedTriple(*word))
+
+
 def test_decode_rejects_two_equal_symbols():
     spec = get_spec(5, 4)
     e, f = spec.ext.elem(3, 0, 0), spec.ext.elem(1, 2, 0)

@@ -1,12 +1,16 @@
 import functools
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from rsdel.channel import enumerate_triples
-from rsdel.code import Message, encode, gamma_map, random_message
+from rsdel.code import CodeSpec, Message, build_code, encode, gamma_map, random_message
 from rsdel.errors import BudgetExceededError, ParameterError
+from rsdel.field import find_irreducible_cubic
+from rsdel import verify
 from rsdel.verify import (
     audit_code,
     base_field_spec,
@@ -35,6 +39,49 @@ def lcs_recursive(xs, ys):
     return go(len(xs), len(ys))
 
 
+def lcs_dp(xs, ys):
+    """Classic two-row dynamic program, reference for Hunt-Szymanski."""
+    xs, ys = list(xs), list(ys)
+    prev = [0] * (len(ys) + 1)
+    for x in xs:
+        cur = [0]
+        for j, y in enumerate(ys, 1):
+            if x == y:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(cur[-1], prev[j]))
+        prev = cur
+    return prev[-1]
+
+
+def check_injectivity_reference(spec):
+    """Dictionary enumeration of every increasing triple in lexicographic
+    order, reference for check_injectivity: the first triple whose ratio
+    value was seen before, with the triple that first had it."""
+    ext, n = spec.ext, spec.n
+    alpha = [spec.alpha_coords(i) for i in range(1, n + 1)]
+    seen = {}
+    for i in range(n - 2):
+        for j in range(i + 1, n - 1):
+            num = ext.sub(alpha[i], alpha[j])
+            for k in range(j + 1, n):
+                val = ext.mul(num, ext.inv(ext.sub(alpha[j], alpha[k])))
+                prev = seen.get(val)
+                if prev is not None:
+                    return prev, (i + 1, j + 1, k + 1), val
+                seen[val] = (i + 1, j + 1, k + 1)
+    return None
+
+
+def assert_matches_reference(spec):
+    w = check_injectivity(spec)
+    got = None if w is None else (w.triple_a, w.triple_b, w.value.coords)
+    assert got == check_injectivity_reference(spec), spec
+    if w is not None:
+        assert w.value.field == spec.ext
+    return got
+
+
 def test_lcs_known_values():
     assert lcs_length("ABCBDAB", "BDCABA") == 4
     assert lcs_length("", "ABC") == 0
@@ -47,7 +94,59 @@ def test_lcs_against_recursive_oracle():
     for _ in range(300):
         xs = [rng.randrange(4) for _ in range(rng.randrange(12))]
         ys = [rng.randrange(4) for _ in range(rng.randrange(12))]
-        assert lcs_length(xs, ys) == lcs_recursive(xs, ys)
+        assert lcs_length(xs, ys) == lcs_recursive(xs, ys) == lcs_dp(xs, ys)
+
+
+def test_lcs_against_dp_small_alphabets_and_permutations():
+    rng = random.Random(32)
+    for _ in range(300):
+        alphabet = rng.randrange(1, 6)
+        xs = [rng.randrange(alphabet) for _ in range(rng.randrange(40))]
+        ys = [rng.randrange(alphabet) for _ in range(rng.randrange(40))]
+        assert lcs_length(xs, ys) == lcs_dp(xs, ys)
+    for _ in range(100):
+        n = rng.randrange(1, 80)
+        xs = rng.sample(range(n), n)
+        ys = rng.sample(range(n + 5), n)  # a partial permutation of xs
+        assert lcs_length(xs, ys) == lcs_dp(xs, ys)
+        assert lcs_length(xs, sorted(xs)) == lcs_dp(xs, sorted(xs))
+    assert lcs_length(range(50), range(50)) == 50
+    assert lcs_length(range(50), range(49, -1, -1)) == 1
+
+
+def test_lcs_codeword_pairs_n150():
+    spec = get_spec(10007, 150)
+    ext = spec.ext
+    rng = random.Random(33)
+    words = [encode(spec, random_message(spec, rng)).symbol_tuples() for _ in range(6)]
+    constants = [encode(spec, Message(ext.rand(rng), ext.zero)).symbol_tuples()
+                 for _ in range(2)]
+    words += constants
+    # a shifted copy shares every symbol but the first with the original
+    words.append(words[0][1:] + [words[1][0]])
+    for xs, ys in itertools.product(words, repeat=2):
+        assert lcs_length(xs, ys) == lcs_dp(xs, ys)
+    assert lcs_length(constants[0], constants[0]) == 150
+    assert lcs_length(constants[0], constants[1]) == 0
+    assert lcs_length(words[0], words[-1]) == 149
+
+
+def test_audit_matches_dp_audit_n150(monkeypatch):
+    spec = get_spec(10007, 150)
+    ext = spec.ext
+    rng = random.Random(34)
+    pairs = list(sample_message_pairs(spec, 24, seed=35))
+    # constant words share at most one symbol with an injective word
+    for _ in range(8):
+        c = Message(ext.rand(rng), ext.zero)
+        pairs.append((c, random_message(spec, rng)))
+    m = random_message(spec, rng)
+    c = encode(spec, m)[7]
+    pairs.append((m, Message(c, ext.zero)))
+    res = audit_code(spec, pairs)
+    assert res.max_lcs <= 2
+    monkeypatch.setattr(verify, "lcs_length", lcs_dp)
+    assert audit_code(spec, pairs) == res
 
 
 def test_fll_distance():
@@ -77,6 +176,66 @@ def test_check_injectivity_finds_base_field_collision():
 def test_check_injectivity_budget_refusal():
     with pytest.raises(BudgetExceededError):
         check_injectivity(get_spec(5, 4), budget=3)  # C(4,3) = 4
+
+
+def test_check_injectivity_budget_refusal_allocates_nothing():
+    spec = build_code(200003, 200000)  # C(n, 3) is about 1.3e15
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceededError):
+            check_injectivity(spec)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("p,n", [(10007, 30), (1073741789, 24), ((1 << 61) - 1, 16),
+                                 ((1 << 64) - 59, 10), (5, 4), (7, 6)])
+def test_check_injectivity_matches_reference_quadratic(p, n):
+    # packed keys, int64 columns (computed in int64, then in object dtype)
+    # and Python-int columns beyond 2^63
+    assert assert_matches_reference(get_spec(p, n)) is None
+
+
+def test_check_injectivity_matches_reference_base_field():
+    for p, n in ((5, 4), (7, 6), (11, 10), (13, 12), (10007, 25),
+                 (1073741789, 14), ((1 << 61) - 1, 10), ((1 << 64) - 59, 8)):
+        assert assert_matches_reference(base_field_spec(p, n)) is not None
+
+
+def test_check_injectivity_matches_reference_random_points():
+    # random distinct evaluation points over tiny fields collide often, at
+    # ranks spread over the whole enumeration
+    rng = random.Random(36)
+    collided_at = set()
+    for _ in range(300):
+        p = rng.choice((5, 7))
+        n = rng.randrange(3, p)
+        rows = set()
+        while len(rows) < n:
+            rows.add(tuple(rng.randrange(p) for _ in range(3)))
+        rows = sorted(rows, key=lambda _: rng.random())
+        spec = CodeSpec(p, find_irreducible_cubic(p), range(1, n + 1), alpha_rows=rows)
+        got = assert_matches_reference(spec)
+        if got is not None:
+            collided_at.add(got[1])
+    assert len(collided_at) >= 10
+
+
+def test_check_injectivity_memory_bound():
+    # packed keys: 17 B per triple plus O(n^2) scratch, 9.4 MB + 1 MB here
+    spec = get_spec(10007, 150)
+    tracemalloc.start()
+    try:
+        assert check_injectivity(spec) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000
 
 
 def test_vandermonde_zero_iff_equal_ratio():
