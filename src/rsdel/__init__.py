@@ -3,7 +3,9 @@
 Evaluation points alpha_i = delta_i + delta_i^2 * gamma make the triple ratio
 (alpha_i - alpha_j)/(alpha_j - alpha_k) injective over increasing triples, so
 three surviving symbols pin down their original positions.  Two decoders:
-a cubic-time exhaustive triple search and a linear-time closed form.
+the paper's exhaustive triple search, run as an O(n^2 log n) join whose
+nominal op count still prices the Theta(n^3) scan, and a linear-time closed
+form.
 """
 
 from .channel import DeletionPattern, apply_deletions, enumerate_triples, random_pattern

@@ -98,7 +98,7 @@ def cmd_decode(args) -> int:
         total = channel.triple_count(spec.n)
         if total > args.budget:
             raise BudgetExceededError(
-                f"cubic decode scans up to C({spec.n},3) = {total} triples, "
+                f"cubic decode prices up to C({spec.n},3) = {total} triples, "
                 f"over the budget of {args.budget}")
     symbols = code.load_symbols(args.received, spec)
     y = decoder.ReceivedTriple.from_symbols(symbols, truncate=args.truncate)
@@ -208,7 +208,8 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
     """Worst-case decode benchmarks; one record per (n, algo).
 
     The kept triple is the lexicographically last one (n-2, n-1, n), which
-    maximizes the cubic scan.  Returns (records, truncated).
+    maximizes the cubic search's work and nominal count.  Returns
+    (records, truncated).
     """
     if len(p_values) == 1:
         p_values = list(p_values) * len(n_values)

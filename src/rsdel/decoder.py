@@ -5,11 +5,12 @@ Both decoders start from the invariant ratio
     beta = (y1 - y2) / (y2 - y3)
          = (alpha_k1 - alpha_k2) / (alpha_k2 - alpha_k3)
 
-where (k1, k2, k3) are the unknown kept positions.  The cubic decoder scans
-increasing triples in lexicographic order until the ratio matches.  The
-linear decoder reads the kept delta values straight out of beta:  writing
-beta = a*gamma^2 + b*gamma + c and beta*gamma = r*gamma^2 + s*gamma + t, the
-kept positions satisfy
+where (k1, k2, k3) are the unknown kept positions.  The cubic decoder is the
+paper's exhaustive decoder: it returns the lexicographically first increasing
+triple whose ratio matches, found by a join (see the triple search below)
+rather than a scan of all C(n,3) triples.  The linear decoder reads the kept
+delta values straight out of beta:  writing beta = a*gamma^2 + b*gamma + c
+and beta*gamma = r*gamma^2 + s*gamma + t, the kept positions satisfy
 
     p2 = a*(d3 - d2) + r*(d3^2 - d2^2)                       = 0
     p0 = d1 - d2 + c*(d3 - d2) + t*(d3^2 - d2^2)             = 0
@@ -78,7 +79,7 @@ OPS_THIRD_POINT = OPS_EXT_MUL + OPS_EXT_ADD
 OPS_ENCODE_PER_SYMBOL = 15  # nominal: one row of the alpha @ M_{m2} matmul plus m1
 OPS_SEARCH_SETUP_PER_POS = OPS_EXT_MUL + OPS_EXT_ADD  # beta*alpha_j, target per j
 OPS_SEARCH_ROW_PER_ENTRY = OPS_EXT_ADD  # candidate sum per scanned k entry
-OPS_SEARCH_PER_TRIPLE = 1   # one ratio test (key comparison) per scanned triple
+OPS_SEARCH_PER_TRIPLE = 1   # one ratio test per triple of the Theta(n^3) scan
 
 _NUMPY_SEARCH_MIN_N = 32
 
@@ -89,7 +90,7 @@ class DecodeInstrumentation:
 
     total_ops accumulates every priced operation; search_ops only those spent
     identifying the kept triple (beta, coefficient extraction and solving
-    for the linear path; beta plus the scan for the cubic path).
+    for the linear path; beta plus the triple search for the cubic path).
     """
 
     total_ops: int = 0
@@ -200,14 +201,39 @@ def solve_deltas(pf: PrimeField, coeffs,
 
 # -- triple search -------------------------------------------------------
 #
-# The scan tests Gamma(i, j, k) == beta without divisions:
+# The paper's exhaustive decoder tests Gamma(i, j, k) == beta on every
+# increasing triple, without divisions:
 #
 #     alpha_i - alpha_j == beta * (alpha_j - alpha_k)
-#     <=>  alpha_i + beta*alpha_k == alpha_j + beta*alpha_j
+#     <=>  alpha_i + beta*alpha_k == alpha_j + beta*alpha_j =: T_j
 #
-# so with balpha_j = beta * alpha_j precomputed, each triple costs one
-# coordinate add and one comparison.  Injectivity of the ratio map means at
-# most one triple can ever match.
+# T is injective in j when beta != -1 (compute_beta rejects y1 == y3, which
+# is beta == -1; for beta == -1 no triple matches at all), so it runs as a
+# join: index T once, then each candidate alpha_i + beta*alpha_k names the
+# only j that could complete (i, ., k).  Rows go in increasing i, and in the
+# first row with a hit i < j < k the smallest j wins; k is then unique, so
+# this is the lexicographically first triple of the scan, also for
+# alpha_rows specs whose ratios collide.  The nominal count still prices the
+# Theta(n^3) scan up to the match row (_charge_scan), so the counts do not
+# depend on the kernel.
+
+_SEARCH_BLOCK_ROWS = 16
+
+
+def _charge_scan(inst, n, rows):
+    """Price the scan of the first `rows` rows (0-based i < rows).
+
+    Setup costs OPS_SEARCH_SETUP_PER_POS per position; row i scans
+    w = n - 2 - i candidates and the w*(w+1)/2 triples (i, j, k) they close.
+    """
+    if not inst:
+        return
+    hi, lo = n - 2, n - 2 - rows  # the rows' widths are lo+1 .. hi
+    candidates = (hi * (hi + 1) - lo * (lo + 1)) // 2
+    triples = (hi * (hi + 1) * (hi + 2) - lo * (lo + 1) * (lo + 2)) // 6
+    inst.total_ops += (n * OPS_SEARCH_SETUP_PER_POS
+                       + candidates * OPS_SEARCH_ROW_PER_ENTRY
+                       + triples * OPS_SEARCH_PER_TRIPLE)
 
 
 def _search_triple_python(spec: CodeSpec, beta, inst):
@@ -216,28 +242,19 @@ def _search_triple_python(spec: CodeSpec, beta, inst):
     n = spec.n
     alpha = [spec.alpha_coords(i) for i in range(1, n + 1)]
     balpha = [ext.mul(beta, a) for a in alpha]
-    target = [ext.add(a, ba) for a, ba in zip(alpha, balpha)]
-    if inst:
-        inst.total_ops += n * OPS_SEARCH_SETUP_PER_POS
-    tests = 0
-    found = None
+    target = {ext.add(a, ba): j for j, (a, ba) in enumerate(zip(alpha, balpha))}
     for i in range(n - 2):
         ai0, ai1, ai2 = alpha[i]
-        for j in range(i + 1, n - 1):
-            tj = target[j]
-            for k in range(j + 1, n):
-                bk = balpha[k]
-                tests += 1
-                if ((ai0 + bk[0]) % p, (ai1 + bk[1]) % p, (ai2 + bk[2]) % p) == tj:
-                    found = (i + 1, j + 1, k + 1)
-                    break
-            if found:
-                break
-        if found:
-            break
-    if inst:
-        inst.total_ops += tests * (OPS_SEARCH_PER_TRIPLE + OPS_EXT_ADD)
-    return found
+        # an absent key reads j = -1, which fails i < j
+        hits = [(j, k) for k, (b0, b1, b2) in enumerate(balpha[i + 2:], i + 2)
+                if i < (j := target.get(((ai0 + b0) % p, (ai1 + b1) % p,
+                                         (ai2 + b2) % p), -1)) < k]
+        if hits:
+            j, k = min(hits)
+            _charge_scan(inst, n, i + 1)
+            return (i + 1, j + 1, k + 1)
+    _charge_scan(inst, n, n - 2)
+    return None
 
 
 def _search_triple_numpy(spec: CodeSpec, beta, inst):
@@ -250,33 +267,35 @@ def _search_triple_numpy(spec: CodeSpec, beta, inst):
     b0, b1, b2 = np.ascontiguousarray(balpha.T)
     pp = p * p
     # packed keys are exact: coordinates are canonical and p^3 < 2^63
-    kv = (a0 + b0) % p + ((a1 + b1) % p) * p + ((a2 + b2) % p) * pp
-    if inst:
-        inst.total_ops += n * OPS_SEARCH_SETUP_PER_POS
-    tests = 0
-    found = None
-    for i in range(n - 2):
-        lo = i + 2  # 0-based k candidates start here
-        w = ((int(a0[i]) + b0[lo:]) % p
-             + ((int(a1[i]) + b1[lo:]) % p) * p
-             + ((int(a2[i]) + b2[lo:]) % p) * pp)
-        rows = kv[i + 1:n - 1]
-        # rows index j = i+1+rj, cols index k = i+2+rk; valid when rk >= rj
-        eq = rows[:, None] == w[None, :]
-        width = n - lo
-        tests += (width + 1) * width // 2  # valid (j, k) pairs in this block
-        if inst:
-            inst.total_ops += width * OPS_SEARCH_ROW_PER_ENTRY
-        if eq.any():
-            for rj, rk in np.argwhere(eq):
-                if rk >= rj:
-                    found = (i + 1, i + 2 + int(rj), i + 3 + int(rk))
-                    break
-        if found:
-            break
-    if inst:
-        inst.total_ops += tests * OPS_SEARCH_PER_TRIPLE
-    return found
+    target = (alpha + balpha) % p @ np.array([1, p, pp], dtype=alpha.dtype)
+    order = np.argsort(target)
+    keys = target[order]
+    # a candidate whose first coordinate (mod mask + 1) is no T_j's cannot
+    # hit; at most n of the > 8n slots are set, so only about one candidate
+    # in eight, plus the hits, reaches searchsorted
+    mask = (1 << (3 + n.bit_length())) - 1
+    seen = np.zeros(mask + 1, dtype=bool)
+    seen[target % p & mask] = True
+    for i0 in range(0, n - 2, _SEARCH_BLOCK_ROWS):
+        i1 = min(i0 + _SEARCH_BLOCK_ROWS, n - 2)
+        k0 = i0 + 2  # candidates k >= i0 + 2 cover every row of the block
+        c0 = (a0[i0:i1, None] + b0[k0:]) % p
+        ri, rk = np.nonzero(seen[c0 & mask])
+        if not ri.size:
+            continue
+        i = ri + i0
+        k = rk + k0
+        w = c0[ri, rk] + (a1[i] + b1[k]) % p * p + (a2[i] + b2[k]) % p * pp
+        pos = np.minimum(np.searchsorted(keys, w), n - 1)
+        j = order[pos]
+        ok = (keys[pos] == w) & (i < j) & (j < k)
+        if ok.any():
+            i, j, k = i[ok], j[ok], k[ok]
+            first = np.lexsort((j, i))[0]  # lexicographically first (i, j)
+            _charge_scan(inst, n, int(i[first]) + 1)
+            return (int(i[first]) + 1, int(j[first]) + 1, int(k[first]) + 1)
+    _charge_scan(inst, n, n - 2)
+    return None
 
 
 def _search_triple(spec: CodeSpec, beta_coords, inst):
@@ -313,11 +332,16 @@ def _finish(spec, y, kappa, path, inst):
 
 def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
                  inst: Optional[DecodeInstrumentation] = None) -> DecodeOutcome:
-    """Decode by scanning all increasing triples for a ratio match.
+    """Decode by the paper's exhaustive triple search, run as a join.
 
-    Worst case Theta(n^3) ratio tests; raises UnrecognizedReceivedWordError
-    when no triple matches, and FieldMismatchError before any arithmetic when
-    a symbol is not in spec's field.
+    Returns the lexicographically first increasing triple whose ratio
+    matches.  Takes O(n^2 log n) time (one sorted-index lookup per (i, k)
+    pair; O(n^2) expected for the dict kernel used when p >= 2^21 or n < 32)
+    and O(n) memory (a 16-row block of candidates), plus the O(n) re-encode.
+    The nominal op count still prices the Theta(n^3) scan up to the match
+    row.  Raises UnrecognizedReceivedWordError when no triple matches, and
+    FieldMismatchError before any arithmetic when a symbol is not in spec's
+    field.
     """
     _require_field(spec.ext, y, "received symbol")
     t0 = perf_counter()

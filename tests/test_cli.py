@@ -4,11 +4,14 @@ One subprocess smoke test checks the installed entry point; everything else
 stays in-process for speed.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rsdel
 from rsdel.channel import enumerate_triples
 from rsdel.cli import main
 from rsdel.code import gamma_map, load_spec
@@ -268,8 +271,13 @@ def test_usage_error_without_subcommand():
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from, also
+    # when pytest put src/ on sys.path without setting PYTHONPATH
+    src = str(Path(rsdel.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "rsdel", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     for name in ("gen-code", "encode", "corrupt", "decode", "check-condition",
                  "audit", "roundtrip", "bench"):

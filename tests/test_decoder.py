@@ -7,14 +7,18 @@ and exhaustive enumeration of locator triples and ratios over small fields.
 """
 
 import random
-from itertools import product
+import tracemalloc
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
 from rsdel.channel import DeletionPattern, apply_deletions, enumerate_triples
-from rsdel.code import Message, encode, gamma_map, interpolate, random_message
+from rsdel.code import CodeSpec, Message, encode, gamma_map, interpolate, random_message
 from rsdel.decoder import (
+    OPS_SEARCH_PER_TRIPLE,
+    OPS_SEARCH_ROW_PER_ENTRY,
+    OPS_SEARCH_SETUP_PER_POS,
     PATH_CLOSED_FORM,
     PATH_CONSTANT,
     PATH_FALLBACK,
@@ -402,6 +406,131 @@ def test_search_paths_agree_on_miss():
         assert _search_triple_python(spec, beta.coords, DecodeInstrumentation()) is None
         assert _search_triple_numpy(spec, beta.coords, DecodeInstrumentation()) is None
         misses += 1
+
+
+def reference_matches(spec, beta):
+    """Every increasing triple whose ratio is beta, in lexicographic order.
+
+    The exhaustive scan the decoder ran before the join: one ratio test
+    alpha_i + beta*alpha_k == alpha_j + beta*alpha_j per triple.
+    """
+    ext = spec.ext
+    alpha = [spec.alpha_coords(i) for i in range(1, spec.n + 1)]
+    balpha = [ext.mul(beta, a) for a in alpha]
+    target = [ext.add(a, ba) for a, ba in zip(alpha, balpha)]
+    for i, j, k in combinations(range(spec.n), 3):
+        if ext.add(alpha[i], balpha[k]) == target[j]:
+            yield (i + 1, j + 1, k + 1)
+
+
+def scan_price(n, rows):
+    """Nominal ops of the scan's setup and its first `rows` rows."""
+    ops = n * OPS_SEARCH_SETUP_PER_POS
+    for i in range(rows):
+        width = n - 2 - i
+        ops += width * OPS_SEARCH_ROW_PER_ENTRY + width * (width + 1) // 2 * OPS_SEARCH_PER_TRIPLE
+    return ops
+
+
+def assert_kernels_match_reference(spec, beta):
+    """Both kernels return the reference's first triple; returns all matches."""
+    matches = list(reference_matches(spec, beta))
+    want = matches[0] if matches else None
+    for kernel in (_search_triple_python, _search_triple_numpy):
+        assert kernel(spec, beta, None) == want, (kernel.__name__, spec.p, spec.n, beta)
+    return matches
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_search_kernels_match_reference_every_beta(p):
+    # every beta in F_{p^3}, beta = 0 and beta = -1 included
+    spec = get_spec(p, p - 1)
+    found = sum(bool(assert_kernels_match_reference(spec, beta))
+                for beta in product(range(p), repeat=3))
+    assert found == comb(spec.n, 3)  # the quadratic map is injective
+
+
+def test_search_kernels_match_reference_random_points():
+    # random evaluation points, half of them in the base field, make ratios
+    # collide: the join must still return the lexicographically first triple
+    rng = random.Random(505)
+    ties = misses = 0
+    for _ in range(240):
+        p = rng.choice((5, 7))
+        n = rng.randrange(3, p)
+        dims = rng.choice((1, 3))
+        rows = set()
+        while len(rows) < n:
+            rows.add(tuple(rng.randrange(p) if c < dims else 0 for c in range(3)))
+        rows = sorted(rows, key=lambda _: rng.random())
+        spec = CodeSpec(p, find_irreducible_cubic(p), range(1, n + 1), alpha_rows=rows)
+        betas = {gamma_map(spec, *t.kept).coords for t in enumerate_triples(n)}
+        betas |= {spec.ext.rand(rng).coords for _ in range(3)}
+        for beta in betas:
+            matches = assert_kernels_match_reference(spec, beta)
+            ties += len(matches) >= 2
+            misses += not matches
+    assert ties >= 100 and misses >= 100
+
+
+def test_search_kernels_charge_scan_pricing():
+    # both kernels price the Theta(n^3) scan up to the match row, or every
+    # row on a miss, whatever they really touch
+    rng = random.Random(88)
+    cases = []
+    for p, n in ((10007, 48), (10007, 20), (11, 10), (7, 6)):
+        spec = get_spec(p, n)
+        for kept in ((1, 2, 3), (n - 2, n - 1, n), tuple(sorted(rng.sample(range(1, n + 1), 3)))):
+            cases.append((spec, gamma_map(spec, *kept).coords, kept))
+        cases.append((spec, (0, 0, 0), None))  # beta = 0 never matches
+    for spec, beta, kept in cases:
+        want = scan_price(spec.n, spec.n - 2 if kept is None else kept[0])
+        for kernel in (_search_triple_python, _search_triple_numpy):
+            inst = DecodeInstrumentation()
+            assert kernel(spec, beta, inst) == kept
+            assert inst.total_ops == want, (kernel.__name__, spec.n, kept)
+
+
+def test_decode_cubic_search_ops_pinned():
+    # the counts criterion 7 fits its slope to, as the exhaustive scan read them
+    for n, ops in ((64, 49426), (256, 2867954), (1024, 180030066)):
+        spec = get_spec(10007, n)
+        y = received(spec, random_message(spec, random.Random(n)), (n - 2, n - 1, n))
+        inst = DecodeInstrumentation()
+        decode_cubic(spec, y, inst=inst)
+        assert inst.search_ops == ops
+
+
+def test_decode_cubic_memory_bound():
+    # O(n) memory: a 16-row candidate block, not the n x n comparison table
+    spec = get_spec(10007, 4096)
+    m = random_message(spec, random.Random(4096))
+    y = received(spec, m, (1, 2, 3))
+    tracemalloc.start()
+    try:
+        out = decode_cubic(spec, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.kappa.kept == (1, 2, 3) and out.message == m
+    assert peak <= 6_000_000
+
+
+@pytest.mark.parametrize("p,n", (((1 << 61) - 1, 64), (1073741789, 96)))
+def test_decode_cubic_matches_linear_large_p(p, n):
+    # the dict kernel: object-dtype coordinates, and int64 above packed keys
+    spec = get_spec(p, n)
+    assert not spec.fast_search_ok()
+    rng = random.Random(p % 1000)
+    patterns = [(1, 2, 3), (n - 2, n - 1, n)]
+    patterns += [tuple(sorted(rng.sample(range(1, n + 1), 3))) for _ in range(30)]
+    for kept in patterns:
+        m = random_message(spec, rng)
+        y = received(spec, m, kept)
+        a = decode_cubic(spec, y)
+        b = decode_linear(spec, y)
+        assert (a.kappa.kept, a.message, a.codeword) == (b.kappa.kept, b.message, b.codeword)
+        assert a.kappa.kept == kept and a.message == m
 
 
 def test_instrumentation_counts():
