@@ -94,12 +94,6 @@ def cmd_corrupt(args) -> int:
 
 def cmd_decode(args) -> int:
     spec = code.load_spec(args.spec)
-    if args.algo == "cubic":
-        total = channel.triple_count(spec.n)
-        if total > args.budget:
-            raise BudgetExceededError(
-                f"cubic decode prices up to C({spec.n},3) = {total} triples, "
-                f"over the budget of {args.budget}")
     symbols = code.load_symbols(args.received, spec)
     y = decoder.ReceivedTriple.from_symbols(symbols, truncate=args.truncate)
     decode = decoder.decode_linear if args.algo == "linear" else decoder.decode_cubic
@@ -146,7 +140,19 @@ def cmd_audit(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    """Encode random messages, delete all but three symbols, decode.
+
+    Each trial decodes one random kept triple, or all C(n,3) of them with
+    --exhaustive, whose trials * C(n,3) received words are refused against
+    --budget before any decode.  Each word costs one decode per algorithm.
+    """
     spec = code.load_spec(args.spec)
+    if args.exhaustive:
+        total = args.trials * channel.triple_count(spec.n)
+        if total > args.budget:
+            raise BudgetExceededError(
+                f"{args.trials} trials of all C({spec.n},3) kept triples are "
+                f"{total} received words, over the budget of {args.budget}")
     rng = random.Random(args.seed)
     algos = ("cubic", "linear") if args.algo == "both" else (args.algo,)
     failures = 0
@@ -312,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--emit-kappa", action="store_true")
     q.add_argument("--truncate", action="store_true",
                    help="allow a longer received word; decode its first three symbols")
-    q.add_argument("--budget", type=int, default=10_000_000,
-                   help="refuse --algo cubic when C(n,3) exceeds this many triples")
     q.add_argument("--out", required=True)
     q.set_defaults(fn=cmd_decode)
 
@@ -336,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--algo", choices=("cubic", "linear", "both"), default="both")
     q.add_argument("--exhaustive", action="store_true",
                    help="all C(n,3) kept triples per message instead of one random")
+    q.add_argument("--budget", type=int, default=10_000_000,
+                   help="refuse --exhaustive when trials * C(n,3) exceeds this many words")
     q.set_defaults(fn=cmd_roundtrip)
 
     q = sub.add_parser("bench", help="worst-case decode timings and op counts")

@@ -21,10 +21,6 @@ import numpy as np
 from .errors import DegenerateInterpolationError, FieldMismatchError, ParameterError
 from .field import CubicField, ExtElem, MonicCubic, PrimeField, find_irreducible_cubic
 
-# int64 vector math is exact while p stays below this bound: an encode matmul
-# entry is at most 3p^2 + p < 2^63; beyond it arrays switch to object dtype.
-_INT64_MAX_P = 1 << 30
-
 
 class CodeSpec:
     """Everything needed to encode and decode one code instance.
@@ -37,7 +33,7 @@ class CodeSpec:
     """
 
     __slots__ = ("p", "g", "delta", "n", "field", "ext", "delta_index",
-                 "from_quadratic_map", "_alpha", "_dtype")
+                 "from_quadratic_map", "_alpha")
 
     def __init__(self, p: int, g: MonicCubic, delta: Sequence[int], *,
                  alpha_rows=None):
@@ -59,8 +55,7 @@ class CodeSpec:
         self.delta = delta
         self.n = n
         self.delta_index = {d: i + 1 for i, d in enumerate(delta)}
-        dtype = np.int64 if p <= _INT64_MAX_P else object
-        self._dtype = dtype
+        dtype = ext.dtype
         self.from_quadratic_map = alpha_rows is None
         if alpha_rows is None:
             d = np.array(delta, dtype=dtype)
@@ -99,11 +94,6 @@ class CodeSpec:
     def alpha_at(self, i: int) -> ExtElem:
         return ExtElem(self.ext, self.alpha_coords(i))
 
-    @property
-    def alpha(self):
-        """All evaluation points as ExtElem, in position order."""
-        return tuple(self.alpha_at(i) for i in range(1, self.n + 1))
-
     def fast_search_ok(self) -> bool:
         # packed int64 keys need p^3 < 2^63
         return self.p < (1 << 21)
@@ -135,7 +125,7 @@ class Codeword:
     __slots__ = ("spec", "coords")
 
     def __init__(self, spec: CodeSpec, coords):
-        coords = np.asarray(coords, dtype=spec._dtype)
+        coords = np.asarray(coords, dtype=spec.ext.dtype)
         if coords.shape != (spec.n, 3):
             raise ParameterError(f"codeword must have shape ({spec.n}, 3)")
         coords.setflags(write=False)
@@ -157,7 +147,8 @@ class Codeword:
         return tuple(self)
 
     def symbol_tuples(self):
-        return [(int(r[0]), int(r[1]), int(r[2])) for r in self.coords]
+        """Symbols as coordinate tuples of Python ints, for either dtype."""
+        return list(map(tuple, self.coords.tolist()))
 
     def __eq__(self, other):
         return (
@@ -188,7 +179,7 @@ def encode(spec: CodeSpec, m: Message) -> Codeword:
     and memory.
     """
     _require_field(spec.ext, (m.m1, m.m2), "message")
-    dtype = spec._dtype
+    dtype = spec.ext.dtype
     m2 = np.array(spec.ext.mul_matrix(m.m2.coords), dtype=dtype)
     m1 = np.array(m.m1.coords, dtype=dtype)
     return Codeword(spec, (spec._alpha @ m2 + m1) % spec.p)
@@ -319,4 +310,4 @@ def load_codeword(path, spec: CodeSpec) -> Codeword:
     if len(symbols) != spec.n:
         raise ParameterError(
             f"codeword file has {len(symbols)} symbols, code needs {spec.n}")
-    return Codeword(spec, np.array([s.coords for s in symbols], dtype=spec._dtype))
+    return Codeword(spec, np.array([s.coords for s in symbols], dtype=spec.ext.dtype))

@@ -81,8 +81,6 @@ OPS_SEARCH_SETUP_PER_POS = OPS_EXT_MUL + OPS_EXT_ADD  # beta*alpha_j, target per
 OPS_SEARCH_ROW_PER_ENTRY = OPS_EXT_ADD  # candidate sum per scanned k entry
 OPS_SEARCH_PER_TRIPLE = 1   # one ratio test per triple of the Theta(n^3) scan
 
-_NUMPY_SEARCH_MIN_N = 32
-
 
 @dataclass
 class DecodeInstrumentation:
@@ -299,7 +297,7 @@ def _search_triple_numpy(spec: CodeSpec, beta, inst):
 
 
 def _search_triple(spec: CodeSpec, beta_coords, inst):
-    if spec.n >= _NUMPY_SEARCH_MIN_N and spec.fast_search_ok():
+    if spec.fast_search_ok():
         return _search_triple_numpy(spec, beta_coords, inst)
     return _search_triple_python(spec, beta_coords, inst)
 
@@ -336,7 +334,7 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
 
     Returns the lexicographically first increasing triple whose ratio
     matches.  Takes O(n^2 log n) time (one sorted-index lookup per (i, k)
-    pair; O(n^2) expected for the dict kernel used when p >= 2^21 or n < 32)
+    pair; O(n^2) expected for the dict kernel used when p >= 2^21)
     and O(n) memory (a 16-row block of candidates), plus the O(n) re-encode.
     The nominal op count still prices the Theta(n^3) scan up to the match
     row.  Raises UnrecognizedReceivedWordError when no triple matches, and

@@ -6,14 +6,24 @@ irreducible cubic g(x) = x^3 + g2*x^2 + g1*x + g0 over F_p; products reduce
 through gamma^3 = -(g2*gamma^2 + g1*gamma + g0).
 
 Python ints are arbitrary precision, so moduli up to 2^61 - 1 (and beyond)
-need no widening tricks.
+need no widening tricks.  The multiply-by-x matrix and the inverse are also
+written to run elementwise on numpy coordinate columns, int64 for p <= 2^30
+and object dtype above, which CubicField.inv_many uses to invert a batch.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .errors import FieldMismatchError, ParameterError
+
+# int64 column math is exact while p stays below this bound: array formulas
+# in the package sum at most three products of canonical coordinates, plus
+# one more coordinate, before they reduce mod p, and 3p^2 + p < 2^63.
+# Beyond it arrays hold Python ints (object dtype).
+_INT64_MAX_P = 1 << 30
 
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -62,9 +72,6 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    def reduce(self, x: int) -> int:
-        return x % self.p
-
     def add(self, x: int, y: int) -> int:
         return (x + y) % self.p
 
@@ -74,19 +81,10 @@ class PrimeField:
     def mul(self, x: int, y: int) -> int:
         return (x * y) % self.p
 
-    def neg(self, x: int) -> int:
-        return -x % self.p
-
     def inv(self, x: int) -> int:
         if x % self.p == 0:
             raise ZeroDivisionError("inverse of zero in F_p")
         return pow(x, -1, self.p)
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
-    def rand(self, rng) -> int:
-        return rng.randrange(self.p)
 
 
 class MonicCubic(NamedTuple):
@@ -227,10 +225,11 @@ class CubicField:
 
     Coordinate-level methods (add, sub, mul, inv, ...) take and return plain
     3-tuples of canonical ints; ExtElem wraps a tuple together with its field
-    for operator syntax.  Hot loops use the tuple methods directly.
+    for operator syntax.  Hot loops use the tuple methods directly, and
+    inv_many takes and returns coordinate columns of dtype self.dtype.
     """
 
-    __slots__ = ("base", "g", "p", "_consts")
+    __slots__ = ("base", "g", "p", "dtype", "_consts")
 
     def __init__(self, base: PrimeField, g: MonicCubic):
         p = base.p
@@ -243,6 +242,7 @@ class CubicField:
         self.base = base
         self.p = p
         self.g = g
+        self.dtype = np.int64 if p <= _INT64_MAX_P else object  # of coordinate arrays
         self._consts = _reduction_consts(p, g)
 
     def __eq__(self, other):
@@ -309,7 +309,8 @@ class CubicField:
 
         A coordinate row vector v times M_x is v*x.  Each row is the one
         above times gamma: shift up a power, fold gamma^3 back in.  x is
-        taken as canonical coordinates.
+        taken as canonical coordinates: Python ints, or numpy columns of one
+        length, which every entry then is too.
         """
         p = self.p
         h0, h1, h2, _, _, _ = self._consts
@@ -319,6 +320,20 @@ class CubicField:
         y2 = (x1 + x2 * h2) % p
         return (x, (y0, y1, y2), (y2 * h0 % p, (y0 + y2 * h1) % p, (y1 + y2 * h2) % p))
 
+    def _adjugate(self, x):
+        """First row of adj(M_x) and det(M_x), the norm of x, both mod p.
+
+        One formula for Python ints and for int64 or object columns: the
+        adjugate entries are reduced before the determinant, so no int64
+        intermediate reaches 2^62 for p <= 2^30.
+        """
+        p = self.p
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self.mul_matrix(x)
+        a0 = (m11 * m22 - m12 * m21) % p
+        a1 = (m02 * m21 - m01 * m22) % p
+        a2 = (m01 * m12 - m02 * m11) % p
+        return (a0, a1, a2), (m00 * a0 + m10 * a1 + m20 * a2) % p
+
     def inv(self, x):
         """Inverse by Cramer's rule on the multiply-by-x matrix M_x.
 
@@ -327,18 +342,59 @@ class CubicField:
         det(M_x) is the norm of x, nonzero exactly when x is.
         """
         p = self.p
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self.mul_matrix(x)
-        a0 = m11 * m22 - m12 * m21
-        a1 = m02 * m21 - m01 * m22
-        a2 = m01 * m12 - m02 * m11
-        det = (m00 * a0 + m10 * a1 + m20 * a2) % p
+        (a0, a1, a2), det = self._adjugate(x)
         if det == 0:
             raise ZeroDivisionError("inverse of zero in F_{p^3}")
         d = pow(det, -1, p)
         return (a0 * d % p, a1 * d % p, a2 * d % p)
 
+    def inv_many(self, cols):
+        """Inverses of N elements given as (3, N) canonical coordinate columns.
+
+        The same Cramer formula as inv, run on whole columns, with all N
+        norms inverted together by _batch_inverse.  Returns a (3, N) array
+        of dtype self.dtype, whatever the input's; raises
+        ZeroDivisionError when any element is zero.  Takes O(N) F_p
+        operations in O(log N) numpy calls plus one F_p inverse, and O(N)
+        memory.
+        """
+        p = self.p
+        cols = np.asarray(cols, dtype=self.dtype)
+        adj, det = self._adjugate(cols)
+        return np.array(adj, dtype=cols.dtype) * _batch_inverse(det, p) % p
+
     def div(self, x, y):
         return self.mul(x, self.inv(y))
+
+
+def _batch_inverse(values, p):
+    """Inverses mod p of a 1-D int64 or object array, with one F_p inverse.
+
+    Montgomery's trick (Math. Comp. 1987) laid out as a product tree so that
+    numpy does the multiplications: multiply the values up in pairs, invert
+    the root, then going down each node's inverse is its parent's inverse
+    times its sibling.  3(N - 1) products in O(log N) numpy calls, O(N)
+    memory.  A zero value makes the root zero and raises ZeroDivisionError.
+    """
+    size = len(values)
+    if not size:
+        return values
+    levels = []
+    while len(values) > 1:
+        if len(values) % 2:
+            values = np.append(values, 1)
+        levels.append(values)
+        values = values[0::2] * values[1::2] % p
+    root = int(values[0])
+    if root == 0:
+        raise ZeroDivisionError("inverse of zero in F_{p^3}")
+    inverse = np.full(1, pow(root, -1, p), dtype=values.dtype)
+    for level in reversed(levels):
+        parent = inverse[:len(level) // 2]
+        inverse = np.empty_like(level)
+        inverse[0::2] = parent * level[1::2] % p
+        inverse[1::2] = parent * level[0::2] % p
+    return inverse[:size]
 
 
 class ExtElem:
@@ -365,10 +421,6 @@ class ExtElem:
     @property
     def c2(self) -> int:
         return self.coords[2]
-
-    def decompose(self):
-        """Basis coefficients (c0, c1, c2) with x = c0 + c1*gamma + c2*gamma^2."""
-        return self.coords
 
     def is_zero(self) -> bool:
         return self.coords == (0, 0, 0)

@@ -41,12 +41,14 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     (BudgetExceededError) when C(n, 3) exceeds the budget, before anything is
     allocated: the certification is exhaustive or it is nothing.
 
-    Every ratio is computed in numpy, one block of pairs (j, k) per i, and
-    the C(n, 3) values are sorted to find repeats.  Time is O(n^2) F_{p^3}
-    inversions plus O(T log T) numpy work for T = C(n, 3) triples.  Memory
-    is O(n^2) scratch plus, for p < 2^21, 17 B per triple (packed int64
-    keys, a sorted copy and one comparison flag), so the default budget
-    implies about 180 MB; naming a collision takes up to 25 B per triple.
+    The C(n, 2) differences alpha_j - alpha_k are inverted as one batch
+    (CubicField.inv_many: O(n^2) numpy work and a single F_p inverse) into
+    a pair table; then every ratio is computed in numpy, one block of pairs
+    (j, k) per i, and the C(n, 3) values are sorted to find repeats, which
+    is O(T log T) numpy work for T = C(n, 3) triples.  Memory is O(n^2)
+    scratch plus, for p < 2^21, 17 B per triple (packed int64 keys, a
+    sorted copy and one comparison flag), so the default budget implies
+    about 180 MB; naming a collision takes up to 25 B per triple.
     Larger p keep three int64 coordinate columns and their lexsort order,
     about 51 B per triple with sort scratch; for p >= 2^63 the columns
     hold Python ints.
@@ -56,20 +58,20 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     if total > budget:
         raise BudgetExceededError(
             f"C({n},3) = {total} triples exceeds the budget of {budget}")
-    ext, p, dtype = spec.ext, spec.p, spec._dtype
-    alpha = [spec.alpha_coords(i) for i in range(1, n + 1)]
+    ext, p, dtype = spec.ext, spec.p, spec.ext.dtype
     pair_j, pair_k = np.triu_indices(n, 1)  # pairs j < k in lexicographic order
-    mats = np.array([ext.mul_matrix(ext.inv(ext.sub(alpha[j], alpha[k])))
-                     for j, k in zip(pair_j.tolist(), pair_k.tolist())], dtype=dtype)
+    alpha_j = spec._alpha[pair_j].T
+    inverse = ext.inv_many((alpha_j - spec._alpha[pair_k].T) % p)
     # (alpha_i, 1) @ table[:, 3t:3t+3] is the ratio of triple (i, j, k) for
     # pair t = (j, k): rows 0-2 hold M_{1/(alpha_j - alpha_k)} side by side,
-    # row 3 holds -alpha_j/(alpha_j - alpha_k).  int64 stays exact, since an
-    # entry of the product is at most 3p^2 + p < 2^63 for p <= 2^30.
-    table = np.empty((4, len(mats), 3), dtype=dtype)
-    table[:3] = mats.transpose(1, 0, 2)
-    table[3] = -(spec._alpha[pair_j][:, None, :] @ mats)[:, 0, :] % p
-    table = table.reshape(4, -1)
-    del mats
+    # row 3 holds -alpha_j/(alpha_j - alpha_k) = -alpha_j @ rows 0-2.  int64
+    # stays exact, since an entry of the product is at most 3p^2 + p < 2^63
+    # for p <= 2^30.
+    table = np.empty((4, 3, len(pair_j)), dtype=dtype)  # (row, coordinate, pair)
+    table[:3] = ext.mul_matrix(inverse)
+    table[3] = -(alpha_j[:, None] * table[:3]).sum(axis=0) % p
+    table = table.transpose(0, 2, 1).reshape(4, -1)
+    del alpha_j, inverse
     lifted = np.concatenate([spec._alpha, np.ones((n, 1), dtype=dtype)], axis=1)
     packed = p < (1 << 21)
     if packed:

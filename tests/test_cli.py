@@ -194,29 +194,6 @@ def test_check_condition(tmp_path, capsys):
     assert "refusing" in err
 
 
-def test_decode_budget(tmp_path, capsys):
-    # only the Theta(n^3) cubic scan is capped: C(6,3) = 20 triples > 10
-    spec = gen(tmp_path, capsys)
-    cw = tmp_path / "cw.sym"
-    rx = tmp_path / "rx.sym"
-    run(capsys, "encode", "--spec", str(spec), "--random", "--out", str(cw))
-    run(capsys, "corrupt", "--spec", str(spec), "--in", str(cw),
-        "--keep", "1,3,6", "--out", str(rx))
-    dec = tmp_path / "d.sym"
-
-    def decode(algo, budget):
-        return run(capsys, "decode", "--spec", str(spec), "--received", str(rx),
-                   "--algo", algo, "--budget", str(budget), "--out", str(dec))
-
-    rc, _, err = decode("cubic", 10)
-    assert rc == 2
-    assert "refusing" in err and not dec.exists()
-    rc, _, _ = decode("linear", 10)
-    assert rc == 0 and dec.read_text() == cw.read_text()
-    rc, _, _ = decode("cubic", 20)
-    assert rc == 0
-
-
 def test_audit_command(tmp_path, capsys):
     spec = gen(tmp_path, capsys)
     rc, out, _ = run(capsys, "audit", "--spec", str(spec), "--pairs", "200",
@@ -237,6 +214,20 @@ def test_roundtrip_command(tmp_path, capsys):
                      "--seed", "3", "--algo", "linear", "--exhaustive")
     assert rc == 0
     assert "trials 440" in out and "failures 0" in out  # 2 * C(12,3)
+
+
+def test_roundtrip_exhaustive_budget(tmp_path, capsys):
+    spec = gen(tmp_path, capsys, p=13, n=12)
+    args = ("roundtrip", "--spec", str(spec), "--trials", "2", "--exhaustive")
+    rc, out, err = run(capsys, *args, "--budget", "439")  # 2 * C(12,3) = 440
+    assert rc == 2 and "refusing" in err and "440" in err
+    assert out == ""  # refused before any decode
+    rc, out, _ = run(capsys, *args, "--budget", "440")
+    assert rc == 0 and "trials 440" in out and "failures 0" in out
+    # the budget caps only the exhaustive enumeration
+    rc, out, _ = run(capsys, "roundtrip", "--spec", str(spec), "--trials", "5",
+                     "--budget", "1")
+    assert rc == 0 and "trials 5" in out
 
 
 def test_bench_command(tmp_path, capsys):

@@ -117,10 +117,11 @@ def test_encode_exact_at_dtype_boundary(p):
     # message of all p-1 coordinates maximises M_{m2}'s inputs.
     n = 40
     spec = get_spec(p, n, tuple(range(p - n, p)))
-    assert spec._dtype == (np.int64 if p <= 1 << 30 else object)
+    assert spec.ext.dtype == (np.int64 if p <= 1 << 30 else object)
     ext = spec.ext
     m1 = m2 = (p - 1, p - 1, p - 1)
     got = encode(spec, Message(ext.from_coords(m1), ext.from_coords(m2))).symbol_tuples()
+    assert {type(c) for sym in got for c in sym} == {int}  # never np.int64
     for i in range(1, n + 1):
         assert got[i - 1] == ext.add(m1, ext.mul(m2, spec.alpha_coords(i)))
 

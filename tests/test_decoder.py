@@ -94,7 +94,7 @@ def test_extract_coefficients_formula():
         for _ in range(300):
             beta = spec.ext.rand(rng)
             a, b, c, r, s, t = extract_coefficients(beta)
-            assert (c, b, a) == beta.decompose()
+            assert (c, b, a) == beta.coords
             assert r == (b - a * g.g2) % p
             assert s == (c - a * g.g1) % p
             assert t == (-a * g.g0) % p

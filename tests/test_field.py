@@ -10,6 +10,7 @@ Oracles used here:
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from rsdel.errors import FieldMismatchError, ParameterError
@@ -65,12 +66,12 @@ def test_prime_field_axioms_random():
     for p in (5, 13, 10007):
         pf = PrimeField(p)
         for _ in range(4000):
-            a, b, c = pf.rand(rng), pf.rand(rng), pf.rand(rng)
+            a, b, c = rng.randrange(p), rng.randrange(p), rng.randrange(p)
             assert pf.add(a, b) == pf.add(b, a)
             assert pf.mul(a, b) == pf.mul(b, a)
             assert pf.mul(a, pf.add(b, c)) == pf.add(pf.mul(a, b), pf.mul(a, c))
             assert pf.sub(a, a) == 0
-            assert pf.add(a, pf.neg(a)) == 0
+            assert pf.add(a, pf.sub(0, a)) == 0
             if a != 0:
                 assert pf.mul(a, pf.inv(a)) == 1
 
@@ -219,19 +220,45 @@ def test_ext_inverse():
 
 
 def test_ext_inverse_and_mul_matrix_exhaustive_small():
-    # every element under every irreducible monic cubic for p <= 7
+    # every element under every irreducible monic cubic for p <= 7; the
+    # nonzero ones also go through inv_many as one batch
     gamma, gamma2 = (0, 1, 0), (0, 0, 1)
     for p in (3, 5, 7):
         for g in map(MonicCubic._make, product(range(p), repeat=3)):
             if not is_irreducible_cubic(p, g):
                 continue
             F = CubicField(PrimeField(p), g)
-            for x in product(range(p), repeat=3):
+            nonzero = list(product(range(p), repeat=3))[1:]
+            for x in nonzero:
                 assert F.mul_matrix(x) == (x, F.mul(x, gamma), F.mul(x, gamma2))
-                if x != (0, 0, 0):
-                    assert F.mul(x, F.inv(x)) == (1, 0, 0)
+                assert F.mul(x, F.inv(x)) == (1, 0, 0)
+            assert F.mul_matrix((0, 0, 0)) == ((0, 0, 0),) * 3
             with pytest.raises(ZeroDivisionError):
                 F.inv((0, 0, 0))
+            batch = F.inv_many(np.array(nonzero).T)
+            assert batch.dtype == np.int64
+            assert list(map(tuple, batch.T.tolist())) == [F.inv(x) for x in nonzero]
+            for at in (0, len(nonzero) // 2, len(nonzero)):
+                with pytest.raises(ZeroDivisionError):
+                    F.inv_many(np.array(nonzero[:at] + [(0, 0, 0)] + nonzero[at:]).T)
+
+
+@pytest.mark.parametrize("p", [1073741789, 2**61 - 1])
+def test_inv_many_exact_at_dtype_boundary(p):
+    # 1073741789 is the largest prime <= 2^30, the last int64 regime.
+    # Coordinates next to p maximise every product in the adjugate and the
+    # product tree; batch lengths around powers of two exercise the padding.
+    F = CubicField(PrimeField(p), find_irreducible_cubic(p))
+    dtype = np.int64 if p <= 1 << 30 else object
+    rng = random.Random(p)
+    near = [p - 1 - d for d in range(4)] + [0, 1]
+    elems = [x for x in product(near, repeat=3) if x != (0, 0, 0)]
+    elems += [F.rand(rng).coords for _ in range(40)]
+    for size in (1, 2, 3, 31, 32, 33, len(elems)):
+        got = F.inv_many(np.array(elems[:size], dtype=dtype).T)
+        assert got.dtype == dtype and got.shape == (3, size)
+        assert list(map(tuple, got.T.tolist())) == [F.inv(x) for x in elems[:size]]
+    assert F.inv_many(np.zeros((3, 0), dtype=dtype)).shape == (3, 0)
 
 
 def test_ext_int_embedding_and_mismatch():
@@ -252,7 +279,7 @@ def test_ext_int_embedding_and_mismatch():
 def test_decompose():
     F = CubicField(PrimeField(5), MonicCubic(1, 1, 0))
     e = F.elem(4, 0, 3)
-    assert e.decompose() == (4, 0, 3)
+    assert e.coords == (4, 0, 3)
     assert e.c0 == 4 and e.c1 == 0 and e.c2 == 3
 
 
