@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
 
 from . import channel, code, decoder, verify
@@ -95,9 +96,8 @@ def cmd_corrupt(args) -> int:
 def cmd_decode(args) -> int:
     spec = code.load_spec(args.spec)
     symbols = code.load_symbols(args.received, spec)
-    y = decoder.ReceivedTriple.from_symbols(symbols, truncate=args.truncate)
     decode = decoder.decode_linear if args.algo == "linear" else decoder.decode_cubic
-    outcome = decode(spec, y)
+    outcome = decoder.decode_received(spec, symbols, decode)
     code.save_symbols(args.out, outcome.codeword)
     m = outcome.message
     print(f"path {outcome.path}")
@@ -268,13 +268,21 @@ def write_bench_csv(path, records, truncated: bool) -> None:
             fh.write("# truncated: time budget exceeded\n")
 
 
+def write_bench_json(path, records, truncated: bool) -> None:
+    with open(path, "w") as fh:
+        json.dump({"truncated": truncated, "records": [asdict(r) for r in records]},
+                  fh, indent=1)
+        fh.write("\n")
+
+
 def cmd_bench(args) -> int:
     p_values = _parse_int_list(args.p)
     n_values = _parse_int_list(args.n)
     records, truncated = run_bench(p_values, n_values, args.trials,
                                    seed=args.seed,
                                    budget_seconds=args.budget_seconds)
-    write_bench_csv(args.out, records, truncated)
+    write = write_bench_json if args.out.endswith(".json") else write_bench_csv
+    write(args.out, records, truncated)
     note = " (truncated)" if truncated else ""
     print(f"wrote {len(records)} records to {args.out}{note}")
     return EXIT_OK
@@ -311,13 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", required=True)
     q.set_defaults(fn=cmd_corrupt)
 
-    q = sub.add_parser("decode", help="decode a received word")
+    q = sub.add_parser("decode", help="decode a received word of 3 to n symbols")
     q.add_argument("--spec", required=True)
     q.add_argument("--received", required=True)
     q.add_argument("--algo", choices=("cubic", "linear"), required=True)
     q.add_argument("--emit-kappa", action="store_true")
-    q.add_argument("--truncate", action="store_true",
-                   help="allow a longer received word; decode its first three symbols")
     q.add_argument("--out", required=True)
     q.set_defaults(fn=cmd_decode)
 
@@ -350,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--trials", type=int, default=3)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--budget-seconds", type=float, default=None)
-    q.add_argument("--out", required=True)
+    q.add_argument("--out", required=True, help="CSV file, or JSON if the name ends in .json")
     q.set_defaults(fn=cmd_bench)
 
     return parser

@@ -33,7 +33,7 @@ class CodeSpec:
     """
 
     __slots__ = ("p", "g", "delta", "n", "field", "ext", "delta_index",
-                 "from_quadratic_map", "_alpha")
+                 "from_quadratic_map", "_alpha", "_search_columns")
 
     def __init__(self, p: int, g: MonicCubic, delta: Sequence[int], *,
                  alpha_rows=None):
@@ -68,6 +68,7 @@ class CodeSpec:
                 raise ParameterError("evaluation points must be distinct")
         alpha.setflags(write=False)
         self._alpha = alpha
+        self._search_columns = None  # the decoder's triple-search cache
 
     def __eq__(self, other):
         return (
@@ -95,7 +96,9 @@ class CodeSpec:
         return ExtElem(self.ext, self.alpha_coords(i))
 
     def fast_search_ok(self) -> bool:
-        # packed int64 keys need p^3 < 2^63
+        """Whether p < 2^21, so that p^3 < 2^63 and a symbol packs into one
+        int64.  A label of the arithmetic regime only: the decoder's triple
+        search runs one kernel for every p and does not dispatch on it."""
         return self.p < (1 << 21)
 
 

@@ -96,6 +96,15 @@ class DecodeInstrumentation:
     search_seconds: float = 0.0
 
 
+def _require_elements(symbols, first: int = 1) -> None:
+    """Raise FieldMismatchError for a symbol that is not an ExtElem;
+    symbols[0] is received symbol number `first`."""
+    for number, y in enumerate(symbols, first):
+        if not isinstance(y, ExtElem):
+            raise FieldMismatchError(
+                f"received symbol {number} is a {type(y).__name__}, not an ExtElem")
+
+
 @dataclass(frozen=True)
 class ReceivedTriple:
     """Three received symbols; a member that is not an ExtElem raises
@@ -106,16 +115,11 @@ class ReceivedTriple:
     y3: ExtElem
 
     def __post_init__(self):
-        for name, y in zip(("y1", "y2", "y3"), self):
-            if not isinstance(y, ExtElem):
-                raise FieldMismatchError(
-                    f"received symbol {name} is a {type(y).__name__}, not an ExtElem")
+        _require_elements(self)
 
     @classmethod
-    def from_symbols(cls, symbols, truncate: bool = False) -> "ReceivedTriple":
+    def from_symbols(cls, symbols) -> "ReceivedTriple":
         symbols = tuple(symbols)
-        if len(symbols) > 3 and truncate:
-            symbols = symbols[:3]
         if len(symbols) != 3:
             raise InconsistentReceivedWordError(
                 f"decoder consumes exactly three symbols, got {len(symbols)}")
@@ -214,8 +218,37 @@ def solve_deltas(pf: PrimeField, coeffs,
 # alpha_rows specs whose ratios collide.  The nominal count still prices the
 # Theta(n^3) scan up to the match row (_charge_scan), so the counts do not
 # depend on the kernel.
+#
+# One kernel serves every p.  With canonical coordinates a_c(i) of alpha_i
+# and b_c(k) of beta*alpha_k, each coordinate sum u_c = a_c(i) + b_c(k) lies
+# in [0, 2p), so at a match u_c is T_c or T_c + p.  The filter key of a
+# candidate is the low bits of u_0 + _MIX*u_1, the sum of an alpha half and
+# a beta half; a bool table marks the keys of the four shifts (T_0 + e_0,
+# T_1 + e_1), e in {0, p}^2, of every target.  With 256 to 512 slots per
+# target, one candidate in 64 to 128 passes whatever p is, besides the
+# diagonal k = i of a block's lower rows, whose sum is T_i.  A survivor's
+# reduced sums are looked up among the targets sorted by first coordinate
+# and compared in all three, stepping on while the first coordinate agrees.
+# For specs built from the quadratic map, the first coordinate of
+# T_j = (1 + beta)*alpha_j is a quadratic in delta_j, so at most two targets
+# share one.  The exception is 1 + beta = c*gamma: every T_0 is zero, but
+# then u_0 = delta_i - delta_k, zero only on the diagonal k = i, which the
+# kernel drops with the other k <= i + 1 before the lookup.
+#
+# Time: O(n^2) filter work per decode (per 16-row block a candidate costs
+# one add, one mask and one table read) plus one sorted lookup per survivor.
+# Memory: O(n) columns and the block, plus a filter table of at most about
+# 2^9*n bytes.  Sums of two canonical coordinates stay below 2^63 for
+# p < 2^62, so the search columns are int64 there and Python ints (object
+# dtype) above, on the same code path; products of coordinates only occur
+# in the O(n) setup, in the field's own dtype.
 
 _SEARCH_BLOCK_ROWS = 16
+_FILTER_SLOTS_PER_TARGET = 256  # table size: 2^bit_length(slots * n); 0 lets all pass
+_MIX = 0x9E3779B9               # odd: u_1 -> _MIX*u_1 permutes the residues mod 2^b
+_MIX_ROW = np.array([1, _MIX])
+_LOW63 = (1 << 63) - 1
+_INT64_SEARCH_MAX_P = 1 << 62
 
 
 def _charge_scan(inst, n, rows):
@@ -234,72 +267,78 @@ def _charge_scan(inst, n, rows):
                        + triples * OPS_SEARCH_PER_TRIPLE)
 
 
-def _search_triple_python(spec: CodeSpec, beta, inst):
-    ext = spec.ext
-    p = spec.p
-    n = spec.n
-    alpha = [spec.alpha_coords(i) for i in range(1, n + 1)]
-    balpha = [ext.mul(beta, a) for a in alpha]
-    target = {ext.add(a, ba): j for j, (a, ba) in enumerate(zip(alpha, balpha))}
-    for i in range(n - 2):
-        ai0, ai1, ai2 = alpha[i]
-        # an absent key reads j = -1, which fails i < j
-        hits = [(j, k) for k, (b0, b1, b2) in enumerate(balpha[i + 2:], i + 2)
-                if i < (j := target.get(((ai0 + b0) % p, (ai1 + b1) % p,
-                                         (ai2 + b2) % p), -1)) < k]
-        if hits:
-            j, k = min(hits)
-            _charge_scan(inst, n, i + 1)
-            return (i + 1, j + 1, k + 1)
-    _charge_scan(inst, n, n - 2)
-    return None
+def _key_half(cols):
+    """Low 63 bits of cols[0] + _MIX*cols[1], as int64 (wrapping for int64)."""
+    key = _MIX_ROW @ cols[:2]
+    return key if key.dtype == np.int64 else (key & _LOW63).astype(np.int64)
 
 
-def _search_triple_numpy(spec: CodeSpec, beta, inst):
+def _search_columns(spec: CodeSpec):
+    """Beta-independent search data, built once per spec: the alpha
+    coordinate columns in the search dtype, the table mask, the masked key
+    halves of alpha and of the shifts e in {0, p}^2, and the sentinel column
+    that closes the sorted targets."""
+    if spec._search_columns is None:
+        p, n = spec.p, spec.n
+        dtype = np.int64 if p < _INT64_SEARCH_MAX_P else object
+        a = np.array(spec._alpha.T, dtype=dtype)
+        mask = (1 << (_FILTER_SLOTS_PER_TARGET * n).bit_length()) - 1
+        shifts = np.array([(e0 + _MIX * e1) & mask for e0 in (0, p) for e1 in (0, p)])
+        # first coordinate p: sorts last and equals no reduced sum
+        sentinel = np.array([[p], [0], [0]], dtype=dtype)
+        spec._search_columns = (a, mask, _key_half(a) & mask, shifts, sentinel)
+    return spec._search_columns
+
+
+def _search_triple(spec: CodeSpec, beta, inst):
     p = spec.p
     n = spec.n
-    alpha = spec._alpha
-    a0, a1, a2 = alpha.T
+    a, mask, a_key, shifts, sentinel = _search_columns(spec)
     # beta*alpha_j for every j in one matmul, one contiguous row per coordinate
-    balpha = alpha @ np.array(spec.ext.mul_matrix(beta), dtype=alpha.dtype) % p
-    b0, b1, b2 = np.ascontiguousarray(balpha.T)
-    pp = p * p
-    # packed keys are exact: coordinates are canonical and p^3 < 2^63
-    target = (alpha + balpha) % p @ np.array([1, p, pp], dtype=alpha.dtype)
-    order = np.argsort(target)
-    keys = target[order]
-    # a candidate whose first coordinate (mod mask + 1) is no T_j's cannot
-    # hit; at most n of the > 8n slots are set, so only about one candidate
-    # in eight, plus the hits, reaches searchsorted
-    mask = (1 << (3 + n.bit_length())) - 1
-    seen = np.zeros(mask + 1, dtype=bool)
-    seen[target % p & mask] = True
+    m = np.array(spec.ext.mul_matrix(beta), dtype=spec._alpha.dtype)
+    b = np.asarray(m.T @ spec._alpha.T % p, dtype=a.dtype)
+    target = np.concatenate(((a + b) % p, sentinel), axis=1)
+    order = np.argsort(target[0])  # the sentinel sorts last: order[n] == n
+    ts = target[:, order]
+    table = np.zeros(mask + 1, dtype=bool)
+    table[np.add.outer(_key_half(target[:, :n]), shifts) & mask] = True
+    b_key = _key_half(b) & mask
     for i0 in range(0, n - 2, _SEARCH_BLOCK_ROWS):
         i1 = min(i0 + _SEARCH_BLOCK_ROWS, n - 2)
         k0 = i0 + 2  # candidates k >= i0 + 2 cover every row of the block
-        c0 = (a0[i0:i1, None] + b0[k0:]) % p
-        ri, rk = np.nonzero(seen[c0 & mask])
-        if not ri.size:
+        key = a_key[i0:i1, None] + b_key[k0:]
+        key &= mask
+        flat = np.flatnonzero(table[key])
+        if not flat.size:
             continue
-        i = ri + i0
-        k = rk + k0
-        w = c0[ri, rk] + (a1[i] + b1[k]) % p * p + (a2[i] + b2[k]) % p * pp
-        pos = np.minimum(np.searchsorted(keys, w), n - 1)
-        j = order[pos]
-        ok = (keys[pos] == w) & (i < j) & (j < k)
-        if ok.any():
+        ri, rk = np.divmod(flat, n - k0)
+        # k <= i + 1 closes no triple; dropping it keeps the diagonal k = i,
+        # where the sum is T_i itself, out of the lookup below
+        keep = rk >= ri
+        i = ri[keep] + i0
+        k = rk[keep] + k0
+        w = (a.take(i, axis=1) + b.take(k, axis=1)) % p
+        # compare each survivor with the targets from its first coordinate's
+        # sorted position on, stepping while the first coordinate agrees and
+        # the rest does not; j stays -1 where nothing matches
+        j = -1
+        pos = np.searchsorted(ts[0], w[0])
+        while True:
+            same = ts.take(pos, axis=1) == w
+            hit = same.all(axis=0)
+            j = np.where(hit, order[pos], j)
+            step = same[0] > hit
+            if not np.count_nonzero(step):
+                break
+            pos += step
+        ok = (i < j) & (j < k)
+        if np.count_nonzero(ok):
             i, j, k = i[ok], j[ok], k[ok]
             first = np.lexsort((j, i))[0]  # lexicographically first (i, j)
             _charge_scan(inst, n, int(i[first]) + 1)
             return (int(i[first]) + 1, int(j[first]) + 1, int(k[first]) + 1)
     _charge_scan(inst, n, n - 2)
     return None
-
-
-def _search_triple(spec: CodeSpec, beta_coords, inst):
-    if spec.fast_search_ok():
-        return _search_triple_numpy(spec, beta_coords, inst)
-    return _search_triple_python(spec, beta_coords, inst)
 
 
 # -- decoders ------------------------------------------------------------
@@ -333,9 +372,10 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
     """Decode by the paper's exhaustive triple search, run as a join.
 
     Returns the lexicographically first increasing triple whose ratio
-    matches.  Takes O(n^2 log n) time (one sorted-index lookup per (i, k)
-    pair; O(n^2) expected for the dict kernel used when p >= 2^21)
-    and O(n) memory (a 16-row block of candidates), plus the O(n) re-encode.
+    matches.  Takes O(n^2) time for the filter over all (i, k) pairs plus
+    one sorted lookup per survivor, and O(n) memory (columns and a 16-row
+    block of candidates) plus a filter table of at most about 2^9*n bytes;
+    then the O(n) re-encode.
     The nominal op count still prices the Theta(n^3) scan up to the match
     row.  Raises UnrecognizedReceivedWordError when no triple matches, and
     FieldMismatchError before any arithmetic when a symbol is not in spec's
@@ -390,3 +430,45 @@ def decode_linear(spec: CodeSpec, y: ReceivedTriple,
         raise UnrecognizedReceivedWordError(
             "no kept triple is consistent with the received word")
     return _finish(spec, y, kappa, PATH_CLOSED_FORM, inst)
+
+
+def decode_received(spec: CodeSpec, symbols, decode=decode_linear,
+                    inst: Optional[DecodeInstrumentation] = None) -> DecodeOutcome:
+    """Decode a received word of any length 3 <= m <= n, checking every symbol.
+
+    The first three symbols are decoded with `decode` (decode_linear or
+    decode_cubic).  Each later symbol must then occur in the re-encoded
+    codeword at a position after the previous symbol's; the symbols of a
+    non-constant codeword are pairwise distinct, so a dict from symbol to
+    position finds it.  A constant codeword needs all m symbols equal.
+    kappa lists all m kept positions (none for a constant word).  Raises
+    InconsistentReceivedWordError when m is outside 3..n or the word is not
+    a subsequence of the decoded codeword, and FieldMismatchError for a
+    symbol outside spec's field.  Takes the decode's time plus O(n + m) time
+    and memory.
+    """
+    symbols = tuple(symbols)
+    if not 3 <= len(symbols) <= spec.n:
+        raise InconsistentReceivedWordError(
+            f"a channel output of this code has 3 to {spec.n} symbols, got {len(symbols)}")
+    y = ReceivedTriple(*symbols[:3])
+    rest = symbols[3:]
+    _require_elements(rest, 4)
+    _require_field(spec.ext, rest, "received symbol")
+    out = decode(spec, y, inst)
+    if out.path == PATH_CONSTANT:
+        if any(s.coords != y.y1.coords for s in rest):
+            raise InconsistentReceivedWordError(
+                "the first three symbols are equal but a later one differs")
+        return out
+    if not rest:
+        return out
+    where = {sym: i for i, sym in enumerate(out.codeword.symbol_tuples(), 1)}
+    kept = list(out.kappa.kept)
+    for s in rest:
+        i = where.get(s.coords, 0)
+        if i <= kept[-1]:
+            raise InconsistentReceivedWordError(
+                "the received word is not a subsequence of the decoded codeword")
+        kept.append(i)
+    return DecodeOutcome(out.message, out.codeword, DeletionPattern(tuple(kept)), out.path)

@@ -25,8 +25,9 @@ class InconsistentReceivedWordError(RSDelError):
     """Received word cannot be the output of the deletion channel.
 
     Raised when exactly two of three symbols are equal (a degree-one codeword
-    is either constant or injective on the evaluation points) or when the
-    received word has the wrong length.
+    is either constant or injective on the evaluation points), when the
+    received word has the wrong length, or when its later symbols are not a
+    subsequence of the codeword decoded from its first three.
     """
 
 

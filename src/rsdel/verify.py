@@ -45,13 +45,14 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     (CubicField.inv_many: O(n^2) numpy work and a single F_p inverse) into
     a pair table; then every ratio is computed in numpy, one block of pairs
     (j, k) per i, and the C(n, 3) values are sorted to find repeats, which
-    is O(T log T) numpy work for T = C(n, 3) triples.  Memory is O(n^2)
-    scratch plus, for p < 2^21, 17 B per triple (packed int64 keys, a
-    sorted copy and one comparison flag), so the default budget implies
-    about 180 MB; naming a collision takes up to 25 B per triple.
-    Larger p keep three int64 coordinate columns and their lexsort order,
-    about 51 B per triple with sort scratch; for p >= 2^63 the columns
-    hold Python ints.
+    is O(T log T) numpy work for T = C(n, 3) triples.  Each value is stored
+    as sort keys: one packed int64 for p < 2^21, c0 + c1*p and c2 for
+    p <= 2^31, the three coordinates above (Python ints for p >= 2^63).  The
+    leading key is sorted alone, and all keys are lexsorted only when it
+    repeats.  Memory is O(n^2) scratch plus the keys and a sorted copy of
+    the leading one: 19 B per triple for p < 2^21 and 27 B up to 2^30
+    (tracemalloc at n = 150), so the default budget implies about 190 MB
+    at p < 2^21.  Naming a collision takes up to 35 and 43 B per triple.
     """
     n = spec.n
     total = comb(n, 3)
@@ -73,12 +74,15 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     table = table.transpose(0, 2, 1).reshape(4, -1)
     del alpha_j, inverse
     lifted = np.concatenate([spec._alpha, np.ones((n, 1), dtype=dtype)], axis=1)
-    packed = p < (1 << 21)
-    if packed:
-        keys = np.empty(total, dtype=np.int64)
-        weights = np.array([1, p, p * p], dtype=np.int64)
-    else:
-        keys = np.empty((3, total), dtype=np.int64 if p < (1 << 63) else object)
+    # sort keys: the leading key packs the first `pack` coordinates as
+    # c0 + c1*p (+ c2*p^2), the rest follow one column each; a packed key
+    # stays below 2^63 for p < 2^21 (three coordinates) and below 2^62 for
+    # p <= 2^31 (two)
+    pack = 3 if p < (1 << 21) else 2 if p <= (1 << 31) else 1
+    powers = np.array([p ** e for e in range(pack)],
+                      dtype=np.int64 if pack > 1 else dtype)
+    keys = np.empty((4 - pack, total),
+                    dtype=np.int64 if pack > 1 or p < (1 << 63) else object)
     block_rank, block_pair = [], []   # first triple rank and first pair of block i
     rank = pair = 0
     for i in range(n - 2):
@@ -86,28 +90,22 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
         block_rank.append(rank)
         block_pair.append(pair)
         block = (lifted[i] @ table[:, 3 * pair:] % p).reshape(-1, 3)
-        if packed:
-            keys[rank:rank + len(block)] = block @ weights
-        else:
-            keys[:, rank:rank + len(block)] = block.T
+        keys[0, rank:rank + len(block)] = block[:, :pack] @ powers
+        keys[1:, rank:rank + len(block)] = block[:, pack:].T
         rank += len(block)
 
-    if packed:
-        ordered = np.sort(keys)
-        if not (ordered[1:] == ordered[:-1]).any():
-            return None
-        del ordered
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        same = ordered[1:] == ordered[:-1]
-    else:
-        order = np.lexsort(keys[::-1])
-        same = np.ones(total - 1, dtype=bool)
-        for column in keys:
-            ordered = column[order]
-            same &= ordered[1:] == ordered[:-1]
-        if not same.any():
-            return None
+    # a repeated value repeats its leading key; only then sort every key
+    ordered = np.sort(keys[0])
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    del ordered
+    order = np.lexsort(keys[::-1])
+    same = np.ones(total - 1, dtype=bool)
+    for column in keys:
+        ordered = column[order]
+        same &= ordered[1:] == ordered[:-1]
+    if not same.any():
+        return None
     del ordered
     # the sort is stable, so a run of equal values lists their ranks in
     # increasing order: every entry after the run's first is a repeat, and
@@ -121,11 +119,12 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
         return (i + 1, int(pair_j[t]) + 1, int(pair_k[t]) + 1)
 
     rank_b = int(order[pos_b])
-    if packed:
-        key = int(keys[rank_b])
-        value = (key % p, key // p % p, key // (p * p))
-    else:
-        value = tuple(int(c) for c in keys[:, rank_b])
+    lead, *rest = (int(c) for c in keys[:, rank_b])
+    value = []
+    for _ in range(pack - 1):
+        lead, c = divmod(lead, p)
+        value.append(c)
+    value = (*value, lead, *rest)
     return CollisionWitness(triple(int(order[pos_b - 1])), triple(rank_b), ExtElem(ext, value))
 
 

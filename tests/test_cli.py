@@ -4,6 +4,7 @@ One subprocess smoke test checks the installed entry point; everything else
 stays in-process for speed.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -100,23 +101,30 @@ def test_decode_constant_word(tmp_path, capsys):
     assert "m2 0,0,0" in out
 
 
-def test_decode_truncate_flag(tmp_path, capsys):
-    spec = gen(tmp_path, capsys)
+def test_decode_longer_word(tmp_path, capsys):
+    spec = gen(tmp_path, capsys, p=11, n=8)
     cw = tmp_path / "cw.sym"
     rx = tmp_path / "rx.sym"
     run(capsys, "encode", "--spec", str(spec), "--m1", "1,2,3", "--m2", "4,5,6",
         "--out", str(cw))
     run(capsys, "corrupt", "--spec", str(spec), "--in", str(cw),
-        "--keep", "1,2,3,4", "--out", str(rx))
-    rc, _, err = run(capsys, "decode", "--spec", str(spec), "--received", str(rx),
-                     "--algo", "cubic", "--out", str(tmp_path / "d.sym"))
-    assert rc == 3  # four symbols without --truncate
-    assert "inconsistent" in err
-    rc, out, _ = run(capsys, "decode", "--spec", str(spec), "--received", str(rx),
-                     "--algo", "cubic", "--truncate", "--emit-kappa",
-                     "--out", str(tmp_path / "d.sym"))
-    assert rc == 0
-    assert "kappa 1 2 3" in out
+        "--keep", "1,2,4,8", "--out", str(rx))
+    for algo in ("cubic", "linear"):
+        rc, out, _ = run(capsys, "decode", "--spec", str(spec), "--received", str(rx),
+                         "--algo", algo, "--emit-kappa", "--out", str(tmp_path / "d.sym"))
+        assert rc == 0
+        assert "kappa 1 2 4 8" in out
+        assert (tmp_path / "d.sym").read_text() == cw.read_text()
+    # three true survivors followed by two symbols that are not in the
+    # codeword: every symbol is checked, so the word is rejected
+    run(capsys, "corrupt", "--spec", str(spec), "--in", str(cw),
+        "--keep", "2,5,7", "--out", str(rx))
+    rx.write_text(rx.read_text() + "1,2,3\n4,5,6\n")
+    for algo in ("cubic", "linear"):
+        rc, _, err = run(capsys, "decode", "--spec", str(spec), "--received", str(rx),
+                         "--algo", algo, "--out", str(tmp_path / "d.sym"))
+        assert rc == 3
+        assert "not a subsequence" in err
 
 
 def test_exit_inconsistent_two_equal(tmp_path, capsys):
@@ -244,6 +252,26 @@ def test_bench_command(tmp_path, capsys):
         assert trials == "2"
         assert 0.0 <= float(search_t) <= float(total_t)
         assert int(ops) > 0
+
+
+def test_bench_json(tmp_path, capsys):
+    # the same records as the CSV, chosen by the file suffix
+    out_json = tmp_path / "bench.json"
+    rc, out, _ = run(capsys, "bench", "--p", "10007,1073741789", "--n", "16,32",
+                     "--trials", "2", "--out", str(out_json))
+    assert rc == 0 and "wrote 4 records" in out
+    doc = json.loads(out_json.read_text())
+    assert doc["truncated"] is False
+    assert [(r["p"], r["n"], r["algo"]) for r in doc["records"]] == [
+        (10007, 16, "cubic"), (10007, 16, "linear"),
+        (1073741789, 32, "cubic"), (1073741789, 32, "linear")]
+    for r in doc["records"]:
+        assert r["trials"] == 2 and r["field_ops"] > 0
+        assert 0.0 <= r["search_time"] <= r["total_time"]
+    rc, out, _ = run(capsys, "bench", "--p", "10007", "--n", "16", "--trials", "1",
+                     "--budget-seconds", "0", "--out", str(out_json))
+    assert rc == 0 and "(truncated)" in out
+    assert json.loads(out_json.read_text()) == {"truncated": True, "records": []}
 
 
 def test_bench_budget_truncation(tmp_path, capsys):

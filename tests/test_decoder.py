@@ -7,14 +7,24 @@ and exhaustive enumeration of locator triples and ratios over small fields.
 """
 
 import random
+import time
 import tracemalloc
 from itertools import combinations, product
 from math import comb
 
 import pytest
 
+from rsdel import decoder
 from rsdel.channel import DeletionPattern, apply_deletions, enumerate_triples
-from rsdel.code import CodeSpec, Message, encode, gamma_map, interpolate, random_message
+from rsdel.code import (
+    CodeSpec,
+    Message,
+    build_code,
+    encode,
+    gamma_map,
+    interpolate,
+    random_message,
+)
 from rsdel.decoder import (
     OPS_SEARCH_PER_TRIPLE,
     OPS_SEARCH_ROW_PER_ENTRY,
@@ -24,11 +34,12 @@ from rsdel.decoder import (
     PATH_FALLBACK,
     DecodeInstrumentation,
     ReceivedTriple,
-    _search_triple_numpy,
-    _search_triple_python,
+    _search_columns,
+    _search_triple,
     compute_beta,
     decode_cubic,
     decode_linear,
+    decode_received,
     extract_coefficients,
     solve_deltas,
 )
@@ -210,10 +221,48 @@ def test_from_symbols():
         ReceivedTriple.from_symbols(syms)  # four symbols
     with pytest.raises(InconsistentReceivedWordError):
         ReceivedTriple.from_symbols(syms[:2])
-    trunc = ReceivedTriple.from_symbols(syms, truncate=True)
-    assert (trunc.y1, trunc.y2, trunc.y3) == tuple(syms[:3])
-    with pytest.raises(InconsistentReceivedWordError):
-        ReceivedTriple.from_symbols(syms[:2], truncate=True)
+
+
+def test_decode_received_any_length():
+    # every channel output of 3..n symbols decodes, with all m positions
+    # in kappa, under both decoders; m = 3 is exactly the triple decode
+    spec = get_spec(11, 10)
+    rng = random.Random(1010)
+    for _ in range(60):
+        m = random_message(spec, rng)
+        cw = encode(spec, m)
+        pattern = DeletionPattern(tuple(sorted(rng.sample(range(1, 11), rng.randrange(3, 11)))))
+        word = apply_deletions(cw, pattern)
+        for decode in (decode_cubic, decode_linear):
+            out = decode_received(spec, word, decode)
+            assert (out.message, out.codeword, out.kappa) == (m, cw, pattern)
+            if len(word) == 3:
+                assert out == decode(spec, ReceivedTriple(*word))
+    e = spec.ext.elem(4, 0, 2)
+    for size in (3, 7, 10):
+        out = decode_received(spec, (e,) * size)
+        assert out.path == PATH_CONSTANT and out.kappa.kept == ()
+
+
+def test_decode_received_rejects_unchecked_symbols():
+    spec = get_spec(11, 10)
+    m = Message(spec.ext.elem(1, 2, 3), spec.ext.elem(4, 5, 6))
+    cw = encode(spec, m).symbols()
+    e, f = spec.ext.elem(1, 2, 3), spec.ext.elem(4, 5, 6)
+    assert e not in cw[7:] and f not in cw[7:]
+    words = [
+        (cw[1], cw[4], cw[6], e, f),          # three survivors, then non-symbols
+        (cw[0], cw[2], cw[5], cw[4]),         # a later symbol out of order
+        (cw[0], cw[2], cw[5], cw[7], cw[7]),  # a repeated symbol
+        (cw[3], cw[4], cw[5], cw[1]),         # before the first three
+        (e, e, e, e, f),                      # constant, then another symbol
+        cw[:2],                               # too short
+        cw + (cw[0],),                        # longer than n
+    ]
+    for word in words:
+        for decode in (decode_cubic, decode_linear):
+            with pytest.raises(InconsistentReceivedWordError):
+                decode_received(spec, word, decode)
 
 
 def test_decode_cubic_worked_example():
@@ -327,6 +376,9 @@ def test_decode_rejects_foreign_field():
             for decode in (decode_cubic, decode_linear):
                 with pytest.raises(FieldMismatchError):
                     decode(spec, ReceivedTriple(*word))
+        for decode in (decode_cubic, decode_linear):
+            with pytest.raises(FieldMismatchError):
+                decode_received(spec, tuple(y) + (moved[2],), decode)
         with pytest.raises(FieldMismatchError):
             interpolate(spec, 1, 2, e, f)
         with pytest.raises(FieldMismatchError):
@@ -345,10 +397,15 @@ def test_received_triple_rejects_non_elements():
         with pytest.raises(FieldMismatchError):
             ReceivedTriple.from_symbols(word)
         with pytest.raises(FieldMismatchError):
-            ReceivedTriple.from_symbols(word + (e,), truncate=True)
+            decode_received(spec, word + (e,))
         for decode in (decode_cubic, decode_linear):
             with pytest.raises(FieldMismatchError):
                 decode(spec, ReceivedTriple(*word))
+    # and a later symbol of a longer word, after a valid channel output
+    valid = encode(spec, Message(e, spec.ext.one)).symbols()[:4]
+    for bad in ((1, 2, 3), 5, None):
+        with pytest.raises(FieldMismatchError):
+            decode_received(spec, valid + (bad,))
 
 
 def test_decode_rejects_two_equal_symbols():
@@ -380,15 +437,13 @@ def test_decode_rejects_unexplainable_triple():
 
 def test_search_paths_agree():
     spec = get_spec(10007, 48)
-    assert spec.fast_search_ok()
     rng = random.Random(77)
     for _ in range(40):
         m = random_message(spec, rng)
         kept = tuple(sorted(rng.sample(range(1, 49), 3)))
         beta = compute_beta(received(spec, m, kept))
-        a = _search_triple_python(spec, beta.coords, DecodeInstrumentation())
-        b = _search_triple_numpy(spec, beta.coords, DecodeInstrumentation())
-        assert a == b == kept
+        assert _search_triple(spec, beta.coords, DecodeInstrumentation()) == kept
+        assert next(reference_matches(spec, beta.coords)) == kept
 
 
 def test_search_paths_agree_on_miss():
@@ -403,8 +458,8 @@ def test_search_paths_agree_on_miss():
         beta = (y[0] - y[1]) / (y[1] - y[2])
         if beta.coords in image:
             continue
-        assert _search_triple_python(spec, beta.coords, DecodeInstrumentation()) is None
-        assert _search_triple_numpy(spec, beta.coords, DecodeInstrumentation()) is None
+        assert _search_triple(spec, beta.coords, DecodeInstrumentation()) is None
+        assert not list(reference_matches(spec, beta.coords))
         misses += 1
 
 
@@ -433,11 +488,10 @@ def scan_price(n, rows):
 
 
 def assert_kernels_match_reference(spec, beta):
-    """Both kernels return the reference's first triple; returns all matches."""
+    """The kernel returns the reference's first triple; returns all matches."""
     matches = list(reference_matches(spec, beta))
     want = matches[0] if matches else None
-    for kernel in (_search_triple_python, _search_triple_numpy):
-        assert kernel(spec, beta, None) == want, (kernel.__name__, spec.p, spec.n, beta)
+    assert _search_triple(spec, beta, None) == want, (spec.p, spec.n, beta)
     return matches
 
 
@@ -473,9 +527,46 @@ def test_search_kernels_match_reference_random_points():
     assert ties >= 100 and misses >= 100
 
 
+@pytest.mark.parametrize("p", (1073741789, (1 << 61) - 1, (1 << 64) - 59))
+def test_search_kernel_matches_reference_large_p(p):
+    # int64 search columns below 2^62, Python ints (object dtype) at
+    # 2^64 - 59; every kept triple is a hit (a sample of them at n = 20),
+    # random betas are misses, and beta = 0 never matches
+    rng = random.Random(p % 977)
+    for n in (3, 12, 20):
+        spec = get_spec(p, n)
+        betas = [(0, 0, 0)] + [spec.ext.rand(rng).coords for _ in range(5)]
+        triples = list(enumerate_triples(n))
+        if n > 12:
+            triples = rng.sample(triples, 40)
+        betas += [gamma_map(spec, *t.kept).coords for t in triples]
+        found = sum(bool(assert_kernels_match_reference(spec, beta)) for beta in betas)
+        assert found == len(triples)
+
+
+def test_search_kernel_exact_check_alone(monkeypatch):
+    # a filter table of one slot lets every candidate through, so the
+    # sorted lookup and the three-coordinate compare alone decide; specs
+    # cache the table mask, so build fresh ones after the patch
+    monkeypatch.setattr(decoder, "_FILTER_SLOTS_PER_TARGET", 0)
+    rng = random.Random(808)
+    for p, n in ((7, 6), (10007, 24), ((1 << 64) - 59, 10)):
+        spec = build_code(p, n)
+        assert _search_columns(spec)[1] == 0  # mask 0: one slot
+        betas = [(0, 0, 0), spec.ext.rand(rng).coords]
+        betas += [gamma_map(spec, *t.kept).coords for t in enumerate_triples(n)
+                  if n <= 10 or rng.random() < 0.02]
+        for beta in betas:
+            assert_kernels_match_reference(spec, beta)
+    spec = CodeSpec(7, find_irreducible_cubic(7), range(1, 6),
+                    alpha_rows=[(1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (5, 0, 0)])
+    ties = [gamma_map(spec, *t.kept).coords for t in enumerate_triples(5)]
+    assert any(len(assert_kernels_match_reference(spec, beta)) >= 2 for beta in ties)
+
+
 def test_search_kernels_charge_scan_pricing():
-    # both kernels price the Theta(n^3) scan up to the match row, or every
-    # row on a miss, whatever they really touch
+    # the kernel prices the Theta(n^3) scan up to the match row, or every
+    # row on a miss, whatever it really touches
     rng = random.Random(88)
     cases = []
     for p, n in ((10007, 48), (10007, 20), (11, 10), (7, 6)):
@@ -485,10 +576,9 @@ def test_search_kernels_charge_scan_pricing():
         cases.append((spec, (0, 0, 0), None))  # beta = 0 never matches
     for spec, beta, kept in cases:
         want = scan_price(spec.n, spec.n - 2 if kept is None else kept[0])
-        for kernel in (_search_triple_python, _search_triple_numpy):
-            inst = DecodeInstrumentation()
-            assert kernel(spec, beta, inst) == kept
-            assert inst.total_ops == want, (kernel.__name__, spec.n, kept)
+        inst = DecodeInstrumentation()
+        assert _search_triple(spec, beta, inst) == kept
+        assert inst.total_ops == want, (spec.p, spec.n, kept)
 
 
 def test_decode_cubic_search_ops_pinned():
@@ -499,6 +589,20 @@ def test_decode_cubic_search_ops_pinned():
         inst = DecodeInstrumentation()
         decode_cubic(spec, y, inst=inst)
         assert inst.search_ops == ops
+
+
+def test_decode_cubic_all_first_coordinates_equal():
+    # beta = -1 + gamma makes the first coordinate of every target zero; the
+    # lookup steps through equal first coordinates, so only survivors that
+    # really share it may step, or the search takes O(n) rounds per block
+    spec = get_spec(10007, 2048)
+    ext = spec.ext
+    y = ReceivedTriple(ext.elem(10006, 1, 0), ext.zero, -ext.one)
+    assert compute_beta(y).coords == (10006, 1, 0)
+    t0 = time.perf_counter()
+    with pytest.raises(UnrecognizedReceivedWordError):
+        decode_cubic(spec, y)
+    assert time.perf_counter() - t0 < 0.25
 
 
 def test_decode_cubic_memory_bound():
@@ -518,7 +622,8 @@ def test_decode_cubic_memory_bound():
 
 @pytest.mark.parametrize("p,n", (((1 << 61) - 1, 64), (1073741789, 96)))
 def test_decode_cubic_matches_linear_large_p(p, n):
-    # the dict kernel: object-dtype coordinates, and int64 above packed keys
+    # field arithmetic in int64 (p < 2^30) and in Python ints (p > 2^30);
+    # the search columns are int64 in both
     spec = get_spec(p, n)
     assert not spec.fast_search_ok()
     rng = random.Random(p % 1000)
