@@ -140,11 +140,15 @@ def cmd_audit(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    """Encode random messages, delete all but three symbols, decode.
+    """Encode random messages, delete symbols, decode every channel output.
 
-    Each trial decodes one random kept triple, or all C(n,3) of them with
-    --exhaustive, whose trials * C(n,3) received words are refused against
-    --budget before any decode.  Each word costs one decode per algorithm.
+    Each trial keeps m random positions, m drawn uniformly from 3..n, or,
+    with --exhaustive, each of the C(n,3) triples in turn, whose
+    trials * C(n,3) received words are refused against --budget before any
+    decode.  Every word goes through decoder.decode_received once per
+    algorithm, which checks all m symbols: the decode must return the
+    message and codeword and, unless the codeword is constant, claim exactly
+    the kept positions.  A word costs one decode plus O(n + m) per algorithm.
     """
     spec = code.load_spec(args.spec)
     if args.exhaustive:
@@ -158,22 +162,25 @@ def cmd_roundtrip(args) -> int:
     failures = 0
     successes = 0
     trials = 0
+    longest = 0
     for _ in range(args.trials):
         m = code.random_message(spec, rng)
         cw = code.encode(spec, m)
         if args.exhaustive:
             patterns = channel.enumerate_triples(spec.n)
         else:
-            patterns = [channel.random_pattern(spec.n, 3, rng.randrange(1 << 30))]
+            survivors = rng.randint(3, spec.n)
+            patterns = [channel.random_pattern(spec.n, survivors, rng.randrange(1 << 30))]
         for pattern in patterns:
-            y = decoder.ReceivedTriple.from_symbols(channel.apply_deletions(cw, pattern))
+            received = channel.apply_deletions(cw, pattern)
+            longest = max(longest, len(received))
             outcomes = []
             trials += 1
             ok = True
             for algo in algos:
                 fn = decoder.decode_linear if algo == "linear" else decoder.decode_cubic
                 try:
-                    out = fn(spec, y)
+                    out = decoder.decode_received(spec, received, fn)
                 except RSDelError:
                     ok = False
                     break
@@ -193,6 +200,7 @@ def cmd_roundtrip(args) -> int:
             else:
                 failures += 1
     print(f"trials {trials}")
+    print(f"longest {longest}")
     print(f"successes {successes}")
     print(f"failures {failures}")
     return EXIT_OK if failures == 0 else EXIT_FAILURE
@@ -209,6 +217,15 @@ class BenchRecord:
     field_ops: int
 
 
+def _bench_grid(p_values, n_values):
+    """(p, n) pairs: one p for every n, or one p per n."""
+    if len(p_values) == 1:
+        p_values = list(p_values) * len(n_values)
+    if len(p_values) != len(n_values):
+        raise ParameterError("need one p, or exactly one p per n")
+    return list(zip(p_values, n_values))
+
+
 def run_bench(p_values, n_values, trials: int, seed: int = 0,
               budget_seconds=None):
     """Worst-case decode benchmarks; one record per (n, algo).
@@ -217,13 +234,9 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
     maximizes the cubic search's work and nominal count.  Returns
     (records, truncated).
     """
-    if len(p_values) == 1:
-        p_values = list(p_values) * len(n_values)
-    if len(p_values) != len(n_values):
-        raise ParameterError("need one p, or exactly one p per n")
     records = []
     started = perf_counter()
-    for p, n in zip(p_values, n_values):
+    for p, n in _bench_grid(p_values, n_values):
         spec = code.build_code(p, n)
         rng = random.Random(seed)
         m = code.random_message(spec, rng)
@@ -255,6 +268,47 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
     return records, False
 
 
+AUDIT_BENCH_PAIRS = 64
+
+
+def run_certify_bench(p_values, n_values, trials: int, seed: int = 0,
+                      budget_seconds=None):
+    """Certification benchmarks; records "check_injectivity" and "audit_code"
+    per (p, n), in the shape of the decode records.
+
+    Each time is the mean over `trials` calls, and search_time equals
+    total_time.  field_ops counts the work of one call: the C(n, 3) ratio
+    values that check_injectivity certifies, and the 2 * 64 * n symbols that
+    an audit of 64 seeded message pairs encodes.  Raises AssertionError if a
+    code fails either check.  Returns (records, truncated).
+    """
+    records = []
+    started = perf_counter()
+    for p, n in _bench_grid(p_values, n_values):
+        spec = code.build_code(p, n)
+        pairs = verify.sample_message_pairs(spec, AUDIT_BENCH_PAIRS, seed)
+        jobs = (
+            ("check_injectivity", lambda: verify.check_injectivity(spec) is None,
+             channel.triple_count(n)),
+            ("audit_code", lambda: verify.audit_code(spec, pairs).max_lcs <= 2,
+             2 * AUDIT_BENCH_PAIRS * n),
+        )
+        for algo, job, work in jobs:
+            if budget_seconds is not None and perf_counter() - started > budget_seconds:
+                return records, True
+            total = 0.0
+            for _ in range(trials):
+                t0 = perf_counter()
+                ok = job()
+                total += perf_counter() - t0
+                if not ok:
+                    raise AssertionError(f"benchmark code failed {algo}")
+            records.append(BenchRecord(p=p, n=n, algo=algo, trials=trials,
+                                       search_time=total / trials,
+                                       total_time=total / trials, field_ops=work))
+    return records, False
+
+
 def write_bench_csv(path, records, truncated: bool) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -278,9 +332,9 @@ def write_bench_json(path, records, truncated: bool) -> None:
 def cmd_bench(args) -> int:
     p_values = _parse_int_list(args.p)
     n_values = _parse_int_list(args.n)
-    records, truncated = run_bench(p_values, n_values, args.trials,
-                                   seed=args.seed,
-                                   budget_seconds=args.budget_seconds)
+    run = run_certify_bench if args.certify else run_bench
+    records, truncated = run(p_values, n_values, args.trials, seed=args.seed,
+                             budget_seconds=args.budget_seconds)
     write = write_bench_json if args.out.endswith(".json") else write_bench_csv
     write(args.out, records, truncated)
     note = " (truncated)" if truncated else ""
@@ -350,12 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse --exhaustive when trials * C(n,3) exceeds this many words")
     q.set_defaults(fn=cmd_roundtrip)
 
-    q = sub.add_parser("bench", help="worst-case decode timings and op counts")
+    q = sub.add_parser("bench", help="worst-case decode timings and op counts, "
+                       "or certification timings with --certify")
     q.add_argument("--p", required=True, help="one modulus, or one per n")
     q.add_argument("--n", required=True, help="comma-separated blocklength grid")
     q.add_argument("--trials", type=int, default=3)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--budget-seconds", type=float, default=None)
+    q.add_argument("--certify", action="store_true",
+                   help="time check_injectivity and a 64-pair audit_code instead of decodes")
     q.add_argument("--out", required=True, help="CSV file, or JSON if the name ends in .json")
     q.set_defaults(fn=cmd_bench)
 

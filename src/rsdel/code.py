@@ -29,11 +29,15 @@ class CodeSpec:
     table) is computed once here.  Treat instances as immutable; the numpy
     arrays are marked read-only.  from_quadratic_map records whether the
     evaluation points are delta + delta^2*gamma, as the closed-form decoder
-    assumes; specs built with alpha_rows are not.
+    assumes; specs built with alpha_rows are not.  _lifted is the (n, 1 + w)
+    locator matrix [1 | alpha[:, :w]], where w counts alpha's columns up to
+    its last nonzero one (2 for the quadratic map): one matmul with it
+    evaluates a message at every point, and certification builds its
+    ratios from it.
     """
 
     __slots__ = ("p", "g", "delta", "n", "field", "ext", "delta_index",
-                 "from_quadratic_map", "_alpha", "_search_columns")
+                 "from_quadratic_map", "_alpha", "_lifted", "_search_columns")
 
     def __init__(self, p: int, g: MonicCubic, delta: Sequence[int], *,
                  alpha_rows=None):
@@ -60,14 +64,20 @@ class CodeSpec:
         if alpha_rows is None:
             d = np.array(delta, dtype=dtype)
             alpha = np.stack([d, d * d % p, np.zeros(n, dtype=dtype)], axis=1)
+            w = 2   # d and d^2 are nonzero
         else:
             alpha = np.array(alpha_rows, dtype=dtype) % p
             if alpha.shape != (n, 3):
                 raise ParameterError("alpha override must have shape (n, 3)")
             if len({tuple(int(c) for c in row) for row in alpha}) != n:
                 raise ParameterError("evaluation points must be distinct")
+            w = int(np.flatnonzero(alpha.any(axis=0))[-1]) + 1  # distinct points: w >= 1
         alpha.setflags(write=False)
         self._alpha = alpha
+        lifted = np.ones((n, 1 + w), dtype=dtype)
+        lifted[:, 1:] = alpha[:, :w]
+        lifted.setflags(write=False)
+        self._lifted = lifted
         self._search_columns = None  # the decoder's triple-search cache
 
     def __eq__(self, other):
@@ -178,14 +188,17 @@ def _require_field(ext: CubicField, elems, what: str) -> None:
 def encode(spec: CodeSpec, m: Message) -> Codeword:
     """Evaluate m1 + m2*alpha_i at every evaluation point.
 
-    One matmul: row i of alpha @ M_{m2} is alpha_i * m2.  Takes O(n) time
-    and memory.
+    One matmul on the lifted locators, then one in-place reduction: row i
+    of [1 | alpha[:, :w]] @ [m1; rows 0..w-1 of M_{m2}] is m1 + alpha_i*m2,
+    since alpha_i's coordinates past w are zero.  An entry is at most
+    p + 3p^2, exact in int64 for p <= 2^30.  Takes O(n) time and memory.
     """
     _require_field(spec.ext, (m.m1, m.m2), "message")
-    dtype = spec.ext.dtype
-    m2 = np.array(spec.ext.mul_matrix(m.m2.coords), dtype=dtype)
-    m1 = np.array(m.m1.coords, dtype=dtype)
-    return Codeword(spec, (spec._alpha @ m2 + m1) % spec.p)
+    lifted = spec._lifted
+    rows = (m.m1.coords, *spec.ext.mul_matrix(m.m2.coords)[:lifted.shape[1] - 1])
+    word = lifted @ np.array(rows, dtype=lifted.dtype)
+    word %= spec.p
+    return Codeword(spec, word)
 
 
 def interpolate(spec: CodeSpec, i: int, j: int, y_i: ExtElem, y_j: ExtElem) -> Message:

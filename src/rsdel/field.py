@@ -157,10 +157,6 @@ def _poly_rem(p, a, b):
     return a
 
 
-def _no_root_by_scan(p: int, g: MonicCubic) -> bool:
-    return all(g.evaluate(x, p) != 0 for x in range(p))
-
-
 def _no_root_by_gcd(p: int, g: MonicCubic) -> bool:
     # gcd(x^p - x, g) collects exactly the linear factors of g, so the gcd is
     # constant iff g has no root.
@@ -175,14 +171,12 @@ def _no_root_by_gcd(p: int, g: MonicCubic) -> bool:
 def is_irreducible_cubic(p: int, g: MonicCubic) -> bool:
     """True iff g has no root in F_p.
 
-    For a cubic that is exactly irreducibility.  Small p uses an exhaustive
-    root scan; larger p checks gcd(x^p - x mod g, g) = 1 with x^p computed by
-    square-and-multiply.
+    For a cubic that is exactly irreducibility.  Every p takes the same test,
+    gcd(x^p - x mod g, g) = 1 with x^p computed by square-and-multiply:
+    O(log p) products in F_p[x]/(g).  There is no O(p) root scan, not even
+    for small p.
     """
-    g = MonicCubic(g.g0 % p, g.g1 % p, g.g2 % p)
-    if p < 1 << 16:
-        return _no_root_by_scan(p, g)
-    return _no_root_by_gcd(p, g)
+    return _no_root_by_gcd(p, MonicCubic(g.g0 % p, g.g1 % p, g.g2 % p))
 
 
 def _first_irreducible_pure_cube(p: int) -> Optional[MonicCubic]:

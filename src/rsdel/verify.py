@@ -48,57 +48,55 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     is O(T log T) numpy work for T = C(n, 3) triples.  Each value is stored
     as sort keys: one packed int64 for p < 2^21, c0 + c1*p and c2 for
     p <= 2^31, the three coordinates above (Python ints for p >= 2^63).  The
-    leading key is sorted alone, and all keys are lexsorted only when it
-    repeats.  Memory is O(n^2) scratch plus the keys and a sorted copy of
-    the leading one: 19 B per triple for p < 2^21 and 27 B up to 2^30
-    (tracemalloc at n = 150), so the default budget implies about 190 MB
-    at p < 2^21.  Naming a collision takes up to 35 and 43 B per triple.
+    leading key is sorted in place, and only when it repeats are the keys
+    built a second time (one more O(T) pass) and all of them lexsorted.
+    Memory is O(n^2) scratch plus the keys and a repeat mask: about 11 B
+    per triple for p < 2^21 and 19 B up to 2^30 (tracemalloc at n = 150),
+    so the default budget implies about 110 MB at p < 2^21.  Naming a
+    collision takes up to 34 and 42 B per triple.
     """
     n = spec.n
     total = comb(n, 3)
     if total > budget:
         raise BudgetExceededError(
             f"C({n},3) = {total} triples exceeds the budget of {budget}")
-    ext, p, dtype = spec.ext, spec.p, spec.ext.dtype
+    ext, p = spec.ext, spec.p
+    lifted = spec._lifted   # rows (1, alpha_i[:w])
+    w = lifted.shape[1] - 1
     pair_j, pair_k = np.triu_indices(n, 1)  # pairs j < k in lexicographic order
     alpha_j = spec._alpha[pair_j].T
     inverse = ext.inv_many((alpha_j - spec._alpha[pair_k].T) % p)
-    # (alpha_i, 1) @ table[:, 3t:3t+3] is the ratio of triple (i, j, k) for
-    # pair t = (j, k): rows 0-2 hold M_{1/(alpha_j - alpha_k)} side by side,
-    # row 3 holds -alpha_j/(alpha_j - alpha_k) = -alpha_j @ rows 0-2.  int64
-    # stays exact, since an entry of the product is at most 3p^2 + p < 2^63
-    # for p <= 2^30.
-    table = np.empty((4, 3, len(pair_j)), dtype=dtype)  # (row, coordinate, pair)
-    table[:3] = ext.mul_matrix(inverse)
-    table[3] = -(alpha_j[:, None] * table[:3]).sum(axis=0) % p
-    table = table.transpose(0, 2, 1).reshape(4, -1)
-    del alpha_j, inverse
-    lifted = np.concatenate([spec._alpha, np.ones((n, 1), dtype=dtype)], axis=1)
+    # lifted[i] @ table[:, 3t:3t+3] is the ratio of triple (i, j, k) for pair
+    # t = (j, k): row 0 holds v = -alpha_j/(alpha_j - alpha_k), rows 1..w the
+    # rows of M_{1/(alpha_j - alpha_k)} that alpha_i's nonzero coordinates
+    # pick out.  int64 stays exact, since a sum of row 0 and w <= 3 products
+    # is at most p + 3p^2 < 2^63 for p <= 2^30.
+    rows = np.array(ext.mul_matrix(inverse)[:w], dtype=ext.dtype)  # (row, coordinate, pair)
+    table = np.empty((1 + w, len(pair_j), 3), dtype=ext.dtype)  # (row, pair, coordinate)
+    table[0] = (-(alpha_j[:w, None] * rows).sum(axis=0) % p).T
+    table[1:] = rows.transpose(0, 2, 1)
+    table = table.reshape(1 + w, -1)
+    del alpha_j, inverse, rows
     # sort keys: the leading key packs the first `pack` coordinates as
     # c0 + c1*p (+ c2*p^2), the rest follow one column each; a packed key
     # stays below 2^63 for p < 2^21 (three coordinates) and below 2^62 for
     # p <= 2^31 (two)
     pack = 3 if p < (1 << 21) else 2 if p <= (1 << 31) else 1
-    powers = np.array([p ** e for e in range(pack)],
-                      dtype=np.int64 if pack > 1 else dtype)
-    keys = np.empty((4 - pack, total),
-                    dtype=np.int64 if pack > 1 or p < (1 << 63) else object)
     block_rank, block_pair = [], []   # first triple rank and first pair of block i
     rank = pair = 0
     for i in range(n - 2):
         pair += n - 1 - i   # the first pair (j, k) with j > i
         block_rank.append(rank)
         block_pair.append(pair)
-        block = (lifted[i] @ table[:, 3 * pair:] % p).reshape(-1, 3)
-        keys[0, rank:rank + len(block)] = block[:, :pack] @ powers
-        keys[1:, rank:rank + len(block)] = block[:, pack:].T
-        rank += len(block)
+        rank += len(pair_j) - pair
 
+    keys = _ratio_keys(table, lifted, block_pair, block_rank, p, pack, total)
     # a repeated value repeats its leading key; only then sort every key
-    ordered = np.sort(keys[0])
-    if not (ordered[1:] == ordered[:-1]).any():
+    keys[0].sort()
+    if not (keys[0, 1:] == keys[0, :-1]).any():
         return None
-    del ordered
+    del keys
+    keys = _ratio_keys(table, lifted, block_pair, block_rank, p, pack, total)
     order = np.lexsort(keys[::-1])
     same = np.ones(total - 1, dtype=bool)
     for column in keys:
@@ -126,6 +124,46 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
         value.append(c)
     value = (*value, lead, *rest)
     return CollisionWitness(triple(int(order[pos_b - 1])), triple(rank_b), ExtElem(ext, value))
+
+
+def _ratio_keys(table, lifted, block_pair, block_rank, p, pack, total):
+    """Sort keys of all C(n, 3) ratio values, one block of pairs per i.
+
+    Block i is row 0 of the pair table plus lifted[i, r] times row r, built
+    by in-place adds that skip zero multipliers, then reduced mod p: int64
+    blocks by floor division by the scalar p (which numpy runs through
+    libdivide, about twice as fast as %), object blocks by %.  The leading
+    key is packed by Horner's rule straight into its row of the keys.
+    """
+    int64 = table.dtype == np.int64
+    keys = np.empty((4 - pack, total),
+                    dtype=np.int64 if pack > 1 or p < (1 << 63) else object)
+    block = np.empty(table.shape[1], dtype=table.dtype)
+    scratch = np.empty_like(block)
+    for i, (pair, rank) in enumerate(zip(block_pair, block_rank)):
+        size = table.shape[1] - 3 * pair
+        b, s = block[:size], scratch[:size]
+        b[:] = table[0, 3 * pair:]
+        for r, c in enumerate(lifted[i, 1:], 1):
+            if c:
+                np.multiply(table[r, 3 * pair:], c, out=s)
+                b += s
+        if int64:
+            np.floor_divide(b, p, out=s)
+            s *= p
+            b -= s
+        else:
+            b %= p
+            if pack > 1:
+                b = b.astype(np.int64)  # the packed key fits int64, not its inputs
+        coords = b.reshape(-1, 3)
+        key = keys[0, rank:rank + len(coords)]
+        key[:] = coords[:, pack - 1]
+        for e in range(pack - 2, -1, -1):
+            key *= p
+            key += coords[:, e]
+        keys[1:, rank:rank + len(coords)] = coords[:, pack:].T
+    return keys
 
 
 def vandermonde_det(spec: CodeSpec, triple_a, triple_b) -> ExtElem:

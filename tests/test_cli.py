@@ -4,6 +4,7 @@ One subprocess smoke test checks the installed entry point; everything else
 stays in-process for speed.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import rsdel
-from rsdel.channel import enumerate_triples
+from rsdel import decoder
+from rsdel.channel import DeletionPattern, enumerate_triples
 from rsdel.cli import main
 from rsdel.code import gamma_map, load_spec
 
@@ -224,6 +226,29 @@ def test_roundtrip_command(tmp_path, capsys):
     assert "trials 440" in out and "failures 0" in out  # 2 * C(12,3)
 
 
+def test_roundtrip_decodes_longer_words(tmp_path, capsys, monkeypatch):
+    # survivor counts are drawn from 3..n, so most words have more than three
+    # symbols, and every symbol's position is checked against the pattern
+    spec = gen(tmp_path, capsys, p=13, n=12)
+    args = ("roundtrip", "--spec", str(spec), "--trials", "20", "--seed", "5")
+    rc, out, _ = run(capsys, *args)
+    lines = dict(line.split() for line in out.splitlines())
+    assert rc == 0 and lines["trials"] == "20" and lines["failures"] == "0"
+    assert int(lines["longest"]) > 3
+    # a decode that drops the claimed fourth position fails every longer word
+    decode_received = decoder.decode_received
+
+    def drop_fourth(*a, **kw):
+        out = decode_received(*a, **kw)
+        kept = out.kappa.kept[:3] + out.kappa.kept[4:]
+        return dataclasses.replace(out, kappa=DeletionPattern(kept))
+
+    monkeypatch.setattr(decoder, "decode_received", drop_fourth)
+    rc, out, _ = run(capsys, *args)
+    lines = dict(line.split() for line in out.splitlines())
+    assert rc == 1 and int(lines["failures"]) > 0
+
+
 def test_roundtrip_exhaustive_budget(tmp_path, capsys):
     spec = gen(tmp_path, capsys, p=13, n=12)
     args = ("roundtrip", "--spec", str(spec), "--trials", "2", "--exhaustive")
@@ -270,6 +295,25 @@ def test_bench_json(tmp_path, capsys):
         assert 0.0 <= r["search_time"] <= r["total_time"]
     rc, out, _ = run(capsys, "bench", "--p", "10007", "--n", "16", "--trials", "1",
                      "--budget-seconds", "0", "--out", str(out_json))
+    assert rc == 0 and "(truncated)" in out
+    assert json.loads(out_json.read_text()) == {"truncated": True, "records": []}
+
+
+def test_bench_certify(tmp_path, capsys):
+    out_json = tmp_path / "certify.json"
+    rc, out, _ = run(capsys, "bench", "--certify", "--p", "10007,1073741789",
+                     "--n", "16,32", "--trials", "2", "--out", str(out_json))
+    assert rc == 0 and "wrote 4 records" in out
+    doc = json.loads(out_json.read_text())
+    assert doc["truncated"] is False
+    assert [(r["p"], r["n"], r["algo"], r["field_ops"]) for r in doc["records"]] == [
+        (10007, 16, "check_injectivity", 560), (10007, 16, "audit_code", 2 * 64 * 16),
+        (1073741789, 32, "check_injectivity", 4960),
+        (1073741789, 32, "audit_code", 2 * 64 * 32)]
+    for r in doc["records"]:
+        assert r["trials"] == 2 and 0.0 < r["search_time"] == r["total_time"]
+    rc, out, _ = run(capsys, "bench", "--certify", "--p", "10007", "--n", "16",
+                     "--trials", "1", "--budget-seconds", "0", "--out", str(out_json))
     assert rc == 0 and "(truncated)" in out
     assert json.loads(out_json.read_text()) == {"truncated": True, "records": []}
 

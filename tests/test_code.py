@@ -126,6 +126,32 @@ def test_encode_exact_at_dtype_boundary(p):
         assert got[i - 1] == ext.add(m1, ext.mul(m2, spec.alpha_coords(i)))
 
 
+@pytest.mark.parametrize("p", [10007, 2**61 - 1])
+def test_encode_every_lifted_width(p):
+    # oracle: m1 + m2*alpha_i by CubicField.mul, one symbol at a time, for
+    # lifted widths 1 (base-field points), 2 (the quadratic map, and points
+    # with a zero first coordinate, one of them zero) and 3
+    rng = random.Random(4)
+    n = 12
+    g = get_spec(p, n).g
+    cases = [
+        (1, CodeSpec(p, g, range(1, n + 1), alpha_rows=[(d, 0, 0) for d in range(1, n + 1)])),
+        (2, get_spec(p, n)),
+        (2, CodeSpec(p, g, range(1, n + 1), alpha_rows=[(0, d, 0) for d in range(n)])),
+        (3, CodeSpec(p, g, range(1, n + 1),
+                     alpha_rows=[(rng.randrange(p), rng.randrange(p), d) for d in range(1, n + 1)])),
+    ]
+    for width, spec in cases:
+        assert spec._lifted.shape == (n, 1 + width)
+        ext = spec.ext
+        for _ in range(5):
+            m = random_message(spec, rng)
+            got = encode(spec, m).symbol_tuples()
+            for i in range(1, n + 1):
+                want = ext.add(m.m1.coords, ext.mul(m.m2.coords, spec.alpha_coords(i)))
+                assert got[i - 1] == want
+
+
 def test_encode_rejects_foreign_message():
     spec5 = get_spec(5, 4)
     spec7 = get_spec(7, 4)

@@ -19,7 +19,6 @@ from rsdel.field import (
     MonicCubic,
     PrimeField,
     _no_root_by_gcd,
-    _no_root_by_scan,
     find_irreducible_cubic,
     is_irreducible_cubic,
     is_prime,
@@ -91,15 +90,12 @@ def brute_force_has_root(p, g):
 
 
 def test_no_root_backends_agree_exhaustively():
-    # every monic cubic over F_7: 343 of them
-    p = 7
-    for g0 in range(p):
-        for g1 in range(p):
-            for g2 in range(p):
-                g = MonicCubic(g0, g1, g2)
-                want = not brute_force_has_root(p, g)
-                assert _no_root_by_scan(p, g) == want
-                assert _no_root_by_gcd(p, g) == want
+    # the gcd test against a brute-force root scan, on every monic cubic
+    # over each small field: 27 + 125 + 343 + 1331 + 2197 of them
+    for p in (3, 5, 7, 11, 13):
+        for g0, g1, g2 in product(range(p), repeat=3):
+            g = MonicCubic(g0, g1, g2)
+            assert _no_root_by_gcd(p, g) == (not brute_force_has_root(p, g)), (p, g)
 
 
 def test_is_irreducible_known_cases():

@@ -193,17 +193,23 @@ def test_check_injectivity_budget_refusal_allocates_nothing():
     assert peak < 100_000
 
 
-@pytest.mark.parametrize("p,n", [(10007, 30), (1073741789, 24), ((1 << 61) - 1, 16),
-                                 ((1 << 64) - 59, 10), (5, 4), (7, 6)])
+# The key regimes and their edges: three coordinates packed into one key up
+# to 2097143 (the last prime below 2^21), two from 2097169 (the first above)
+# through 1073741789 (int64 pair table) and 2^31 - 1 (object pair table,
+# int64 keys), one int64 key per coordinate up to 2^61 - 1, and Python-int
+# keys beyond 2^63.
+@pytest.mark.parametrize("p,n", [(10007, 30), (2097143, 24), (2097169, 24),
+                                 (1073741789, 24), ((1 << 31) - 1, 20),
+                                 ((1 << 61) - 1, 16), ((1 << 64) - 59, 10),
+                                 (5, 4), (7, 6)])
 def test_check_injectivity_matches_reference_quadratic(p, n):
-    # packed keys, int64 columns (computed in int64, then in object dtype)
-    # and Python-int columns beyond 2^63
     assert assert_matches_reference(get_spec(p, n)) is None
 
 
 def test_check_injectivity_matches_reference_base_field():
-    for p, n in ((5, 4), (7, 6), (11, 10), (13, 12), (10007, 25),
-                 (1073741789, 14), ((1 << 61) - 1, 10), ((1 << 64) - 59, 8)):
+    for p, n in ((5, 4), (7, 6), (11, 10), (13, 12), (10007, 25), (2097143, 14),
+                 (2097169, 14), (1073741789, 14), ((1 << 31) - 1, 12),
+                 ((1 << 61) - 1, 10), ((1 << 64) - 59, 8)):
         assert assert_matches_reference(base_field_spec(p, n)) is not None
 
 
@@ -227,7 +233,9 @@ def test_check_injectivity_matches_reference_random_points():
 
 
 def test_check_injectivity_memory_bound():
-    # packed keys: 17 B per triple plus O(n^2) scratch, 9.4 MB + 1 MB here
+    # packed keys sorted in place: 8 B per triple, plus the 1 B per triple
+    # repeat mask and O(n^2) scratch, about 6 MB here; a sorted copy of the
+    # keys would add 4.4 MB
     spec = get_spec(10007, 150)
     tracemalloc.start()
     try:
@@ -235,7 +243,7 @@ def test_check_injectivity_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16_000_000
+    assert peak <= 9_000_000
 
 
 def test_vandermonde_zero_iff_equal_ratio():
