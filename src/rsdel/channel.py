@@ -38,7 +38,9 @@ class DeletionPattern:
 def apply_deletions(word, pattern: DeletionPattern):
     """Symbols of `word` at the kept positions, as a tuple.
 
-    `word` is a Codeword or any sequence of symbols.
+    `word` is a Codeword or any sequence of symbols.  Takes O(m) time and
+    memory for m kept positions (one symbol read each; a Codeword builds an
+    ExtElem per read), beyond the word itself.
     """
     n = len(word)
     if pattern.kept and pattern.kept[-1] > n:
@@ -48,7 +50,11 @@ def apply_deletions(word, pattern: DeletionPattern):
 
 
 def random_pattern(n: int, survivors: int, seed: int) -> DeletionPattern:
-    """Uniformly random size-`survivors` kept set; deterministic per seed."""
+    """Uniformly random size-`survivors` kept set; deterministic per seed.
+
+    Takes O(n + s log s) time and O(n) memory for s survivors: the sample
+    from 1..n may copy the range, and the kept positions are sorted.
+    """
     if not 0 <= survivors <= n:
         raise ParameterError(f"survivors must lie in 0..{n}, got {survivors}")
     rng = random.Random(seed)
@@ -56,7 +62,11 @@ def random_pattern(n: int, survivors: int, seed: int) -> DeletionPattern:
 
 
 def enumerate_triples(n: int) -> Iterator[DeletionPattern]:
-    """All C(n, 3) kept triples in lexicographic order."""
+    """All C(n, 3) kept triples in lexicographic order.
+
+    A lazy generator: O(1) time per triple, C(n, 3) in all, and O(n)
+    memory for the underlying combinations iterator, never the whole list.
+    """
     if n < 3:
         raise ParameterError(f"need n >= 3 to keep a triple, got {n}")
     for kept in itertools.combinations(range(1, n + 1), 3):

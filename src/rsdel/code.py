@@ -33,7 +33,10 @@ class CodeSpec:
     locator matrix [1 | alpha[:, :w]], where w counts alpha's columns up to
     its last nonzero one (2 for the quadratic map): one matmul with it
     evaluates a message at every point, and certification builds its
-    ratios from it.
+    ratios from it.  _search_columns caches the cubic decoder's search
+    tables, built on the spec's first cubic decode: two bool filter tables
+    of 2^bit_length(256*n) bytes each, 2*2^bit_length(256*n) bytes in all
+    (512 KB at n = 512, 4 MB at n = 4096), plus O(n) columns.
     """
 
     __slots__ = ("p", "g", "delta", "n", "field", "ext", "delta_index",
@@ -113,7 +116,15 @@ class CodeSpec:
 
 
 def build_code(p: int, n: int, delta_override: Optional[Sequence[int]] = None) -> CodeSpec:
-    """Construct the code with the canonical cubic and delta = (1, ..., n)."""
+    """Construct the code with the canonical cubic and delta = (1, ..., n).
+
+    Time: a primality test of p, the canonical-cubic search (candidates in
+    a fixed order, each an O(log p) gcd test; about one monic cubic in three
+    is irreducible, so a few are tried in practice), and O(n) to validate
+    delta and build the spec's arrays and lookup dict.  Memory: O(n).  The
+    cubic decoder's search tables are not built here but on the spec's
+    first cubic decode.
+    """
     if delta_override is not None:
         delta = tuple(delta_override)
         if len(delta) != n:
@@ -205,6 +216,8 @@ def interpolate(spec: CodeSpec, i: int, j: int, y_i: ExtElem, y_j: ExtElem) -> M
     """Recover (m1, m2) from two distinct evaluation positions.
 
     m2 = (y_i - y_j) / (alpha_i - alpha_j),  m1 = y_i - m2 * alpha_i.
+    O(1) time and memory: one F_{p^3} inverse, two products, two
+    differences, whatever n is.
     """
     if i == j:
         raise DegenerateInterpolationError(f"positions coincide: i = j = {i}")
@@ -223,6 +236,7 @@ def gamma_map(spec: CodeSpec, i: int, j: int, k: int) -> ExtElem:
 
     Injective over increasing triples for specs built from the quadratic
     evaluation map; that is exactly what check_injectivity certifies.
+    O(1) time and memory: one F_{p^3} inverse and one product.
     """
     if not (1 <= i < j < k <= spec.n):
         raise ParameterError(
@@ -232,11 +246,15 @@ def gamma_map(spec: CodeSpec, i: int, j: int, k: int) -> ExtElem:
 
 
 def lookup_delta(spec: CodeSpec, d: int) -> Optional[int]:
-    """1-based position of base-field value d in delta, or None."""
+    """1-based position of base-field value d in delta, or None.
+
+    One dict lookup: O(1) expected time, no allocation.
+    """
     return spec.delta_index.get(int(d))
 
 
 def random_message(spec: CodeSpec, rng: random.Random) -> Message:
+    """A uniformly random message drawn from rng; O(1) time and memory."""
     return Message(spec.ext.rand(rng), spec.ext.rand(rng))
 
 
@@ -252,6 +270,7 @@ def random_message(spec: CodeSpec, rng: random.Random) -> Message:
 
 
 def save_spec(spec: CodeSpec, path) -> None:
+    """Write spec's three key lines; O(n) time and memory (the delta line)."""
     with open(path, "w") as fh:
         fh.write(f"p {spec.p}\n")
         fh.write(f"g {spec.g.g0} {spec.g.g1} {spec.g.g2}\n")
@@ -259,6 +278,13 @@ def save_spec(spec: CodeSpec, path) -> None:
 
 
 def load_spec(path) -> CodeSpec:
+    """Read a spec file and build its CodeSpec.
+
+    Raises ParameterError for a missing, repeated, unknown or malformed
+    key.  Takes O(L) time and memory for a file of L bytes, plus the
+    CodeSpec construction (see build_code, less the cubic search: g is read,
+    and only its irreducibility is tested, in O(log p)).
+    """
     fields = {}
     with open(path) as fh:
         for line in fh:
@@ -288,7 +314,10 @@ def load_spec(path) -> CodeSpec:
 
 
 def save_symbols(path, word) -> None:
-    """Write a codeword or any symbol sequence, one c0,c1,c2 line each."""
+    """Write a codeword or any symbol sequence, one c0,c1,c2 line each.
+
+    O(m) time and memory for m symbols.
+    """
     if isinstance(word, Codeword):
         rows = word.symbol_tuples()
     else:
@@ -299,7 +328,11 @@ def save_symbols(path, word) -> None:
 
 
 def load_symbols(path, spec: CodeSpec):
-    """Read a symbol sequence of any length into a tuple of ExtElem."""
+    """Read a symbol sequence of any length into a tuple of ExtElem.
+
+    Raises ParameterError for a line that is not three canonical integers.
+    O(L) time and memory for a file of L bytes (O(m) for m symbols).
+    """
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -322,6 +355,8 @@ def load_symbols(path, spec: CodeSpec):
 
 
 def load_codeword(path, spec: CodeSpec) -> Codeword:
+    """Read exactly n symbols as a Codeword of spec; raises ParameterError
+    for another count.  O(L) time and memory for a file of L bytes."""
     symbols = load_symbols(path, spec)
     if len(symbols) != spec.n:
         raise ParameterError(

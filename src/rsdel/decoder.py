@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -207,11 +207,14 @@ def solve_deltas(pf: PrimeField, coeffs,
 # increasing triple, without divisions:
 #
 #     alpha_i - alpha_j == beta * (alpha_j - alpha_k)
-#     <=>  alpha_i + beta*alpha_k == alpha_j + beta*alpha_j =: T_j
+#     <=>  alpha_i + beta*alpha_k == (1 + beta)*alpha_j
+#     <=>  lam*alpha_i + (1 - lam)*alpha_k == alpha_j,   lam = (1 + beta)^-1.
 #
-# T is injective in j when beta != -1 (compute_beta rejects y1 == y3, which
-# is beta == -1; for beta == -1 no triple matches at all), so it runs as a
-# join: index T once, then each candidate alpha_i + beta*alpha_k names the
+# For beta == 0 the match needs alpha_i == alpha_j and for beta == -1
+# alpha_i == alpha_k, so no triple of distinct points matches either, and
+# the search prices the full scan and returns None.  Otherwise the targets
+# are the code's own evaluation points, which are distinct, so the search
+# runs as a join: each candidate lam*alpha_i + (1 - lam)*alpha_k names the
 # only j that could complete (i, ., k).  Rows go in increasing i, and in the
 # first row with a hit i < j < k the smallest j wins; k is then unique, so
 # this is the lexicographically first triple of the scan, also for
@@ -219,36 +222,52 @@ def solve_deltas(pf: PrimeField, coeffs,
 # Theta(n^3) scan up to the match row (_charge_scan), so the counts do not
 # depend on the kernel.
 #
-# One kernel serves every p.  With canonical coordinates a_c(i) of alpha_i
-# and b_c(k) of beta*alpha_k, each coordinate sum u_c = a_c(i) + b_c(k) lies
-# in [0, 2p), so at a match u_c is T_c or T_c + p.  The filter key of a
-# candidate is the low bits of u_0 + _MIX*u_1, the sum of an alpha half and
-# a beta half; a bool table marks the keys of the four shifts (T_0 + e_0,
-# T_1 + e_1), e in {0, p}^2, of every target.  With 256 to 512 slots per
-# target, one candidate in 64 to 128 passes whatever p is, besides the
-# diagonal k = i of a block's lower rows, whose sum is T_i.  A survivor's
-# reduced sums are looked up among the targets sorted by first coordinate
-# and compared in all three, stepping on while the first coordinate agrees.
-# For specs built from the quadratic map, the first coordinate of
-# T_j = (1 + beta)*alpha_j is a quadratic in delta_j, so at most two targets
-# share one.  The exception is 1 + beta = c*gamma: every T_0 is zero, but
-# then u_0 = delta_i - delta_k, zero only on the diagonal k = i, which the
-# kernel drops with the other k <= i + 1 before the lookup.
+# One kernel serves every p.  With canonical coordinates a_c(i) of
+# lam*alpha_i and b_c(k) of (1 - lam)*alpha_k, each coordinate sum
+# u_c = a_c(i) + b_c(k) lies in [0, 2p), so at a match u_c is alpha_{j,c}
+# or alpha_{j,c} + p.  Two filter keys, the low bits of u_0 + _MIX*u_1 and
+# of u_2 + _MIX*u_0, are each the sum of a half from i and a half from k.
+# Since the targets do not depend on beta, the two bool tables that mark
+# the keys of the four shifts e in {0, p}^2 of every point, and the points
+# sorted by first coordinate, are built once per spec (_search_columns);
+# a decode computes only lam (one F_{p^3} inverse), lam*alpha,
+# (1 - lam)*alpha and their key halves.
+# With 256 to 512 slots per point, one candidate in 64 to 128 passes the
+# first table whatever p is, besides the diagonal k = i of a block's lower
+# rows, whose sum is alpha_i itself.  The first table's survivors drop every
+# k <= i + 1, which closes no triple, and pass the second table; the few
+# left are looked up among the sorted points and compared in all three
+# coordinates, stepping on while the first coordinate agrees.  Points of
+# the quadratic map have distinct first coordinates, so the lookup takes
+# one step for those specs.
 #
 # Time: O(n^2) filter work per decode (per 16-row block a candidate costs
-# one add, one mask and one table read) plus one sorted lookup per survivor.
-# Memory: O(n) columns and the block, plus a filter table of at most about
-# 2^9*n bytes.  Sums of two canonical coordinates stay below 2^63 for
-# p < 2^62, so the search columns are int64 there and Python ints (object
-# dtype) above, on the same code path; products of coordinates only occur
-# in the O(n) setup, in the field's own dtype.
+# one add, one mask and one table read), O(n) setup, and a lookup for the
+# survivors of both tables.  Memory: O(n) columns and the block per decode;
+# the tables per spec take 2*2^bit_length(256*n) bytes plus O(n) columns.
+# Sums of two canonical coordinates stay below 2^63 for p < 2^62, so the
+# search columns are int64 there and Python ints (object dtype) above, on
+# the same code path; products of coordinates only occur in the O(n) setup,
+# in the field's own dtype.
 
 _SEARCH_BLOCK_ROWS = 16
 _FILTER_SLOTS_PER_TARGET = 256  # table size: 2^bit_length(slots * n); 0 lets all pass
-_MIX = 0x9E3779B9               # odd: u_1 -> _MIX*u_1 permutes the residues mod 2^b
-_MIX_ROW = np.array([1, _MIX])
+_MIX = 0x9E3779B9               # odd: u -> _MIX*u permutes the residues mod 2^b
+_KEY_ROWS = np.array([[1, _MIX, 0],   # u_0 + _MIX*u_1
+                      [_MIX, 0, 1]])  # u_2 + _MIX*u_0
 _LOW63 = (1 << 63) - 1
 _INT64_SEARCH_MAX_P = 1 << 62
+
+
+class _SearchTables(NamedTuple):
+    """Beta-independent search data of one spec, all arrays read-only."""
+
+    a: np.ndarray       # (3, n) alpha coordinate columns in the search dtype
+    mask: int           # a filter key is its low bits: key & mask
+    first: np.ndarray   # bool table of the (u_0, u_1) keys of every point
+    second: np.ndarray  # bool table of the (u_2, u_0) keys
+    ts: np.ndarray      # (3, n + 1) points sorted by first coordinate, then a sentinel
+    order: np.ndarray   # 0-based position of each sorted column; order[n] == n
 
 
 def _charge_scan(inst, n, rows):
@@ -267,58 +286,77 @@ def _charge_scan(inst, n, rows):
                        + triples * OPS_SEARCH_PER_TRIPLE)
 
 
-def _key_half(cols):
-    """Low 63 bits of cols[0] + _MIX*cols[1], as int64 (wrapping for int64)."""
-    key = _MIX_ROW @ cols[:2]
-    return key if key.dtype == np.int64 else (key & _LOW63).astype(np.int64)
+def _key_halves(cols, mask):
+    """Rows (cols[0] + _MIX*cols[1], cols[2] + _MIX*cols[0]) & mask, as int64
+    (wrapping for int64 columns)."""
+    keys = _KEY_ROWS @ cols
+    if keys.dtype != np.int64:
+        keys = (keys & _LOW63).astype(np.int64)
+    keys &= mask
+    return keys
 
 
-def _search_columns(spec: CodeSpec):
-    """Beta-independent search data, built once per spec: the alpha
-    coordinate columns in the search dtype, the table mask, the masked key
-    halves of alpha and of the shifts e in {0, p}^2, and the sentinel column
-    that closes the sorted targets."""
+def _search_columns(spec: CodeSpec) -> _SearchTables:
+    """The search tables of spec, built on its first search and kept."""
     if spec._search_columns is None:
         p, n = spec.p, spec.n
         dtype = np.int64 if p < _INT64_SEARCH_MAX_P else object
         a = np.array(spec._alpha.T, dtype=dtype)
         mask = (1 << (_FILTER_SLOTS_PER_TARGET * n).bit_length()) - 1
         shifts = np.array([(e0 + _MIX * e1) & mask for e0 in (0, p) for e1 in (0, p)])
+        tables = []
+        for keys in _key_halves(a, mask):
+            table = np.zeros(mask + 1, dtype=bool)
+            table[np.add.outer(keys, shifts) & mask] = True
+            tables.append(table)
+        order = np.append(np.argsort(a[0], kind="stable"), n)
         # first coordinate p: sorts last and equals no reduced sum
-        sentinel = np.array([[p], [0], [0]], dtype=dtype)
-        spec._search_columns = (a, mask, _key_half(a) & mask, shifts, sentinel)
+        ts = np.concatenate((a, np.array([[p], [0], [0]], dtype=dtype)), axis=1)[:, order]
+        for arr in (a, *tables, ts, order):
+            arr.setflags(write=False)
+        spec._search_columns = _SearchTables(a, mask, *tables, ts, order)
     return spec._search_columns
 
 
 def _search_triple(spec: CodeSpec, beta, inst):
     p = spec.p
     n = spec.n
-    a, mask, a_key, shifts, sentinel = _search_columns(spec)
-    # beta*alpha_j for every j in one matmul, one contiguous row per coordinate
-    m = np.array(spec.ext.mul_matrix(beta), dtype=spec._alpha.dtype)
-    b = np.asarray(m.T @ spec._alpha.T % p, dtype=a.dtype)
-    target = np.concatenate(((a + b) % p, sentinel), axis=1)
-    order = np.argsort(target[0])  # the sentinel sorts last: order[n] == n
-    ts = target[:, order]
-    table = np.zeros(mask + 1, dtype=bool)
-    table[np.add.outer(_key_half(target[:, :n]), shifts) & mask] = True
-    b_key = _key_half(b) & mask
+    ext = spec.ext
+    if beta[1] == beta[2] == 0 and beta[0] in (0, p - 1):
+        _charge_scan(inst, n, n - 2)  # beta in {0, -1}: no triple matches
+        return None
+    a, mask, first, second, ts, order = _search_columns(spec)
+    lam = ext.inv(((beta[0] + 1) % p, beta[1], beta[2]))
+    # lam*alpha_j for every j in one matmul, one contiguous row per coordinate
+    m = np.array(ext.mul_matrix(lam), dtype=spec._alpha.dtype)
+    la = np.asarray(m.T @ spec._alpha.T % p, dtype=a.dtype)
+    rest = a - la  # (1 - lam)*alpha
+    rest %= p
+    la_first, la_second = _key_halves(la, mask)
+    rest_first, rest_second = _key_halves(rest, mask)
     for i0 in range(0, n - 2, _SEARCH_BLOCK_ROWS):
         i1 = min(i0 + _SEARCH_BLOCK_ROWS, n - 2)
         k0 = i0 + 2  # candidates k >= i0 + 2 cover every row of the block
-        key = a_key[i0:i1, None] + b_key[k0:]
+        key = la_first[i0:i1, None] + rest_first[k0:]
         key &= mask
-        flat = np.flatnonzero(table[key])
+        flat = first[key].ravel().nonzero()[0]
         if not flat.size:
             continue
         ri, rk = np.divmod(flat, n - k0)
         # k <= i + 1 closes no triple; dropping it keeps the diagonal k = i,
-        # where the sum is T_i itself, out of the lookup below
+        # where the sum is alpha_i itself, out of the lookup below
         keep = rk >= ri
         i = ri[keep] + i0
         k = rk[keep] + k0
-        w = (a.take(i, axis=1) + b.take(k, axis=1)) % p
-        # compare each survivor with the targets from its first coordinate's
+        key = la_second[i] + rest_second[k]
+        key &= mask
+        keep = second[key]
+        if not np.count_nonzero(keep):
+            continue
+        i = i[keep]
+        k = k[keep]
+        w = (la.take(i, axis=1) + rest.take(k, axis=1)) % p
+        # compare each survivor with the points from its first coordinate's
         # sorted position on, stepping while the first coordinate agrees and
         # the rest does not; j stays -1 where nothing matches
         j = -1
@@ -334,9 +372,9 @@ def _search_triple(spec: CodeSpec, beta, inst):
         ok = (i < j) & (j < k)
         if np.count_nonzero(ok):
             i, j, k = i[ok], j[ok], k[ok]
-            first = np.lexsort((j, i))[0]  # lexicographically first (i, j)
-            _charge_scan(inst, n, int(i[first]) + 1)
-            return (int(i[first]) + 1, int(j[first]) + 1, int(k[first]) + 1)
+            first_hit = np.lexsort((j, i))[0]  # lexicographically first (i, j)
+            _charge_scan(inst, n, int(i[first_hit]) + 1)
+            return (int(i[first_hit]) + 1, int(j[first_hit]) + 1, int(k[first_hit]) + 1)
     _charge_scan(inst, n, n - 2)
     return None
 
@@ -373,9 +411,10 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
 
     Returns the lexicographically first increasing triple whose ratio
     matches.  Takes O(n^2) time for the filter over all (i, k) pairs plus
-    one sorted lookup per survivor, and O(n) memory (columns and a 16-row
-    block of candidates) plus a filter table of at most about 2^9*n bytes;
-    then the O(n) re-encode.
+    a sorted lookup for the survivors of both filter tables, and O(n)
+    memory (columns and a 16-row block of candidates); then the O(n)
+    re-encode.  The first decode on a spec also builds its search tables,
+    2*2^bit_length(256*n) bytes (at most about 2^10*n) kept with the spec.
     The nominal op count still prices the Theta(n^3) scan up to the match
     row.  Raises UnrecognizedReceivedWordError when no triple matches, and
     FieldMismatchError before any arithmetic when a symbol is not in spec's

@@ -552,7 +552,7 @@ def test_search_kernel_exact_check_alone(monkeypatch):
     rng = random.Random(808)
     for p, n in ((7, 6), (10007, 24), ((1 << 64) - 59, 10)):
         spec = build_code(p, n)
-        assert _search_columns(spec)[1] == 0  # mask 0: one slot
+        assert _search_columns(spec).mask == 0  # one slot
         betas = [(0, 0, 0), spec.ext.rand(rng).coords]
         betas += [gamma_map(spec, *t.kept).coords for t in enumerate_triples(n)
                   if n <= 10 or rng.random() < 0.02]
@@ -592,9 +592,10 @@ def test_decode_cubic_search_ops_pinned():
 
 
 def test_decode_cubic_all_first_coordinates_equal():
-    # beta = -1 + gamma makes the first coordinate of every target zero; the
-    # lookup steps through equal first coordinates, so only survivors that
-    # really share it may step, or the search takes O(n) rounds per block
+    # a miss at n = 2048 (beta = -1 + gamma matches no triple) stays fast:
+    # the lookup steps through equal first coordinates, so only survivors
+    # that really share one may step, or the search takes O(n) rounds per
+    # block
     spec = get_spec(10007, 2048)
     ext = spec.ext
     y = ReceivedTriple(ext.elem(10006, 1, 0), ext.zero, -ext.one)
@@ -618,6 +619,72 @@ def test_decode_cubic_memory_bound():
         tracemalloc.stop()
     assert out.kappa.kept == (1, 2, 3) and out.message == m
     assert peak <= 6_000_000
+
+
+def test_decode_cubic_warm_memory_bound():
+    # the filter tables are built once per spec, on its first decode; a later
+    # decode allocates only O(n) columns and one 16-row candidate block
+    # (0.94 MB measured)
+    spec = build_code(10007, 4096)
+    rng = random.Random(4097)
+    decode_cubic(spec, received(spec, random_message(spec, rng), (5, 6, 7)))
+    m = random_message(spec, rng)
+    y = received(spec, m, (1, 2, 3))
+    tracemalloc.start()
+    try:
+        out = decode_cubic(spec, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.kappa.kept == (1, 2, 3) and out.message == m
+    assert peak <= 1_250_000
+
+
+def test_search_tables_do_not_depend_on_beta():
+    # the cached tables hold only the code's own points: decoding the same
+    # words in two orders on fresh specs gives the same outcomes and counts,
+    # and no decode replaces the tables
+    def fresh_specs():
+        return [
+            build_code(10007, 40),
+            build_code(11, 10),
+            # points in the base field: many triples share one ratio
+            CodeSpec(11, find_irreducible_cubic(11), range(1, 9),
+                     alpha_rows=[(x, 0, 0) for x in (3, 1, 4, 10, 5, 9, 2, 6)]),
+            CodeSpec(7, find_irreducible_cubic(7), range(1, 6),
+                     alpha_rows=[(1, 2, 0), (0, 5, 3), (6, 6, 6), (2, 0, 1), (4, 3, 0)]),
+        ]
+
+    rng = random.Random(909)
+    words = []
+    for s, spec in enumerate(fresh_specs()):
+        for _ in range(12):
+            kept = tuple(sorted(rng.sample(range(1, spec.n + 1), 3)))
+            words.append((s, received(spec, random_message(spec, rng), kept)))
+        for _ in range(4):
+            words.append((s, ReceivedTriple(*(spec.ext.rand(rng) for _ in range(3)))))
+    assert len({(s, compute_beta(y).coords) for s, y in words}) > len(words) // 2
+
+    def decode_all(order):
+        specs = fresh_specs()
+        tables = {}
+        results = {}
+        for w in order:
+            s, y = words[w]
+            inst = DecodeInstrumentation()
+            try:
+                out = decode_cubic(specs[s], y, inst)
+                results[w] = (out.kappa.kept, out.codeword.symbol_tuples(), inst.total_ops)
+            except UnrecognizedReceivedWordError:
+                results[w] = (None, None, inst.total_ops)
+            tables.setdefault(s, _search_columns(specs[s]))
+        assert all(_search_columns(specs[s]) is t for s, t in tables.items())
+        return results
+
+    order = list(range(len(words)))
+    shuffled = order[:]
+    rng.shuffle(shuffled)
+    assert decode_all(order) == decode_all(shuffled)
 
 
 @pytest.mark.parametrize("p,n", (((1 << 61) - 1, 64), (1073741789, 96)))
