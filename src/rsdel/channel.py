@@ -7,6 +7,7 @@ applying it to a word keeps exactly those symbols in order.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from math import comb
@@ -20,11 +21,11 @@ class DeletionPattern:
     kept: tuple[int, ...]
 
     def __post_init__(self):
-        kept = tuple(int(i) for i in self.kept)
+        kept = tuple(map(int, self.kept))
         object.__setattr__(self, "kept", kept)
-        if any(i < 1 for i in kept):
+        if min(kept, default=1) < 1:
             raise ParameterError(f"positions are 1-based, got {kept}")
-        if any(a >= b for a, b in zip(kept, kept[1:])):
+        if any(map(operator.ge, kept, kept[1:])):
             raise ParameterError(f"kept positions must be strictly increasing, got {kept}")
 
     @property

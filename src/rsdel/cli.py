@@ -14,6 +14,7 @@ import json
 import random
 import sys
 from dataclasses import asdict, dataclass
+from statistics import median
 from time import perf_counter
 
 from . import channel, code, decoder, verify
@@ -47,6 +48,12 @@ def _parse_coords(text: str):
 
 
 def cmd_gen_code(args) -> int:
+    """Build a code and write its spec file.
+
+    Takes build_code's time (a primality test of p, the canonical-cubic
+    search of O(log p) gcd tests per candidate, O(n) for the spec) plus
+    O(n) to write the delta line; O(n) memory.
+    """
     delta = _parse_int_list(args.delta) if args.delta else None
     spec = code.build_code(args.p, args.n, delta)
     code.save_spec(spec, args.out)
@@ -56,6 +63,11 @@ def cmd_gen_code(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    """Encode an explicit or seeded random message and write its n symbols.
+
+    Loading the spec is O(n) plus an O(log p) irreducibility test of its
+    cubic; the encode and the write are O(n) time and memory.
+    """
     spec = code.load_spec(args.spec)
     if args.random:
         rng = random.Random(args.seed)
@@ -74,6 +86,11 @@ def cmd_encode(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
+    """Keep the given or seeded random positions of a codeword file.
+
+    O(n) time and memory to load the spec and the word, O(n + m log m) for
+    a random pattern of m survivors, and O(m) to write them.
+    """
     spec = code.load_spec(args.spec)
     word = code.load_codeword(args.infile, spec)
     if args.keep:
@@ -94,6 +111,14 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    """Decode a received word of 3 to n symbols and write the codeword.
+
+    Loading is O(n + m) for m received symbols; decode_received adds
+    O(n + m) time and memory to the decode of the first three.  That decode
+    is O(n) for --algo linear on every input.  For --algo cubic it is
+    O(n^2) time, and this process's first cubic decode builds the search
+    tables, at most about 2^10 * n bytes.
+    """
     spec = code.load_spec(args.spec)
     symbols = code.load_symbols(args.received, spec)
     decode = decoder.decode_linear if args.algo == "linear" else decoder.decode_cubic
@@ -113,6 +138,12 @@ def cmd_decode(args) -> int:
 
 
 def cmd_check_condition(args) -> int:
+    """Certify the ratio map of a spec injective over all C(n, 3) triples.
+
+    Refuses before allocating when C(n, 3) exceeds --budget.  Otherwise
+    O(T log T) numpy time for T = C(n, 3), and about 11 B per triple for
+    p < 2^21 or 19 B up to 2^30 (34 and 42 B when a collision is named).
+    """
     spec = code.load_spec(args.spec)
     witness = verify.check_injectivity(spec, budget=args.budget)
     if witness is None:
@@ -126,6 +157,12 @@ def cmd_check_condition(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    """Max pairwise codeword LCS over --pairs seeded message pairs.
+
+    O(P * n) time for P pairs: each costs two O(n) encodes and an LCS of
+    O(n) expected hashing plus O(r log n) for its r matching positions.
+    Memory is O(P) for the sampled pairs plus O(n) for one pair's words.
+    """
     spec = code.load_spec(args.spec)
     pairs = verify.sample_message_pairs(spec, args.pairs, args.seed)
     result = verify.audit_code(spec, pairs)
@@ -214,6 +251,7 @@ class BenchRecord:
     trials: int
     search_time: float
     total_time: float
+    p50_time: float
     field_ops: int
 
 
@@ -233,8 +271,9 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
     The kept triple is the lexicographically last one (n-2, n-1, n), which
     maximizes the cubic search's work and nominal count.  One untimed decode
     per (code, algo) runs before the timed trials, so a per-code cache
-    filled on the first decode is not averaged into the times.  Returns
-    (records, truncated).
+    filled on the first decode is not averaged into the times.
+    search_time and total_time are means over the trials, p50_time the
+    median total time.  Returns (records, truncated).
     """
     records = []
     started = perf_counter()
@@ -251,20 +290,21 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
             fn = decoder.decode_cubic if algo == "cubic" else decoder.decode_linear
             fn(spec, y)  # warm-up
             search = 0.0
-            total = 0.0
+            times = []
             ops = 0
             for _ in range(trials):
                 inst = decoder.DecodeInstrumentation()
                 t0 = perf_counter()
                 out = fn(spec, y, inst)
-                total += perf_counter() - t0
+                times.append(perf_counter() - t0)
                 search += inst.search_seconds
                 ops = inst.total_ops
                 if out.codeword != cw:
                     raise AssertionError("benchmark decode returned a wrong codeword")
             rec = BenchRecord(p=p, n=n, algo=algo, trials=trials,
                               search_time=search / trials,
-                              total_time=total / trials,
+                              total_time=sum(times) / trials,
+                              p50_time=median(times),
                               field_ops=ops)
             assert rec.search_time <= rec.total_time and rec.field_ops > 0
             records.append(rec)
@@ -279,8 +319,8 @@ def run_certify_bench(p_values, n_values, trials: int, seed: int = 0,
     """Certification benchmarks; records "check_injectivity" and "audit_code"
     per (p, n), in the shape of the decode records.
 
-    Each time is the mean over `trials` calls, and search_time equals
-    total_time.  field_ops counts the work of one call: the C(n, 3) ratio
+    search_time and total_time are both the mean over `trials` calls,
+    p50_time their median.  field_ops counts the work of one call: the C(n, 3) ratio
     values that check_injectivity certifies, and the 2 * 64 * n symbols that
     an audit of 64 seeded message pairs encodes.  Raises AssertionError if a
     code fails either check.  Returns (records, truncated).
@@ -299,16 +339,17 @@ def run_certify_bench(p_values, n_values, trials: int, seed: int = 0,
         for algo, job, work in jobs:
             if budget_seconds is not None and perf_counter() - started > budget_seconds:
                 return records, True
-            total = 0.0
+            times = []
             for _ in range(trials):
                 t0 = perf_counter()
                 ok = job()
-                total += perf_counter() - t0
+                times.append(perf_counter() - t0)
                 if not ok:
                     raise AssertionError(f"benchmark code failed {algo}")
+            mean = sum(times) / trials
             records.append(BenchRecord(p=p, n=n, algo=algo, trials=trials,
-                                       search_time=total / trials,
-                                       total_time=total / trials, field_ops=work))
+                                       search_time=mean, total_time=mean,
+                                       p50_time=median(times), field_ops=work))
     return records, False
 
 
@@ -316,11 +357,11 @@ def write_bench_csv(path, records, truncated: bool) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["p", "n", "algo", "trials",
-                         "search_time", "total_time", "field_ops"])
+                         "search_time", "total_time", "p50_time", "field_ops"])
         for r in records:
             writer.writerow([r.p, r.n, r.algo, r.trials,
                              f"{r.search_time:.9f}", f"{r.total_time:.9f}",
-                             r.field_ops])
+                             f"{r.p50_time:.9f}", r.field_ops])
         if truncated:
             fh.write("# truncated: time budget exceeded\n")
 
@@ -333,6 +374,19 @@ def write_bench_json(path, records, truncated: bool) -> None:
 
 
 def cmd_bench(args) -> int:
+    """Time worst-case decodes, or with --certify the certification jobs,
+    over a (p, n) grid and write one record per job.
+
+    Each grid point costs --trials + 1 decodes per algorithm (O(n^2) cubic,
+    O(n) linear), or --trials calls of check_injectivity (O(T log T) for
+    T = C(n, 3)) and of a 64-pair audit (O(n) per pair).  Memory is that of
+    the largest single job, one code at a time: O(n) for a linear decode,
+    about 2^10 * n bytes of search tables for a cubic one, and about 11 to
+    42 B per triple for check_injectivity, which is not budgeted here; the
+    grid and the records are O(grid).  --budget-seconds stops between jobs.
+    """
+    if args.trials < 1:
+        raise ParameterError(f"bench needs --trials >= 1, got {args.trials}")
     p_values = _parse_int_list(args.p)
     n_values = _parse_int_list(args.n)
     run = run_certify_bench if args.certify else run_bench

@@ -172,7 +172,7 @@ class Codeword:
 
     def symbol_tuples(self):
         """Symbols as coordinate tuples of Python ints, for either dtype."""
-        return list(map(tuple, self.coords.tolist()))
+        return list(zip(*self.coords.T.tolist()))
 
     def __eq__(self, other):
         return (

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
 from typing import Optional, Sequence
 
@@ -181,23 +182,31 @@ def vandermonde_det(spec: CodeSpec, triple_a, triple_b) -> ExtElem:
 
 
 def lcs_length(xs: Sequence, ys: Sequence) -> int:
-    """Longest common subsequence length, by Hunt-Szymanski.
+    """Longest common subsequence length, by Hunt-Szymanski on the shared
+    symbols.
 
-    Index ys by symbol, then feed each x's matching positions in ys, in
-    decreasing order, into a strictly increasing patience-sorting LIS: a
-    common subsequence is exactly a chain of matches increasing in both
-    words, and the decreasing order lets each x extend a chain at most once.
-    Symbols must be hashable.  Takes O((n + m + r) log n) time and O(n + m)
-    memory for lengths n, m and r matching position pairs; r <= n for two
-    distinct codewords of these codes, whose symbols are pairwise distinct
-    unless the word is constant.
+    Only a symbol of both words can take part in a common subsequence, so
+    the two symbol sets are intersected first (C-level set operations), and
+    words that share nothing return 0 at once.  Otherwise ys is indexed by
+    shared symbol, and each shared x's matching positions in ys, in
+    decreasing order, are fed into a strictly increasing patience-sorting
+    LIS: a common subsequence is exactly a chain of matches increasing in
+    both words, and the decreasing order lets each x extend a chain at most
+    once.  Symbols must be hashable; xs is read twice.  Takes O(n + m)
+    expected hashing for lengths n, m, plus O(r log n) for the r matching
+    position pairs, and O(n + m) memory; r <= n for two distinct codewords
+    of these codes, whose symbols are pairwise distinct unless the word is
+    constant, and r = 0 for nearly every random pair.
     """
-    where: dict = {}
-    for j, y in enumerate(ys):
-        where.setdefault(y, []).append(j)
+    shared = set(xs).intersection(ys)
+    if not shared:
+        return 0
+    where: dict = {y: [] for y in shared}
+    for j in compress(range(len(ys)), map(shared.__contains__, ys)):
+        where[ys[j]].append(j)
     tails: list = []   # tails[l]: least end position in ys of a chain of l + 1
-    for x in xs:
-        for j in reversed(where.get(x, ())):
+    for x in filter(shared.__contains__, xs):
+        for j in reversed(where[x]):
             at = bisect_left(tails, j)
             if at == len(tails):
                 tails.append(j)
@@ -210,7 +219,8 @@ def fll_distance(xs: Sequence, ys: Sequence) -> int:
     """n - LCS for two equal-length words (deletion balls of radius t
     intersect exactly when this is <= t).
 
-    Costs one lcs_length: O((n + r) log n) time and O(n) memory.
+    Costs one lcs_length: O(n) expected hashing plus O(r log n) for the r
+    matching position pairs among the shared symbols, and O(n) memory.
     """
     xs = list(xs)
     ys = list(ys)
@@ -232,8 +242,10 @@ def audit_code(spec: CodeSpec, pairs) -> AuditResult:
 
     A maximum of 3 or more disproves (n-3)-deletion correction; the witness
     pair achieving the maximum is always named.  Each pair costs two O(n)
-    encodes and one lcs_length, O(n log n) for distinct codewords; memory
-    is O(n) beyond the pairs themselves.
+    encodes, their O(n) symbol tuples and one lcs_length: O(n) expected
+    hashing plus O(r log n) for the r matching position pairs among the
+    shared symbols, where r <= n for distinct codewords and r = 0 for
+    nearly every random pair.  Memory is O(n) beyond the pairs themselves.
     """
     best = -1
     witness = None

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rsdel.channel import (
@@ -36,6 +37,18 @@ def test_pattern_validation():
         DeletionPattern((0, 1, 2))  # positions are 1-based
     with pytest.raises(ParameterError):
         apply_deletions(["a", "b"], DeletionPattern((1, 3)))
+
+
+def test_pattern_normalizes_positions_and_orders_errors():
+    kept = DeletionPattern(tuple(np.array([2, 5, 9], dtype=np.int64))).kept
+    assert kept == (2, 5, 9)
+    assert all(type(i) is int for i in kept)
+    assert DeletionPattern(()).kept == ()
+    # (3, 0, 5) is both out of order and not 1-based: the 1-based error wins
+    with pytest.raises(ParameterError, match="1-based"):
+        DeletionPattern((3, 0, 5))
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        DeletionPattern((3, 2, 5))
 
 
 def test_pattern_survivors():

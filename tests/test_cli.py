@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rsdel
-from rsdel import decoder
+from rsdel import cli, decoder
 from rsdel.channel import DeletionPattern, enumerate_triples
 from rsdel.cli import main
 from rsdel.code import gamma_map, load_spec
@@ -174,6 +174,7 @@ def test_exit_usage_cases(tmp_path, capsys):
         ("corrupt", "--spec", str(spec), "--in", str(tmp_path / "nope.sym"),
          "--keep", "1,2,3", "--out", d),
         ("bench", "--p", "11,13", "--n", "4,6,8", "--trials", "1", "--out", d),
+        ("bench", "--p", "11", "--n", "4", "--trials", "0", "--out", d),
     ]
     for argv in cases:
         rc, _, err = run(capsys, *argv)
@@ -269,13 +270,15 @@ def test_bench_command(tmp_path, capsys):
                      "--trials", "2", "--out", str(out_csv))
     assert rc == 0 and "wrote 4 records" in out
     lines = out_csv.read_text().splitlines()
-    assert lines[0] == "p,n,algo,trials,search_time,total_time,field_ops"
+    assert lines[0] == "p,n,algo,trials,search_time,total_time,p50_time,field_ops"
     assert len(lines) == 5
     for line in lines[1:]:
-        p, n, algo, trials, search_t, total_t, ops = line.split(",")
+        p, n, algo, trials, search_t, total_t, p50_t, ops = line.split(",")
         assert p == "10007" and n in ("16", "32") and algo in ("cubic", "linear")
         assert trials == "2"
         assert 0.0 <= float(search_t) <= float(total_t)
+        # the median of two trials is their mean
+        assert abs(float(p50_t) - float(total_t)) <= 2e-9
         assert int(ops) > 0
 
 
@@ -293,6 +296,7 @@ def test_bench_json(tmp_path, capsys):
     for r in doc["records"]:
         assert r["trials"] == 2 and r["field_ops"] > 0
         assert 0.0 <= r["search_time"] <= r["total_time"]
+        assert r["p50_time"] == pytest.approx(r["total_time"])
     rc, out, _ = run(capsys, "bench", "--p", "10007", "--n", "16", "--trials", "1",
                      "--budget-seconds", "0", "--out", str(out_json))
     assert rc == 0 and "(truncated)" in out
@@ -312,10 +316,21 @@ def test_bench_certify(tmp_path, capsys):
         (1073741789, 32, "audit_code", 2 * 64 * 32)]
     for r in doc["records"]:
         assert r["trials"] == 2 and 0.0 < r["search_time"] == r["total_time"]
+        assert r["p50_time"] == pytest.approx(r["total_time"])
     rc, out, _ = run(capsys, "bench", "--certify", "--p", "10007", "--n", "16",
                      "--trials", "1", "--budget-seconds", "0", "--out", str(out_json))
     assert rc == 0 and "(truncated)" in out
     assert json.loads(out_json.read_text()) == {"truncated": True, "records": []}
+
+
+def test_bench_p50_is_the_median_trial(monkeypatch):
+    # trials of 1, 2 and 6 s per job: mean 3, median 2
+    ticks = iter([0.0] + [0, 1, 1, 3, 3, 9] + [9, 10, 10, 12, 12, 18])
+    monkeypatch.setattr(cli, "perf_counter", lambda: next(ticks))
+    records, truncated = cli.run_certify_bench([10007], [16], trials=3)
+    assert not truncated
+    assert [(r.algo, r.total_time, r.search_time, r.p50_time) for r in records] == [
+        ("check_injectivity", 3.0, 3.0, 2.0), ("audit_code", 3.0, 3.0, 2.0)]
 
 
 def test_bench_budget_truncation(tmp_path, capsys):

@@ -85,6 +85,18 @@ def test_encode_frozen_example():
     assert encode(spec, m).symbol_tuples() == [(1, 1, 0)] * 4
 
 
+@pytest.mark.parametrize("p, dtype", [(10007, np.int64), ((1 << 61) - 1, object)])
+def test_symbol_tuples_match_row_tuples(p, dtype):
+    spec = get_spec(p, 40)
+    rng = random.Random(89)
+    for _ in range(5):
+        cw = encode(spec, random_message(spec, rng))
+        assert cw.coords.dtype == dtype
+        rows = cw.symbol_tuples()
+        assert rows == list(map(tuple, cw.coords.tolist()))
+        assert all(type(c) is int for row in rows for c in row)
+
+
 def test_encode_linearity():
     rng = random.Random(88)
     for p, n in ((5, 4), (10007, 40)):

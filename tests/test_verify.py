@@ -114,6 +114,27 @@ def test_lcs_against_dp_small_alphabets_and_permutations():
     assert lcs_length(range(50), range(49, -1, -1)) == 1
 
 
+def test_lcs_shared_symbols_only():
+    # disjoint words of unequal length share no symbol
+    assert lcs_length([1, 2, 3, 4, 5], [6, 7]) == 0
+    assert lcs_length(["a"], list("bcdefg")) == 0
+    # one shared symbol at several positions in both words
+    xs = [1, 9, 2, 9, 3, 9]
+    ys = [9, 4, 9, 5, 6, 9, 9]
+    assert lcs_length(xs, ys) == lcs_dp(xs, ys) == 3
+    assert lcs_length(ys, xs) == 3
+    # mostly private symbols around a few shared ones, in both orders
+    rng = random.Random(36)
+    for _ in range(300):
+        shared = rng.randrange(1, 4)
+        xs = [rng.randrange(shared) if rng.random() < 0.2 else ("x", i)
+              for i in range(rng.randrange(60))]
+        ys = [rng.randrange(shared) if rng.random() < 0.2 else ("y", j)
+              for j in range(rng.randrange(60))]
+        assert lcs_length(xs, ys) == lcs_dp(xs, ys)
+        assert lcs_length(ys, xs) == lcs_dp(xs, ys)
+
+
 def test_lcs_codeword_pairs_n150():
     spec = get_spec(10007, 150)
     ext = spec.ext
@@ -147,6 +168,33 @@ def test_audit_matches_dp_audit_n150(monkeypatch):
     assert res.max_lcs <= 2
     monkeypatch.setattr(verify, "lcs_length", lcs_dp)
     assert audit_code(spec, pairs) == res
+
+
+def test_audit_matches_dp_audit_base_field_and_constants(monkeypatch):
+    # base_field_spec codewords m1 + m2*delta_i: adding m2 to m1 shifts the
+    # word by one position, an LCS of n - 1 that the audit must name
+    spec = base_field_spec(101, 12)
+    rng = random.Random(37)
+    pairs = list(sample_message_pairs(spec, 20, seed=38))
+    for _ in range(4):
+        m = random_message(spec, rng)
+        pairs.append((m, Message(m.m1 + m.m2, m.m2)))
+    good = get_spec(10007, 30)
+
+    def constant_pairs(code_spec, count):
+        # distinct constant words share no symbol
+        ext, out = code_spec.ext, []
+        while len(out) < count:
+            a, b = ext.rand(rng), ext.rand(rng)
+            if a != b:
+                out.append((Message(a, ext.zero), Message(b, ext.zero)))
+        return out
+
+    audits = [(spec, pairs), (spec, constant_pairs(spec, 6)), (good, constant_pairs(good, 4))]
+    results = [audit_code(s, ps) for s, ps in audits]
+    assert [r.max_lcs for r in results] == [11, 0, 0]
+    monkeypatch.setattr(verify, "lcs_length", lcs_dp)
+    assert [audit_code(s, ps) for s, ps in audits] == results
 
 
 def test_fll_distance():
