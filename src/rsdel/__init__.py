@@ -16,6 +16,7 @@ from .code import (
     Message,
     build_code,
     encode,
+    encode_many,
     gamma_map,
     interpolate,
     load_codeword,
@@ -65,6 +66,7 @@ from .verify import (
     base_field_spec,
     check_injectivity,
     fll_distance,
+    iter_message_pairs,
     lcs_length,
     sample_message_pairs,
     vandermonde_det,
@@ -106,6 +108,7 @@ __all__ = [
     "decode_linear",
     "decode_received",
     "encode",
+    "encode_many",
     "enumerate_triples",
     "extract_coefficients",
     "fll_distance",
@@ -114,6 +117,7 @@ __all__ = [
     "interpolate",
     "is_irreducible_cubic",
     "is_prime",
+    "iter_message_pairs",
     "lcs_length",
     "load_codeword",
     "load_spec",

@@ -159,12 +159,14 @@ def cmd_check_condition(args) -> int:
 def cmd_audit(args) -> int:
     """Max pairwise codeword LCS over --pairs seeded message pairs.
 
-    O(P * n) time for P pairs: each costs two O(n) encodes and an LCS of
+    O(P * n) time for P pairs: each costs O(n) of encoding and an LCS of
     O(n) expected hashing plus O(r log n) for its r matching positions.
-    Memory is O(P) for the sampled pairs plus O(n) for one pair's words.
+    The pairs are generated as they are audited, so memory is one audit
+    chunk of about 2^12 symbols (O(n) for one pair when n > 2^11), whatever
+    P is.
     """
     spec = code.load_spec(args.spec)
-    pairs = verify.sample_message_pairs(spec, args.pairs, args.seed)
+    pairs = verify.iter_message_pairs(spec, args.pairs, args.seed)
     result = verify.audit_code(spec, pairs)
     print(f"pairs {result.pairs_checked}")
     print(f"max-lcs {result.max_lcs}")

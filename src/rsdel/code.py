@@ -12,14 +12,26 @@ Positions are 1-based everywhere in the public API.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInterpolationError, FieldMismatchError, ParameterError
 from .field import CubicField, ExtElem, MonicCubic, PrimeField, find_irreducible_cubic
+
+
+def _integers(values, what: str) -> tuple:
+    """values as a tuple of Python ints, each read through operator.index,
+    so a float or a string is refused rather than truncated; raises
+    ParameterError for a value that is not an integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ParameterError(f"{what} must be integers") from None
 
 
 class CodeSpec:
@@ -46,7 +58,7 @@ class CodeSpec:
                  alpha_rows=None):
         field = PrimeField(p)
         ext = CubicField(field, g)
-        delta = tuple(int(d) for d in delta)
+        delta = _integers(delta, "delta entries")
         n = len(delta)
         if not 3 <= n <= p - 1:
             raise ParameterError(
@@ -69,11 +81,13 @@ class CodeSpec:
             alpha = np.stack([d, d * d % p, np.zeros(n, dtype=dtype)], axis=1)
             w = 2   # d and d^2 are nonzero
         else:
-            alpha = np.array(alpha_rows, dtype=dtype) % p
-            if alpha.shape != (n, 3):
+            rows = [tuple(c % p for c in _integers(row, "alpha override entries"))
+                    for row in alpha_rows]
+            if len(rows) != n or any(len(row) != 3 for row in rows):
                 raise ParameterError("alpha override must have shape (n, 3)")
-            if len({tuple(int(c) for c in row) for row in alpha}) != n:
+            if len(set(rows)) != n:
                 raise ParameterError("evaluation points must be distinct")
+            alpha = np.array(rows, dtype=dtype)
             w = int(np.flatnonzero(alpha.any(axis=0))[-1]) + 1  # distinct points: w >= 1
         alpha.setflags(write=False)
         self._alpha = alpha
@@ -196,20 +210,56 @@ def _require_field(ext: CubicField, elems, what: str) -> None:
             raise FieldMismatchError(f"{what} lies in {e.field!r}, not in {ext!r}")
 
 
-def encode(spec: CodeSpec, m: Message) -> Codeword:
-    """Evaluate m1 + m2*alpha_i at every evaluation point.
+def _evaluate(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
+    """The B words of messages as one reduced (n, 3B) product, word b in
+    columns 3b..3b+2.
 
-    One matmul on the lifted locators, then one in-place reduction: row i
-    of [1 | alpha[:, :w]] @ [m1; rows 0..w-1 of M_{m2}] is m1 + alpha_i*m2,
-    since alpha_i's coordinates past w are zero.  An entry is at most
-    p + 3p^2, exact in int64 for p <= 2^30.  Takes O(n) time and memory.
+    Row i of [1 | alpha[:, :w]] @ [m1; rows 0..w-1 of M_{m2}] is
+    m1 + alpha_i*m2, since alpha_i's coordinates past w are zero; the B
+    right-hand sides stand side by side as one (1 + w, 3B) matrix, and the
+    product is reduced in place.  An entry is at most p + 3p^2, exact in
+    int64 for p <= 2^30.  Raises FieldMismatchError at the first message
+    outside spec's field.
     """
-    _require_field(spec.ext, (m.m1, m.m2), "message")
+    ext = spec.ext
     lifted = spec._lifted
-    rows = (m.m1.coords, *spec.ext.mul_matrix(m.m2.coords)[:lifted.shape[1] - 1])
-    word = lifted @ np.array(rows, dtype=lifted.dtype)
-    word %= spec.p
-    return Codeword(spec, word)
+    w = lifted.shape[1] - 1
+    rhs = []
+    for m in messages:
+        _require_field(ext, (m.m1, m.m2), "message")
+        rhs.append((m.m1.coords, *ext.mul_matrix(m.m2.coords)[:w]))
+    if len(rhs) == 1:
+        # one message's rows are already in place, and a plain array is
+        # cheapest for encode, which every decode calls
+        rows = np.array(rhs[0], dtype=lifted.dtype)
+    else:
+        flat = chain.from_iterable   # entries in (row, message, coordinate) order
+        rows = np.array(list(flat(flat(zip(*rhs)))), dtype=lifted.dtype)
+        rows = rows.reshape(1 + w, 3 * len(rhs))
+    words = lifted @ rows
+    words %= spec.p
+    return words
+
+
+def encode_many(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
+    """Evaluate B messages at every evaluation point in one matmul.
+
+    messages is any iterable, read once in order.  Returns the C-contiguous
+    (n, B, 3) array of canonical coordinates, dtype spec.ext.dtype: word b
+    is [:, b], equal to encode(spec, the b-th message).  Raises
+    FieldMismatchError at the first message outside spec's field.
+    Takes O(nB) time and memory: O(1) Python work per message, then a fixed
+    number of numpy calls (one matmul and one in-place reduction).
+    """
+    words = _evaluate(spec, messages)
+    return words.reshape(spec.n, words.shape[1] // 3, 3)
+
+
+def encode(spec: CodeSpec, m: Message) -> Codeword:
+    """Evaluate m1 + m2*alpha_i at every evaluation point: encode_many's
+    one-message case, the same single matmul and reduction without the
+    (n, 1, 3) view.  Takes O(n) time and memory."""
+    return Codeword(spec, _evaluate(spec, (m,)))
 
 
 def interpolate(spec: CodeSpec, i: int, j: int, y_i: ExtElem, y_j: ExtElem) -> Message:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rsdel
-from rsdel import cli, decoder
+from rsdel import cli, decoder, verify
 from rsdel.channel import DeletionPattern, enumerate_triples
 from rsdel.cli import main
 from rsdel.code import gamma_map, load_spec
@@ -213,6 +213,31 @@ def test_audit_command(tmp_path, capsys):
     assert "pairs 200" in out
     lcs_line = next(l for l in out.splitlines() if l.startswith("max-lcs"))
     assert int(lcs_line.split()[1]) <= 2
+
+
+@pytest.mark.parametrize("p, n, pairs, seed, max_lcs", [
+    (5, 4, 1000, 2, 2),        # two audit chunks, of 512 and 488 pairs
+    (10007, 150, 250, 3, 0),   # twenty audit chunks of up to 13 pairs
+    ((1 << 61) - 1, 20, 30, 5, 0),   # object words, coordinate tuples
+])
+def test_audit_command_streams_seeded_pairs(tmp_path, capsys, monkeypatch, p, n, pairs,
+                                            seed, max_lcs):
+    # the output of the list-fed audit, while the pairs now reach
+    # audit_code as a generator
+    spec = gen(tmp_path, capsys, p=p, n=n)
+    fed = []
+    audit = verify.audit_code
+
+    def recording_audit(code_spec, message_pairs):
+        fed.append(message_pairs)
+        return audit(code_spec, message_pairs)
+
+    monkeypatch.setattr(verify, "audit_code", recording_audit)
+    rc, out, _ = run(capsys, "audit", "--spec", str(spec), "--pairs", str(pairs),
+                     "--seed", str(seed))
+    assert rc == 0
+    assert out == f"pairs {pairs}\nmax-lcs {max_lcs}\n"
+    assert len(fed) == 1 and not isinstance(fed[0], (list, tuple))
 
 
 def test_roundtrip_command(tmp_path, capsys):

@@ -10,6 +10,7 @@ from rsdel.code import (
     Message,
     build_code,
     encode,
+    encode_many,
     gamma_map,
     interpolate,
     load_codeword,
@@ -25,7 +26,7 @@ from rsdel.errors import (
     FieldMismatchError,
     ParameterError,
 )
-from rsdel.field import MonicCubic
+from rsdel.field import MonicCubic, find_irreducible_cubic
 
 from conftest import get_spec
 
@@ -308,3 +309,56 @@ def test_spec_equality_and_hash():
 def test_direct_spec_construction_rejects_bad_alpha_rows():
     with pytest.raises(ParameterError):
         CodeSpec(5, MonicCubic(1, 1, 0), (1, 2, 3), alpha_rows=[(1, 0, 0), (1, 0, 0), (2, 0, 0)])
+
+
+def test_spec_entries_must_be_integers():
+    # floats were truncated, and an alpha entry of 2^63 or more overflowed
+    # int64; now every entry is read through operator.index and reduced
+    # mod p as a Python int
+    g = find_irreducible_cubic(101)
+    for delta in ((1.5, 2, 3), (1, "2", 3), (1, 2, 3.0)):
+        with pytest.raises(ParameterError):
+            CodeSpec(101, g, delta)
+    for rows in ([(1.5, 0, 0), (2, 0, 0), (3, 0, 0)], [(1, 0, 0), (2, 0.0, 0), (3, 0, 0)],
+                 [(1, 0, 0), (2, 0), (3, 0, 0)], [(1, 0, 0), (2, 0, 0)]):
+        with pytest.raises(ParameterError):
+            CodeSpec(101, g, (1, 2, 3), alpha_rows=rows)
+    spec = CodeSpec(101, g, [np.int64(1), 2, 3],
+                    alpha_rows=[(1, 0, 0), (2 + 101, -101, 0), (np.int64(3), 0, 101 << 70)])
+    assert spec.delta == (1, 2, 3) and all(type(d) is int for d in spec.delta)
+    assert [spec.alpha_coords(i) for i in (1, 2, 3)] == [(1, 0, 0), (2, 0, 0), (3, 0, 0)]
+    g = get_spec(10007, 3).g
+    big = (1 << 64) + 5
+    spec = CodeSpec(10007, g, (1, 2, 3), alpha_rows=[(big, 0, 0), (0, big, 0), (0, 0, big)])
+    assert spec._alpha.dtype == np.int64
+    assert spec.alpha_coords(1) == (big % 10007, 0, 0)
+    assert spec.alpha_coords(3) == (0, 0, big % 10007)
+    with pytest.raises(ParameterError):
+        CodeSpec(10007, g, (1, 2, 3), alpha_rows=[(big, 0, 0), (big + 10007, 0, 0), (1, 0, 0)])
+
+
+@pytest.mark.parametrize("p, dtype", [(10007, np.int64), ((1 << 61) - 1, object)])
+def test_encode_many_matches_encode(p, dtype):
+    # oracle: encode, and m1 + m2*alpha_i by CubicField.mul one symbol at a
+    # time, for the quadratic map and for points of lifted width 3
+    rng = random.Random(90)
+    n = 12
+    spec = get_spec(p, n)
+    wide = CodeSpec(p, spec.g, range(1, n + 1),
+                    alpha_rows=[(rng.randrange(p), rng.randrange(p), d) for d in range(1, n + 1)])
+    for s in (spec, wide):
+        ext = s.ext
+        for count in (0, 1, 3):
+            messages = [random_message(s, rng) for _ in range(count)]
+            words = encode_many(s, messages)
+            assert words.shape == (n, count, 3) and words.dtype == dtype
+            assert words.flags.c_contiguous
+            for b, m in enumerate(messages):
+                assert np.array_equal(words[:, b], encode(s, m).coords)
+                for i in range(1, n + 1):
+                    want = ext.add(m.m1.coords, ext.mul(m.m2.coords, s.alpha_coords(i)))
+                    assert tuple(int(c) for c in words[i - 1, b]) == want
+    other = get_spec(7, 4)
+    good = random_message(spec, rng)
+    with pytest.raises(FieldMismatchError):
+        encode_many(spec, [good, Message(other.ext.one, other.ext.zero)])

@@ -8,14 +8,16 @@ import pytest
 
 from rsdel.channel import enumerate_triples
 from rsdel.code import CodeSpec, Message, build_code, encode, gamma_map, random_message
-from rsdel.errors import BudgetExceededError, ParameterError
+from rsdel.errors import BudgetExceededError, FieldMismatchError, ParameterError
 from rsdel.field import find_irreducible_cubic
 from rsdel import verify
 from rsdel.verify import (
+    AuditResult,
     audit_code,
     base_field_spec,
     check_injectivity,
     fll_distance,
+    iter_message_pairs,
     lcs_length,
     sample_message_pairs,
     vandermonde_det,
@@ -195,6 +197,86 @@ def test_audit_matches_dp_audit_base_field_and_constants(monkeypatch):
     assert [r.max_lcs for r in results] == [11, 0, 0]
     monkeypatch.setattr(verify, "lcs_length", lcs_dp)
     assert [audit_code(s, ps) for s, ps in audits] == results
+
+
+def audit_per_pair(spec, pairs):
+    """The audit one pair at a time, on symbol tuples of separate encodes."""
+    best, witness, count = -1, None, 0
+    for ma, mb in pairs:
+        if ma == mb:
+            raise ParameterError("equal pair")
+        l = lcs_length(encode(spec, ma).symbol_tuples(), encode(spec, mb).symbol_tuples())
+        count += 1
+        if l > best:
+            best, witness = l, (ma, mb)
+    return AuditResult(best if count else 0, witness, count)
+
+
+# int64 symbols hashed as 24-byte rows, and object symbols (p > 2^30, here
+# also beyond 2^64) as coordinate tuples
+@pytest.mark.parametrize("p", [10007, (1 << 61) - 1, (1 << 64) - 59])
+def test_chunked_audit_matches_per_pair_audit(p):
+    n = 24
+    chunk = verify._AUDIT_CHUNK_SYMBOLS // (2 * n)
+    rng = random.Random(p % 1000)
+    good, bad = get_spec(p, n), base_field_spec(p, n)
+
+    def mixed_pairs(spec, count):
+        # random pairs, constant-vs-constant pairs and pairs sharing a
+        # symbol; the last pair is shifted by one position, an LCS of n - 1
+        # on base_field_spec, which thus first reaches its maximum in the
+        # last chunk
+        ext, out = spec.ext, []
+        while len(out) < count:
+            ma = random_message(spec, rng)
+            if len(out) == count - 1:
+                mb = Message(ma.m1 + ma.m2, ma.m2)
+            elif len(out) % 3 == 1:
+                ma, mb = Message(ma.m1, ext.zero), Message(ext.rand(rng), ext.zero)
+            elif len(out) % 3 == 2:
+                mb = Message(encode(spec, ma)[rng.randrange(n)], ext.zero)
+            else:
+                mb = random_message(spec, rng)
+            if ma != mb:
+                out.append((ma, mb))
+        return out
+
+    for spec in (good, bad):
+        for count in (0, 1, 2, chunk, chunk + 1):
+            pairs = mixed_pairs(spec, count)
+            got = audit_code(spec, iter(pairs))
+            assert got == audit_per_pair(spec, pairs)
+            assert got.pairs_checked == count
+            if spec is good:
+                assert got.max_lcs <= 2
+            elif count:
+                assert got.max_lcs == n - 1 and got.witness == pairs[-1]
+
+
+@pytest.mark.parametrize("p", [10007, (1 << 61) - 1])
+def test_audit_errors_in_a_later_chunk(p):
+    spec = get_spec(p, 150)
+    chunk = verify._AUDIT_CHUNK_SYMBOLS // (2 * spec.n)
+    pairs = sample_message_pairs(spec, chunk + 3, seed=41)
+    m = pairs[0][0]
+    foreign = Message(get_spec(7, 4).ext.one, get_spec(7, 4).ext.zero)
+    with pytest.raises(ParameterError):
+        audit_code(spec, pairs + [(m, m)])
+    with pytest.raises(FieldMismatchError):
+        audit_code(spec, pairs + [(m, foreign)])
+    # within a chunk the pairs are checked in order, as one by one
+    with pytest.raises(FieldMismatchError):
+        audit_code(spec, pairs + [(foreign, m), (m, m)])
+    with pytest.raises(ParameterError):
+        audit_code(spec, pairs + [(m, m), (foreign, m)])
+
+
+def test_iter_message_pairs_is_lazy_and_matches_sample():
+    spec = get_spec(10007, 8)
+    pairs = iter_message_pairs(spec, 1 << 60, seed=4)
+    first = [next(pairs) for _ in range(50)]
+    assert first == sample_message_pairs(spec, 50, seed=4)
+    assert list(iter_message_pairs(spec, 0, seed=4)) == []
 
 
 def test_fll_distance():
