@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
+from .code import _integers
 from .errors import ParameterError
 
 
@@ -21,7 +22,7 @@ class DeletionPattern:
     kept: tuple[int, ...]
 
     def __post_init__(self):
-        kept = tuple(map(int, self.kept))
+        kept = _integers(self.kept, "kept positions")
         object.__setattr__(self, "kept", kept)
         if min(kept, default=1) < 1:
             raise ParameterError(f"positions are 1-based, got {kept}")

@@ -142,7 +142,7 @@ def cmd_check_condition(args) -> int:
 
     Refuses before allocating when C(n, 3) exceeds --budget.  Otherwise
     O(T log T) numpy time for T = C(n, 3), and about 11 B per triple for
-    p < 2^21 or 19 B up to 2^30 (34 and 42 B when a collision is named).
+    p <= 2^30 or 23 B above (up to 27 B when a collision is named).
     """
     spec = code.load_spec(args.spec)
     witness = verify.check_injectivity(spec, budget=args.budget)
@@ -165,6 +165,8 @@ def cmd_audit(args) -> int:
     chunk of about 2^12 symbols (O(n) for one pair when n > 2^11), whatever
     P is.
     """
+    if args.pairs < 1:
+        raise ParameterError(f"audit needs --pairs >= 1, got {args.pairs}")
     spec = code.load_spec(args.spec)
     pairs = verify.iter_message_pairs(spec, args.pairs, args.seed)
     result = verify.audit_code(spec, pairs)
@@ -189,6 +191,8 @@ def cmd_roundtrip(args) -> int:
     message and codeword and, unless the codeword is constant, claim exactly
     the kept positions.  A word costs one decode plus O(n + m) per algorithm.
     """
+    if args.trials < 1:
+        raise ParameterError(f"roundtrip needs --trials >= 1, got {args.trials}")
     spec = code.load_spec(args.spec)
     if args.exhaustive:
         total = args.trials * channel.triple_count(spec.n)
@@ -199,7 +203,6 @@ def cmd_roundtrip(args) -> int:
     rng = random.Random(args.seed)
     algos = ("cubic", "linear") if args.algo == "both" else (args.algo,)
     failures = 0
-    successes = 0
     trials = 0
     longest = 0
     for _ in range(args.trials):
@@ -234,13 +237,11 @@ def cmd_roundtrip(args) -> int:
                 if (a.message != b.message or a.codeword != b.codeword
                         or a.kappa != b.kappa):
                     ok = False
-            if ok:
-                successes += 1
-            else:
+            if not ok:
                 failures += 1
     print(f"trials {trials}")
     print(f"longest {longest}")
-    print(f"successes {successes}")
+    print(f"successes {trials - failures}")
     print(f"failures {failures}")
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
@@ -258,11 +259,11 @@ class BenchRecord:
 
 
 def _bench_grid(p_values, n_values):
-    """(p, n) pairs: one p for every n, or one p per n."""
+    """(p, n) pairs: one p for every n, or one p per n, and at least one n."""
     if len(p_values) == 1:
         p_values = list(p_values) * len(n_values)
-    if len(p_values) != len(n_values):
-        raise ParameterError("need one p, or exactly one p per n")
+    if not n_values or len(p_values) != len(n_values):
+        raise ParameterError("need at least one n, and one p or exactly one p per n")
     return list(zip(p_values, n_values))
 
 
@@ -384,7 +385,7 @@ def cmd_bench(args) -> int:
     T = C(n, 3)) and of a 64-pair audit (O(n) per pair).  Memory is that of
     the largest single job, one code at a time: O(n) for a linear decode,
     about 2^10 * n bytes of search tables for a cubic one, and about 11 to
-    42 B per triple for check_injectivity, which is not budgeted here; the
+    27 B per triple for check_injectivity, which is not budgeted here; the
     grid and the records are O(grid).  --budget-seconds stops between jobs.
     """
     if args.trials < 1:

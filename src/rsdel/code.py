@@ -298,9 +298,13 @@ def gamma_map(spec: CodeSpec, i: int, j: int, k: int) -> ExtElem:
 def lookup_delta(spec: CodeSpec, d: int) -> Optional[int]:
     """1-based position of base-field value d in delta, or None.
 
-    One dict lookup: O(1) expected time, no allocation.
+    One dict lookup: O(1) expected time, no allocation.  ParameterError if
+    d is not an integer (a float or a string is not truncated).
     """
-    return spec.delta_index.get(int(d))
+    try:
+        return spec.delta_index.get(operator.index(d))
+    except TypeError:
+        raise ParameterError(f"delta values must be integers, got {d!r}") from None
 
 
 def random_message(spec: CodeSpec, rng: random.Random) -> Message:

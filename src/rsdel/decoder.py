@@ -58,7 +58,7 @@ from .errors import (
     ParameterError,
     UnrecognizedReceivedWordError,
 )
-from .field import ExtElem, PrimeField
+from .field import _INT64_COORD_MAX_P, _INT64_SUM_MAX_P, ExtElem, PrimeField
 
 PATH_CLOSED_FORM = "closed-form"
 PATH_FALLBACK = "fallback-search"
@@ -245,18 +245,16 @@ def solve_deltas(pf: PrimeField, coeffs,
 # one add, one mask and one table read), O(n) setup, and a lookup for the
 # survivors of both tables.  Memory: O(n) columns and the block per decode;
 # the tables per spec take 2*2^bit_length(256*n) bytes plus O(n) columns.
-# Sums of two canonical coordinates stay below 2^63 for p < 2^62, so the
-# search columns are int64 there and Python ints (object dtype) above, on
-# the same code path; products of coordinates only occur in the O(n) setup,
-# in the field's own dtype.
+# Sums of two canonical coordinates stay below 2^63 for p < 2^62
+# (_INT64_SUM_MAX_P), so the search columns are int64 there and Python ints
+# (object dtype) above, on the same code path; products of coordinates only
+# occur in the O(n) setup, in the field's own dtype.
 
 _SEARCH_BLOCK_ROWS = 16
 _FILTER_SLOTS_PER_TARGET = 256  # table size: 2^bit_length(slots * n); 0 lets all pass
 _MIX = 0x9E3779B9               # odd: u -> _MIX*u permutes the residues mod 2^b
 _KEY_ROWS = np.array([[1, _MIX, 0],   # u_0 + _MIX*u_1
                       [_MIX, 0, 1]])  # u_2 + _MIX*u_0
-_LOW63 = (1 << 63) - 1
-_INT64_SEARCH_MAX_P = 1 << 62
 
 
 class _SearchTables(NamedTuple):
@@ -291,7 +289,7 @@ def _key_halves(cols, mask):
     (wrapping for int64 columns)."""
     keys = _KEY_ROWS @ cols
     if keys.dtype != np.int64:
-        keys = (keys & _LOW63).astype(np.int64)
+        keys = (keys & (_INT64_COORD_MAX_P - 1)).astype(np.int64)  # the low 63 bits
     keys &= mask
     return keys
 
@@ -300,7 +298,7 @@ def _search_columns(spec: CodeSpec) -> _SearchTables:
     """The search tables of spec, built on its first search and kept."""
     if spec._search_columns is None:
         p, n = spec.p, spec.n
-        dtype = np.int64 if p < _INT64_SEARCH_MAX_P else object
+        dtype = np.int64 if p < _INT64_SUM_MAX_P else object
         a = np.array(spec._alpha.T, dtype=dtype)
         mask = (1 << (_FILTER_SLOTS_PER_TARGET * n).bit_length()) - 1
         shifts = np.array([(e0 + _MIX * e1) & mask for e0 in (0, p) for e1 in (0, p)])

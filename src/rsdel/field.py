@@ -19,11 +19,11 @@ import numpy as np
 
 from .errors import FieldMismatchError, ParameterError
 
-# int64 column math is exact while p stays below this bound: array formulas
-# in the package sum at most three products of canonical coordinates, plus
-# one more coordinate, before they reduce mod p, and 3p^2 + p < 2^63.
-# Beyond it arrays hold Python ints (object dtype).
-_INT64_MAX_P = 1 << 30
+# The int64 bounds on p, stated once: a column is exact in int64 while p is
+# below the bound for what it holds, and holds Python ints (object dtype) above.
+_INT64_PRODUCT_MAX_P = 1 << 30  # three products of coordinates plus one: 3p^2 + p < 2^63
+_INT64_SUM_MAX_P = 1 << 62      # two coordinates, as the cubic search adds them
+_INT64_COORD_MAX_P = 1 << 63    # one coordinate; a wider int enters a key by its low 63 bits
 
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -236,7 +236,7 @@ class CubicField:
         self.base = base
         self.p = p
         self.g = g
-        self.dtype = np.int64 if p <= _INT64_MAX_P else object  # of coordinate arrays
+        self.dtype = np.int64 if p < _INT64_PRODUCT_MAX_P else object  # of coordinate arrays
         self._consts = _reduction_consts(p, g)
 
     def __eq__(self, other):

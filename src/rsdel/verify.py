@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import accumulate, compress, islice
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .code import CodeSpec, Message, encode, encode_many, random_message
 from .errors import BudgetExceededError, ParameterError
-from .field import ExtElem, find_irreducible_cubic
+from .field import _INT64_COORD_MAX_P, ExtElem, find_irreducible_cubic
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,9 @@ class CollisionWitness:
     triple_a: tuple[int, int, int]
     triple_b: tuple[int, int, int]
     value: ExtElem
+
+
+_KEY_MUL = 0x5851F42D4C957F2D  # odd, below 2^63: the multiplier of _ratio_keys
 
 
 def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[CollisionWitness]:
@@ -46,15 +49,15 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     (CubicField.inv_many: O(n^2) numpy work and a single F_p inverse) into
     a pair table; then every ratio is computed in numpy, one block of pairs
     (j, k) per i, and the C(n, 3) values are sorted to find repeats, which
-    is O(T log T) numpy work for T = C(n, 3) triples.  Each value is stored
-    as sort keys: one packed int64 for p < 2^21, c0 + c1*p and c2 for
-    p <= 2^31, the three coordinates above (Python ints for p >= 2^63).  The
-    leading key is sorted in place, and only when it repeats are the keys
-    built a second time (one more O(T) pass) and all of them lexsorted.
-    Memory is O(n^2) scratch plus the keys and a repeat mask: about 11 B
-    per triple for p < 2^21 and 19 B up to 2^30 (tracemalloc at n = 150),
-    so the default budget implies about 110 MB at p < 2^21.  Naming a
-    collision takes up to 34 and 42 B per triple.
+    is O(T log T) numpy work for T = C(n, 3) triples.  Each value is one
+    hashed int64 key, for every p, sorted in place; only a repeated key has
+    the keys built again (one more O(T) pass) and argsorted stably, and the
+    repeats checked exactly in rank order, one O(T) argmin each, so a key
+    shared by distinct values costs time, never a wrong answer.  Memory is
+    O(n^2) scratch plus the keys and a repeat mask: about 11 B per triple
+    for p <= 2^30 and 23 B above, where blocks hold Python ints (tracemalloc
+    at n = 150), so the default budget implies about 110 and 230 MB.  A
+    repeated key, and so any collision, takes up to 27 B per triple.
     """
     n = spec.n
     total = comb(n, 3)
@@ -71,74 +74,67 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     # t = (j, k): row 0 holds v = -alpha_j/(alpha_j - alpha_k), rows 1..w the
     # rows of M_{1/(alpha_j - alpha_k)} that alpha_i's nonzero coordinates
     # pick out.  int64 stays exact, since a sum of row 0 and w <= 3 products
-    # is at most p + 3p^2 < 2^63 for p <= 2^30.
+    # is at most p + 3p^2 < 2^63 for p <= 2^30, field._INT64_PRODUCT_MAX_P.
     rows = np.array(ext.mul_matrix(inverse)[:w], dtype=ext.dtype)  # (row, coordinate, pair)
     table = np.empty((1 + w, len(pair_j), 3), dtype=ext.dtype)  # (row, pair, coordinate)
     table[0] = (-(alpha_j[:w, None] * rows).sum(axis=0) % p).T
     table[1:] = rows.transpose(0, 2, 1)
     table = table.reshape(1 + w, -1)
     del alpha_j, inverse, rows
-    # sort keys: the leading key packs the first `pack` coordinates as
-    # c0 + c1*p (+ c2*p^2), the rest follow one column each; a packed key
-    # stays below 2^63 for p < 2^21 (three coordinates) and below 2^62 for
-    # p <= 2^31 (two)
-    pack = 3 if p < (1 << 21) else 2 if p <= (1 << 31) else 1
-    block_rank, block_pair = [], []   # first triple rank and first pair of block i
-    rank = pair = 0
-    for i in range(n - 2):
-        pair += n - 1 - i   # the first pair (j, k) with j > i
-        block_rank.append(rank)
-        block_pair.append(pair)
-        rank += len(pair_j) - pair
+    widths = [comb(n - 1 - i, 2) for i in range(n - 2)]     # block i: the pairs j > i
+    block_rank = list(accumulate(widths[:-1], initial=0))  # its first triple's rank
+    block_pair = [len(pair_j) - width for width in widths]  # and its first pair
 
-    keys = _ratio_keys(table, lifted, block_pair, block_rank, p, pack, total)
-    # a repeated value repeats its leading key; only then sort every key
-    keys[0].sort()
-    if not (keys[0, 1:] == keys[0, :-1]).any():
+    keys = _ratio_keys(table, lifted, block_pair, block_rank, p, total)
+    keys.sort()
+    if not (keys[1:] == keys[:-1]).any():
         return None
     del keys
-    keys = _ratio_keys(table, lifted, block_pair, block_rank, p, pack, total)
-    order = np.lexsort(keys[::-1])
-    same = np.ones(total - 1, dtype=bool)
-    for column in keys:
-        ordered = column[order]
-        same &= ordered[1:] == ordered[:-1]
-    if not same.any():
-        return None
-    del ordered
-    # the sort is stable, so a run of equal values lists their ranks in
-    # increasing order: every entry after the run's first is a repeat, and
-    # the lowest-rank repeat is the second entry of its run
-    repeats = np.flatnonzero(same) + 1
-    pos_b = repeats[np.argmin(order[repeats])]
+    keys = _ratio_keys(table, lifted, block_pair, block_rank, p, total)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    same = keys[1:] == keys[:-1]   # same[q]: sorted entry q + 1 repeats entry q's key
+    del keys
+    # the sort is stable, so a run of equal keys lists its ranks in increasing
+    # order; ranks[q] is entry q + 1's rank if it repeats its run's key, else total
+    ranks = np.where(same, order[1:], total)
 
-    def triple(r):
+    def at(r):   # the triple of rank r and its ratio value
         i = bisect_right(block_rank, r) - 1
         t = block_pair[i] + r - block_rank[i]
-        return (i + 1, int(pair_j[t]) + 1, int(pair_k[t]) + 1)
+        value = tuple(int(c) for c in lifted[i] @ table[:, 3 * t:3 * t + 3] % p)
+        return (i + 1, int(pair_j[t]) + 1, int(pair_k[t]) + 1), value
 
-    rank_b = int(order[pos_b])
-    lead, *rest = (int(c) for c in keys[:, rank_b])
-    value = []
-    for _ in range(pack - 1):
-        lead, c = divmod(lead, p)
-        value.append(c)
-    value = (*value, lead, *rest)
-    return CollisionWitness(triple(int(order[pos_b - 1])), triple(rank_b), ExtElem(ext, value))
+    # candidates in increasing rank: the first whose value equals an earlier
+    # entry of its run is triple_b, and that entry (only one can equal it)
+    # triple_a; a repeat of the key alone moves on to the next candidate
+    while ranks[q := int(ranks.argmin())] < total:
+        triple_b, value_b = at(int(ranks[q]))
+        start = q
+        while start and same[start - 1]:
+            start -= 1
+        for rank_a in order[start:q + 1].tolist():
+            triple_a, value_a = at(rank_a)
+            if value_a == value_b:
+                return CollisionWitness(triple_a, triple_b, ExtElem(ext, value_b))
+        ranks[q] = total
+    return None
 
 
-def _ratio_keys(table, lifted, block_pair, block_rank, p, pack, total):
-    """Sort keys of all C(n, 3) ratio values, one block of pairs per i.
+def _ratio_keys(table, lifted, block_pair, block_rank, p, total):
+    """Int64 sort keys of all C(n, 3) ratio values, one block of pairs per i.
 
     Block i is row 0 of the pair table plus lifted[i, r] times row r, built
     by in-place adds that skip zero multipliers, then reduced mod p: int64
     blocks by floor division by the scalar p (which numpy runs through
-    libdivide, about twice as fast as %), object blocks by %.  The leading
-    key is packed by Horner's rule straight into its row of the keys.
+    libdivide, about twice as fast as %), object blocks by % and a cast to
+    int64, of each coordinate's low 63 bits from _INT64_COORD_MAX_P on.
+    The key c0 + _KEY_MUL*(c1 + _KEY_MUL*c2) mod 2^64 is built by Horner's
+    rule straight into its slice of the keys: equal values have equal keys,
+    and distinct ones share one only by chance.
     """
     int64 = table.dtype == np.int64
-    keys = np.empty((4 - pack, total),
-                    dtype=np.int64 if pack > 1 or p < (1 << 63) else object)
+    keys = np.empty(total, dtype=np.int64)
     block = np.empty(table.shape[1], dtype=table.dtype)
     scratch = np.empty_like(block)
     for i, (pair, rank) in enumerate(zip(block_pair, block_rank)):
@@ -155,15 +151,15 @@ def _ratio_keys(table, lifted, block_pair, block_rank, p, pack, total):
             b -= s
         else:
             b %= p
-            if pack > 1:
-                b = b.astype(np.int64)  # the packed key fits int64, not its inputs
-        coords = b.reshape(-1, 3)
-        key = keys[0, rank:rank + len(coords)]
-        key[:] = coords[:, pack - 1]
-        for e in range(pack - 2, -1, -1):
-            key *= p
-            key += coords[:, e]
-        keys[1:, rank:rank + len(coords)] = coords[:, pack:].T
+            if p >= _INT64_COORD_MAX_P:
+                b &= _INT64_COORD_MAX_P - 1   # the low 63 bits
+            b = b.astype(np.int64)
+        c0, c1, c2 = b.reshape(-1, 3).T
+        key = keys[rank:rank + len(c0)]
+        np.multiply(c2, _KEY_MUL, out=key)
+        key += c1
+        key *= _KEY_MUL
+        key += c0
     return keys
 
 

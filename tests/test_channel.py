@@ -51,6 +51,16 @@ def test_pattern_normalizes_positions_and_orders_errors():
         DeletionPattern((3, 2, 5))
 
 
+def test_pattern_positions_must_be_integers():
+    # floats were truncated ((1.7, 2, 3) kept (1, 2, 3)) and strings parsed
+    for kept in ((1.7, 2, 3), ("1", 2, 3), (1, 2, 3.0), (None,)):
+        with pytest.raises(ParameterError, match="integers"):
+            DeletionPattern(kept)
+    # the integer check comes first, then 1-based, then the order
+    with pytest.raises(ParameterError, match="integers"):
+        DeletionPattern((3, 0, 5.0))
+
+
 def test_pattern_survivors():
     pat = DeletionPattern((2, 5, 9))
     assert pat.survivors == 3

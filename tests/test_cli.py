@@ -175,6 +175,13 @@ def test_exit_usage_cases(tmp_path, capsys):
          "--keep", "1,2,3", "--out", d),
         ("bench", "--p", "11,13", "--n", "4,6,8", "--trials", "1", "--out", d),
         ("bench", "--p", "11", "--n", "4", "--trials", "0", "--out", d),
+        ("bench", "--p", "11", "--n", "", "--out", d),   # no grid: no records
+        ("bench", "--p", "", "--n", "", "--certify", "--out", d),
+        # self-tests of nothing would pass vacuously
+        ("roundtrip", "--spec", str(spec), "--trials", "0"),
+        ("roundtrip", "--spec", str(spec), "--trials", "-3", "--exhaustive"),
+        ("audit", "--spec", str(spec), "--pairs", "0"),
+        ("audit", "--spec", str(spec), "--pairs", "-4"),
     ]
     for argv in cases:
         rc, _, err = run(capsys, *argv)

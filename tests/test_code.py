@@ -73,6 +73,11 @@ def test_lookup_delta():
     assert lookup_delta(spec, 6) == 3
     assert lookup_delta(spec, 3) is None
     assert lookup_delta(spec, 0) is None
+    assert lookup_delta(spec, np.int64(5)) == 2
+    # floats were truncated (2.9 found position 1) and strings parsed
+    for d in (2.9, 5.0, "6", None):
+        with pytest.raises(ParameterError):
+            lookup_delta(spec, d)
 
 
 def test_encode_frozen_example():

@@ -323,31 +323,35 @@ def test_check_injectivity_budget_refusal_allocates_nothing():
     assert peak < 100_000
 
 
-# The key regimes and their edges: three coordinates packed into one key up
-# to 2097143 (the last prime below 2^21), two from 2097169 (the first above)
-# through 1073741789 (int64 pair table) and 2^31 - 1 (object pair table,
-# int64 keys), one int64 key per coordinate up to 2^61 - 1, and Python-int
-# keys beyond 2^63.
-@pytest.mark.parametrize("p,n", [(10007, 30), (2097143, 24), (2097169, 24),
-                                 (1073741789, 24), ((1 << 31) - 1, 20),
-                                 ((1 << 61) - 1, 16), ((1 << 64) - 59, 10),
-                                 (5, 4), (7, 6)])
+# Every p sorts one hashed int64 key per value.  The cases straddle the
+# regime edges: the last prime below and the first above 2^21 and 2^31;
+# 1073741789 (int64 pair table) against 2^31 - 1 and 2147483659 (object pair
+# table); 2^61 - 1; and 2^64 - 59 and 2^64 + 13, whose coordinates enter the
+# keys by their low 63 bits.
+_QUADRATIC_CASES = [(10007, 30), (2097143, 24), (2097169, 24),
+                    (1073741789, 24), ((1 << 31) - 1, 20), (2147483659, 20),
+                    ((1 << 61) - 1, 16), ((1 << 64) - 59, 10),
+                    ((1 << 64) + 13, 10), (5, 4), (7, 6)]
+_BASE_FIELD_CASES = [(5, 4), (7, 6), (11, 10), (13, 12), (10007, 25), (2097143, 14),
+                     (2097169, 14), (1073741789, 14), ((1 << 31) - 1, 12),
+                     (2147483659, 12), ((1 << 61) - 1, 10), ((1 << 64) - 59, 8),
+                     ((1 << 64) + 13, 8)]
+
+
+@pytest.mark.parametrize("p,n", _QUADRATIC_CASES)
 def test_check_injectivity_matches_reference_quadratic(p, n):
     assert assert_matches_reference(get_spec(p, n)) is None
 
 
 def test_check_injectivity_matches_reference_base_field():
-    for p, n in ((5, 4), (7, 6), (11, 10), (13, 12), (10007, 25), (2097143, 14),
-                 (2097169, 14), (1073741789, 14), ((1 << 31) - 1, 12),
-                 ((1 << 61) - 1, 10), ((1 << 64) - 59, 8)):
+    for p, n in _BASE_FIELD_CASES:
         assert assert_matches_reference(base_field_spec(p, n)) is not None
 
 
-def test_check_injectivity_matches_reference_random_points():
-    # random distinct evaluation points over tiny fields collide often, at
-    # ranks spread over the whole enumeration
+def random_point_specs():
+    """300 specs with random distinct evaluation points over tiny fields,
+    which collide often, at ranks spread over the whole enumeration."""
     rng = random.Random(36)
-    collided_at = set()
     for _ in range(300):
         p = rng.choice((5, 7))
         n = rng.randrange(3, p)
@@ -355,17 +359,58 @@ def test_check_injectivity_matches_reference_random_points():
         while len(rows) < n:
             rows.add(tuple(rng.randrange(p) for _ in range(3)))
         rows = sorted(rows, key=lambda _: rng.random())
-        spec = CodeSpec(p, find_irreducible_cubic(p), range(1, n + 1), alpha_rows=rows)
+        yield CodeSpec(p, find_irreducible_cubic(p), range(1, n + 1), alpha_rows=rows)
+
+
+def test_check_injectivity_matches_reference_random_points():
+    collided_at = set()
+    for spec in random_point_specs():
         got = assert_matches_reference(spec)
         if got is not None:
             collided_at.add(got[1])
     assert len(collided_at) >= 10
 
 
+def count_key_passes(monkeypatch):
+    """Wrap verify._ratio_keys; the returned list counts its calls."""
+    calls = []
+    ratio_keys = verify._ratio_keys
+
+    def counted(*args):
+        calls.append(1)
+        return ratio_keys(*args)
+
+    monkeypatch.setattr(verify, "_ratio_keys", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [10007, 2147483659])
+def test_check_injectivity_good_code_takes_one_key_pass(monkeypatch, p):
+    calls = count_key_passes(monkeypatch)
+    assert check_injectivity(get_spec(p, 150)) is None
+    assert len(calls) == 1
+
+
+def test_check_injectivity_matches_reference_with_c0_keys(monkeypatch):
+    # with the multiplier 0 every key is c0 alone, so distinct values share
+    # keys all the time and only the exact check tells repeats apart
+    monkeypatch.setattr(verify, "_KEY_MUL", 0)
+    calls = count_key_passes(monkeypatch)
+    assert assert_matches_reference(get_spec(10007, 30)) is None
+    assert len(calls) == 2   # the keys repeated, yet the code certifies
+    for p, n in _QUADRATIC_CASES:
+        if n <= 24:
+            assert assert_matches_reference(get_spec(p, n)) is None
+    for p, n in _BASE_FIELD_CASES:
+        assert assert_matches_reference(base_field_spec(p, n)) is not None
+    assert sum(assert_matches_reference(spec) is not None
+               for spec in random_point_specs()) >= 10
+
+
 def test_check_injectivity_memory_bound():
-    # packed keys sorted in place: 8 B per triple, plus the 1 B per triple
-    # repeat mask and O(n^2) scratch, about 6 MB here; a sorted copy of the
-    # keys would add 4.4 MB
+    # one int64 key per triple sorted in place: 8 B per triple, plus the 1 B
+    # per triple repeat mask and O(n^2) scratch, about 6 MB here; a sorted
+    # copy of the keys would add 4.4 MB
     spec = get_spec(10007, 150)
     tracemalloc.start()
     try:
