@@ -381,6 +381,12 @@ def save_symbols(path, word) -> None:
             fh.write(f"{c0},{c1},{c2}\n")
 
 
+def _require_canonical(p: int, coords, where: str) -> None:
+    """Raise ParameterError unless every coordinate lies in [0, p)."""
+    if not all(0 <= c < p for c in coords):
+        raise ParameterError(f"{where}: coordinates must be canonical in [0, {p})")
+
+
 def load_symbols(path, spec: CodeSpec):
     """Read a symbol sequence of any length into a tuple of ExtElem.
 
@@ -401,9 +407,7 @@ def load_symbols(path, spec: CodeSpec):
                 c0, c1, c2 = (int(v) for v in parts)
             except ValueError:
                 raise ParameterError(f"line {lineno}: non-integer coordinate") from None
-            if not all(0 <= c < spec.p for c in (c0, c1, c2)):
-                raise ParameterError(
-                    f"line {lineno}: coordinates must be canonical in [0, {spec.p})")
+            _require_canonical(spec.p, (c0, c1, c2), f"line {lineno}")
             out.append(ExtElem(spec.ext, (c0, c1, c2)))
     return tuple(out)
 

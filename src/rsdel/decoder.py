@@ -40,6 +40,11 @@ could find nothing.  The same algebra shows the ratio map is injective on
 increasing triples for every spec built from the quadratic map (two triples
 with one ratio yield the same solve), and verify.check_injectivity stays as
 the independent empirical oracle for that claim.
+
+Both decoders run one pipeline, _decode: the ratio (a constant word decodes
+at once), the kept triple (_closed_form or _search, the only difference),
+interpolation and the third-point check, then the re-encode.  The stages
+take no instrumentation; _decode prices every one at the counts below.
 """
 
 from __future__ import annotations
@@ -86,9 +91,10 @@ OPS_SEARCH_PER_TRIPLE = 1   # one ratio test per triple of the Theta(n^3) scan
 class DecodeInstrumentation:
     """Field-operation and timing probe threaded through one or more decodes.
 
-    total_ops accumulates every priced operation; search_ops only those spent
-    identifying the kept triple (beta, coefficient extraction and solving
-    for the linear path; beta plus the triple search for the cubic path).
+    _decode prices every stage.  total_ops accumulates every priced
+    operation; search_ops and search_seconds only those spent identifying
+    the kept triple (beta, coefficient extraction and solving for the linear
+    path; beta plus the triple search for the cubic path), rejections too.
     """
 
     total_ops: int = 0
@@ -137,7 +143,7 @@ class DecodeOutcome:
     path: str
 
 
-def compute_beta(y: ReceivedTriple, inst: Optional[DecodeInstrumentation] = None):
+def compute_beta(y: ReceivedTriple):
     """The triple ratio, or None when the received word is constant.
 
     Exactly two equal symbols cannot come out of the channel: a degree-one
@@ -154,13 +160,10 @@ def compute_beta(y: ReceivedTriple, inst: Optional[DecodeInstrumentation] = None
     if e12 or e23 or y1 == y3:
         raise InconsistentReceivedWordError(
             "exactly two of three received symbols are equal")
-    if inst:
-        inst.total_ops += OPS_BETA
     return ExtElem(ext, ext.mul(ext.sub(y1, y2), ext.inv(ext.sub(y2, y3))))
 
 
-def extract_coefficients(beta: ExtElem,
-                         inst: Optional[DecodeInstrumentation] = None):
+def extract_coefficients(beta: ExtElem):
     """Read (a, b, c, r, s, t) from beta and beta*gamma.
 
     beta = a*gamma^2 + b*gamma + c, beta*gamma = r*gamma^2 + s*gamma + t.
@@ -168,13 +171,10 @@ def extract_coefficients(beta: ExtElem,
     """
     c, b, a = beta.coords
     t, s, r = beta.field.mul_matrix(beta.coords)[1]
-    if inst:
-        inst.total_ops += OPS_EXT_MUL
     return (a, b, c, r, s, t)
 
 
-def solve_deltas(pf: PrimeField, coeffs,
-                 inst: Optional[DecodeInstrumentation] = None):
+def solve_deltas(pf: PrimeField, coeffs):
     """Closed-form kept delta values (d1, d2, d3), or None.
 
     None is returned when r = 0 (theta undefined) or the d2 denominator is 0
@@ -196,8 +196,6 @@ def solve_deltas(pf: PrimeField, coeffs,
     d2 = num * pow(den, -1, p) % p
     d3 = (-d2 - theta) % p
     d1 = (d2 * (1 + 2 * c - 2 * tt) + theta * (c - tt)) % p
-    if inst:
-        inst.total_ops += OPS_SOLVE
     return (d1, d2, d3)
 
 
@@ -219,7 +217,7 @@ def solve_deltas(pf: PrimeField, coeffs,
 # first row with a hit i < j < k the smallest j wins; k is then unique, so
 # this is the lexicographically first triple of the scan, also for
 # alpha_rows specs whose ratios collide.  The nominal count still prices the
-# Theta(n^3) scan up to the match row (_charge_scan), so the counts do not
+# Theta(n^3) scan up to the match row (_scan_ops), so the counts do not
 # depend on the kernel.
 #
 # One kernel serves every p.  With canonical coordinates a_c(i) of
@@ -268,20 +266,18 @@ class _SearchTables(NamedTuple):
     order: np.ndarray   # 0-based position of each sorted column; order[n] == n
 
 
-def _charge_scan(inst, n, rows):
-    """Price the scan of the first `rows` rows (0-based i < rows).
+def _scan_ops(n, rows):
+    """Nominal ops of the scan of the first `rows` rows (0-based i < rows).
 
     Setup costs OPS_SEARCH_SETUP_PER_POS per position; row i scans
     w = n - 2 - i candidates and the w*(w+1)/2 triples (i, j, k) they close.
     """
-    if not inst:
-        return
     hi, lo = n - 2, n - 2 - rows  # the rows' widths are lo+1 .. hi
     candidates = (hi * (hi + 1) - lo * (lo + 1)) // 2
     triples = (hi * (hi + 1) * (hi + 2) - lo * (lo + 1) * (lo + 2)) // 6
-    inst.total_ops += (n * OPS_SEARCH_SETUP_PER_POS
-                       + candidates * OPS_SEARCH_ROW_PER_ENTRY
-                       + triples * OPS_SEARCH_PER_TRIPLE)
+    return (n * OPS_SEARCH_SETUP_PER_POS
+            + candidates * OPS_SEARCH_ROW_PER_ENTRY
+            + triples * OPS_SEARCH_PER_TRIPLE)
 
 
 def _key_halves(cols, mask):
@@ -316,13 +312,12 @@ def _search_columns(spec: CodeSpec) -> _SearchTables:
     return spec._search_columns
 
 
-def _search_triple(spec: CodeSpec, beta, inst):
+def _search_triple(spec: CodeSpec, beta):
     p = spec.p
     n = spec.n
     ext = spec.ext
     if beta[1] == beta[2] == 0 and beta[0] in (0, p - 1):
-        _charge_scan(inst, n, n - 2)  # beta in {0, -1}: no triple matches
-        return None
+        return None  # beta in {0, -1}: no triple matches
     a, mask, first, second, ts, order = _search_columns(spec)
     lam = ext.inv(((beta[0] + 1) % p, beta[1], beta[2]))
     # lam*alpha_j for every j in one matmul, one contiguous row per coordinate
@@ -371,36 +366,59 @@ def _search_triple(spec: CodeSpec, beta, inst):
         if np.count_nonzero(ok):
             i, j, k = i[ok], j[ok], k[ok]
             first_hit = np.lexsort((j, i))[0]  # lexicographically first (i, j)
-            _charge_scan(inst, n, int(i[first_hit]) + 1)
             return (int(i[first_hit]) + 1, int(j[first_hit]) + 1, int(k[first_hit]) + 1)
-    _charge_scan(inst, n, n - 2)
     return None
 
 
 # -- decoders ------------------------------------------------------------
 
 
-def _constant_outcome(spec, y, inst):
-    m = Message(y.y1, spec.ext.zero)
-    if inst:
-        inst.total_ops += spec.n * OPS_ENCODE_PER_SYMBOL
-    return DecodeOutcome(m, encode(spec, m), DeletionPattern(()), PATH_CONSTANT)
+def _closed_form(spec, beta):
+    """(nominal ops, kappa or None) of the closed form: kappa is None unless
+    the solve gives an increasing triple of the code's locators."""
+    sol = solve_deltas(spec.field, extract_coefficients(beta))
+    if sol is None:
+        return OPS_EXT_MUL, None
+    kappa = tuple(lookup_delta(spec, d) for d in sol)
+    ok = None not in kappa and kappa[0] < kappa[1] < kappa[2]
+    return OPS_EXT_MUL + OPS_SOLVE, kappa if ok else None
 
 
-def _finish(spec, y, kappa, path, inst):
+def _search(spec, beta):
+    """(nominal ops, kappa or None) of the triple search, priced as the
+    scan up to the match row, or of every row on a miss."""
+    kappa = _search_triple(spec, beta.coords)
+    return _scan_ops(spec.n, spec.n - 2 if kappa is None else kappa[0]), kappa
+
+
+def _decode(spec, y, inst, identify, path):
+    """The pipeline both decoders share, and the one place that prices a
+    decode: identify(spec, beta) returns (nominal ops, kappa or None)."""
     ext = spec.ext
-    k1, k2, k3 = kappa
-    m = interpolate(spec, k1, k2, y.y1, y.y2)
-    third = ext.add(m.m1.coords, ext.mul(m.m2.coords, spec.alpha_coords(k3)))
-    if inst:
-        inst.total_ops += OPS_INTERPOLATE + OPS_THIRD_POINT
-    if third != y.y3.coords:
-        raise UnrecognizedReceivedWordError(
-            f"third received symbol is off the interpolated line at {kappa}")
-    cw = encode(spec, m)
+    _require_field(ext, y, "received symbol")
+    t0 = perf_counter()
+    beta = compute_beta(y)
+    if beta is None:
+        m, kappa, path = Message(y.y1, ext.zero), (), PATH_CONSTANT
+    else:
+        ops, kappa = identify(spec, beta)
+        if inst:
+            inst.total_ops += OPS_BETA + ops
+            inst.search_ops += OPS_BETA + ops
+            inst.search_seconds += perf_counter() - t0
+        if kappa is None:
+            raise UnrecognizedReceivedWordError(
+                "no kept triple is consistent with the received word")
+        m = interpolate(spec, kappa[0], kappa[1], y.y1, y.y2)
+        third = ext.add(m.m1.coords, ext.mul(m.m2.coords, spec.alpha_coords(kappa[2])))
+        if inst:
+            inst.total_ops += OPS_INTERPOLATE + OPS_THIRD_POINT
+        if third != y.y3.coords:
+            raise UnrecognizedReceivedWordError(
+                f"third received symbol is off the interpolated line at {kappa}")
     if inst:
         inst.total_ops += spec.n * OPS_ENCODE_PER_SYMBOL
-    return DecodeOutcome(m, cw, DeletionPattern(kappa), path)
+    return DecodeOutcome(m, encode(spec, m), DeletionPattern(kappa), path)
 
 
 def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
@@ -418,20 +436,7 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
     FieldMismatchError before any arithmetic when a symbol is not in spec's
     field.
     """
-    _require_field(spec.ext, y, "received symbol")
-    t0 = perf_counter()
-    ops0 = inst.total_ops if inst else 0
-    beta = compute_beta(y, inst)
-    if beta is None:
-        return _constant_outcome(spec, y, inst)
-    kappa = _search_triple(spec, beta.coords, inst)
-    if inst:
-        inst.search_ops += inst.total_ops - ops0
-        inst.search_seconds += perf_counter() - t0
-    if kappa is None:
-        raise UnrecognizedReceivedWordError(
-            "no kept triple is consistent with the received word")
-    return _finish(spec, y, kappa, PATH_FALLBACK, inst)
+    return _decode(spec, y, inst, _search, PATH_FALLBACK)
 
 
 def decode_linear(spec: CodeSpec, y: ReceivedTriple,
@@ -451,22 +456,7 @@ def decode_linear(spec: CodeSpec, y: ReceivedTriple,
         raise ParameterError(
             "the closed form needs evaluation points delta + delta^2*gamma; "
             "use decode_cubic for this spec")
-    _require_field(spec.ext, y, "received symbol")
-    t0 = perf_counter()
-    ops0 = inst.total_ops if inst else 0
-    beta = compute_beta(y, inst)
-    if beta is None:
-        return _constant_outcome(spec, y, inst)
-    coeffs = extract_coefficients(beta, inst)
-    sol = solve_deltas(spec.field, coeffs, inst)
-    kappa = None if sol is None else tuple(lookup_delta(spec, d) for d in sol)
-    if inst:
-        inst.search_ops += inst.total_ops - ops0
-        inst.search_seconds += perf_counter() - t0
-    if kappa is None or None in kappa or not kappa[0] < kappa[1] < kappa[2]:
-        raise UnrecognizedReceivedWordError(
-            "no kept triple is consistent with the received word")
-    return _finish(spec, y, kappa, PATH_CLOSED_FORM, inst)
+    return _decode(spec, y, inst, _closed_form, PATH_CLOSED_FORM)
 
 
 def decode_received(spec: CodeSpec, symbols, decode=decode_linear,

@@ -177,6 +177,9 @@ def test_exit_usage_cases(tmp_path, capsys):
         ("bench", "--p", "11", "--n", "4", "--trials", "0", "--out", d),
         ("bench", "--p", "11", "--n", "", "--out", d),   # no grid: no records
         ("bench", "--p", "", "--n", "", "--certify", "--out", d),
+        # a budget that can never be met would write an empty, truncated file
+        ("bench", "--p", "11", "--n", "4", "--budget-seconds", "0", "--out", d),
+        ("bench", "--p", "11", "--n", "4", "--budget-seconds", "-1", "--out", d),
         # self-tests of nothing would pass vacuously
         ("roundtrip", "--spec", str(spec), "--trials", "0"),
         ("roundtrip", "--spec", str(spec), "--trials", "-3", "--exhaustive"),
@@ -187,6 +190,24 @@ def test_exit_usage_cases(tmp_path, capsys):
         rc, _, err = run(capsys, *argv)
         assert rc == 2, argv
         assert err
+    assert not os.path.exists(d)  # every case is refused before writing
+
+
+def test_encode_refuses_noncanonical(tmp_path, capsys):
+    # the rule load_symbols applies to a symbol line: each coordinate in [0, p)
+    spec = gen(tmp_path, capsys, p=10007, n=8)
+    cw = tmp_path / "cw.sym"
+    for option in ("--m1", "--m2"):
+        for coords in ("10008,0,0", "-1,0,0", "10007,0,0"):
+            other = "--m2" if option == "--m1" else "--m1"
+            rc, out, err = run(capsys, "encode", "--spec", str(spec), f"{option}={coords}",
+                               other, "1,2,3", "--out", str(cw))
+            assert rc == 2 and out == "", (option, coords)
+            assert f"{option}: coordinates must be canonical in [0, 10007)" in err
+    assert not cw.exists()
+    rc, out, _ = run(capsys, "encode", "--spec", str(spec), "--m1", "10006,0,0",
+                     "--m2", "0,0,10006", "--out", str(cw))
+    assert rc == 0 and "m1 10006,0,0" in out and "m2 0,0,10006" in out
 
 
 def test_corrupt_rejects_bad_pattern(tmp_path, capsys):
@@ -330,7 +351,7 @@ def test_bench_json(tmp_path, capsys):
         assert 0.0 <= r["search_time"] <= r["total_time"]
         assert r["p50_time"] == pytest.approx(r["total_time"])
     rc, out, _ = run(capsys, "bench", "--p", "10007", "--n", "16", "--trials", "1",
-                     "--budget-seconds", "0", "--out", str(out_json))
+                     "--budget-seconds", "1e-9", "--out", str(out_json))
     assert rc == 0 and "(truncated)" in out
     assert json.loads(out_json.read_text()) == {"truncated": True, "records": []}
 
@@ -350,7 +371,7 @@ def test_bench_certify(tmp_path, capsys):
         assert r["trials"] == 2 and 0.0 < r["search_time"] == r["total_time"]
         assert r["p50_time"] == pytest.approx(r["total_time"])
     rc, out, _ = run(capsys, "bench", "--certify", "--p", "10007", "--n", "16",
-                     "--trials", "1", "--budget-seconds", "0", "--out", str(out_json))
+                     "--trials", "1", "--budget-seconds", "1e-9", "--out", str(out_json))
     assert rc == 0 and "(truncated)" in out
     assert json.loads(out_json.read_text()) == {"truncated": True, "records": []}
 
@@ -368,7 +389,7 @@ def test_bench_p50_is_the_median_trial(monkeypatch):
 def test_bench_budget_truncation(tmp_path, capsys):
     out_csv = tmp_path / "bench.csv"
     rc, out, _ = run(capsys, "bench", "--p", "10007", "--n", "16,32",
-                     "--trials", "1", "--budget-seconds", "0", "--out", str(out_csv))
+                     "--trials", "1", "--budget-seconds", "1e-9", "--out", str(out_csv))
     assert rc == 0
     assert "(truncated)" in out
     assert out_csv.read_text().rstrip().endswith("# truncated: time budget exceeded")

@@ -34,6 +34,8 @@ from rsdel.decoder import (
     PATH_FALLBACK,
     DecodeInstrumentation,
     ReceivedTriple,
+    _scan_ops,
+    _search,
     _search_columns,
     _search_triple,
     compute_beta,
@@ -442,7 +444,7 @@ def test_search_paths_agree():
         m = random_message(spec, rng)
         kept = tuple(sorted(rng.sample(range(1, 49), 3)))
         beta = compute_beta(received(spec, m, kept))
-        assert _search_triple(spec, beta.coords, DecodeInstrumentation()) == kept
+        assert _search_triple(spec, beta.coords) == kept
         assert next(reference_matches(spec, beta.coords)) == kept
 
 
@@ -458,7 +460,7 @@ def test_search_paths_agree_on_miss():
         beta = (y[0] - y[1]) / (y[1] - y[2])
         if beta.coords in image:
             continue
-        assert _search_triple(spec, beta.coords, DecodeInstrumentation()) is None
+        assert _search_triple(spec, beta.coords) is None
         assert not list(reference_matches(spec, beta.coords))
         misses += 1
 
@@ -491,7 +493,7 @@ def assert_kernels_match_reference(spec, beta):
     """The kernel returns the reference's first triple; returns all matches."""
     matches = list(reference_matches(spec, beta))
     want = matches[0] if matches else None
-    assert _search_triple(spec, beta, None) == want, (spec.p, spec.n, beta)
+    assert _search_triple(spec, beta) == want, (spec.p, spec.n, beta)
     return matches
 
 
@@ -565,8 +567,11 @@ def test_search_kernel_exact_check_alone(monkeypatch):
 
 
 def test_search_kernels_charge_scan_pricing():
-    # the kernel prices the Theta(n^3) scan up to the match row, or every
-    # row on a miss, whatever it really touches
+    # the search is priced as the Theta(n^3) scan up to the match row, or
+    # every row on a miss, whatever the kernel really touches
+    for n in (3, 6, 20):
+        for rows in range(n - 1):
+            assert _scan_ops(n, rows) == scan_price(n, rows)
     rng = random.Random(88)
     cases = []
     for p, n in ((10007, 48), (10007, 20), (11, 10), (7, 6)):
@@ -576,9 +581,7 @@ def test_search_kernels_charge_scan_pricing():
         cases.append((spec, (0, 0, 0), None))  # beta = 0 never matches
     for spec, beta, kept in cases:
         want = scan_price(spec.n, spec.n - 2 if kept is None else kept[0])
-        inst = DecodeInstrumentation()
-        assert _search_triple(spec, beta, inst) == kept
-        assert inst.total_ops == want, (spec.p, spec.n, kept)
+        assert _search(spec, spec.ext.from_coords(beta)) == (want, kept), (spec.p, spec.n, kept)
 
 
 def test_decode_cubic_search_ops_pinned():
@@ -734,3 +737,73 @@ def test_linear_search_ops_independent_of_n():
         assert out.path == PATH_CLOSED_FORM
         counts.add(inst.search_ops)
     assert len(counts) == 1
+
+
+def rejection_words(spec):
+    """Named received words that every decoder rejects, or that are constant.
+
+    Garbage is built from its ratio: (1 + beta, 1, 0) has ratio beta.
+    """
+    ext = spec.ext
+
+    def alpha(d):  # delta + delta^2*gamma, also for deltas outside the code
+        return ext.elem(d, d * d, 0)
+
+    def with_ratio(beta):
+        return ReceivedTriple(ext.one + beta, ext.one, ext.zero)
+
+    def ratio(d1, d2, d3):
+        return (alpha(d1) - alpha(d2)) / (alpha(d2) - alpha(d3))
+
+    return {
+        "solve-r-zero": with_ratio(ext.from_base(2)),  # beta in F_p: r = 0
+        "solve-den-zero": with_ratio(ext.elem(0, 1, 0)),  # (0, 1, 0, 1, 0, 0): den = 0
+        "locator-outside": with_ratio(ratio(1, 2, 5000)),
+        "locators-out-of-order": with_ratio(ratio(30, 12, 5)),
+        "random-garbage": ReceivedTriple(ext.elem(17, 4, 99), ext.elem(3, 1, 4),
+                                         ext.elem(1, 5, 9)),
+        "constant-zero": ReceivedTriple(ext.zero, ext.zero, ext.zero),
+        "constant": ReceivedTriple(*[ext.elem(3, 4, 5)] * 3),
+    }
+
+
+@pytest.mark.parametrize("decode", (decode_linear, decode_cubic))
+def test_rejection_ops_pinned(decode, monkeypatch):
+    # a rejection charges every stage up to the check that refused it, a
+    # constant word its re-encode only; each value is (total_ops, search_ops)
+    # under (decode_linear, decode_cubic)
+    pinned = {
+        "solve-r-zero": ((136, 136), (21994, 21994)),
+        "solve-den-zero": ((136, 136), (21994, 21994)),
+        "locator-outside": ((160, 160), (21994, 21994)),
+        "locators-out-of-order": ((160, 160), (21994, 21994)),
+        "random-garbage": ((160, 160), (21994, 21994)),
+        "constant-zero": ((720, 0), (720, 0)),
+        "constant": ((720, 0), (720, 0)),
+        "third-point": ((324, 160), (6205, 6041)),
+    }
+    spec = get_spec(10007, 48)
+    col = 0 if decode is decode_linear else 1
+    got = {}
+    for name, y in rejection_words(spec).items():
+        inst = DecodeInstrumentation()
+        try:
+            out = decode(spec, y, inst)
+            assert out.path == PATH_CONSTANT, name
+        except UnrecognizedReceivedWordError:
+            assert not name.startswith("constant"), name
+        got[name] = (inst.total_ops, inst.search_ops)
+    # an honest identification fixes the third point (the ratio does), so
+    # a shifted interpolation stands in for a wrong triple
+    m = random_message(spec, random.Random(48))
+    y = received(spec, m, (4, 20, 33))
+
+    def shifted(spec, i, j, y_i, y_j):
+        return interpolate(spec, i, j + 1, y_i, y_j)
+
+    monkeypatch.setattr(decoder, "interpolate", shifted)
+    inst = DecodeInstrumentation()
+    with pytest.raises(UnrecognizedReceivedWordError, match="third received symbol"):
+        decode(spec, y, inst)
+    got["third-point"] = (inst.total_ops, inst.search_ops)
+    assert got == {name: ops[col] for name, ops in pinned.items()}
