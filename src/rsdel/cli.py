@@ -50,9 +50,10 @@ def _parse_coords(text: str):
 def cmd_gen_code(args) -> int:
     """Build a code and write its spec file.
 
-    Takes build_code's time (a primality test of p, the canonical-cubic
-    search of O(log p) gcd tests per candidate, O(n) for the spec) plus
-    O(n) to write the delta line; O(n) memory.
+    Takes build_code's time (one primality test of p, at most 13 pow
+    calls; the canonical-cubic search, each candidate tested once; O(n)
+    checks and arrays for the spec) plus O(n) to write the delta line;
+    O(n) memory.
     """
     delta = _parse_int_list(args.delta) if args.delta else None
     spec = code.build_code(args.p, args.n, delta)
@@ -144,7 +145,8 @@ def cmd_check_condition(args) -> int:
 
     Refuses before allocating when C(n, 3) exceeds --budget.  Otherwise
     O(T log T) numpy time for T = C(n, 3), and about 11 B per triple for
-    p <= 2^30 or 23 B above (up to 27 B when a collision is named).
+    p <= 2^30 or 23 B above (about 25 B, at most 28 B, when a collision is
+    named).
     """
     spec = code.load_spec(args.spec)
     witness = verify.check_injectivity(spec, budget=args.budget)
@@ -265,19 +267,32 @@ def _bench_grid(p_values, n_values):
 
 def run_bench(p_values, n_values, trials: int, seed: int = 0,
               budget_seconds=None):
-    """Worst-case decode benchmarks; one record per (n, algo).
+    """Code builds and worst-case decodes; per (p, n) a "build_code" record,
+    then one record per decode algo.
 
-    The kept triple is the lexicographically last one (n-2, n-1, n), which
-    maximizes the cubic search's work and nominal count.  One untimed decode
-    per (code, algo) runs before the timed trials, so a per-code cache
-    filled on the first decode is not averaged into the times.
-    search_time and total_time are means over the trials, p50_time the
-    median total time.  Returns (records, truncated).
+    The build record times `trials` calls of build_code(p, n): search_time
+    and total_time are their mean, p50_time their median, and field_ops is
+    n.  For the decodes, the kept triple is the lexicographically last one
+    (n-2, n-1, n), which maximizes the cubic search's work and nominal
+    count.  One untimed decode per (code, algo) runs before the timed
+    trials, so a per-code cache filled on the first decode is not averaged
+    into the times.  search_time and total_time are means over the trials,
+    p50_time the median total time.  Returns (records, truncated).
     """
     records = []
     started = perf_counter()
     for p, n in _bench_grid(p_values, n_values):
-        spec = code.build_code(p, n)
+        if budget_seconds is not None and perf_counter() - started > budget_seconds:
+            return records, True
+        times = []
+        for _ in range(trials):
+            t0 = perf_counter()
+            spec = code.build_code(p, n)
+            times.append(perf_counter() - t0)
+        mean = sum(times) / trials
+        records.append(BenchRecord(p=p, n=n, algo="build_code", trials=trials,
+                                   search_time=mean, total_time=mean,
+                                   p50_time=median(times), field_ops=n))
         rng = random.Random(seed)
         m = code.random_message(spec, rng)
         cw = code.encode(spec, m)
@@ -373,15 +388,16 @@ def write_bench_json(path, records, truncated: bool) -> None:
 
 
 def cmd_bench(args) -> int:
-    """Time worst-case decodes, or with --certify the certification jobs,
-    over a (p, n) grid and write one record per job.
+    """Time code builds and worst-case decodes, or with --certify the
+    certification jobs, over a (p, n) grid and write one record per job.
 
-    Each grid point costs --trials + 1 decodes per algorithm (O(n^2) cubic,
-    O(n) linear), or --trials calls of check_injectivity (O(T log T) for
+    Each grid point costs --trials code builds (see build_code) and
+    --trials + 1 decodes per algorithm (O(n^2) cubic, O(n) linear), or
+    --trials calls of check_injectivity (O(T log T) for
     T = C(n, 3)) and of a 64-pair audit (O(n) per pair).  Memory is that of
     the largest single job, one code at a time: O(n) for a linear decode,
     about 2^10 * n bytes of search tables for a cubic one, and about 11 to
-    27 B per triple for check_injectivity, which is not budgeted here; the
+    28 B per triple for check_injectivity, which is not budgeted here; the
     grid and the records are O(grid).  --budget-seconds stops between jobs.
     """
     if args.trials < 1:
@@ -462,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse --exhaustive when trials * C(n,3) exceeds this many words")
     q.set_defaults(fn=cmd_roundtrip)
 
-    q = sub.add_parser("bench", help="worst-case decode timings and op counts, "
-                       "or certification timings with --certify")
+    q = sub.add_parser("bench", help="code build and worst-case decode timings and "
+                       "op counts, or certification timings with --certify")
     q.add_argument("--p", required=True, help="one modulus, or one per n")
     q.add_argument("--n", required=True, help="comma-separated blocklength grid")
     q.add_argument("--trials", type=int, default=3)

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateInterpolationError, FieldMismatchError, ParameterError
-from .field import CubicField, ExtElem, MonicCubic, PrimeField, find_irreducible_cubic
+from .field import CubicField, ExtElem, MonicCubic, PrimeField
 
 
 def _integers(values, what: str) -> tuple:
@@ -49,12 +49,18 @@ class CodeSpec:
     tables, built on the spec's first cubic decode: two bool filter tables
     of 2^bit_length(256*n) bytes each, 2*2^bit_length(256*n) bytes in all
     (512 KB at n = 512, 4 MB at n = 4096), plus O(n) columns.
+
+    g=None takes the canonical cubic (CubicField's search, as build_code
+    does); a given g is tested for irreducibility once.  Construction runs
+    one primality test of p (at most 13 pow calls), the cubic search or
+    that one gcd test, and O(n) C-level passes to check delta and build
+    the arrays and the index.
     """
 
     __slots__ = ("p", "g", "delta", "n", "field", "ext", "delta_index",
                  "from_quadratic_map", "_alpha", "_lifted", "_search_columns")
 
-    def __init__(self, p: int, g: MonicCubic, delta: Sequence[int], *,
+    def __init__(self, p: int, g: Optional[MonicCubic], delta: Sequence[int], *,
                  alpha_rows=None):
         field = PrimeField(p)
         ext = CubicField(field, g)
@@ -63,9 +69,10 @@ class CodeSpec:
         if not 3 <= n <= p - 1:
             raise ParameterError(
                 f"blocklength must satisfy 3 <= n <= p - 1, got n={n} p={p}")
-        if any(not 0 < d < p for d in delta):
+        if min(delta) <= 0 or max(delta) >= p:
             raise ParameterError("delta entries must be nonzero residues mod p")
-        if len(set(delta)) != n:
+        delta_index = dict(zip(delta, range(1, n + 1)))
+        if len(delta_index) != n:
             raise ParameterError("delta entries must be distinct")
         self.p = p
         self.g = ext.g
@@ -73,7 +80,7 @@ class CodeSpec:
         self.ext = ext
         self.delta = delta
         self.n = n
-        self.delta_index = {d: i + 1 for i, d in enumerate(delta)}
+        self.delta_index = delta_index
         dtype = ext.dtype
         self.from_quadratic_map = alpha_rows is None
         if alpha_rows is None:
@@ -132,12 +139,14 @@ class CodeSpec:
 def build_code(p: int, n: int, delta_override: Optional[Sequence[int]] = None) -> CodeSpec:
     """Construct the code with the canonical cubic and delta = (1, ..., n).
 
-    Time: a primality test of p, the canonical-cubic search (candidates in
-    a fixed order, each an O(log p) gcd test; about one monic cubic in three
-    is irreducible, so a few are tried in practice), and O(n) to validate
-    delta and build the spec's arrays and lookup dict.  Memory: O(n).  The
-    cubic decoder's search tables are not built here but on the spec's
-    first cubic decode.
+    Every check runs once, and nothing is cached between calls.  Time: one
+    primality test of p (at most 13 pow calls), the canonical-cubic search
+    with each candidate tested once and the winner not tested again (for
+    p = 1 mod 3 a few Euler tests, one pow each; otherwise an O(log p) gcd
+    test per candidate, and about one monic cubic in three is irreducible,
+    so a few are tried in practice), and O(n) to validate delta and build
+    the spec's arrays and lookup dict.  Memory: O(n).  The cubic decoder's
+    search tables are not built here but on the spec's first cubic decode.
     """
     if delta_override is not None:
         delta = tuple(delta_override)
@@ -145,8 +154,7 @@ def build_code(p: int, n: int, delta_override: Optional[Sequence[int]] = None) -
             raise ParameterError(f"delta override has {len(delta)} entries, expected {n}")
     else:
         delta = tuple(range(1, n + 1))
-    g = find_irreducible_cubic(p)
-    return CodeSpec(p, g, delta)
+    return CodeSpec(p, None, delta)
 
 
 @dataclass(frozen=True)
@@ -336,8 +344,9 @@ def load_spec(path) -> CodeSpec:
 
     Raises ParameterError for a missing, repeated, unknown or malformed
     key.  Takes O(L) time and memory for a file of L bytes, plus the
-    CodeSpec construction (see build_code, less the cubic search: g is read,
-    and only its irreducibility is tested, in O(log p)).
+    CodeSpec construction: one primality test of p (at most 13 pow calls),
+    one irreducibility test of the g read (a gcd test of O(log p) squares
+    in F_p[x]/(g)), and O(n) checks of delta.
     """
     fields = {}
     with open(path) as fh:

@@ -25,22 +25,49 @@ _INT64_PRODUCT_MAX_P = 1 << 30  # three products of coordinates plus one: 3p^2 +
 _INT64_SUM_MAX_P = 1 << 62      # two coordinates, as the cubic search adds them
 _INT64_COORD_MAX_P = 1 << 63    # one coordinate; a wider int enters a key by its low 63 bits
 
-# Deterministic Miller-Rabin witness set, valid for every n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin: (bound, bases) pairs, each base set proven exact
+# for every n below its bound, and the smallest proven set first.  psi_k
+# (OEIS A014233) is the least odd composite that is a strong probable prime to
+# each of the first k prime bases, so those k bases are exact below psi_k:
+# psi_1..psi_8 from G. Jaeschke, "On strong pseudoprimes to several bases"
+# (Math. Comp. 1993), psi_12 and psi_13 from J. Sorenson and J. Webster,
+# "Strong pseudoprimes to twelve prime bases" (Math. Comp. 2017).  Between
+# psi_7 (= psi_8) and 2^64, J. Sinclair's seven bases (2011, checked against
+# J. Feitsma's list of every base-2 strong pseudoprime below 2^64) take the
+# place of the 9 to 12 first primes; every base is below psi_7, so none is
+# 0 mod n.
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASE_SETS = (
+    (2047, _PRIMES[:1]), (1373653, _PRIMES[:2]), (25326001, _PRIMES[:3]),
+    (3215031751, _PRIMES[:4]), (2152302898747, _PRIMES[:5]),
+    (3474749660383, _PRIMES[:6]), (341550071728321, _PRIMES[:7]),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (318665857834031151167461, _PRIMES[:12]),
+    (3317044064679887385961981, _PRIMES[:13]),
+)
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in _MR_WITNESSES:
-        if n % q == 0:
-            return n == q
+    """Whether n is prime, exactly, for every n < psi_13 ~ 3.3 * 10^24.
+
+    Miller-Rabin on the smallest base set proven exact below n
+    (_MR_BASE_SETS): one pow per base, so at most 13 pow calls of an
+    O(log n)-bit exponent.  p = 10007 takes 2 bases, 2^31 - 1 takes 4, and
+    every p from 3.4 * 10^14 up to 2^64 takes 7.  No base set is proven
+    from psi_13 on, so there an odd n raises ParameterError.
+    """
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    for bound, bases in _MR_BASE_SETS:
+        if n < bound:
+            break
+    else:
+        raise ParameterError(
+            f"no proven primality test for n >= {_MR_BASE_SETS[-1][0]}, got {n}")
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
+    r = (d & -d).bit_length() - 1   # n - 1 = d * 2^r with d odd
+    d >>= r
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -54,12 +81,16 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The field F_p for an odd prime p.  Elements are ints in [0, p)."""
+    """The field F_p for an odd prime p.  Elements are ints in [0, p).
+
+    Construction is one is_prime(p): at most 13 pow calls.  p >= psi_13 ~
+    3.3 * 10^24, where no primality test is proven, raises ParameterError.
+    """
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if p < 3 or p % 2 == 0 or not is_prime(p):
+        if p < 3 or not is_prime(p):
             raise ParameterError(f"modulus must be an odd prime, got {p}")
         self.p = p
 
@@ -126,16 +157,29 @@ def _mul3(p, consts, x, y):
 
 
 def _pow_x_mod_cubic(p: int, g: MonicCubic, e: int):
-    """x^e in F_p[x]/(g) by square-and-multiply."""
-    consts = _reduction_consts(p, g)
-    result = (1, 0, 0)
-    base = (0, 1, 0)
-    while e:
-        if e & 1:
-            result = _mul3(p, consts, result, base)
-        base = _mul3(p, consts, base, base)
-        e >>= 1
-    return result
+    """x^e in F_p[x]/(g) by a left-to-right ladder.
+
+    After the leading bit of e, each bit squares the result and, if set,
+    multiplies it by x: a shift up one power with gamma^3 folded back in,
+    three products instead of a full _mul3.  The square is written out
+    too, six coordinate products instead of nine.  Works in the quotient
+    ring whether or not g is irreducible.
+    """
+    if not e:
+        return (1, 0, 0)
+    h0, h1, h2, k0, k1, k2 = _reduction_consts(p, g)
+    c0, c1, c2 = 0, 1, 0
+    for bit in bin(e)[3:]:
+        # the square's gamma^3 and gamma^4 terms fold back in through h and k
+        z3 = 2 * c1 * c2 % p
+        z4 = c2 * c2 % p
+        t = 2 * c0
+        c0, c1, c2 = ((c0 * c0 + z3 * h0 + z4 * k0) % p,
+                      (t * c1 + z3 * h1 + z4 * k1) % p,
+                      (t * c2 + c1 * c1 + z3 * h2 + z4 * k2) % p)
+        if bit == "1":
+            c0, c1, c2 = c2 * h0 % p, (c0 + c2 * h1) % p, (c1 + c2 * h2) % p
+    return (c0, c1, c2)
 
 
 def _trim(v):
@@ -172,46 +216,51 @@ def is_irreducible_cubic(p: int, g: MonicCubic) -> bool:
     """True iff g has no root in F_p.
 
     For a cubic that is exactly irreducibility.  Every p takes the same test,
-    gcd(x^p - x mod g, g) = 1 with x^p computed by square-and-multiply:
-    O(log p) products in F_p[x]/(g).  There is no O(p) root scan, not even
-    for small p.
+    gcd(x^p - x mod g, g) = 1 with x^p computed by _pow_x_mod_cubic's
+    ladder: O(log p) squares in F_p[x]/(g).  There is no O(p) root scan,
+    not even for small p.
     """
     return _no_root_by_gcd(p, MonicCubic(g.g0 % p, g.g1 % p, g.g2 % p))
 
 
-def _first_irreducible_pure_cube(p: int) -> Optional[MonicCubic]:
-    """Smallest g0 with x^3 + g0 irreducible, or None if the family has none.
+def _canonical_cubic(p: int) -> MonicCubic:
+    """The first monic cubic with no root in F_p, ordered by (g2, g1, g0),
+    for an odd prime p.
 
-    x^3 + g0 has a root iff -g0 is a cube.  When p = 2 (mod 3) cubing is a
-    bijection so every member is reducible; when p = 1 (mod 3) cubes form an
-    index-3 subgroup and (-g0)^((p-1)/3) != 1 detects a non-cube.  p = 3 has
-    x^3 + g0 = (x + g0)^3, all reducible.
+    Each candidate is tested once and the winner is not tested again.  g0 = 0
+    is skipped, since x divides that cubic.  The pure-cube family x^3 + g0
+    comes first: it has a root iff -g0 is a cube.  When p = 2 (mod 3), or
+    p = 3, every residue is a cube and the family is skipped untested; when
+    p = 1 (mod 3), the cubes are the c with c^((p-1)/3) = 1, and one Euler
+    test (one pow) per g0 finds the least non-cube.  Since -1 = (-1)^3 is a
+    cube, -g0 is one iff g0 is, and as products of cubes are cubes, the
+    least non-cube is prime: only 2, 3 and the g0 = +-1 (mod 6) from 5 on
+    are tested.  Every other family takes one gcd test (_no_root_by_gcd)
+    per candidate; about one monic cubic in three is irreducible, so a few
+    are tried in practice.
     """
-    if p % 3 != 1:
-        return None
-    e = (p - 1) // 3
-    for g0 in range(1, p):
-        if pow(-g0 % p, e, p) != 1:
-            return MonicCubic(g0, 0, 0)
-    return None
+    if p % 3 == 1:
+        e = (p - 1) // 3
+        for g0 in range(2, p):
+            if (g0 < 4 or g0 % 6 in (1, 5)) and pow(g0, e, p) != 1:
+                return MonicCubic(g0, 0, 0)
+    for g2 in range(p):
+        for g1 in range(0 if g2 else 1, p):   # (0, 0) is the pure-cube family
+            for g0 in range(1, p):
+                cand = MonicCubic(g0, g1, g2)
+                if _no_root_by_gcd(p, cand):
+                    return cand
+    raise AssertionError("no irreducible cubic found; p is not prime")
 
 
 def find_irreducible_cubic(p: int) -> MonicCubic:
-    """First monic cubic with no root in F_p, ordered by (g2, g1, g0)."""
-    if p < 3 or not is_prime(p):
-        raise ParameterError(f"modulus must be an odd prime, got {p}")
-    for g2 in range(p):
-        for g1 in range(p):
-            if g2 == 0 and g1 == 0:
-                found = _first_irreducible_pure_cube(p)
-                if found is not None:
-                    return found
-                continue
-            for g0 in range(p):
-                cand = MonicCubic(g0, g1, g2)
-                if is_irreducible_cubic(p, cand):
-                    return cand
-    raise AssertionError("no irreducible cubic found; p is not prime")
+    """First monic cubic with no root in F_p, ordered by (g2, g1, g0).
+
+    Raises ParameterError unless p is an odd prime.  Time: one primality
+    test of p (PrimeField, at most 13 pow calls) and the canonical search
+    of _canonical_cubic, each candidate tested once.
+    """
+    return CubicField(PrimeField(p)).g
 
 
 class CubicField:
@@ -221,18 +270,25 @@ class CubicField:
     3-tuples of canonical ints; ExtElem wraps a tuple together with its field
     for operator syntax.  Hot loops use the tuple methods directly, and
     inv_many takes and returns coordinate columns of dtype self.dtype.
+
+    g=None takes the canonical cubic, found by _canonical_cubic's search and
+    kept without a second test; a given g costs one gcd test, O(log p)
+    squares in F_p[x]/(g).
     """
 
     __slots__ = ("base", "g", "p", "dtype", "_consts")
 
-    def __init__(self, base: PrimeField, g: MonicCubic):
+    def __init__(self, base: PrimeField, g: Optional[MonicCubic] = None):
         p = base.p
-        g = MonicCubic(g.g0 % p, g.g1 % p, g.g2 % p)
-        if not is_irreducible_cubic(p, g):
-            raise ParameterError(
-                f"x^3 + {g.g2}x^2 + {g.g1}x + {g.g0} has a root mod {p}; "
-                "the quotient is not a field"
-            )
+        if g is None:
+            g = _canonical_cubic(p)
+        else:
+            g = MonicCubic(g.g0 % p, g.g1 % p, g.g2 % p)
+            if not _no_root_by_gcd(p, g):
+                raise ParameterError(
+                    f"x^3 + {g.g2}x^2 + {g.g1}x + {g.g0} has a root mod {p}; "
+                    "the quotient is not a field"
+                )
         self.base = base
         self.p = p
         self.g = g

@@ -21,7 +21,7 @@ import numpy as np
 
 from .code import CodeSpec, Message, encode, encode_many, random_message
 from .errors import BudgetExceededError, ParameterError
-from .field import _INT64_COORD_MAX_P, ExtElem, find_irreducible_cubic
+from .field import _INT64_COORD_MAX_P, ExtElem
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,18 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     (j, k) per i, and the C(n, 3) values are sorted to find repeats, which
     is O(T log T) numpy work for T = C(n, 3) triples.  Each value is one
     hashed int64 key, for every p, sorted in place; only a repeated key has
-    the keys built again (one more O(T) pass) and argsorted stably, and the
-    repeats checked exactly in rank order, one O(T) argmin each, so a key
-    shared by distinct values costs time, never a wrong answer.  Memory is
-    O(n^2) scratch plus the keys and a repeat mask: about 11 B per triple
-    for p <= 2^30 and 23 B above, where blocks hold Python ints (tracemalloc
-    at n = 150), so the default budget implies about 110 and 230 MB.  A
-    repeated key, and so any collision, takes up to 27 B per triple.
+    the keys built again (one more O(T) pass) and argsorted, unstably, so
+    the ranks within a run of equal keys come in no set order.  The M
+    entries of runs of two or more are gathered, one np.minimum.reduceat
+    gives each run's lowest rank, and the other entries are checked exactly
+    in rank order, one O(M) argmin each, so a key shared by distinct values
+    costs time, never a wrong answer.  Memory is O(n^2) scratch plus the
+    keys and a repeat mask: about 11 B per triple for p <= 2^30 and 23 B
+    above, where blocks hold Python ints (tracemalloc at n = 150), so the
+    default budget implies about 110 and 230 MB.  A repeated key, and so any
+    collision, takes about 25 B per triple (the argsort and the keys before
+    and after gathering them into key order), and at most 28 B when every
+    key repeats exactly twice.
     """
     n = spec.n
     total = comb(n, 3)
@@ -91,13 +96,26 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
         return None
     del keys
     keys = _ratio_keys(table, lifted, block_pair, block_rank, p, total)
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)   # the ranks in key order, equal keys in runs
     keys = keys[order]
-    same = keys[1:] == keys[:-1]   # same[q]: sorted entry q + 1 repeats entry q's key
+    same = keys[1:] == keys[:-1]   # same[q]: sorted entries q and q + 1 share a key
     del keys
-    # the sort is stable, so a run of equal keys lists its ranks in increasing
-    # order; ranks[q] is entry q + 1's rank if it repeats its run's key, else total
-    ranks = np.where(same, order[1:], total)
+    repeated = np.zeros(total, dtype=bool)   # the sorted entries of runs of 2 or more
+    repeated[1:] = same
+    repeated[:-1] |= same
+    ranks = order[repeated]   # their ranks, run after run
+    del order, repeated
+    # same rises at each such run's first entry and falls at its last one
+    first, last = np.flatnonzero(np.diff(same, prepend=False, append=False)).reshape(-1, 2).T
+    sizes = last - first + 1
+    del same, first, last
+    heads = np.cumsum(sizes) - sizes   # each run's first entry in ranks
+    # later[j] is ranks[j] if its run holds a lower rank, else total
+    later = np.repeat(np.minimum.reduceat(ranks, heads), sizes)   # the run's lowest rank
+    is_lowest = ranks == later
+    later[:] = ranks
+    later[is_lowest] = total
+    del is_lowest
 
     def at(r):   # the triple of rank r and its ratio value
         i = bisect_right(block_rank, r) - 1
@@ -106,18 +124,20 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
         return (i + 1, int(pair_j[t]) + 1, int(pair_k[t]) + 1), value
 
     # candidates in increasing rank: the first whose value equals an earlier
-    # entry of its run is triple_b, and that entry (only one can equal it)
-    # triple_a; a repeat of the key alone moves on to the next candidate
-    while ranks[q := int(ranks.argmin())] < total:
-        triple_b, value_b = at(int(ranks[q]))
-        start = q
-        while start and same[start - 1]:
-            start -= 1
-        for rank_a in order[start:q + 1].tolist():
+    # entry of its run is triple_b, and that entry triple_a (only one can
+    # equal it, or the later of two would be an earlier candidate, so the
+    # run's lower ranks are tried in any order); a repeat of the key alone
+    # moves on to the next candidate
+    while later[j := int(later.argmin())] < total:
+        rank_b = int(later[j])
+        triple_b, value_b = at(rank_b)
+        run = int(np.searchsorted(heads, j, side="right")) - 1
+        members = ranks[heads[run]:heads[run] + sizes[run]]
+        for rank_a in members[members < rank_b].tolist():
             triple_a, value_a = at(rank_a)
             if value_a == value_b:
                 return CollisionWitness(triple_a, triple_b, ExtElem(ext, value_b))
-        ranks[q] = total
+        later[j] = total
     return None
 
 
@@ -321,4 +341,4 @@ def base_field_spec(p: int, n: int) -> CodeSpec:
     """
     delta = tuple(range(1, n + 1))
     rows = [(d, 0, 0) for d in delta]
-    return CodeSpec(p, find_irreducible_cubic(p), delta, alpha_rows=rows)
+    return CodeSpec(p, None, delta, alpha_rows=rows)

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import chain, count
 from pathlib import Path
 
 import pytest
@@ -321,13 +322,13 @@ def test_bench_command(tmp_path, capsys):
     out_csv = tmp_path / "bench.csv"
     rc, out, _ = run(capsys, "bench", "--p", "10007", "--n", "16,32",
                      "--trials", "2", "--out", str(out_csv))
-    assert rc == 0 and "wrote 4 records" in out
+    assert rc == 0 and "wrote 6 records" in out
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "p,n,algo,trials,search_time,total_time,p50_time,field_ops"
-    assert len(lines) == 5
+    assert len(lines) == 7
     for line in lines[1:]:
         p, n, algo, trials, search_t, total_t, p50_t, ops = line.split(",")
-        assert p == "10007" and n in ("16", "32") and algo in ("cubic", "linear")
+        assert p == "10007" and n in ("16", "32") and algo in ("build_code", "cubic", "linear")
         assert trials == "2"
         assert 0.0 <= float(search_t) <= float(total_t)
         # the median of two trials is their mean
@@ -340,16 +341,19 @@ def test_bench_json(tmp_path, capsys):
     out_json = tmp_path / "bench.json"
     rc, out, _ = run(capsys, "bench", "--p", "10007,1073741789", "--n", "16,32",
                      "--trials", "2", "--out", str(out_json))
-    assert rc == 0 and "wrote 4 records" in out
+    assert rc == 0 and "wrote 6 records" in out
     doc = json.loads(out_json.read_text())
     assert doc["truncated"] is False
     assert [(r["p"], r["n"], r["algo"]) for r in doc["records"]] == [
-        (10007, 16, "cubic"), (10007, 16, "linear"),
-        (1073741789, 32, "cubic"), (1073741789, 32, "linear")]
+        (10007, 16, "build_code"), (10007, 16, "cubic"), (10007, 16, "linear"),
+        (1073741789, 32, "build_code"), (1073741789, 32, "cubic"),
+        (1073741789, 32, "linear")]
     for r in doc["records"]:
         assert r["trials"] == 2 and r["field_ops"] > 0
         assert 0.0 <= r["search_time"] <= r["total_time"]
         assert r["p50_time"] == pytest.approx(r["total_time"])
+        if r["algo"] == "build_code":
+            assert r["field_ops"] == r["n"] and r["search_time"] == r["total_time"] > 0
     rc, out, _ = run(capsys, "bench", "--p", "10007", "--n", "16", "--trials", "1",
                      "--budget-seconds", "1e-9", "--out", str(out_json))
     assert rc == 0 and "(truncated)" in out
@@ -384,6 +388,16 @@ def test_bench_p50_is_the_median_trial(monkeypatch):
     assert not truncated
     assert [(r.algo, r.total_time, r.search_time, r.p50_time) for r in records] == [
         ("check_injectivity", 3.0, 3.0, 2.0), ("audit_code", 3.0, 3.0, 2.0)]
+
+
+def test_bench_build_code_p50_is_the_median_trial(monkeypatch):
+    # builds of 1, 2 and 6 s: mean 3, median 2
+    ticks = chain([0.0, 0, 1, 1, 3, 3, 9], count(10))   # then one tick per read
+    monkeypatch.setattr(cli, "perf_counter", lambda: next(ticks))
+    records, truncated = cli.run_bench([10007], [16], trials=3)
+    assert not truncated and records[0].algo == "build_code"
+    assert (records[0].total_time, records[0].search_time, records[0].p50_time,
+            records[0].field_ops) == (3.0, 3.0, 2.0, 16)
 
 
 def test_bench_budget_truncation(tmp_path, capsys):

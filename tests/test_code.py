@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from rsdel import field
 from rsdel.code import (
     CodeSpec,
     Message,
@@ -64,6 +65,58 @@ def test_build_code_validation():
         build_code(7, 3, delta_override=(0, 1, 2))
     with pytest.raises(ParameterError):
         build_code(6, 4)
+
+
+def test_build_code_validation_messages():
+    # the O(n) delta checks keep their messages, and their order
+    for p, n, delta, message in (
+            (7, 3, (1, 2, 2), "delta entries must be distinct"),
+            (7, 3, (0, 1, 2), "delta entries must be nonzero residues mod p"),
+            (7, 3, (1, 2, 7), "delta entries must be nonzero residues mod p"),
+            (7, 3, (2, 2, 9), "delta entries must be nonzero residues mod p"),
+            (7, 7, None, "blocklength must satisfy 3 <= n <= p - 1, got n=7 p=7"),
+            (6, 4, None, "modulus must be an odd prime, got 6"),
+            (318665857834031151167461, 5, None,
+             "modulus must be an odd prime, got 318665857834031151167461")):
+        with pytest.raises(ParameterError) as exc:
+            build_code(p, n, delta_override=delta)
+        assert str(exc.value) == message
+
+
+def count_checks(monkeypatch):
+    """Record every primality test and every gcd irreducibility test."""
+    primes, gcds = [], []
+    is_prime, no_root = field.is_prime, field._no_root_by_gcd
+    monkeypatch.setattr(field, "is_prime", lambda n: primes.append(n) or is_prime(n))
+    monkeypatch.setattr(field, "_no_root_by_gcd",
+                        lambda p, g: gcds.append((p, tuple(g))) or no_root(p, g))
+    return primes, gcds
+
+
+@pytest.mark.parametrize("p, gcd_tests", [
+    (5, 1), (7, 0), (10007, 1), (1073741789, 1), (2147483659, 0),
+    (2**61 - 1, 0), (2**64 + 13, 3)])
+def test_build_code_runs_each_check_once(monkeypatch, p, gcd_tests):
+    # one primality test; each cubic candidate tested at most once and the
+    # winner never again (for p = 1 mod 3 the pure-cube family wins on
+    # Euler tests alone, and takes no gcd test)
+    primes, gcds = count_checks(monkeypatch)
+    spec = build_code(p, 4)
+    assert primes == [p]
+    assert len(gcds) == len(set(gcds)) == gcd_tests
+    if gcds:
+        assert gcds[-1] == (p, tuple(spec.g))
+    assert spec.g == CodeSpec(p, None, spec.delta).g == find_irreducible_cubic(p)
+
+
+def test_load_spec_runs_each_check_once(monkeypatch, tmp_path):
+    path = tmp_path / "code.spec"
+    spec = get_spec(10007, 40)
+    save_spec(spec, path)
+    primes, gcds = count_checks(monkeypatch)
+    assert load_spec(path) == spec
+    assert primes == [10007]
+    assert gcds == [(10007, tuple(spec.g))]
 
 
 def test_lookup_delta():

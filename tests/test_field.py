@@ -13,12 +13,16 @@ from itertools import product
 import numpy as np
 import pytest
 
+from rsdel import field
 from rsdel.errors import FieldMismatchError, ParameterError
 from rsdel.field import (
     CubicField,
     MonicCubic,
     PrimeField,
+    _mul3,
     _no_root_by_gcd,
+    _pow_x_mod_cubic,
+    _reduction_consts,
     find_irreducible_cubic,
     is_irreducible_cubic,
     is_prime,
@@ -36,6 +40,66 @@ def test_is_prime_large():
     assert not is_prime(10005)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+
+
+def test_is_prime_matches_sieve():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, limit, q)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+# OEIS A014233: psi_k, the least odd composite that is a strong probable prime
+# to the first k prime bases (psi_7 = psi_8, psi_9 = psi_10 = psi_11), each
+# with the first prime above it
+_PSI = [
+    (2047, 2053),
+    (1373653, 1373677),
+    (25326001, 25326023),
+    (3215031751, 3215031767),
+    (2152302898747, 2152302898771),
+    (3474749660383, 3474749660401),
+    (341550071728321, 341550071728361),
+    (3825123056546413051, 3825123056546413057),
+    (318665857834031151167461, 318665857834031151167483),
+]
+_PSI_13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("psi, next_prime", _PSI)
+def test_is_prime_at_each_proven_bound(psi, next_prime):
+    assert not is_prime(psi)
+    assert is_prime(next_prime)
+    assert all(not is_prime(m) for m in range(psi + 2, next_prime, 2))
+
+
+def test_is_prime_refuses_past_the_last_proven_bound():
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    # below psi_13 the first 13 prime bases still decide
+    assert is_prime(3317044064679887385961813)   # the last prime below psi_13
+    assert not is_prime(_PSI_13 - 2)             # 17 * 1709 * 1366183751 * 83570142193
+    for n in (_PSI_13, _PSI_13 + 142, (1 << 90) + 1):
+        with pytest.raises(ParameterError, match="no proven primality test"):
+            is_prime(n)
+    with pytest.raises(ParameterError, match="no proven primality test"):
+        PrimeField(_PSI_13)
+    with pytest.raises(ParameterError, match="modulus must be an odd prime"):
+        PrimeField(318665857834031151167461)
+
+
+@pytest.mark.parametrize("n, bases", [
+    (3, 1), (10007, 2), (1073741789, 4), (2147483659, 4),
+    (2**61 - 1, 7), (2**64 - 59, 7), (2**64 + 13, 12)])
+def test_is_prime_uses_the_smallest_proven_base_set(monkeypatch, n, bases):
+    # one pow per Miller-Rabin base: p = 10007 takes 2, and every p from
+    # psi_7 up to 2^64 takes Sinclair's 7 bases
+    calls = []
+    monkeypatch.setattr(field, "pow", lambda *a: calls.append(a) or pow(*a), raising=False)
+    assert is_prime(n)
+    assert len(calls) == bases
 
 
 def test_prime_field_rejects_bad_modulus():
@@ -130,6 +194,41 @@ def test_find_irreducible_frozen_values():
     assert find_irreducible_cubic(3) == MonicCubic(1, 2, 0)
     # deterministic: same answer every call
     assert find_irreducible_cubic(10007) == find_irreducible_cubic(10007)
+    # read at the version that searched after a primality test of its own
+    # and tested the winner again in CubicField; CubicField(base) with g
+    # left out finds the same cubic
+    for p, g in ((7, (2, 0, 0)), (10007, (1, 1, 0)), (1073741789, (1, 1, 0)),
+                 (2147483659, (2, 0, 0)), (2**61 - 1, (5, 0, 0)),
+                 (2**64 - 59, (1, 1, 0)), (2**64 + 13, (3, 1, 0))):
+        assert find_irreducible_cubic(p) == MonicCubic(*g), p
+        assert CubicField(PrimeField(p)).g == MonicCubic(*g), p
+
+
+def test_find_irreducible_rejects_bad_modulus():
+    for p in (2, 9, 10005, 318665857834031151167461):
+        with pytest.raises(ParameterError, match=f"modulus must be an odd prime, got {p}"):
+            find_irreducible_cubic(p)
+
+
+def pow_x_right_to_left(p, g, e):
+    """x^e mod g by right-to-left square-and-multiply with full products."""
+    consts = _reduction_consts(p, g)
+    result, base = (1, 0, 0), (0, 1, 0)
+    while e:
+        if e & 1:
+            result = _mul3(p, consts, result, base)
+        base = _mul3(p, consts, base, base)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", [3, 5, 10007, 2**61 - 1, 2**64 - 59])
+def test_pow_x_ladder_matches_square_and_multiply(p):
+    rng = random.Random(p)
+    for _ in range(30):
+        g = MonicCubic(rng.randrange(p), rng.randrange(p), rng.randrange(p))
+        for e in (0, 1, 2, 3, p, p - 1, rng.randrange(1, p * p)):
+            assert _pow_x_mod_cubic(p, g, e) == pow_x_right_to_left(p, g, e), (p, g, e)
 
 
 def test_find_irreducible_large_primes_fast():
