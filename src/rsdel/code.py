@@ -46,9 +46,10 @@ class CodeSpec:
     its last nonzero one (2 for the quadratic map): one matmul with it
     evaluates a message at every point, and certification builds its
     ratios from it.  _search_columns caches the cubic decoder's search
-    tables, built on the spec's first cubic decode: two bool filter tables
-    of 2^bit_length(256*n) bytes each, 2*2^bit_length(256*n) bytes in all
-    (512 KB at n = 512, 4 MB at n = 4096), plus O(n) columns.
+    columns, built on the spec's first cubic decode: the points sorted by
+    first coordinate and their positions, O(n) entries and no tables
+    (32*n bytes for int64 columns, 131 KB at n = 4096).  w <= 2 puts every
+    point in the gamma^2 = 0 plane, where the search joins on one key.
 
     g=None takes the canonical cubic (CubicField's search, as build_code
     does); a given g is tested for irreducibility once.  Construction runs
@@ -146,7 +147,7 @@ def build_code(p: int, n: int, delta_override: Optional[Sequence[int]] = None) -
     test per candidate, and about one monic cubic in three is irreducible,
     so a few are tried in practice), and O(n) to validate delta and build
     the spec's arrays and lookup dict.  Memory: O(n).  The cubic decoder's
-    search tables are not built here but on the spec's first cubic decode.
+    search columns are not built here but on the spec's first cubic decode.
     """
     if delta_override is not None:
         delta = tuple(delta_override)
@@ -331,9 +332,19 @@ def random_message(spec: CodeSpec, rng: random.Random) -> Message:
 # comma-separated canonical coordinates "c0,c1,c2".
 
 
+def _text_lines(path, what: str):
+    """The lines of a UTF-8 text file, read lazily; raises ParameterError at
+    the first byte sequence that is not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise ParameterError(f"{what} {str(path)!r} is not UTF-8 text") from None
+
+
 def save_spec(spec: CodeSpec, path) -> None:
     """Write spec's three key lines; O(n) time and memory (the delta line)."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"p {spec.p}\n")
         fh.write(f"g {spec.g.g0} {spec.g.g1} {spec.g.g2}\n")
         fh.write("delta " + " ".join(str(d) for d in spec.delta) + "\n")
@@ -342,25 +353,24 @@ def save_spec(spec: CodeSpec, path) -> None:
 def load_spec(path) -> CodeSpec:
     """Read a spec file and build its CodeSpec.
 
-    Raises ParameterError for a missing, repeated, unknown or malformed
-    key.  Takes O(L) time and memory for a file of L bytes, plus the
-    CodeSpec construction: one primality test of p (at most 13 pow calls),
-    one irreducibility test of the g read (a gcd test of O(log p) squares
-    in F_p[x]/(g)), and O(n) checks of delta.
+    Raises ParameterError for a file that is not UTF-8 text, or a missing,
+    repeated, unknown or malformed key.  Takes O(L) time and memory for a
+    file of L bytes, plus the CodeSpec construction: one primality test of
+    p (at most 13 pow calls), one irreducibility test of the g read (a gcd
+    test of O(log p) squares in F_p[x]/(g)), and O(n) checks of delta.
     """
     fields = {}
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            key, values = parts[0], parts[1:]
-            if key in fields:
-                raise ParameterError(f"duplicate key {key!r} in spec file")
-            try:
-                fields[key] = [int(v) for v in values]
-            except ValueError:
-                raise ParameterError(f"non-integer value on line {line!r}") from None
+    for line in _text_lines(path, "spec file"):
+        parts = line.split()
+        if not parts:
+            continue
+        key, values = parts[0], parts[1:]
+        if key in fields:
+            raise ParameterError(f"duplicate key {key!r} in spec file")
+        try:
+            fields[key] = [int(v) for v in values]
+        except ValueError:
+            raise ParameterError(f"non-integer value on line {line!r}") from None
     missing = {"p", "g", "delta"} - fields.keys()
     if missing:
         raise ParameterError(f"spec file is missing keys: {sorted(missing)}")
@@ -385,7 +395,7 @@ def save_symbols(path, word) -> None:
         rows = word.symbol_tuples()
     else:
         rows = [sym.coords for sym in word]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for c0, c1, c2 in rows:
             fh.write(f"{c0},{c1},{c2}\n")
 
@@ -399,25 +409,25 @@ def _require_canonical(p: int, coords, where: str) -> None:
 def load_symbols(path, spec: CodeSpec):
     """Read a symbol sequence of any length into a tuple of ExtElem.
 
-    Raises ParameterError for a line that is not three canonical integers.
-    O(L) time and memory for a file of L bytes (O(m) for m symbols).
+    Raises ParameterError for a file that is not UTF-8 text, or a line that
+    is not three canonical integers.  O(L) time and memory for a file of L
+    bytes (O(m) for m symbols).
     """
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParameterError(
-                    f"line {lineno}: expected three comma-separated ints, got {line!r}")
-            try:
-                c0, c1, c2 = (int(v) for v in parts)
-            except ValueError:
-                raise ParameterError(f"line {lineno}: non-integer coordinate") from None
-            _require_canonical(spec.p, (c0, c1, c2), f"line {lineno}")
-            out.append(ExtElem(spec.ext, (c0, c1, c2)))
+    for lineno, line in enumerate(_text_lines(path, "symbol file"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParameterError(
+                f"line {lineno}: expected three comma-separated ints, got {line!r}")
+        try:
+            c0, c1, c2 = (int(v) for v in parts)
+        except ValueError:
+            raise ParameterError(f"line {lineno}: non-integer coordinate") from None
+        _require_canonical(spec.p, (c0, c1, c2), f"line {lineno}")
+        out.append(ExtElem(spec.ext, (c0, c1, c2)))
     return tuple(out)
 
 

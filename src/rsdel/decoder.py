@@ -63,7 +63,7 @@ from .errors import (
     ParameterError,
     UnrecognizedReceivedWordError,
 )
-from .field import _INT64_COORD_MAX_P, _INT64_SUM_MAX_P, ExtElem, PrimeField
+from .field import _INT64_COORD_MAX_P, ExtElem, PrimeField
 
 PATH_CLOSED_FORM = "closed-form"
 PATH_FALLBACK = "fallback-search"
@@ -210,58 +210,51 @@ def solve_deltas(pf: PrimeField, coeffs):
 #
 # For beta == 0 the match needs alpha_i == alpha_j and for beta == -1
 # alpha_i == alpha_k, so no triple of distinct points matches either, and
-# the search prices the full scan and returns None.  Otherwise the targets
-# are the code's own evaluation points, which are distinct, so the search
-# runs as a join: each candidate lam*alpha_i + (1 - lam)*alpha_k names the
-# only j that could complete (i, ., k).  Rows go in increasing i, and in the
-# first row with a hit i < j < k the smallest j wins; k is then unique, so
-# this is the lexicographically first triple of the scan, also for
-# alpha_rows specs whose ratios collide.  The nominal count still prices the
-# Theta(n^3) scan up to the match row (_scan_ops), so the counts do not
-# depend on the kernel.
+# the search prices the full scan and returns None.  The nominal count
+# always prices the Theta(n^3) scan up to the match row (_scan_ops), so the
+# counts do not depend on the kernel.
 #
-# One kernel serves every p.  With canonical coordinates a_c(i) of
-# lam*alpha_i and b_c(k) of (1 - lam)*alpha_k, each coordinate sum
-# u_c = a_c(i) + b_c(k) lies in [0, 2p), so at a match u_c is alpha_{j,c}
-# or alpha_{j,c} + p.  Two filter keys, the low bits of u_0 + _MIX*u_1 and
-# of u_2 + _MIX*u_0, are each the sum of a half from i and a half from k.
-# Since the targets do not depend on beta, the two bool tables that mark
-# the keys of the four shifts e in {0, p}^2 of every point, and the points
-# sorted by first coordinate, are built once per spec (_search_columns);
-# a decode computes only lam (one F_{p^3} inverse), lam*alpha,
-# (1 - lam)*alpha and their key halves.
-# With 256 to 512 slots per point, one candidate in 64 to 128 passes the
-# first table whatever p is, besides the diagonal k = i of a block's lower
-# rows, whose sum is alpha_i itself.  The first table's survivors drop every
-# k <= i + 1, which closes no triple, and pass the second table; the few
-# left are looked up among the sorted points and compared in all three
-# coordinates, stepping on while the first coordinate agrees.  Points of
-# the quadratic map have distinct first coordinates, so the lookup takes
-# one step for those specs.
+# The search is an equal-key self-join.  When every point has
+# gamma^2-coordinate 0 (w <= 2 in CodeSpec, so every quadratic-map spec),
+# the gamma^2-coordinate of a match reads key(i) == key(k), where key(i) is
+# the gamma^2-coordinate of lam*alpha_i.  So only pairs with equal keys can
+# close a triple: the search sorts the key column once and walks the runs
+# of equal keys, pairing sorted ranks s apart for s = 1, 2, ... while some
+# run is longer than s.  Each pair (i, k) with k >= i + 2 names the only j
+# that could complete it, lam*alpha_i + (1 - lam)*alpha_k; that point is
+# looked up among the code's points sorted by first coordinate and compared
+# in all three coordinates, stepping on while the first coordinate agrees.
+# The targets are distinct, so j is unique per pair and k per (i, j), and
+# the smallest (i, j) over every hit is the lexicographically first triple
+# of the scan, also for alpha_rows specs whose ratios collide.  Points off
+# the plane (w = 3) give every position one key, and every pair is a
+# candidate of the same code.
 #
-# Time: O(n^2) filter work per decode (per 16-row block a candidate costs
-# one add, one mask and one table read), O(n) setup, and a lookup for the
-# survivors of both tables.  Memory: O(n) columns and the block per decode;
-# the tables per spec take 2*2^bit_length(256*n) bytes plus O(n) columns.
-# Sums of two canonical coordinates stay below 2^63 for p < 2^62
-# (_INT64_SUM_MAX_P), so the search columns are int64 there and Python ints
-# (object dtype) above, on the same code path; products of coordinates only
-# occur in the O(n) setup, in the field's own dtype.
+# For the quadratic map, with lam = l0 + l1*gamma + l2*gamma^2 and
+# gamma^3 = h0 + h1*gamma + h2*gamma^2, key(d) = l2*d + (l1 + l2*h2)*d^2: a
+# nonzero polynomial of degree <= 2 unless lam lies in F_p, so a key is
+# shared by at most two positions (one pass, at most n/2 candidates).  And
+# beta in F_p (lam in F_p) matches no triple there: the first two
+# coordinates of a match read d_j = lam*d_i + (1 - lam)*d_k and
+# d_j^2 = lam*d_i^2 + (1 - lam)*d_k^2, whose difference is
+# lam*(1 - lam)*(d_i - d_k)^2 = 0, the r = 0 argument of the module
+# docstring.  So those specs return at once for every beta in F_p.
+#
+# Time per decode: O(n) setup (one F_{p^3} inverse, the key column in one
+# matrix-vector product) and one O(n log n) sort, then O(n + C) for C
+# candidate pairs plus a lookup each (one step for the quadratic map's
+# distinct first coordinates): O(n log n) for w <= 2 on the quadratic map,
+# O(n^2) for w = 3, where C = (n - 1)*(n - 2)/2.  Memory: O(n) per pass and
+# in the cache, which holds only the points sorted by first coordinate.
+# Keys and candidate points are computed in the field's own dtype and
+# reduced, so they and the sorted points are compared as int64 columns for
+# p < 2^63 (_INT64_COORD_MAX_P) and as Python ints (object dtype) above.
 
-_SEARCH_BLOCK_ROWS = 16
-_FILTER_SLOTS_PER_TARGET = 256  # table size: 2^bit_length(slots * n); 0 lets all pass
-_MIX = 0x9E3779B9               # odd: u -> _MIX*u permutes the residues mod 2^b
-_KEY_ROWS = np.array([[1, _MIX, 0],   # u_0 + _MIX*u_1
-                      [_MIX, 0, 1]])  # u_2 + _MIX*u_0
 
+class _SearchColumns(NamedTuple):
+    """Beta-independent search data of one spec, arrays read-only."""
 
-class _SearchTables(NamedTuple):
-    """Beta-independent search data of one spec, all arrays read-only."""
-
-    a: np.ndarray       # (3, n) alpha coordinate columns in the search dtype
-    mask: int           # a filter key is its low bits: key & mask
-    first: np.ndarray   # bool table of the (u_0, u_1) keys of every point
-    second: np.ndarray  # bool table of the (u_2, u_0) keys
+    planar: bool        # every gamma^2-coordinate is 0, so keys join (w <= 2)
     ts: np.ndarray      # (3, n + 1) points sorted by first coordinate, then a sentinel
     order: np.ndarray   # 0-based position of each sorted column; order[n] == n
 
@@ -280,35 +273,18 @@ def _scan_ops(n, rows):
             + triples * OPS_SEARCH_PER_TRIPLE)
 
 
-def _key_halves(cols, mask):
-    """Rows (cols[0] + _MIX*cols[1], cols[2] + _MIX*cols[0]) & mask, as int64
-    (wrapping for int64 columns)."""
-    keys = _KEY_ROWS @ cols
-    if keys.dtype != np.int64:
-        keys = (keys & (_INT64_COORD_MAX_P - 1)).astype(np.int64)  # the low 63 bits
-    keys &= mask
-    return keys
-
-
-def _search_columns(spec: CodeSpec) -> _SearchTables:
-    """The search tables of spec, built on its first search and kept."""
+def _search_columns(spec: CodeSpec) -> _SearchColumns:
+    """The search columns of spec, built on its first search and kept."""
     if spec._search_columns is None:
         p, n = spec.p, spec.n
-        dtype = np.int64 if p < _INT64_SUM_MAX_P else object
+        dtype = np.int64 if p < _INT64_COORD_MAX_P else object
         a = np.array(spec._alpha.T, dtype=dtype)
-        mask = (1 << (_FILTER_SLOTS_PER_TARGET * n).bit_length()) - 1
-        shifts = np.array([(e0 + _MIX * e1) & mask for e0 in (0, p) for e1 in (0, p)])
-        tables = []
-        for keys in _key_halves(a, mask):
-            table = np.zeros(mask + 1, dtype=bool)
-            table[np.add.outer(keys, shifts) & mask] = True
-            tables.append(table)
         order = np.append(np.argsort(a[0], kind="stable"), n)
-        # first coordinate p: sorts last and equals no reduced sum
+        # first coordinate p: sorts last and equals no reduced point
         ts = np.concatenate((a, np.array([[p], [0], [0]], dtype=dtype)), axis=1)[:, order]
-        for arr in (a, *tables, ts, order):
+        for arr in (ts, order):
             arr.setflags(write=False)
-        spec._search_columns = _SearchTables(a, mask, *tables, ts, order)
+        spec._search_columns = _SearchColumns(not a[2].any(), ts, order)
     return spec._search_columns
 
 
@@ -316,58 +292,54 @@ def _search_triple(spec: CodeSpec, beta):
     p = spec.p
     n = spec.n
     ext = spec.ext
-    if beta[1] == beta[2] == 0 and beta[0] in (0, p - 1):
-        return None  # beta in {0, -1}: no triple matches
-    a, mask, first, second, ts, order = _search_columns(spec)
+    if beta[1] == beta[2] == 0 and (spec.from_quadratic_map or beta[0] in (0, p - 1)):
+        return None  # beta in {0, -1}, or in F_p on the parabola: no triple matches
+    planar, ts, order = _search_columns(spec)
+    alpha = spec._alpha
     lam = ext.inv(((beta[0] + 1) % p, beta[1], beta[2]))
-    # lam*alpha_j for every j in one matmul, one contiguous row per coordinate
-    m = np.array(ext.mul_matrix(lam), dtype=spec._alpha.dtype)
-    la = np.asarray(m.T @ spec._alpha.T % p, dtype=a.dtype)
-    rest = a - la  # (1 - lam)*alpha
-    rest %= p
-    la_first, la_second = _key_halves(la, mask)
-    rest_first, rest_second = _key_halves(rest, mask)
-    for i0 in range(0, n - 2, _SEARCH_BLOCK_ROWS):
-        i1 = min(i0 + _SEARCH_BLOCK_ROWS, n - 2)
-        k0 = i0 + 2  # candidates k >= i0 + 2 cover every row of the block
-        key = la_first[i0:i1, None] + rest_first[k0:]
-        key &= mask
-        flat = first[key].ravel().nonzero()[0]
-        if not flat.size:
-            continue
-        ri, rk = np.divmod(flat, n - k0)
-        # k <= i + 1 closes no triple; dropping it keeps the diagonal k = i,
-        # where the sum is alpha_i itself, out of the lookup below
-        keep = rk >= ri
-        i = ri[keep] + i0
-        k = rk[keep] + k0
-        key = la_second[i] + rest_second[k]
-        key &= mask
-        keep = second[key]
-        if not np.count_nonzero(keep):
-            continue
-        i = i[keep]
-        k = k[keep]
-        w = (la.take(i, axis=1) + rest.take(k, axis=1)) % p
-        # compare each survivor with the points from its first coordinate's
+    m = np.array(ext.mul_matrix(lam), dtype=alpha.dtype)  # v @ m is v*lam
+    if planar:  # the gamma^2-coordinates of every lam*alpha_i
+        key = np.asarray(alpha @ m[:, 2] % p, dtype=ts.dtype)
+    else:
+        key = np.zeros(n, dtype=np.int64)
+    by_key = np.argsort(key, kind="stable")  # equal keys keep i < k
+    key = key[by_key]
+    best = None
+    t = np.arange(n - 1)  # sorted ranks whose run reaches s ranks on
+    for s in range(1, n):
+        t = t[t < n - s]
+        t = t[key[t + s] == key[t]]
+        if not t.size:
+            break
+        i = by_key[t]
+        k = by_key[t + s]
+        near = k - i >= 2  # k <= i + 1 closes no triple
+        i, k = i[near], k[near]
+        ak = alpha[k]
+        w = (alpha[i] - ak) @ m  # lam*alpha_i + (1 - lam)*alpha_k, one row per pair
+        w += ak
+        w %= p
+        w = np.asarray(w.T, dtype=ts.dtype)
+        # compare each candidate with the points from its first coordinate's
         # sorted position on, stepping while the first coordinate agrees and
         # the rest does not; j stays -1 where nothing matches
         j = -1
-        pos = np.searchsorted(ts[0], w[0])
+        at = np.searchsorted(ts[0], w[0])
         while True:
-            same = ts.take(pos, axis=1) == w
+            same = ts.take(at, axis=1) == w
             hit = same.all(axis=0)
-            j = np.where(hit, order[pos], j)
+            j = np.where(hit, order[at], j)
             step = same[0] > hit
             if not np.count_nonzero(step):
                 break
-            pos += step
+            at += step
         ok = (i < j) & (j < k)
         if np.count_nonzero(ok):
             i, j, k = i[ok], j[ok], k[ok]
-            first_hit = np.lexsort((j, i))[0]  # lexicographically first (i, j)
-            return (int(i[first_hit]) + 1, int(j[first_hit]) + 1, int(k[first_hit]) + 1)
-    return None
+            first = np.lexsort((j, i))[0]  # lexicographically first (i, j)
+            found = (int(i[first]) + 1, int(j[first]) + 1, int(k[first]) + 1)
+            best = found if best is None else min(best, found)
+    return best
 
 
 # -- decoders ------------------------------------------------------------
@@ -426,13 +398,17 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
     """Decode by the paper's exhaustive triple search, run as a join.
 
     Returns the lexicographically first increasing triple whose ratio
-    matches.  Takes O(n^2) time for the filter over all (i, k) pairs plus
-    a sorted lookup for the survivors of both filter tables, and O(n)
-    memory (columns and a 16-row block of candidates); then the O(n)
-    re-encode.  The first decode on a spec also builds its search tables,
-    2*2^bit_length(256*n) bytes (at most about 2^10*n) kept with the spec.
-    The nominal op count still prices the Theta(n^3) scan up to the match
-    row.  Raises UnrecognizedReceivedWordError when no triple matches, and
+    matches, by an equal-key join (see the triple search above): when every
+    point lies in the gamma^2 = 0 plane (w <= 2), only pairs (i, k) whose
+    lam*alpha share a gamma^2-coordinate can close a triple.  On a
+    quadratic-map spec a decode sorts that key column and checks at most
+    n/2 pairs among the points sorted by first coordinate, O(n log n) time,
+    and rejects a ratio in F_p at once.  Points off the plane (w = 3) share
+    one key and every pair is checked, O(n^2) time.  Memory is O(n) either
+    way, and the re-encode adds O(n).  The first decode on a spec also
+    builds its search columns, O(n), kept with the spec.  The nominal op
+    count still prices the Theta(n^3) scan up to the match row.  Raises
+    UnrecognizedReceivedWordError when no triple matches, and
     FieldMismatchError before any arithmetic when a symbol is not in spec's
     field.
     """

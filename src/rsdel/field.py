@@ -22,7 +22,6 @@ from .errors import FieldMismatchError, ParameterError
 # The int64 bounds on p, stated once: a column is exact in int64 while p is
 # below the bound for what it holds, and holds Python ints (object dtype) above.
 _INT64_PRODUCT_MAX_P = 1 << 30  # three products of coordinates plus one: 3p^2 + p < 2^63
-_INT64_SUM_MAX_P = 1 << 62      # two coordinates, as the cubic search adds them
 _INT64_COORD_MAX_P = 1 << 63    # one coordinate; a wider int enters a key by its low 63 bits
 
 # Deterministic Miller-Rabin: (bound, bases) pairs, each base set proven exact
@@ -182,34 +181,32 @@ def _pow_x_mod_cubic(p: int, g: MonicCubic, e: int):
     return (c0, c1, c2)
 
 
-def _trim(v):
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _poly_rem(p, a, b):
-    """Remainder of a mod b over F_p; coefficient lists, low degree first."""
-    a = _trim(list(a))
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        coef = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[i + shift] = (a[i + shift] - coef * bc) % p
-        _trim(a)
-    return a
-
-
 def _no_root_by_gcd(p: int, g: MonicCubic) -> bool:
-    # gcd(x^p - x, g) collects exactly the linear factors of g, so the gcd is
-    # constant iff g has no root.
+    """Whether gcd(x^p - x, g) = 1, i.e. whether g has no root in F_p.
+
+    gcd(x^p - x, g) collects exactly the linear factors of g.  Euclid's
+    steps are written out: x^p - x mod g has degree <= 2; a quadratic
+    remainder c2*x^2 + c1*x + c0 is made monic, x^2 + a1*x + a0, and divides
+    g with quotient x + (g2 - a1), leaving a linear remainder; and a
+    nonzero linear remainder c1*x + c0 shares a factor with the last
+    divisor f exactly when f(-c0/c1) = 0.  At most two F_p inverses.
+    """
     c0, c1, c2 = _pow_x_mod_cubic(p, g, p)
-    a = _trim([c0, (c1 - 1) % p, c2])
-    b = [g.g0 % p, g.g1 % p, g.g2 % p, 1]
-    while a:
-        b, a = a, _poly_rem(p, b, a)
-    return len(b) == 1
+    c1 = (c1 - 1) % p
+    f = (g.g2, g.g1, g.g0)   # the monic divisor's coefficients below its lead
+    if c2:
+        inv = pow(c2, -1, p)
+        a1, a0 = c1 * inv % p, c0 * inv % p
+        q = g.g2 - a1
+        c1, c0 = (g.g1 - a0 - q * a1) % p, (g.g0 - q * a0) % p
+        f = (a1, a0)
+    if not c1:
+        return c0 != 0   # a constant remainder: the gcd is 1 unless it is 0
+    x = -c0 * pow(c1, -1, p) % p
+    value = 1
+    for coef in f:
+        value = (value * x + coef) % p
+    return value != 0
 
 
 def is_irreducible_cubic(p: int, g: MonicCubic) -> bool:

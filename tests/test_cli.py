@@ -194,6 +194,23 @@ def test_exit_usage_cases(tmp_path, capsys):
     assert not os.path.exists(d)  # every case is refused before writing
 
 
+def test_exit_usage_on_files_not_utf8(tmp_path, capsys):
+    # bytes that are not UTF-8 make a malformed file, refused like any other
+    spec = gen(tmp_path, capsys)
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe\x00garbage")
+    rc, out, err = run(capsys, "check-condition", "--spec", str(bad))
+    assert rc == 2 and out == ""
+    assert err == f"error: spec file {str(bad)!r} is not UTF-8 text\n"
+    rx = tmp_path / "rx.sym"
+    rx.write_bytes(b"1,2,3\n4,5,6\n0,1,\xff\n")
+    rc, out, err = run(capsys, "decode", "--spec", str(spec), "--received", str(rx),
+                       "--algo", "cubic", "--out", str(tmp_path / "d.sym"))
+    assert rc == 2 and out == ""
+    assert err == f"error: symbol file {str(rx)!r} is not UTF-8 text\n"
+    assert not (tmp_path / "d.sym").exists()
+
+
 def test_encode_refuses_noncanonical(tmp_path, capsys):
     # the rule load_symbols applies to a symbol line: each coordinate in [0, p)
     spec = gen(tmp_path, capsys, p=10007, n=8)
