@@ -47,8 +47,9 @@ class CodeSpec:
     evaluates a message at every point, and certification builds its
     ratios from it.  _search_columns caches the cubic decoder's search
     columns, built on the spec's first cubic decode: the points sorted by
-    first coordinate and their positions, O(n) entries and no tables
-    (32*n bytes for int64 columns, 131 KB at n = 4096).  w <= 2 puts every
+    first coordinate, their positions and a bool mask of repeated first
+    coordinates, O(n) entries and no tables (33*(n + 1) bytes for int64
+    columns, 135 KB at n = 4096).  w <= 2 puts every
     point in the gamma^2 = 0 plane, where the search joins on one key.
 
     g=None takes the canonical cubic (CubicField's search, as build_code

@@ -220,15 +220,21 @@ def solve_deltas(pf: PrimeField, coeffs):
 # the gamma^2-coordinate of lam*alpha_i.  So only pairs with equal keys can
 # close a triple: the search sorts the key column once and walks the runs
 # of equal keys, pairing sorted ranks s apart for s = 1, 2, ... while some
-# run is longer than s.  Each pair (i, k) with k >= i + 2 names the only j
-# that could complete it, lam*alpha_i + (1 - lam)*alpha_k; that point is
-# looked up among the code's points sorted by first coordinate and compared
-# in all three coordinates, stepping on while the first coordinate agrees.
-# The targets are distinct, so j is unique per pair and k per (i, j), and
-# the smallest (i, j) over every hit is the lexicographically first triple
-# of the scan, also for alpha_rows specs whose ratios collide.  Points off
-# the plane (w = 3) give every position one key, and every pair is a
-# candidate of the same code.
+# run is longer than s.  The sort is numpy's default, not stable: at every
+# distance s each unordered pair of a run still comes once, and the pair is
+# taken as i = min, k = max of its two positions, so the order of equal keys
+# never matters.  Each pair (i, k) names the only j that could complete it,
+# lam*alpha_i + (1 - lam)*alpha_k (k = i + 1 leaves no room for j and is
+# rejected by i < j < k); that point is looked up among the code's points
+# sorted by first coordinate and compared in all three coordinates,
+# stepping on only where the next sorted point shares the first coordinate
+# (the cached tie mask).  The quadratic map's first coordinates are its
+# distinct deltas, so there every lookup is one pass.  The targets are
+# distinct, so j is unique per pair and k per (i, j), and the smallest
+# (i, j) over every hit is the lexicographically first triple of the scan,
+# also for alpha_rows specs whose ratios collide.  Points off the plane
+# (w = 3) give every position one key, so they skip the sort and every pair
+# is a candidate of the same code.
 #
 # For the quadratic map, with lam = l0 + l1*gamma + l2*gamma^2 and
 # gamma^3 = h0 + h1*gamma + h2*gamma^2, key(d) = l2*d + (l1 + l2*h2)*d^2: a
@@ -241,11 +247,13 @@ def solve_deltas(pf: PrimeField, coeffs):
 # docstring.  So those specs return at once for every beta in F_p.
 #
 # Time per decode: O(n) setup (one F_{p^3} inverse, the key column in one
-# matrix-vector product) and one O(n log n) sort, then O(n + C) for C
-# candidate pairs plus a lookup each (one step for the quadratic map's
-# distinct first coordinates): O(n log n) for w <= 2 on the quadratic map,
-# O(n^2) for w = 3, where C = (n - 1)*(n - 2)/2.  Memory: O(n) per pass and
-# in the cache, which holds only the points sorted by first coordinate.
+# matrix-vector product) and one O(n log n) sort, then O(n) per distance s
+# plus O(C log n) for C candidate pairs, each looked up by one binary
+# search and one pass (more passes only where first coordinates repeat):
+# O(n log n) for w <= 2 on the quadratic map, O(n^2 log n) for w = 3, where
+# C = n*(n - 1)/2.  Memory: O(n) per pass and in the cache, which holds
+# only the points sorted by first coordinate, their positions and the tie
+# mask.
 # Keys and candidate points are computed in the field's own dtype and
 # reduced, so they and the sorted points are compared as int64 columns for
 # p < 2^63 (_INT64_COORD_MAX_P) and as Python ints (object dtype) above.
@@ -257,6 +265,7 @@ class _SearchColumns(NamedTuple):
     planar: bool        # every gamma^2-coordinate is 0, so keys join (w <= 2)
     ts: np.ndarray      # (3, n + 1) points sorted by first coordinate, then a sentinel
     order: np.ndarray   # 0-based position of each sorted column; order[n] == n
+    tie: np.ndarray     # tie[q]: sorted point q + 1 has point q's first coordinate
 
 
 def _scan_ops(n, rows):
@@ -279,12 +288,13 @@ def _search_columns(spec: CodeSpec) -> _SearchColumns:
         p, n = spec.p, spec.n
         dtype = np.int64 if p < _INT64_COORD_MAX_P else object
         a = np.array(spec._alpha.T, dtype=dtype)
-        order = np.append(np.argsort(a[0], kind="stable"), n)
+        order = np.append(np.argsort(a[0]), n)
         # first coordinate p: sorts last and equals no reduced point
         ts = np.concatenate((a, np.array([[p], [0], [0]], dtype=dtype)), axis=1)[:, order]
-        for arr in (ts, order):
+        tie = np.append(ts[0, 1:] == ts[0, :-1], False)
+        for arr in (ts, order, tie):
             arr.setflags(write=False)
-        spec._search_columns = _SearchColumns(not a[2].any(), ts, order)
+        spec._search_columns = _SearchColumns(not a[2].any(), ts, order, tie)
     return spec._search_columns
 
 
@@ -294,46 +304,43 @@ def _search_triple(spec: CodeSpec, beta):
     ext = spec.ext
     if beta[1] == beta[2] == 0 and (spec.from_quadratic_map or beta[0] in (0, p - 1)):
         return None  # beta in {0, -1}, or in F_p on the parabola: no triple matches
-    planar, ts, order = _search_columns(spec)
+    planar, ts, order, tie = _search_columns(spec)
     alpha = spec._alpha
     lam = ext.inv(((beta[0] + 1) % p, beta[1], beta[2]))
     m = np.array(ext.mul_matrix(lam), dtype=alpha.dtype)  # v @ m is v*lam
-    if planar:  # the gamma^2-coordinates of every lam*alpha_i
+    if planar:  # the gamma^2-coordinates of every lam*alpha_i, sorted
         key = np.asarray(alpha @ m[:, 2] % p, dtype=ts.dtype)
-    else:
+        by_key = np.argsort(key)
+        key = key.take(by_key)
+    else:  # one key for every position: nothing to sort
         key = np.zeros(n, dtype=np.int64)
-    by_key = np.argsort(key, kind="stable")  # equal keys keep i < k
-    key = key[by_key]
+        by_key = np.arange(n)
     best = None
-    t = np.arange(n - 1)  # sorted ranks whose run reaches s ranks on
     for s in range(1, n):
-        t = t[t < n - s]
-        t = t[key[t + s] == key[t]]
-        if not t.size:
+        q = np.flatnonzero(key[s:] == key[:-s])  # sorted ranks q, q + s of one run
+        if not q.size:
             break
-        i = by_key[t]
-        k = by_key[t + s]
-        near = k - i >= 2  # k <= i + 1 closes no triple
-        i, k = i[near], k[near]
-        ak = alpha[k]
-        w = (alpha[i] - ak) @ m  # lam*alpha_i + (1 - lam)*alpha_k, one row per pair
+        a, b = by_key.take(q), by_key.take(q + s)
+        i, k = np.minimum(a, b), np.maximum(a, b)
+        ak = alpha.take(k, axis=0)
+        w = (alpha.take(i, axis=0) - ak) @ m  # lam*alpha_i + (1 - lam)*alpha_k, one row per pair
         w += ak
         w %= p
         w = np.asarray(w.T, dtype=ts.dtype)
         # compare each candidate with the points from its first coordinate's
-        # sorted position on, stepping while the first coordinate agrees and
-        # the rest does not; j stays -1 where nothing matches
+        # sorted position on, stepping only while the next point shares that
+        # first coordinate; j stays -1 where nothing matches
         j = -1
         at = np.searchsorted(ts[0], w[0])
         while True:
             same = ts.take(at, axis=1) == w
             hit = same.all(axis=0)
-            j = np.where(hit, order[at], j)
-            step = same[0] > hit
+            j = np.where(hit, order.take(at), j)
+            step = same[0] & tie.take(at) & ~hit
             if not np.count_nonzero(step):
                 break
             at += step
-        ok = (i < j) & (j < k)
+        ok = (i < j) & (j < k)  # also rejects k == i + 1
         if np.count_nonzero(ok):
             i, j, k = i[ok], j[ok], k[ok]
             first = np.lexsort((j, i))[0]  # lexicographically first (i, j)
@@ -401,12 +408,14 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
     matches, by an equal-key join (see the triple search above): when every
     point lies in the gamma^2 = 0 plane (w <= 2), only pairs (i, k) whose
     lam*alpha share a gamma^2-coordinate can close a triple.  On a
-    quadratic-map spec a decode sorts that key column and checks at most
-    n/2 pairs among the points sorted by first coordinate, O(n log n) time,
-    and rejects a ratio in F_p at once.  Points off the plane (w = 3) share
-    one key and every pair is checked, O(n^2) time.  Memory is O(n) either
-    way, and the re-encode adds O(n).  The first decode on a spec also
-    builds its search columns, O(n), kept with the spec.  The nominal op
+    quadratic-map spec a decode sorts that key column (numpy's unstable
+    argsort; each pair is taken as (min, max) of its positions) and looks
+    up at most n/2 pairs among the points sorted by first coordinate, one
+    binary search and one pass each, O(n log n) time, and rejects a ratio
+    in F_p at once.  Points off the plane (w = 3) share one key, skip the
+    sort, and every pair is looked up, O(n^2 log n) time.  Memory is O(n)
+    either way, and the re-encode adds O(n).  The first decode on a spec
+    also builds its search columns, O(n), kept with the spec.  The nominal op
     count still prices the Theta(n^3) scan up to the match row.  Raises
     UnrecognizedReceivedWordError when no triple matches, and
     FieldMismatchError before any arithmetic when a symbol is not in spec's

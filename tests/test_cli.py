@@ -339,13 +339,14 @@ def test_bench_command(tmp_path, capsys):
     out_csv = tmp_path / "bench.csv"
     rc, out, _ = run(capsys, "bench", "--p", "10007", "--n", "16,32",
                      "--trials", "2", "--out", str(out_csv))
-    assert rc == 0 and "wrote 6 records" in out
+    assert rc == 0 and "wrote 10 records" in out
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "p,n,algo,trials,search_time,total_time,p50_time,field_ops"
-    assert len(lines) == 7
+    assert len(lines) == 11
     for line in lines[1:]:
         p, n, algo, trials, search_t, total_t, p50_t, ops = line.split(",")
-        assert p == "10007" and n in ("16", "32") and algo in ("build_code", "cubic", "linear")
+        assert p == "10007" and n in ("16", "32")
+        assert algo in ("build_code", "cubic", "linear", "cubic-random", "linear-random")
         assert trials == "2"
         assert 0.0 <= float(search_t) <= float(total_t)
         # the median of two trials is their mean
@@ -358,13 +359,18 @@ def test_bench_json(tmp_path, capsys):
     out_json = tmp_path / "bench.json"
     rc, out, _ = run(capsys, "bench", "--p", "10007,1073741789", "--n", "16,32",
                      "--trials", "2", "--out", str(out_json))
-    assert rc == 0 and "wrote 6 records" in out
+    assert rc == 0 and "wrote 10 records" in out
     doc = json.loads(out_json.read_text())
     assert doc["truncated"] is False
     assert [(r["p"], r["n"], r["algo"]) for r in doc["records"]] == [
-        (10007, 16, "build_code"), (10007, 16, "cubic"), (10007, 16, "linear"),
-        (1073741789, 32, "build_code"), (1073741789, 32, "cubic"),
-        (1073741789, 32, "linear")]
+        (p, n, algo) for p, n in ((10007, 16), (1073741789, 32))
+        for algo in ("build_code", "cubic", "linear", "cubic-random", "linear-random")]
+    by_algo = {(r["n"], r["algo"]): r for r in doc["records"]}
+    for n in (16, 32):
+        # the last triple maximizes the cubic count; the linear count does
+        # not depend on the triple
+        assert by_algo[n, "cubic"]["field_ops"] > by_algo[n, "cubic-random"]["field_ops"]
+        assert by_algo[n, "linear"]["field_ops"] == by_algo[n, "linear-random"]["field_ops"]
     for r in doc["records"]:
         assert r["trials"] == 2 and r["field_ops"] > 0
         assert 0.0 <= r["search_time"] <= r["total_time"]

@@ -13,6 +13,7 @@ from collections import Counter
 from itertools import combinations, product
 from math import comb
 
+import numpy as np
 import pytest
 
 from rsdel import decoder
@@ -508,12 +509,24 @@ def random_alpha_rows(p, n, dims, rng, span=None):
     return sorted(rows, key=lambda _: rng.random())
 
 
+def every_beta_matches(spec):
+    """The kernel returns the reference's first triple for every beta in
+    F_{p^3}, beta = 0 and beta = -1 included; returns all matches per beta."""
+    return [assert_kernels_match_reference(spec, beta)
+            for beta in product(range(spec.p), repeat=3)]
+
+
+def alpha_rows_specs(p, dims, rng):
+    """Specs of n = 3, p - 2 and p - 1 random points of dims dimensions."""
+    return [CodeSpec(p, find_irreducible_cubic(p), range(1, n + 1),
+                     alpha_rows=random_alpha_rows(p, n, dims, rng))
+            for n in (3, p - 2, p - 1)]
+
+
 @pytest.mark.parametrize("p", (5, 7))
 def test_search_kernels_match_reference_every_beta(p):
-    # every beta in F_{p^3}, beta = 0 and beta = -1 included
     spec = get_spec(p, p - 1)
-    found = sum(bool(assert_kernels_match_reference(spec, beta))
-                for beta in product(range(p), repeat=3))
+    found = sum(map(bool, every_beta_matches(spec)))
     assert found == comb(spec.n, 3)  # the quadratic map is injective
 
 
@@ -523,14 +536,62 @@ def test_search_kernels_match_reference_every_beta_alpha_rows(p, dims):
     # every beta on random points: on a line (dims 1), in the gamma^2 = 0
     # plane (dims 2) and anywhere (dims 3), where ratios tie and beta in
     # F_p can match
-    rng = random.Random(p * 10 + dims)
-    for n in (3, p - 2, p - 1):
-        rows = random_alpha_rows(p, n, dims, rng)
-        spec = CodeSpec(p, find_irreducible_cubic(p), range(1, n + 1), alpha_rows=rows)
-        found = [assert_kernels_match_reference(spec, beta)
-                 for beta in product(range(p), repeat=3)]
+    for spec in alpha_rows_specs(p, dims, random.Random(p * 10 + dims)):
         # every triple has one ratio, so the matches partition the triples
-        assert sum(map(len, found)) == comb(n, 3)
+        assert sum(map(len, every_beta_matches(spec))) == comb(spec.n, 3)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_search_ignores_tie_order(p, monkeypatch):
+    # the search sorts with numpy's unstable argsort, so equal join keys and
+    # equal first coordinates may come in any order: an argsort that lists
+    # every run of equal values in reverse position order, the opposite of
+    # a stable sort, must give the same first triple for every beta
+    sorts = Counter()
+
+    def reverse_ties(a, *args, **kwargs):
+        a = np.asarray(a)
+        sorts["calls"] += 1
+        sorts["with ties"] += len(np.unique(a)) < a.size
+        return np.lexsort((-np.arange(a.size), a))
+
+    monkeypatch.setattr(decoder.np, "argsort", reverse_ties)
+    rng = random.Random(p * 100)
+    specs = [build_code(p, p - 1)]  # fresh, so the columns sort under the patch
+    for dims in (1, 2, 3):
+        specs += alpha_rows_specs(p, dims, rng)
+    for spec in specs:
+        assert sum(map(len, every_beta_matches(spec))) == comb(spec.n, 3)
+    assert sorts["with ties"] >= 100, sorts
+
+
+def test_search_steps_through_shared_first_coordinates():
+    # the lookup steps on from a candidate's first sorted position only
+    # while the next sorted point shares its first coordinate (the cached
+    # tie mask), so every build_code spec, whose first coordinates are the
+    # distinct deltas, looks up each candidate in one pass
+    for p, n in ((11, 10), (10007, 512), ((1 << 61) - 1, 64), ((1 << 64) - 59, 12)):
+        tie = _search_columns(build_code(p, n)).tie
+        assert tie.shape == (n + 1,) and not tie.any()
+    # points on three or four vertical lines, in the gamma^2 = 0 plane and
+    # off it: runs of four or five equal first coordinates, where a match may
+    # sit several steps on, decode like the reference
+    rng = random.Random(1717)
+    p = 17
+    for rows in ([(x, y, 0) for x in range(3) for y in range(5)],
+                 [(x, y, z) for x in range(4) for y in range(2) for z in range(2)]):
+        rng.shuffle(rows)
+        spec = CodeSpec(p, find_irreducible_cubic(p), range(1, len(rows) + 1), alpha_rows=rows)
+        _, ts, _, tie = _search_columns(spec)
+        assert tie.tolist() == [bool(ts[0, q + 1] == ts[0, q]) for q in range(spec.n)] + [False]
+        assert tie.sum() >= spec.n - 4
+        for kept in combinations(range(1, spec.n + 1), 3):
+            m = random_message(spec, rng)
+            y = received(spec, m, kept)
+            want = next(reference_matches(spec, compute_beta(y).coords))
+            out = decode_cubic(spec, y)
+            assert out.kappa.kept == want
+            assert want != kept or out.message == m
 
 
 def longest_key_run(spec, beta):
