@@ -19,6 +19,16 @@ from .errors import ParameterError
 
 @dataclass(frozen=True)
 class DeletionPattern:
+    """Kept positions, 1-based and strictly increasing.
+
+    DeletionPattern(kept) reads every position through operator.index and
+    checks both properties, raising ParameterError.  _validated(kept) skips
+    those checks: it is for the decoders only, whose kept tuples are
+    already proven to be increasing Python ints in 1..n (the closed form's
+    order test on delta-table positions, the triple search's i < j < k,
+    the constant word's (), decode_received's subsequence loop).
+    """
+
     kept: tuple[int, ...]
 
     def __post_init__(self):
@@ -28,6 +38,14 @@ class DeletionPattern:
             raise ParameterError(f"positions are 1-based, got {kept}")
         if any(map(operator.ge, kept, kept[1:])):
             raise ParameterError(f"kept positions must be strictly increasing, got {kept}")
+
+    @classmethod
+    def _validated(cls, kept: tuple) -> "DeletionPattern":
+        """The pattern of a tuple already known to hold strictly increasing
+        Python ints >= 1; no check runs."""
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "kept", kept)
+        return pattern
 
     @property
     def survivors(self) -> int:

@@ -56,7 +56,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import DeletionPattern
-from .code import CodeSpec, Message, Codeword, _require_field, encode, interpolate, lookup_delta
+from .code import CodeSpec, Message, Codeword, _require_field, encode, interpolate
 from .errors import (
     FieldMismatchError,
     InconsistentReceivedWordError,
@@ -354,12 +354,17 @@ def _search_triple(spec: CodeSpec, beta):
 
 def _closed_form(spec, beta):
     """(nominal ops, kappa or None) of the closed form: kappa is None unless
-    the solve gives an increasing triple of the code's locators."""
+    the solve gives an increasing triple of the code's locators.
+
+    The solved deltas are reduced Python ints, so they index
+    spec.delta_index directly; a value outside the code reads position 0,
+    which fails the one order test 0 < k1 < k2 < k3."""
     sol = solve_deltas(spec.field, extract_coefficients(beta))
     if sol is None:
         return OPS_EXT_MUL, None
-    kappa = tuple(lookup_delta(spec, d) for d in sol)
-    ok = None not in kappa and kappa[0] < kappa[1] < kappa[2]
+    get = spec.delta_index.get
+    kappa = (get(sol[0], 0), get(sol[1], 0), get(sol[2], 0))
+    ok = 0 < kappa[0] < kappa[1] < kappa[2]
     return OPS_EXT_MUL + OPS_SOLVE, kappa if ok else None
 
 
@@ -397,7 +402,8 @@ def _decode(spec, y, inst, identify, path):
                 f"third received symbol is off the interpolated line at {kappa}")
     if inst:
         inst.total_ops += spec.n * OPS_ENCODE_PER_SYMBOL
-    return DecodeOutcome(m, encode(spec, m), DeletionPattern(kappa), path)
+    # kappa is (), or increasing positions in 1..n by identify's own test
+    return DecodeOutcome(m, encode(spec, m), DeletionPattern._validated(kappa), path)
 
 
 def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
@@ -483,4 +489,6 @@ def decode_received(spec: CodeSpec, symbols, decode=decode_linear,
             raise InconsistentReceivedWordError(
                 "the received word is not a subsequence of the decoded codeword")
         kept.append(i)
-    return DecodeOutcome(out.message, out.codeword, DeletionPattern(tuple(kept)), out.path)
+    # the loop above kept each position only above the last one
+    return DecodeOutcome(out.message, out.codeword,
+                         DeletionPattern._validated(tuple(kept)), out.path)

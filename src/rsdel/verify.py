@@ -21,7 +21,7 @@ import numpy as np
 
 from .code import CodeSpec, Message, encode, encode_many, random_message
 from .errors import BudgetExceededError, ParameterError
-from .field import _INT64_COORD_MAX_P, ExtElem
+from .field import _INT64_COORD_MAX_P, ExtElem, reduce_mod
 
 
 @dataclass(frozen=True)
@@ -145,15 +145,14 @@ def _ratio_keys(table, lifted, block_pair, block_rank, p, total):
     """Int64 sort keys of all C(n, 3) ratio values, one block of pairs per i.
 
     Block i is row 0 of the pair table plus lifted[i, r] times row r, built
-    by in-place adds that skip zero multipliers, then reduced mod p: int64
-    blocks by floor division by the scalar p (which numpy runs through
-    libdivide, about twice as fast as %), object blocks by % and a cast to
-    int64, of each coordinate's low 63 bits from _INT64_COORD_MAX_P on.
+    by in-place adds that skip zero multipliers, then reduced mod p by
+    field.reduce_mod (int64 blocks through libdivide, with the scratch
+    block for its quotients); object blocks are then cast to int64, of each
+    coordinate's low 63 bits from _INT64_COORD_MAX_P on.
     The key c0 + _KEY_MUL*(c1 + _KEY_MUL*c2) mod 2^64 is built by Horner's
     rule straight into its slice of the keys: equal values have equal keys,
     and distinct ones share one only by chance.
     """
-    int64 = table.dtype == np.int64
     keys = np.empty(total, dtype=np.int64)
     block = np.empty(table.shape[1], dtype=table.dtype)
     scratch = np.empty_like(block)
@@ -165,12 +164,8 @@ def _ratio_keys(table, lifted, block_pair, block_rank, p, total):
             if c:
                 np.multiply(table[r, 3 * pair:], c, out=s)
                 b += s
-        if int64:
-            np.floor_divide(b, p, out=s)
-            s *= p
-            b -= s
-        else:
-            b %= p
+        reduce_mod(b, p, s)
+        if b.dtype != np.int64:
             if p >= _INT64_COORD_MAX_P:
                 b &= _INT64_COORD_MAX_P - 1   # the low 63 bits
             b = b.astype(np.int64)

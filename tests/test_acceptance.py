@@ -31,7 +31,7 @@ from rsdel.errors import InconsistentReceivedWordError, UnrecognizedReceivedWord
 from rsdel.field import PrimeField
 from rsdel.verify import audit_code, base_field_spec, check_injectivity, sample_message_pairs, vandermonde_det
 
-from conftest import get_spec
+from conftest import get_spec, is_checked_pattern
 
 GRID = ((5, 4), (7, 6), (11, 10), (13, 12))
 MESSAGES_PER_SPEC = 200
@@ -91,6 +91,7 @@ def test_criterion_2_decoder_equivalence(grid_trials):
     linear_wrong = 0
     disagreements = 0
     spot_checks = 0
+    unchecked = 0   # decoded patterns that DeletionPattern's own checks would change
     started = perf_counter()
     for trial in range(trials):
         m = random_message(spec, rng)
@@ -100,14 +101,17 @@ def test_criterion_2_decoder_equivalence(grid_trials):
         ol = decode_linear(spec, y)
         if not (ol.message == m and ol.codeword == cw and ol.kappa == pat):
             linear_wrong += 1
+        unchecked += not is_checked_pattern(ol.kappa)
         if trial % 100 == 0:  # 1% subsample gets the cubic scan too
             oc = decode_cubic(spec, y)
             spot_checks += 1
+            unchecked += not is_checked_pattern(oc.kappa)
             if (oc.message, oc.codeword, oc.kappa) != (ol.message, ol.codeword, ol.kappa):
                 disagreements += 1
     elapsed = perf_counter() - started
     assert linear_wrong == 0
     assert disagreements == 0
+    assert unchecked == 0
     assert spot_checks == trials // 100
     print(f"criterion 2 PASS: decoder equivalence on grid + {trials} trials at "
           f"(p={p}, n={n}), {spot_checks} cubic spot checks, 0 disagreements, {elapsed:.1f}s")

@@ -183,18 +183,51 @@ def test_encode_matches_scalar_evaluation():
 @pytest.mark.parametrize("p", [1073741789, 2**61 - 1])
 def test_encode_exact_at_dtype_boundary(p):
     # 1073741789 is the largest prime <= 2^30, the last int64 regime: a
-    # matmul entry can reach 3p^2 + p, which must stay below 2^63.  The
-    # n largest residues put alpha's first coordinates next to p, and a
-    # message of all p-1 coordinates maximises M_{m2}'s inputs.
+    # matmul entry can reach 3p^2 + p, which must stay below 2^63 and be
+    # reduced exactly.  The n largest residues put alpha's first coordinates
+    # next to p, and a message of all p-1 coordinates maximises M_{m2}'s
+    # inputs.  The alpha_rows spec (w = 3) has every coordinate within n of
+    # p - 1, and its m2 is the first seeded draw whose M_{m2} has a column
+    # of three entries above 0.97p, so that column's sums come near 3p^2 + p.
     n = 40
-    spec = get_spec(p, n, tuple(range(p - n, p)))
-    assert spec.ext.dtype == (np.int64 if p <= 1 << 30 else object)
-    ext = spec.ext
-    m1 = m2 = (p - 1, p - 1, p - 1)
-    got = encode(spec, Message(ext.from_coords(m1), ext.from_coords(m2))).symbol_tuples()
-    assert {type(c) for sym in got for c in sym} == {int}  # never np.int64
-    for i in range(1, n + 1):
-        assert got[i - 1] == ext.add(m1, ext.mul(m2, spec.alpha_coords(i)))
+    quadratic = get_spec(p, n, tuple(range(p - n, p)))
+    ext = quadratic.ext
+    rows = [(p - 1 - i, p - 1 - 7 * i % n, p - 1 - 13 * i % n) for i in range(n)]
+    offplane = CodeSpec(p, quadratic.g, range(1, n + 1), alpha_rows=rows)
+    assert offplane._lifted.shape == (n, 4)
+    rng = random.Random(5)
+    while True:
+        m2 = ext.rand(rng).coords
+        columns = zip(*ext.mul_matrix(m2))
+        if any(min(column) > 0.97 * p for column in columns):
+            break
+    m1 = (p - 1, p - 1, p - 1)
+    for spec, m2 in ((quadratic, m1), (offplane, m2)):
+        assert spec.ext.dtype == (np.int64 if p <= 1 << 30 else object)
+        message = Message(ext.from_coords(m1), ext.from_coords(m2))
+        if spec is offplane:
+            raw = spec._lifted @ np.array((m1, *ext.mul_matrix(m2)), dtype=spec.ext.dtype)
+            assert raw.max() > 2.8 * p * p
+        got = encode(spec, message).symbol_tuples()
+        assert {type(c) for sym in got for c in sym} == {int}  # never np.int64
+        for i in range(1, n + 1):
+            assert got[i - 1] == ext.add(m1, ext.mul(m2, spec.alpha_coords(i)))
+
+
+@pytest.mark.parametrize("p", [10007, 2**61 - 1, 2**64 - 59])
+def test_alpha_coords_are_python_ints(p):
+    # int64 rows below 2^30, object rows above; both read as Python ints
+    n = 12
+    for spec in (get_spec(p, n), CodeSpec(p, get_spec(p, n).g, range(1, n + 1),
+                                          alpha_rows=[(p - i, i, p - 2 * i) for i in range(1, n + 1)])):
+        for i in range(1, n + 1):
+            coords = spec.alpha_coords(i)
+            assert type(coords) is tuple and len(coords) == 3
+            assert all(type(c) is int for c in coords)
+            assert coords == tuple(int(c) for c in spec._alpha[i - 1])
+        for i in (0, n + 1):
+            with pytest.raises(ParameterError):
+                spec.alpha_coords(i)
 
 
 @pytest.mark.parametrize("p", [10007, 2**61 - 1])

@@ -64,7 +64,7 @@ from rsdel.field import (
 )
 from rsdel.verify import base_field_spec
 
-from conftest import get_spec
+from conftest import get_spec, is_checked_pattern
 
 
 def received(spec, m, kept):
@@ -324,6 +324,39 @@ def test_decode_all_triples_small():
             for decode in (decode_cubic, decode_linear):
                 out = decode(spec, y)
                 assert out.message == m and out.kappa == pat
+
+
+def test_decoded_patterns_pass_the_public_checks():
+    # every kept triple at (13, 12), constant words, and longer words of
+    # 4..n symbols, through both decoders and decode_received
+    spec = get_spec(13, 12)
+    rng = random.Random(1313)
+    words = 0
+    for _ in range(6):
+        m = random_message(spec, rng)
+        cw = encode(spec, m)
+        for pat in enumerate_triples(12):
+            y = received(spec, m, pat.kept)
+            for decode in (decode_cubic, decode_linear):
+                out = decode(spec, y)
+                assert out.kappa.kept == pat.kept
+                assert is_checked_pattern(out.kappa)
+                longer = DeletionPattern(tuple(sorted(
+                    set(pat.kept) | set(rng.sample(range(1, 13), rng.randrange(0, 10))))))
+                out = decode_received(spec, apply_deletions(cw, longer), decode)
+                assert out.kappa == longer
+                assert is_checked_pattern(out.kappa)
+                words += 2
+    e = spec.ext.elem(4, 0, 2)
+    for decode in (decode_cubic, decode_linear):
+        out = decode(spec, ReceivedTriple(e, e, e))
+        assert out.kappa.kept == ()
+        assert is_checked_pattern(out.kappa)
+        for size in (3, 4, 12):
+            out = decode_received(spec, (e,) * size, decode)
+            assert out.kappa.kept == ()
+            assert is_checked_pattern(out.kappa)
+    assert words == 6 * 2 * 2 * comb(12, 3)
 
 
 def _outcome(decode, spec, y):

@@ -356,6 +356,33 @@ def test_inv_many_exact_at_dtype_boundary(p):
     assert F.inv_many(np.zeros((3, 0), dtype=dtype)).shape == (3, 0)
 
 
+@pytest.mark.parametrize("p", [3, 10007, 1073741789, 2**61 - 1])
+def test_reduce_mod_matches_percent(p):
+    # oracle: numpy's % (Python's % on object arrays), on zeros, p - 1,
+    # multiples of p and their neighbours, the largest matmul entry
+    # 3p^2 + p, negatives, and random blocks, with and without a scratch
+    dtype = np.int64 if p < 1 << 30 else object
+    rng = random.Random(p)
+    top = 3 * p * p + p
+    edges = [0, 1, p - 1, p, p + 1, 2 * p, p * p - 1, p * p, top - 1, top, -1, -p, -top]
+    blocks = [
+        np.zeros(7, dtype=dtype),
+        np.full(1536, p - 1, dtype=dtype),
+        np.array(edges, dtype=dtype),
+        np.array([rng.randrange(-top, top + 1) for _ in range(1536)], dtype=dtype),
+        np.array([rng.randrange(top + 1) for _ in range(3 * 97)], dtype=dtype).reshape(97, 3),
+        np.zeros(0, dtype=dtype),
+    ]
+    for a in blocks:
+        want = a % p
+        for scratch in (None, np.empty_like(a)):
+            got = a.copy()
+            assert field.reduce_mod(got, p, scratch) is got  # in place
+            assert got.dtype == a.dtype
+            assert np.array_equal(got, want)
+            assert ((0 <= got) & (got < p)).all()
+
+
 def test_ext_int_embedding_and_mismatch():
     F5 = CubicField(PrimeField(5), MonicCubic(1, 1, 0))
     F7 = CubicField(PrimeField(7), find_irreducible_cubic(7))
