@@ -256,6 +256,21 @@ class BenchRecord:
     field_ops: int
 
 
+def _bench_record(p, n, algo, times, field_ops, search_time=None) -> BenchRecord:
+    """The record of one job's timed trials: total_time is their mean,
+    p50_time their median, and search_time the mean unless given."""
+    mean = sum(times) / len(times)
+    return BenchRecord(p=p, n=n, algo=algo, trials=len(times),
+                       search_time=mean if search_time is None else search_time,
+                       total_time=mean, p50_time=median(times), field_ops=field_ops)
+
+
+def _over_budget(started, budget_seconds) -> bool:
+    """Whether budget_seconds (None: no budget) have passed since the
+    perf_counter reading started."""
+    return budget_seconds is not None and perf_counter() - started > budget_seconds
+
+
 def _bench_grid(p_values, n_values):
     """(p, n) pairs: one p for every n, or one p per n, and at least one n."""
     if len(p_values) == 1:
@@ -287,17 +302,14 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
     records = []
     started = perf_counter()
     for p, n in _bench_grid(p_values, n_values):
-        if budget_seconds is not None and perf_counter() - started > budget_seconds:
+        if _over_budget(started, budget_seconds):
             return records, True
         times = []
         for _ in range(trials):
             t0 = perf_counter()
             spec = code.build_code(p, n)
             times.append(perf_counter() - t0)
-        mean = sum(times) / trials
-        records.append(BenchRecord(p=p, n=n, algo="build_code", trials=trials,
-                                   search_time=mean, total_time=mean,
-                                   p50_time=median(times), field_ops=n))
+        records.append(_bench_record(p, n, "build_code", times, n))
         rng = random.Random(seed)
         m = code.random_message(spec, rng)
         cw = code.encode(spec, m)
@@ -310,7 +322,7 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
         fresh = [word(sorted(rng.sample(range(1, n + 1), 3))) for _ in range(trials)]
         for algo, words in (("cubic", worst), ("linear", worst),
                             ("cubic-random", fresh), ("linear-random", fresh)):
-            if budget_seconds is not None and perf_counter() - started > budget_seconds:
+            if _over_budget(started, budget_seconds):
                 return records, True
             fn = decoder.decode_cubic if algo.startswith("cubic") else decoder.decode_linear
             fn(spec, worst[0])  # warm-up
@@ -326,11 +338,7 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
                 ops += inst.total_ops
                 if out.codeword != cw:
                     raise AssertionError("benchmark decode returned a wrong codeword")
-            rec = BenchRecord(p=p, n=n, algo=algo, trials=trials,
-                              search_time=search / trials,
-                              total_time=sum(times) / trials,
-                              p50_time=median(times),
-                              field_ops=round(ops / trials))
+            rec = _bench_record(p, n, algo, times, round(ops / trials), search / trials)
             assert rec.search_time <= rec.total_time and rec.field_ops > 0
             records.append(rec)
     return records, False
@@ -362,7 +370,7 @@ def run_certify_bench(p_values, n_values, trials: int, seed: int = 0,
              2 * AUDIT_BENCH_PAIRS * n),
         )
         for algo, job, work in jobs:
-            if budget_seconds is not None and perf_counter() - started > budget_seconds:
+            if _over_budget(started, budget_seconds):
                 return records, True
             times = []
             for _ in range(trials):
@@ -371,10 +379,7 @@ def run_certify_bench(p_values, n_values, trials: int, seed: int = 0,
                 times.append(perf_counter() - t0)
                 if not ok:
                     raise AssertionError(f"benchmark code failed {algo}")
-            mean = sum(times) / trials
-            records.append(BenchRecord(p=p, n=n, algo=algo, trials=trials,
-                                       search_time=mean, total_time=mean,
-                                       p50_time=median(times), field_ops=work))
+            records.append(_bench_record(p, n, algo, times, work))
     return records, False
 
 

@@ -40,17 +40,17 @@ class CodeSpec:
     Derived data (field contexts, evaluation-point arrays, the delta lookup
     table) is computed once here.  Treat instances as immutable; the numpy
     arrays are marked read-only.  from_quadratic_map records whether the
-    evaluation points are delta + delta^2*gamma, as the closed-form decoder
-    assumes; specs built with alpha_rows are not.  _lifted is the (n, 1 + w)
+    evaluation points are delta + delta^2*gamma, the paper's code, which
+    both decoders assume and require (they raise ParameterError on any
+    other spec).  Specs built with alpha_rows are not; they serve encoding
+    and certification, e.g. as counterexamples.  _lifted is the (n, 1 + w)
     locator matrix [1 | alpha[:, :w]], where w counts alpha's columns up to
     its last nonzero one (2 for the quadratic map): one matmul with it
     evaluates a message at every point, and certification builds its
     ratios from it.  _search_columns caches the cubic decoder's search
     columns, built on the spec's first cubic decode: the points sorted by
-    first coordinate, their positions and a bool mask of repeated first
-    coordinates, O(n) entries and no tables (33*(n + 1) bytes for int64
-    columns, 135 KB at n = 4096).  w <= 2 puts every
-    point in the gamma^2 = 0 plane, where the search joins on one key.
+    first coordinate and their positions, O(n) entries and no tables
+    (32*(n + 1) bytes for int64 columns, 131 KB at n = 4096).
 
     g=None takes the canonical cubic (CubicField's search, as build_code
     does); a given g is tested for irreducibility once.  Construction runs
@@ -66,11 +66,14 @@ class CodeSpec:
                  alpha_rows=None):
         field = PrimeField(p)
         ext = CubicField(field, g)
-        delta = _integers(delta, "delta entries")
-        n = len(delta)
+        try:
+            n = len(delta)  # before any entry is read: a range is refused unread
+        except TypeError:
+            raise ParameterError("delta must be a sequence of integers") from None
         if not 3 <= n <= p - 1:
             raise ParameterError(
                 f"blocklength must satisfy 3 <= n <= p - 1, got n={n} p={p}")
+        delta = _integers(delta, "delta entries")
         if min(delta) <= 0 or max(delta) >= p:
             raise ParameterError("delta entries must be nonzero residues mod p")
         delta_index = dict(zip(delta, range(1, n + 1)))
@@ -149,15 +152,17 @@ def build_code(p: int, n: int, delta_override: Optional[Sequence[int]] = None) -
     p = 1 mod 3 a few Euler tests, one pow each; otherwise an O(log p) gcd
     test per candidate, and about one monic cubic in three is irreducible,
     so a few are tried in practice), and O(n) to validate delta and build
-    the spec's arrays and lookup dict.  Memory: O(n).  The cubic decoder's
-    search columns are not built here but on the spec's first cubic decode.
+    the spec's arrays and lookup dict.  Memory: O(n); an n outside
+    3..p - 1 is refused in O(1) memory, before delta = (1, ..., n) exists.
+    The cubic decoder's search columns are not built here but on the
+    spec's first cubic decode.
     """
     if delta_override is not None:
         delta = tuple(delta_override)
         if len(delta) != n:
             raise ParameterError(f"delta override has {len(delta)} entries, expected {n}")
     else:
-        delta = tuple(range(1, n + 1))
+        delta = range(1, n + 1)  # CodeSpec checks n before reading it
     return CodeSpec(p, None, delta)
 
 

@@ -208,64 +208,50 @@ def solve_deltas(pf: PrimeField, coeffs):
 #     <=>  alpha_i + beta*alpha_k == (1 + beta)*alpha_j
 #     <=>  lam*alpha_i + (1 - lam)*alpha_k == alpha_j,   lam = (1 + beta)^-1.
 #
-# For beta == 0 the match needs alpha_i == alpha_j and for beta == -1
-# alpha_i == alpha_k, so no triple of distinct points matches either, and
-# the search prices the full scan and returns None.  The nominal count
-# always prices the Theta(n^3) scan up to the match row (_scan_ops), so the
-# counts do not depend on the kernel.
+# The nominal count always prices the Theta(n^3) scan up to the match row
+# (_scan_ops), so the counts do not depend on the kernel.
 #
-# The search is an equal-key self-join.  When every point has
-# gamma^2-coordinate 0 (w <= 2 in CodeSpec, so every quadratic-map spec),
-# the gamma^2-coordinate of a match reads key(i) == key(k), where key(i) is
-# the gamma^2-coordinate of lam*alpha_i.  So only pairs with equal keys can
-# close a triple: the search sorts the key column once and walks the runs
-# of equal keys, pairing sorted ranks s apart for s = 1, 2, ... while some
-# run is longer than s.  The sort is numpy's default, not stable: at every
-# distance s each unordered pair of a run still comes once, and the pair is
-# taken as i = min, k = max of its two positions, so the order of equal keys
-# never matters.  Each pair (i, k) names the only j that could complete it,
+# The search serves the paper's code only (_decode refuses every other
+# spec), whose points alpha = (d, d^2, 0) lie in the gamma^2 = 0 plane.
+# There the gamma^2-coordinate of a match reads key(i) == key(k), where
+# key(i) is the gamma^2-coordinate of lam*alpha_i.  With
+# lam = l0 + l1*gamma + l2*gamma^2 and gamma^3 = h0 + h1*gamma + h2*gamma^2,
+# key(d) = l2*d + (l1 + l2*h2)*d^2: a nonzero polynomial of degree <= 2
+# without constant term unless lam lies in F_p, so a key is shared by at
+# most two positions.  The search sorts the key column once and compares
+# neighbours only, since every pair of equal keys sits at sorted distance 1.
+# The sort is numpy's default, not stable, so each pair is taken as
+# i = min, k = max of its two positions and the order of equal keys never
+# matters.  Each pair (i, k) names the only j that could complete it,
 # lam*alpha_i + (1 - lam)*alpha_k (k = i + 1 leaves no room for j and is
-# rejected by i < j < k); that point is looked up among the code's points
-# sorted by first coordinate and compared in all three coordinates,
-# stepping on only where the next sorted point shares the first coordinate
-# (the cached tie mask).  The quadratic map's first coordinates are its
-# distinct deltas, so there every lookup is one pass.  The targets are
-# distinct, so j is unique per pair and k per (i, j), and the smallest
-# (i, j) over every hit is the lexicographically first triple of the scan,
-# also for alpha_rows specs whose ratios collide.  Points off the plane
-# (w = 3) give every position one key, so they skip the sort and every pair
-# is a candidate of the same code.
+# rejected by i < j < k).  That point is found by one binary search among
+# the code's points sorted by first coordinate, which are its distinct
+# deltas, and compared once in all three coordinates.  The targets are
+# distinct, so j is unique per pair, and the smallest (i, j) over every hit
+# is the lexicographically first triple of the scan.
 #
-# For the quadratic map, with lam = l0 + l1*gamma + l2*gamma^2 and
-# gamma^3 = h0 + h1*gamma + h2*gamma^2, key(d) = l2*d + (l1 + l2*h2)*d^2: a
-# nonzero polynomial of degree <= 2 unless lam lies in F_p, so a key is
-# shared by at most two positions (one pass, at most n/2 candidates).  And
-# beta in F_p (lam in F_p) matches no triple there: the first two
-# coordinates of a match read d_j = lam*d_i + (1 - lam)*d_k and
-# d_j^2 = lam*d_i^2 + (1 - lam)*d_k^2, whose difference is
+# A beta in F_p matches no triple.  beta == 0 needs alpha_i == alpha_j and
+# beta == -1 needs alpha_i == alpha_k.  Otherwise lam lies in F_p \ {0, 1},
+# and the first two coordinates of a match read d_j = lam*d_i + (1 - lam)*d_k
+# and d_j^2 = lam*d_i^2 + (1 - lam)*d_k^2, whose difference is
 # lam*(1 - lam)*(d_i - d_k)^2 = 0, the r = 0 argument of the module
-# docstring.  So those specs return at once for every beta in F_p.
+# docstring.  So the search returns at once for every beta in F_p.
 #
 # Time per decode: O(n) setup (one F_{p^3} inverse, the key column in one
-# matrix-vector product) and one O(n log n) sort, then O(n) per distance s
-# plus O(C log n) for C candidate pairs, each looked up by one binary
-# search and one pass (more passes only where first coordinates repeat):
-# O(n log n) for w <= 2 on the quadratic map, O(n^2 log n) for w = 3, where
-# C = n*(n - 1)/2.  Memory: O(n) per pass and in the cache, which holds
-# only the points sorted by first coordinate, their positions and the tie
-# mask.
-# Keys and candidate points are computed in the field's own dtype and
-# reduced, so they and the sorted points are compared as int64 columns for
-# p < 2^63 (_INT64_COORD_MAX_P) and as Python ints (object dtype) above.
+# matrix-vector product), one O(n log n) sort, then at most n/2 candidate
+# pairs, each looked up by one binary search: O(n log n).  Memory: O(n) per
+# decode, and the cache holds only the points sorted by first coordinate
+# and their positions.  Keys and candidate points are computed in the
+# field's own dtype and reduced, so they and the sorted points are compared
+# as int64 columns for p < 2^63 (_INT64_COORD_MAX_P) and as Python ints
+# (object dtype) above.
 
 
 class _SearchColumns(NamedTuple):
     """Beta-independent search data of one spec, arrays read-only."""
 
-    planar: bool        # every gamma^2-coordinate is 0, so keys join (w <= 2)
     ts: np.ndarray      # (3, n + 1) points sorted by first coordinate, then a sentinel
     order: np.ndarray   # 0-based position of each sorted column; order[n] == n
-    tie: np.ndarray     # tie[q]: sorted point q + 1 has point q's first coordinate
 
 
 def _scan_ops(n, rows):
@@ -291,62 +277,39 @@ def _search_columns(spec: CodeSpec) -> _SearchColumns:
         order = np.append(np.argsort(a[0]), n)
         # first coordinate p: sorts last and equals no reduced point
         ts = np.concatenate((a, np.array([[p], [0], [0]], dtype=dtype)), axis=1)[:, order]
-        tie = np.append(ts[0, 1:] == ts[0, :-1], False)
-        for arr in (ts, order, tie):
+        for arr in (ts, order):
             arr.setflags(write=False)
-        spec._search_columns = _SearchColumns(not a[2].any(), ts, order, tie)
+        spec._search_columns = _SearchColumns(ts, order)
     return spec._search_columns
 
 
 def _search_triple(spec: CodeSpec, beta):
+    if beta[1] == beta[2] == 0:
+        return None  # beta in F_p: no triple of the parabola matches
     p = spec.p
-    n = spec.n
     ext = spec.ext
-    if beta[1] == beta[2] == 0 and (spec.from_quadratic_map or beta[0] in (0, p - 1)):
-        return None  # beta in {0, -1}, or in F_p on the parabola: no triple matches
-    planar, ts, order, tie = _search_columns(spec)
+    ts, order = _search_columns(spec)
     alpha = spec._alpha
     lam = ext.inv(((beta[0] + 1) % p, beta[1], beta[2]))
     m = np.array(ext.mul_matrix(lam), dtype=alpha.dtype)  # v @ m is v*lam
-    if planar:  # the gamma^2-coordinates of every lam*alpha_i, sorted
-        key = np.asarray(alpha @ m[:, 2] % p, dtype=ts.dtype)
-        by_key = np.argsort(key)
-        key = key.take(by_key)
-    else:  # one key for every position: nothing to sort
-        key = np.zeros(n, dtype=np.int64)
-        by_key = np.arange(n)
-    best = None
-    for s in range(1, n):
-        q = np.flatnonzero(key[s:] == key[:-s])  # sorted ranks q, q + s of one run
-        if not q.size:
-            break
-        a, b = by_key.take(q), by_key.take(q + s)
-        i, k = np.minimum(a, b), np.maximum(a, b)
-        ak = alpha.take(k, axis=0)
-        w = (alpha.take(i, axis=0) - ak) @ m  # lam*alpha_i + (1 - lam)*alpha_k, one row per pair
-        w += ak
-        w %= p
-        w = np.asarray(w.T, dtype=ts.dtype)
-        # compare each candidate with the points from its first coordinate's
-        # sorted position on, stepping only while the next point shares that
-        # first coordinate; j stays -1 where nothing matches
-        j = -1
-        at = np.searchsorted(ts[0], w[0])
-        while True:
-            same = ts.take(at, axis=1) == w
-            hit = same.all(axis=0)
-            j = np.where(hit, order.take(at), j)
-            step = same[0] & tie.take(at) & ~hit
-            if not np.count_nonzero(step):
-                break
-            at += step
-        ok = (i < j) & (j < k)  # also rejects k == i + 1
-        if np.count_nonzero(ok):
-            i, j, k = i[ok], j[ok], k[ok]
-            first = np.lexsort((j, i))[0]  # lexicographically first (i, j)
-            found = (int(i[first]) + 1, int(j[first]) + 1, int(k[first]) + 1)
-            best = found if best is None else min(best, found)
-    return best
+    key = np.asarray(alpha @ m[:, 2] % p, dtype=ts.dtype)
+    by_key = np.argsort(key)
+    key = key.take(by_key)
+    q = np.flatnonzero(key[1:] == key[:-1])  # sorted ranks q, q + 1 share a key
+    a, b = by_key.take(q), by_key.take(q + 1)
+    i, k = np.minimum(a, b), np.maximum(a, b)
+    ak = alpha.take(k, axis=0)
+    w = (alpha.take(i, axis=0) - ak) @ m  # lam*alpha_i + (1 - lam)*alpha_k, one row per pair
+    w += ak
+    w %= p
+    w = np.asarray(w.T, dtype=ts.dtype)
+    at = np.searchsorted(ts[0], w[0])
+    j = np.where((ts.take(at, axis=1) == w).all(axis=0), order.take(at), -1)
+    ok = np.flatnonzero((i < j) & (j < k))  # also rejects k == i + 1
+    if not ok.size:
+        return None
+    first = ok[np.lexsort((j[ok], i[ok]))[0]]  # lexicographically first (i, j)
+    return (int(i[first]) + 1, int(j[first]) + 1, int(k[first]) + 1)
 
 
 # -- decoders ------------------------------------------------------------
@@ -377,7 +340,13 @@ def _search(spec, beta):
 
 def _decode(spec, y, inst, identify, path):
     """The pipeline both decoders share, and the one place that prices a
-    decode: identify(spec, beta) returns (nominal ops, kappa or None)."""
+    decode: identify(spec, beta) returns (nominal ops, kappa or None).
+    Raises ParameterError first for a spec not built from the quadratic
+    evaluation map, which both identifications assume."""
+    if not spec.from_quadratic_map:
+        raise ParameterError(
+            "the decoders need evaluation points delta + delta^2*gamma; "
+            "this spec was built from alpha_rows")
     ext = spec.ext
     _require_field(ext, y, "received symbol")
     t0 = perf_counter()
@@ -411,18 +380,17 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
     """Decode by the paper's exhaustive triple search, run as a join.
 
     Returns the lexicographically first increasing triple whose ratio
-    matches, by an equal-key join (see the triple search above): when every
-    point lies in the gamma^2 = 0 plane (w <= 2), only pairs (i, k) whose
-    lam*alpha share a gamma^2-coordinate can close a triple.  On a
-    quadratic-map spec a decode sorts that key column (numpy's unstable
-    argsort; each pair is taken as (min, max) of its positions) and looks
-    up at most n/2 pairs among the points sorted by first coordinate, one
-    binary search and one pass each, O(n log n) time, and rejects a ratio
-    in F_p at once.  Points off the plane (w = 3) share one key, skip the
-    sort, and every pair is looked up, O(n^2 log n) time.  Memory is O(n)
-    either way, and the re-encode adds O(n).  The first decode on a spec
-    also builds its search columns, O(n), kept with the spec.  The nominal op
-    count still prices the Theta(n^3) scan up to the match row.  Raises
+    matches, by an equal-key join (see the triple search above): only pairs
+    (i, k) whose lam*alpha share a gamma^2-coordinate can close a triple,
+    and on the parabola a key is shared by at most two positions.  A decode
+    sorts that key column (numpy's unstable argsort; each pair is taken as
+    (min, max) of its positions), looks up at most n/2 pairs among the
+    points sorted by first coordinate, one binary search each, and rejects
+    a ratio in F_p at once: O(n log n) time and O(n) memory, and the
+    re-encode adds O(n).  The first decode on a spec also builds its search
+    columns, O(n), kept with the spec.  The nominal op count still prices
+    the Theta(n^3) scan up to the match row.  Raises ParameterError for
+    specs not built from the quadratic evaluation map,
     UnrecognizedReceivedWordError when no triple matches, and
     FieldMismatchError before any arithmetic when a symbol is not in spec's
     field.
@@ -439,14 +407,9 @@ def decode_linear(spec: CodeSpec, y: ReceivedTriple,
     memory on every input, garbage included: a word whose closed form does
     not give an increasing in-code locator triple raises
     UnrecognizedReceivedWordError at once.  Raises ParameterError for specs
-    not built from the quadratic evaluation map, which the closed form
-    assumes, and FieldMismatchError before any arithmetic when a symbol is
-    not in spec's field.
+    not built from the quadratic evaluation map, and FieldMismatchError
+    before any arithmetic when a symbol is not in spec's field.
     """
-    if not spec.from_quadratic_map:
-        raise ParameterError(
-            "the closed form needs evaluation points delta + delta^2*gamma; "
-            "use decode_cubic for this spec")
     return _decode(spec, y, inst, _closed_form, PATH_CLOSED_FORM)
 
 
@@ -461,9 +424,10 @@ def decode_received(spec: CodeSpec, symbols, decode=decode_linear,
     position finds it.  A constant codeword needs all m symbols equal.
     kappa lists all m kept positions (none for a constant word).  Raises
     InconsistentReceivedWordError when m is outside 3..n or the word is not
-    a subsequence of the decoded codeword, and FieldMismatchError for a
-    symbol outside spec's field.  Takes the decode's time plus O(n + m) time
-    and memory.
+    a subsequence of the decoded codeword, FieldMismatchError for a symbol
+    outside spec's field, and, from `decode`, ParameterError for a spec not
+    built from the quadratic map.  Takes the decode's time plus O(n + m)
+    time and memory.
     """
     symbols = tuple(symbols)
     if not 3 <= len(symbols) <= spec.n:

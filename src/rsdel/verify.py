@@ -331,8 +331,8 @@ def base_field_spec(p: int, n: int) -> CodeSpec:
 
     Evaluation points straight from the base field collide under the ratio
     map (e.g. Gamma(1,2,3) = Gamma(2,3,4) = 1 for consecutive deltas), which
-    is what certification must catch.  decode_linear refuses the spec with
-    ParameterError; decode_cubic makes no promises here.
+    is what certification must catch.  Both decoders refuse the spec with
+    ParameterError.
     """
     delta = tuple(range(1, n + 1))
     rows = [(d, 0, 0) for d in delta]

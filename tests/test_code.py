@@ -1,6 +1,7 @@
 """Code construction, encoding, interpolation, and the on-disk formats."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ def test_build_code_validation_messages():
         with pytest.raises(ParameterError) as exc:
             build_code(p, n, delta_override=delta)
         assert str(exc.value) == message
+
+
+def test_build_code_refuses_oversized_n_unread():
+    # n is checked before delta = (1, ..., n) exists: 10^6 entries took
+    # 48.6 MB to refuse while they were built first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="got n=1000000 p=5"):
+            build_code(5, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with pytest.raises(ParameterError, match="delta must be a sequence"):
+        CodeSpec(5, None, 5)
 
 
 def count_checks(monkeypatch):

@@ -386,11 +386,24 @@ def test_linear_matches_cubic_on_every_beta(p):
 
 
 def test_decode_linear_refuses_non_quadratic_spec():
-    spec = base_field_spec(11, 10)
-    assert not spec.from_quadratic_map and get_spec(11, 10).from_quadratic_map
-    m = Message(spec.ext.one, spec.ext.one)
-    with pytest.raises(ParameterError):
-        decode_linear(spec, received(spec, m, (1, 2, 3)))
+    # both decoders, and decode_received through either, refuse every spec
+    # built from alpha_rows, even one that holds the parabola's own points:
+    # the closed form and the join both assume delta + delta^2*gamma
+    parabola = get_spec(11, 10)
+    assert parabola.from_quadratic_map
+    points = [parabola.alpha_coords(i) for i in range(1, 11)]
+    for spec in (base_field_spec(11, 10),
+                 CodeSpec(11, parabola.g, parabola.delta, alpha_rows=points)):
+        assert not spec.from_quadratic_map
+        m = Message(spec.ext.one, spec.ext.one)
+        cw = encode(spec, m)
+        e = spec.ext.elem(4, 0, 2)
+        for word in (tuple(received(spec, m, (1, 2, 3))) + (cw[3],), (e,) * 4):
+            for decode in (decode_cubic, decode_linear):
+                with pytest.raises(ParameterError):
+                    decode(spec, ReceivedTriple(*word[:3]))
+                with pytest.raises(ParameterError):
+                    decode_received(spec, word, decode)
 
 
 def test_decode_rejects_foreign_field():
@@ -532,16 +545,6 @@ def assert_kernels_match_reference(spec, beta):
     return matches
 
 
-def random_alpha_rows(p, n, dims, rng, span=None):
-    """n distinct random points whose coordinates past the first dims are 0
-    and whose others lie in range(span) (default p), in random order."""
-    span = span or p
-    rows = set()
-    while len(rows) < n:
-        rows.add(tuple(rng.randrange(span) if c < dims else 0 for c in range(3)))
-    return sorted(rows, key=lambda _: rng.random())
-
-
 def every_beta_matches(spec):
     """The kernel returns the reference's first triple for every beta in
     F_{p^3}, beta = 0 and beta = -1 included; returns all matches per beta."""
@@ -549,37 +552,28 @@ def every_beta_matches(spec):
             for beta in product(range(spec.p), repeat=3)]
 
 
-def alpha_rows_specs(p, dims, rng):
-    """Specs of n = 3, p - 2 and p - 1 random points of dims dimensions."""
-    return [CodeSpec(p, find_irreducible_cubic(p), range(1, n + 1),
-                     alpha_rows=random_alpha_rows(p, n, dims, rng))
-            for n in (3, p - 2, p - 1)]
+def random_delta_specs(p, rng):
+    """Quadratic-map specs of n = 3, p - 2 and p - 1 random deltas in random
+    order, so the points sorted by first coordinate are a true permutation."""
+    return [build_code(p, n, rng.sample(range(1, p), n)) for n in (3, p - 2, p - 1)]
 
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_search_kernels_match_reference_every_beta(p):
-    spec = get_spec(p, p - 1)
-    found = sum(map(bool, every_beta_matches(spec)))
-    assert found == comb(spec.n, 3)  # the quadratic map is injective
-
-
-@pytest.mark.parametrize("p", (5, 7))
-@pytest.mark.parametrize("dims", (1, 2, 3))
-def test_search_kernels_match_reference_every_beta_alpha_rows(p, dims):
-    # every beta on random points: on a line (dims 1), in the gamma^2 = 0
-    # plane (dims 2) and anywhere (dims 3), where ratios tie and beta in
-    # F_p can match
-    for spec in alpha_rows_specs(p, dims, random.Random(p * 10 + dims)):
-        # every triple has one ratio, so the matches partition the triples
-        assert sum(map(len, every_beta_matches(spec))) == comb(spec.n, 3)
+    # delta = 1..n and random deltas: the quadratic map is injective, so
+    # every triple has its own ratio and the matches partition the triples
+    for spec in [get_spec(p, p - 1)] + random_delta_specs(p, random.Random(p)):
+        matches = every_beta_matches(spec)
+        assert max(map(len, matches)) == 1
+        assert sum(map(len, matches)) == comb(spec.n, 3)
 
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_search_ignores_tie_order(p, monkeypatch):
-    # the search sorts with numpy's unstable argsort, so equal join keys and
-    # equal first coordinates may come in any order: an argsort that lists
+    # the search sorts with numpy's unstable argsort, so the two positions
+    # of an equal join key may come in either order: an argsort that lists
     # every run of equal values in reverse position order, the opposite of
-    # a stable sort, must give the same first triple for every beta
+    # a stable sort, must give the same triple for every beta
     sorts = Counter()
 
     def reverse_ties(a, *args, **kwargs):
@@ -589,82 +583,52 @@ def test_search_ignores_tie_order(p, monkeypatch):
         return np.lexsort((-np.arange(a.size), a))
 
     monkeypatch.setattr(decoder.np, "argsort", reverse_ties)
-    rng = random.Random(p * 100)
-    specs = [build_code(p, p - 1)]  # fresh, so the columns sort under the patch
-    for dims in (1, 2, 3):
-        specs += alpha_rows_specs(p, dims, rng)
+    # fresh specs, so the columns sort under the patch
+    specs = [build_code(p, p - 1)] + random_delta_specs(p, random.Random(p * 100))
     for spec in specs:
         assert sum(map(len, every_beta_matches(spec))) == comb(spec.n, 3)
     assert sorts["with ties"] >= 100, sorts
 
 
-def test_search_steps_through_shared_first_coordinates():
-    # the lookup steps on from a candidate's first sorted position only
-    # while the next sorted point shares its first coordinate (the cached
-    # tie mask), so every build_code spec, whose first coordinates are the
-    # distinct deltas, looks up each candidate in one pass
-    for p, n in ((11, 10), (10007, 512), ((1 << 61) - 1, 64), ((1 << 64) - 59, 12)):
-        tie = _search_columns(build_code(p, n)).tie
-        assert tie.shape == (n + 1,) and not tie.any()
-    # points on three or four vertical lines, in the gamma^2 = 0 plane and
-    # off it: runs of four or five equal first coordinates, where a match may
-    # sit several steps on, decode like the reference
-    rng = random.Random(1717)
-    p = 17
-    for rows in ([(x, y, 0) for x in range(3) for y in range(5)],
-                 [(x, y, z) for x in range(4) for y in range(2) for z in range(2)]):
-        rng.shuffle(rows)
-        spec = CodeSpec(p, find_irreducible_cubic(p), range(1, len(rows) + 1), alpha_rows=rows)
-        _, ts, _, tie = _search_columns(spec)
-        assert tie.tolist() == [bool(ts[0, q + 1] == ts[0, q]) for q in range(spec.n)] + [False]
-        assert tie.sum() >= spec.n - 4
-        for kept in combinations(range(1, spec.n + 1), 3):
-            m = random_message(spec, rng)
-            y = received(spec, m, kept)
-            want = next(reference_matches(spec, compute_beta(y).coords))
-            out = decode_cubic(spec, y)
-            assert out.kappa.kept == want
-            assert want != kept or out.message == m
-
-
-def longest_key_run(spec, beta):
-    """How many positions share the most common join key: the
-    gamma^2-coordinate of lam*alpha_i, lam = (1 + beta)^-1."""
+def key_runs(spec, beta):
+    """How many positions share each join key: the gamma^2-coordinate of
+    lam*alpha_i, lam = (1 + beta)^-1, one field product per position."""
     ext = spec.ext
     lam = ext.inv(ext.add(beta, (1, 0, 0)))
-    keys = Counter(ext.mul(lam, spec.alpha_coords(i))[2] for i in range(1, spec.n + 1))
-    return max(keys.values())
+    return Counter(ext.mul(lam, spec.alpha_coords(i))[2] for i in range(1, spec.n + 1))
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_join_key_shared_by_at_most_two_positions(p):
+    # the claim that lets the join compare sorted keys at distance 1 only:
+    # on the parabola, for every beta outside F_p, no three positions share
+    # a key (key(d) is a nonzero polynomial of degree <= 2 without constant
+    # term); pairs do occur
+    spec = build_code(p, p - 1)
+    longest = Counter()
+    for beta in product(range(p), repeat=3):
+        if beta[1:] != (0, 0):
+            longest[max(key_runs(spec, beta).values())] += 1
+    assert set(longest) == {1, 2} and sum(longest.values()) == p ** 3 - p, longest
 
 
 def test_search_kernels_match_reference_random_points():
-    # random evaluation points on a line (dims 1), on a 3 x 3 grid of the
-    # gamma^2 = 0 plane (dims 2; only two grid points lie on the parabola,
-    # so every such spec leaves it) and on the 2 x 2 x 2 cube (dims 3) make
-    # ratios collide: the join must still return the lexicographically
-    # first triple.  In the plane, a join key is then often shared by more
-    # than two positions
+    # random points of the parabola (random deltas in random order) at
+    # p = 5, 7 and 11: every kept triple's ratio names that triple alone,
+    # and random ratios mostly miss
     rng = random.Random(505)
-    ties = Counter()
-    misses = Counter()
-    long_runs = 0
-    for _ in range(360):
-        p = rng.choice((5, 7))
+    misses = 0
+    for _ in range(120):
+        p = rng.choice((5, 7, 11))
         n = rng.randrange(3, p)
-        dims = rng.choice((1, 2, 3))
-        rows = random_alpha_rows(p, n, dims, rng, span=(p, 3, 2)[dims - 1])
-        spec = CodeSpec(p, find_irreducible_cubic(p), range(1, n + 1), alpha_rows=rows)
+        spec = build_code(p, n, rng.sample(range(1, p), n))
         betas = {gamma_map(spec, *t.kept).coords for t in enumerate_triples(n)}
         betas |= {spec.ext.rand(rng).coords for _ in range(3)}
         for beta in betas:
             matches = assert_kernels_match_reference(spec, beta)
-            ties[dims] += len(matches) >= 2
-            misses[dims] += not matches
-            if dims == 2 and beta[1:] != (0, 0):
-                long_runs += longest_key_run(spec, beta) > 2
-    assert sum(ties.values()) >= 100 and sum(misses.values()) >= 100
-    assert min(ties[d] for d in (1, 2, 3)) >= 10, ties
-    assert min(misses[d] for d in (1, 2, 3)) >= 30, misses
-    assert long_runs >= 100, long_runs
+            assert len(matches) <= 1
+            misses += not matches
+    assert misses >= 100, misses
 
 
 @pytest.mark.parametrize("p", (1073741789, (1 << 61) - 1, (1 << 63) - 25, (1 << 64) - 59))
@@ -683,55 +647,6 @@ def test_search_kernel_matches_reference_large_p(p):
         betas += [gamma_map(spec, *t.kept).coords for t in triples]
         found = sum(bool(assert_kernels_match_reference(spec, beta)) for beta in betas)
         assert found == len(triples)
-
-
-def test_search_kernel_exact_check_alone():
-    # points off the gamma^2 = 0 plane (w = 3) share one join key, so every
-    # pair is a candidate and the sorted lookup and the three-coordinate
-    # compare alone decide.  Shifting the parabola by gamma^2 keeps every
-    # ratio, so each kept triple's ratio still matches exactly once, and
-    # beta in F_p, which the parabola's own spec skips, is searched and
-    # misses
-    rng = random.Random(808)
-    for p, n in ((7, 6), (10007, 24), ((1 << 64) - 59, 10)):
-        parabola = build_code(p, n)
-        spec = CodeSpec(p, parabola.g, parabola.delta,
-                        alpha_rows=[(d, d * d, 1) for d in parabola.delta])
-        assert not _search_columns(spec).planar
-        betas = [(0, 0, 0), (2, 0, 0), spec.ext.rand(rng).coords]
-        triples = [t.kept for t in enumerate_triples(n) if n <= 10 or rng.random() < 0.02]
-        betas += [gamma_map(parabola, *kept).coords for kept in triples]
-        found = [assert_kernels_match_reference(spec, beta) for beta in betas]
-        assert found[3:] == [[kept] for kept in triples] and not any(found[:2])
-    # collinear points off the plane: a ratio in F_p closes many triples
-    spec = CodeSpec(7, find_irreducible_cubic(7), range(1, 6),
-                    alpha_rows=[(x, x, x) for x in range(1, 6)])
-    ties = [gamma_map(spec, *t.kept).coords for t in enumerate_triples(5)]
-    assert any(len(assert_kernels_match_reference(spec, beta)) >= 2 for beta in ties)
-
-
-def test_decode_cubic_every_pair_candidate():
-    # a w = 3 code of random points, where every pair (i, k) is a join
-    # candidate: decode_cubic returns the reference's first triple and its
-    # message for the first, last and random kept triples, and a random
-    # word whose ratio matches nothing is rejected
-    rng = random.Random(4242)
-    p, n = 10007, 40
-    rows = random_alpha_rows(p, n, 3, rng)
-    spec = CodeSpec(p, find_irreducible_cubic(p), range(1, n + 1), alpha_rows=rows)
-    assert not _search_columns(spec).planar
-    patterns = [(1, 2, 3), (n - 2, n - 1, n)]
-    patterns += [tuple(sorted(rng.sample(range(1, n + 1), 3))) for _ in range(6)]
-    for kept in patterns:
-        m = random_message(spec, rng)
-        y = received(spec, m, kept)
-        assert next(reference_matches(spec, compute_beta(y).coords)) == kept
-        out = decode_cubic(spec, y)
-        assert out.kappa.kept == kept and out.message == m
-    y = ReceivedTriple(*(spec.ext.rand(rng) for _ in range(3)))
-    assert not list(reference_matches(spec, compute_beta(y).coords))
-    with pytest.raises(UnrecognizedReceivedWordError):
-        decode_cubic(spec, y)
 
 
 def test_search_kernels_charge_scan_pricing():
@@ -764,8 +679,8 @@ def test_decode_cubic_search_ops_pinned():
 
 def test_decode_cubic_all_first_coordinates_equal():
     # a miss at n = 2048 (beta = -1 + gamma matches no triple) stays fast:
-    # the lookup steps through equal first coordinates, so only candidates
-    # that really share one may step, or the search takes O(n) rounds
+    # its join key is -d, distinct at every position, so the search sorts
+    # one key column and finds no candidate pair
     spec = get_spec(10007, 2048)
     ext = spec.ext
     y = ReceivedTriple(ext.elem(10006, 1, 0), ext.zero, -ext.one)
@@ -837,11 +752,9 @@ def test_search_tables_do_not_depend_on_beta():
         return [
             build_code(10007, 40),
             build_code(11, 10),
-            # points in the base field: many triples share one ratio
-            CodeSpec(11, find_irreducible_cubic(11), range(1, 9),
-                     alpha_rows=[(x, 0, 0) for x in (3, 1, 4, 10, 5, 9, 2, 6)]),
-            CodeSpec(7, find_irreducible_cubic(7), range(1, 6),
-                     alpha_rows=[(1, 2, 0), (0, 5, 3), (6, 6, 6), (2, 0, 1), (4, 3, 0)]),
+            # deltas out of order: the sorted points are a true permutation
+            build_code(11, 8, (3, 1, 4, 10, 5, 9, 2, 6)),
+            build_code(7, 5, (6, 2, 5, 1, 3)),
         ]
 
     rng = random.Random(909)
