@@ -294,8 +294,9 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
     The "-random" records decode, trial by trial, the channel words of
     `trials` fresh kept triples drawn from random.Random(seed), the same
     triples for both algos.  One untimed decode of the last triple per
-    (code, record) runs before the timed trials, so a per-code cache filled
-    on the first decode is not averaged into the times.  search_time and
+    (code, record) runs before the timed trials, so first-call costs
+    (numpy's code pages, allocator growth) are not averaged into the
+    times; the decoders keep nothing per code.  search_time and
     total_time are means over the trials, p50_time the median total time,
     and field_ops the mean nominal count.  Returns (records, truncated).
     """
@@ -513,7 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage error (2) or --help (0), already printed
+        return exc.code
     try:
         return args.fn(args)
     except InconsistentReceivedWordError as exc:

@@ -47,10 +47,9 @@ class CodeSpec:
     locator matrix [1 | alpha[:, :w]], where w counts alpha's columns up to
     its last nonzero one (2 for the quadratic map): one matmul with it
     evaluates a message at every point, and certification builds its
-    ratios from it.  _search_columns caches the cubic decoder's search
-    columns, built on the spec's first cubic decode: the points sorted by
-    first coordinate and their positions, O(n) entries and no tables
-    (32*(n + 1) bytes for int64 columns, 131 KB at n = 4096).
+    ratios from it.  delta_index maps each delta to its 1-based position;
+    both decoders read their kept positions from it.  No decoder keeps
+    anything on the spec.
 
     g=None takes the canonical cubic (CubicField's search, as build_code
     does); a given g is tested for irreducibility once.  Construction runs
@@ -60,7 +59,7 @@ class CodeSpec:
     """
 
     __slots__ = ("p", "g", "delta", "n", "field", "ext", "delta_index",
-                 "from_quadratic_map", "_alpha", "_lifted", "_search_columns")
+                 "from_quadratic_map", "_alpha", "_lifted")
 
     def __init__(self, p: int, g: Optional[MonicCubic], delta: Sequence[int], *,
                  alpha_rows=None):
@@ -107,7 +106,6 @@ class CodeSpec:
         lifted[:, 1:] = alpha[:, :w]
         lifted.setflags(write=False)
         self._lifted = lifted
-        self._search_columns = None  # the decoder's triple-search cache
 
     def __eq__(self, other):
         return (
@@ -154,8 +152,7 @@ def build_code(p: int, n: int, delta_override: Optional[Sequence[int]] = None) -
     so a few are tried in practice), and O(n) to validate delta and build
     the spec's arrays and lookup dict.  Memory: O(n); an n outside
     3..p - 1 is refused in O(1) memory, before delta = (1, ..., n) exists.
-    The cubic decoder's search columns are not built here but on the
-    spec's first cubic decode.
+    Both decoders use the spec as built: nothing is added on a decode.
     """
     if delta_override is not None:
         delta = tuple(delta_override)

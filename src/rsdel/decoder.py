@@ -6,11 +6,12 @@ Both decoders start from the invariant ratio
          = (alpha_k1 - alpha_k2) / (alpha_k2 - alpha_k3)
 
 where (k1, k2, k3) are the unknown kept positions.  The cubic decoder is the
-paper's exhaustive decoder: it returns the lexicographically first increasing
-triple whose ratio matches, found by a join (see the triple search below)
-rather than a scan of all C(n,3) triples.  The linear decoder reads the kept
-delta values straight out of beta:  writing beta = a*gamma^2 + b*gamma + c
-and beta*gamma = r*gamma^2 + s*gamma + t, the kept positions satisfy
+paper's exhaustive decoder: it returns the increasing triple whose ratio
+matches, found by a join (see the triple search below) rather than a scan of
+all C(n,3) triples; the ratio fixes that triple (below), so it is also the
+scan's first match.  The linear decoder reads the kept delta values straight
+out of beta:  writing beta = a*gamma^2 + b*gamma + c and
+beta*gamma = r*gamma^2 + s*gamma + t, the kept positions satisfy
 
     p2 = a*(d3 - d2) + r*(d3^2 - d2^2)                       = 0
     p0 = d1 - d2 + c*(d3 - d2) + t*(d3^2 - d2^2)             = 0
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -222,13 +223,17 @@ def solve_deltas(pf: PrimeField, coeffs):
 # neighbours only, since every pair of equal keys sits at sorted distance 1.
 # The sort is numpy's default, not stable, so each pair is taken as
 # i = min, k = max of its two positions and the order of equal keys never
-# matters.  Each pair (i, k) names the only j that could complete it,
-# lam*alpha_i + (1 - lam)*alpha_k (k = i + 1 leaves no room for j and is
-# rejected by i < j < k).  That point is found by one binary search among
-# the code's points sorted by first coordinate, which are its distinct
-# deltas, and compared once in all three coordinates.  The targets are
-# distinct, so j is unique per pair, and the smallest (i, j) over every hit
-# is the lexicographically first triple of the scan.
+# matters.  Each pair (i, k) names the only point that could complete it,
+# w = lam*alpha_i + (1 - lam)*alpha_k, whose gamma^2-coordinate is
+# key(i) - key(k) = 0 and is never formed.  w is a point of the parabola
+# only if w1 == w0^2, and then (d_i, w0, d_k) are distinct values of F_p
+# whose points have ratio beta (w0 == d_i would make w == alpha_i and
+# lam == 1, w0 == d_k would make lam == 0).  The closed form fixes such a
+# triple from beta alone (module docstring), so at most one pair passes
+# that test.  Its j is read as the closed form reads its locators,
+# spec.delta_index.get(w0, 0), and the pair is a match when i < j < k
+# (k = i + 1 leaves no room for j; a w0 outside the code reads 0).  The
+# match is unique, so it is also the scan's lexicographically first.
 #
 # A beta in F_p matches no triple.  beta == 0 needs alpha_i == alpha_j and
 # beta == -1 needs alpha_i == alpha_k.  Otherwise lam lies in F_p \ {0, 1},
@@ -239,19 +244,12 @@ def solve_deltas(pf: PrimeField, coeffs):
 #
 # Time per decode: O(n) setup (one F_{p^3} inverse, the key column in one
 # matrix-vector product), one O(n log n) sort, then at most n/2 candidate
-# pairs, each looked up by one binary search: O(n log n).  Memory: O(n) per
-# decode, and the cache holds only the points sorted by first coordinate
-# and their positions.  Keys and candidate points are computed in the
-# field's own dtype and reduced, so they and the sorted points are compared
-# as int64 columns for p < 2^63 (_INT64_COORD_MAX_P) and as Python ints
-# (object dtype) above.
-
-
-class _SearchColumns(NamedTuple):
-    """Beta-independent search data of one spec, arrays read-only."""
-
-    ts: np.ndarray      # (3, n + 1) points sorted by first coordinate, then a sentinel
-    order: np.ndarray   # 0-based position of each sorted column; order[n] == n
+# pairs, each tested by one product in F_p, and at most one dict lookup.
+# Memory: O(n) per decode; nothing is kept between decodes.  The key column
+# is computed in the field's own dtype, reduced and sorted as int64 for
+# p < 2^63 (_INT64_COORD_MAX_P), as Python ints (object dtype) above; the
+# candidate points and their parabola test stay in the field's dtype, int64
+# for p <= 2^30 (w0^2 < 2^60 is exact) and object above.
 
 
 def _scan_ops(n, rows):
@@ -268,48 +266,32 @@ def _scan_ops(n, rows):
             + triples * OPS_SEARCH_PER_TRIPLE)
 
 
-def _search_columns(spec: CodeSpec) -> _SearchColumns:
-    """The search columns of spec, built on its first search and kept."""
-    if spec._search_columns is None:
-        p, n = spec.p, spec.n
-        dtype = np.int64 if p < _INT64_COORD_MAX_P else object
-        a = np.array(spec._alpha.T, dtype=dtype)
-        order = np.append(np.argsort(a[0]), n)
-        # first coordinate p: sorts last and equals no reduced point
-        ts = np.concatenate((a, np.array([[p], [0], [0]], dtype=dtype)), axis=1)[:, order]
-        for arr in (ts, order):
-            arr.setflags(write=False)
-        spec._search_columns = _SearchColumns(ts, order)
-    return spec._search_columns
-
-
 def _search_triple(spec: CodeSpec, beta):
     if beta[1] == beta[2] == 0:
         return None  # beta in F_p: no triple of the parabola matches
     p = spec.p
     ext = spec.ext
-    ts, order = _search_columns(spec)
     alpha = spec._alpha
     lam = ext.inv(((beta[0] + 1) % p, beta[1], beta[2]))
     m = np.array(ext.mul_matrix(lam), dtype=alpha.dtype)  # v @ m is v*lam
-    key = np.asarray(alpha @ m[:, 2] % p, dtype=ts.dtype)
+    key = np.asarray(alpha @ m[:, 2] % p, dtype=np.int64 if p < _INT64_COORD_MAX_P else object)
     by_key = np.argsort(key)
     key = key.take(by_key)
     q = np.flatnonzero(key[1:] == key[:-1])  # sorted ranks q, q + 1 share a key
     a, b = by_key.take(q), by_key.take(q + 1)
     i, k = np.minimum(a, b), np.maximum(a, b)
     ak = alpha.take(k, axis=0)
-    w = (alpha.take(i, axis=0) - ak) @ m  # lam*alpha_i + (1 - lam)*alpha_k, one row per pair
-    w += ak
+    # first two coordinates of lam*alpha_i + (1 - lam)*alpha_k, one row per pair
+    w = (alpha.take(i, axis=0) - ak) @ m[:, :2]
+    w += ak[:, :2]
     w %= p
-    w = np.asarray(w.T, dtype=ts.dtype)
-    at = np.searchsorted(ts[0], w[0])
-    j = np.where((ts.take(at, axis=1) == w).all(axis=0), order.take(at), -1)
-    ok = np.flatnonzero((i < j) & (j < k))  # also rejects k == i + 1
-    if not ok.size:
+    w0, w1 = w.T
+    hit = np.flatnonzero(w1 == w0 * w0 % p)  # w on the parabola: at most one pair
+    if not hit.size:
         return None
-    first = ok[np.lexsort((j[ok], i[ok]))[0]]  # lexicographically first (i, j)
-    return (int(i[first]) + 1, int(j[first]) + 1, int(k[first]) + 1)
+    h = hit[0]
+    kappa = (int(i[h]) + 1, spec.delta_index.get(int(w0[h]), 0), int(k[h]) + 1)
+    return kappa if kappa[0] < kappa[1] < kappa[2] else None
 
 
 # -- decoders ------------------------------------------------------------
@@ -379,21 +361,21 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
                  inst: Optional[DecodeInstrumentation] = None) -> DecodeOutcome:
     """Decode by the paper's exhaustive triple search, run as a join.
 
-    Returns the lexicographically first increasing triple whose ratio
-    matches, by an equal-key join (see the triple search above): only pairs
-    (i, k) whose lam*alpha share a gamma^2-coordinate can close a triple,
-    and on the parabola a key is shared by at most two positions.  A decode
-    sorts that key column (numpy's unstable argsort; each pair is taken as
-    (min, max) of its positions), looks up at most n/2 pairs among the
-    points sorted by first coordinate, one binary search each, and rejects
-    a ratio in F_p at once: O(n log n) time and O(n) memory, and the
-    re-encode adds O(n).  The first decode on a spec also builds its search
-    columns, O(n), kept with the spec.  The nominal op count still prices
-    the Theta(n^3) scan up to the match row.  Raises ParameterError for
-    specs not built from the quadratic evaluation map,
-    UnrecognizedReceivedWordError when no triple matches, and
-    FieldMismatchError before any arithmetic when a symbol is not in spec's
-    field.
+    Returns the increasing triple whose ratio matches (the ratio fixes it),
+    by an equal-key join (see the triple search above): only pairs (i, k)
+    whose lam*alpha share a gamma^2-coordinate can close a triple, and on
+    the parabola a key is shared by at most two positions.  A decode sorts
+    that key column (numpy's unstable argsort; each pair is taken as
+    (min, max) of its positions), tests at most n/2 pairs' points for
+    w1 == w0^2 by one vectorised product, reads the one passing pair's j
+    from spec.delta_index as the closed form does, and rejects a ratio in
+    F_p at once: O(n log n) time and O(n) memory, and the re-encode adds
+    O(n).  Nothing is kept with the spec, so every decode costs the same.
+    The nominal op count still prices the Theta(n^3) scan up to the match
+    row.  Raises ParameterError for specs not built from the quadratic
+    evaluation map, UnrecognizedReceivedWordError when no triple matches,
+    and FieldMismatchError before any arithmetic when a symbol is not in
+    spec's field.
     """
     return _decode(spec, y, inst, _search, PATH_FALLBACK)
 

@@ -172,6 +172,8 @@ def test_exit_usage_cases(tmp_path, capsys):
         ("encode", "--spec", str(tmp_path / "missing.spec"), "--random", "--out", d),
         ("encode", "--spec", str(spec), "--m1", "1,2", "--m2", "0,0,0", "--out", d),
         ("encode", "--spec", str(spec), "--out", d),  # no message, no --random
+        # argparse reads "-1,0" as an option, so --m2 has no value
+        ("encode", "--spec", str(spec), "--m1", "1,2,3", "--m2", "-1,0", "--out", d),
         ("corrupt", "--spec", str(spec), "--in", str(tmp_path / "nope.sym"),
          "--keep", "1,2,3", "--out", d),
         ("bench", "--p", "11,13", "--n", "4,6,8", "--trials", "1", "--out", d),
@@ -432,10 +434,11 @@ def test_bench_budget_truncation(tmp_path, capsys):
     assert out_csv.read_text().rstrip().endswith("# truncated: time budget exceeded")
 
 
-def test_usage_error_without_subcommand():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+def test_usage_error_without_subcommand(capsys):
+    # argparse's own usage errors come back as the exit code, not SystemExit
+    assert main([]) == 2
+    assert main(["--help"]) == 0
+    assert "usage" in capsys.readouterr().out
 
 
 def test_module_entry_point():

@@ -38,7 +38,6 @@ from rsdel.decoder import (
     ReceivedTriple,
     _scan_ops,
     _search,
-    _search_columns,
     _search_triple,
     compute_beta,
     decode_cubic,
@@ -554,7 +553,7 @@ def every_beta_matches(spec):
 
 def random_delta_specs(p, rng):
     """Quadratic-map specs of n = 3, p - 2 and p - 1 random deltas in random
-    order, so the points sorted by first coordinate are a true permutation."""
+    order, so a delta's position is not its value."""
     return [build_code(p, n, rng.sample(range(1, p), n)) for n in (3, p - 2, p - 1)]
 
 
@@ -583,7 +582,7 @@ def test_search_ignores_tie_order(p, monkeypatch):
         return np.lexsort((-np.arange(a.size), a))
 
     monkeypatch.setattr(decoder.np, "argsort", reverse_ties)
-    # fresh specs, so the columns sort under the patch
+    # every search sorts its key column under the patch
     specs = [build_code(p, p - 1)] + random_delta_specs(p, random.Random(p * 100))
     for spec in specs:
         assert sum(map(len, every_beta_matches(spec))) == comb(spec.n, 3)
@@ -612,6 +611,48 @@ def test_join_key_shared_by_at_most_two_positions(p):
     assert set(longest) == {1, 2} and sum(longest.values()) == p ** 3 - p, longest
 
 
+def parabola_candidates(spec, beta):
+    """(equal-key pairs, pairs whose point lam*alpha_i + (1 - lam)*alpha_k
+    lies on the parabola w1 == w0^2), in Python field arithmetic."""
+    ext, p = spec.ext, spec.p
+    lam = ext.inv(ext.add(beta, (1, 0, 0)))
+    rest = ext.sub((1, 0, 0), lam)
+    alpha = [spec.alpha_coords(i) for i in range(1, spec.n + 1)]
+    runs = {}
+    for i, a in enumerate(alpha):
+        runs.setdefault(ext.mul(lam, a)[2], []).append(i)
+    pairs = on_parabola = 0
+    for run in runs.values():
+        for i, k in combinations(run, 2):
+            w = ext.add(ext.mul(lam, alpha[i]), ext.mul(rest, alpha[k]))
+            assert w[2] == 0  # key(i) - key(k)
+            pairs += 1
+            on_parabola += w[1] == w[0] * w[0] % p
+    return pairs, on_parabola
+
+
+@pytest.mark.parametrize("p", (11, 13, 17))
+def test_join_has_at_most_one_parabola_candidate(p):
+    # the claim that lets the join take the first pair passing its parabola
+    # test: for every beta outside F_p, at most one equal-key pair names a
+    # point with w1 == w0^2 (the ratio fixes the triple), although a beta
+    # has up to n/2 equal-key pairs; every kept triple's ratio has one
+    rng = random.Random(p * 7)
+    specs = [build_code(p, p - 1)] + [build_code(p, n, rng.sample(range(1, p), n))
+                                      for n in (p - 1, p - 3)]
+    for spec in specs:
+        most_pairs = hits = 0
+        for beta in product(range(p), repeat=3):
+            if beta[1:] == (0, 0):
+                continue
+            pairs, on_parabola = parabola_candidates(spec, beta)
+            assert on_parabola <= 1, (spec.delta, beta)
+            most_pairs = max(most_pairs, pairs)
+            hits += on_parabola
+        assert most_pairs >= 3, most_pairs
+        assert hits >= comb(spec.n, 3), hits
+
+
 def test_search_kernels_match_reference_random_points():
     # random points of the parabola (random deltas in random order) at
     # p = 5, 7 and 11: every kept triple's ratio names that triple alone,
@@ -633,10 +674,11 @@ def test_search_kernels_match_reference_random_points():
 
 @pytest.mark.parametrize("p", (1073741789, (1 << 61) - 1, (1 << 63) - 25, (1 << 64) - 59))
 def test_search_kernel_matches_reference_large_p(p):
-    # int64 search columns below 2^63 (2^63 - 25 is the largest prime
-    # there), Python ints (object dtype) at 2^64 - 59; every kept triple is
-    # a hit (a sample of them at n = 20), random betas are misses, and
-    # beta = 0 never matches
+    # int64 key columns below 2^63 (2^63 - 25 is the largest prime there),
+    # Python ints (object dtype) at 2^64 - 59, and candidate points in the
+    # field's dtype (object above 2^30); every kept triple is a hit (a
+    # sample of them at n = 20), random betas are misses, and beta = 0
+    # never matches
     rng = random.Random(p % 977)
     for n in (3, 12, 20):
         spec = get_spec(p, n)
@@ -710,29 +752,11 @@ def test_decode_cubic_ratio_in_base_field_miss_bound():
 
 
 def test_decode_cubic_memory_bound():
-    # O(n) memory on a spec's first decode, search columns included: no
-    # n x n comparison table and no filter table (0.33 MB measured)
-    spec = get_spec(10007, 4096)
-    m = random_message(spec, random.Random(4096))
-    y = received(spec, m, (1, 2, 3))
-    tracemalloc.start()
-    try:
-        out = decode_cubic(spec, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.kappa.kept == (1, 2, 3) and out.message == m
-    assert peak <= 450_000
-
-
-def test_decode_cubic_warm_memory_bound():
-    # the search columns are built once per spec, on its first decode; a
-    # later decode allocates only O(n) columns: the sorted key column, the
-    # candidates and the re-encode (0.17 MB measured)
+    # O(n) memory on a spec's first decode: no n x n comparison table, no
+    # filter table and nothing kept with the spec, only the sorted key
+    # column, the candidate pairs and the re-encode (0.20 MB measured)
     spec = build_code(10007, 4096)
-    rng = random.Random(4097)
-    decode_cubic(spec, received(spec, random_message(spec, rng), (5, 6, 7)))
-    m = random_message(spec, rng)
+    m = random_message(spec, random.Random(4096))
     y = received(spec, m, (1, 2, 3))
     tracemalloc.start()
     try:
@@ -744,15 +768,14 @@ def test_decode_cubic_warm_memory_bound():
     assert peak <= 250_000
 
 
-def test_search_tables_do_not_depend_on_beta():
-    # the cached columns hold only the code's own points: decoding the same
-    # words in two orders on fresh specs gives the same outcomes and counts,
-    # and no decode replaces the columns
+def test_decode_cubic_keeps_no_state_per_spec():
+    # decoding the same words in two orders on fresh specs gives the same
+    # outcomes and counts: no decode leaves anything behind for the next
     def fresh_specs():
         return [
             build_code(10007, 40),
             build_code(11, 10),
-            # deltas out of order: the sorted points are a true permutation
+            # deltas out of order
             build_code(11, 8, (3, 1, 4, 10, 5, 9, 2, 6)),
             build_code(7, 5, (6, 2, 5, 1, 3)),
         ]
@@ -769,7 +792,6 @@ def test_search_tables_do_not_depend_on_beta():
 
     def decode_all(order):
         specs = fresh_specs()
-        tables = {}
         results = {}
         for w in order:
             s, y = words[w]
@@ -779,8 +801,6 @@ def test_search_tables_do_not_depend_on_beta():
                 results[w] = (out.kappa.kept, out.codeword.symbol_tuples(), inst.total_ops)
             except UnrecognizedReceivedWordError:
                 results[w] = (None, None, inst.total_ops)
-            tables.setdefault(s, _search_columns(specs[s]))
-        assert all(_search_columns(specs[s]) is t for s, t in tables.items())
         return results
 
     order = list(range(len(words)))
@@ -792,7 +812,7 @@ def test_search_tables_do_not_depend_on_beta():
 @pytest.mark.parametrize("p,n", (((1 << 61) - 1, 64), (1073741789, 96)))
 def test_decode_cubic_matches_linear_large_p(p, n):
     # field arithmetic in int64 (p < 2^30) and in Python ints (p > 2^30);
-    # the search columns are int64 in both
+    # the search's key column is int64 in both
     spec = get_spec(p, n)
     assert not spec.fast_search_ok()
     rng = random.Random(p % 1000)

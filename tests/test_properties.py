@@ -194,8 +194,13 @@ def cli_files(draw):
 @st.composite
 def cli_argv(draw, spec, symbols, out):
     """One command line; every option argparse types as int gets an int,
-    and free text is passed as --option=text (text may start with "-"), so
-    argparse itself accepts the line and only the command can fail."""
+    and free text is passed as --option=text or as a separate token, which
+    argparse refuses when the text starts with "-" (main returns 2)."""
+
+    def text(option):
+        value = draw(_LIST_TEXT)
+        return [option, value] if draw(st.booleans()) else [f"{option}={value}"]
+
     command = draw(st.sampled_from(("gen-code", "encode", "corrupt", "decode",
                                     "check-condition", "audit", "roundtrip")))
     if command == "gen-code":
@@ -203,7 +208,7 @@ def cli_argv(draw, spec, symbols, out):
         argv = ["--p", str(p),
                 "--n", str(draw(st.integers(-2, 12)))]
         if draw(st.booleans()):
-            argv.append("--delta=" + draw(_LIST_TEXT))
+            argv += text("--delta")
         return [command, *argv, "--out", out]
     argv = [command, "--spec", spec]
     if command == "encode":
@@ -211,12 +216,12 @@ def cli_argv(draw, spec, symbols, out):
             argv += ["--random", "--seed", str(draw(_SEEDS))]
         for option in ("--m1", "--m2"):
             if draw(st.integers(0, 4)):
-                argv.append(f"{option}={draw(_LIST_TEXT)}")
+                argv += text(option)
     elif command == "corrupt":
         argv += ["--in", symbols]
         how = draw(st.sampled_from(("keep", "deletions", "neither")))
         if how == "keep":
-            argv.append("--keep=" + draw(_LIST_TEXT))
+            argv += text("--keep")
         elif how == "deletions":
             argv += ["--deletions", str(draw(st.integers(-2, 14))), "--seed", str(draw(_SEEDS))]
     elif command == "decode":
