@@ -3,7 +3,7 @@
 Evaluation points alpha_i = delta_i + delta_i^2 * gamma make the triple ratio
 (alpha_i - alpha_j)/(alpha_j - alpha_k) injective over increasing triples, so
 three surviving symbols pin down their original positions.  Two decoders:
-the paper's exhaustive triple search, run as an O(n log n) equal-key join
+the paper's exhaustive triple search, run as an O(n) equal-key join
 whose nominal op count still prices the Theta(n^3) scan, and a linear-time
 closed form.  decode_received decodes a longer channel output from its first
 three symbols and checks every later one against the decoded codeword.

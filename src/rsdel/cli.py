@@ -119,8 +119,8 @@ def cmd_decode(args) -> int:
     Loading is O(n + m) for m received symbols; decode_received adds
     O(n + m) time and memory to the decode of the first three.  That decode
     is O(n) for --algo linear on every input.  For --algo cubic it is
-    O(n log n) time and O(n) memory (a spec file always holds the quadratic
-    map).
+    O(n) time (expected, through one hashed set intersection above
+    p = 2^30) and O(n) memory (a spec file always holds the quadratic map).
     """
     spec = code.load_spec(args.spec)
     symbols = code.load_symbols(args.received, spec)
@@ -410,8 +410,7 @@ def cmd_bench(args) -> int:
     one record per job.
 
     Each grid point costs --trials code builds (see build_code) and
-    2 * (--trials + 1) decodes per algorithm (O(n log n) cubic, O(n)
-    linear), or --trials calls of check_injectivity (O(T log T) for
+    2 * (--trials + 1) decodes per algorithm (O(n) each), or --trials calls of check_injectivity (O(T log T) for
     T = C(n, 3)) and of a 64-pair audit (O(n) per pair).  Memory is that of
     the largest single job, one code at a time: O(n) for a decode of either
     algorithm, and about 11 to 28 B per triple for check_injectivity, which

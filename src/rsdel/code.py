@@ -136,8 +136,9 @@ class CodeSpec:
 
     def fast_search_ok(self) -> bool:
         """Whether p < 2^21, so that p^3 < 2^63 and a symbol packs into one
-        int64.  A label of the arithmetic regime only: the decoder's triple
-        search runs one kernel for every p and does not dispatch on it."""
+        int64.  A label of the arithmetic regime only: nothing in the
+        package reads it.  The decoder's triple search branches on the
+        field's dtype (int64 up to 2^30, object above), not on this label."""
         return self.p < (1 << 21)
 
 

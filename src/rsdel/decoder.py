@@ -64,7 +64,7 @@ from .errors import (
     ParameterError,
     UnrecognizedReceivedWordError,
 )
-from .field import _INT64_COORD_MAX_P, ExtElem, PrimeField
+from .field import ExtElem, PrimeField
 
 PATH_CLOSED_FORM = "closed-form"
 PATH_FALLBACK = "fallback-search"
@@ -217,23 +217,33 @@ def solve_deltas(pf: PrimeField, coeffs):
 # There the gamma^2-coordinate of a match reads key(i) == key(k), where
 # key(i) is the gamma^2-coordinate of lam*alpha_i.  With
 # lam = l0 + l1*gamma + l2*gamma^2 and gamma^3 = h0 + h1*gamma + h2*gamma^2,
-# key(d) = l2*d + (l1 + l2*h2)*d^2: a nonzero polynomial of degree <= 2
-# without constant term unless lam lies in F_p, so a key is shared by at
-# most two positions.  The search sorts the key column once and compares
-# neighbours only, since every pair of equal keys sits at sorted distance 1.
-# The sort is numpy's default, not stable, so each pair is taken as
-# i = min, k = max of its two positions and the order of equal keys never
-# matters.  Each pair (i, k) names the only point that could complete it,
-# w = lam*alpha_i + (1 - lam)*alpha_k, whose gamma^2-coordinate is
-# key(i) - key(k) = 0 and is never formed.  w is a point of the parabola
-# only if w1 == w0^2, and then (d_i, w0, d_k) are distinct values of F_p
-# whose points have ratio beta (w0 == d_i would make w == alpha_i and
-# lam == 1, w0 == d_k would make lam == 0).  The closed form fixes such a
-# triple from beta alone (module docstring), so at most one pair passes
-# that test.  Its j is read as the closed form reads its locators,
-# spec.delta_index.get(w0, 0), and the pair is a match when i < j < k
-# (k = i + 1 leaves no room for j; a w0 outside the code reads 0).  The
-# match is unique, so it is also the scan's lexicographically first.
+# key(d) = l2*d + c*d^2 with c = l1 + l2*h2, the gamma^2-coordinate of
+# lam*gamma.  key(d) - key(d') = (d - d')*(l2 + c*(d + d')).  If c == 0 then
+# l2 != 0 (else l1 == 0 too and lam lies in F_p), the key is injective and
+# nothing matches.  Otherwise two distinct positions share a key exactly
+# when d_i + d_k == sigma := -l2/c: each position has one partner value
+# d_k = sigma - d_i, so the join needs no key column and no sort.
+#
+# For such a pair alpha_i - alpha_k = u*(1 + sigma*gamma) with
+# u = d_i - d_k, so the one point that could complete it is
+# w = lam*alpha_i + (1 - lam)*alpha_k = alpha_k + u*v, v = lam*(1 + sigma*gamma),
+# and v2 = l2 + sigma*c = 0.  Per position that is w0 = d_k + u*v0 and
+# w1 = d_k^2 + u*v1, two products in F_p, where v0, v1 and sigma are three
+# F_p scalars per decode.  w is a point of the parabola only if
+# w1 == w0^2.  The guard u != 0 drops the one delta with 2*d == sigma,
+# whose "partner" is itself: its w is alpha_i, which always passes.  With
+# u != 0, (d_i, w0, d_k) are distinct values of F_p whose points have ratio
+# beta (w0 == d_i would make lam == 1, w0 == d_k would make lam == 0).  The
+# closed form fixes such a value triple from beta alone (module docstring),
+# so at most one position passes that test.  The test of the paper's
+# equation stays per position: it is linear in d_i and could be solved,
+# but that would make a second closed form, and the cubic decoder would
+# stop being an independent check of decode_linear.  The passing
+# position's j and k are read as the closed form reads its locators,
+# spec.delta_index.get(w0, 0) and .get(d_k, 0) (a value outside the code
+# reads 0), and the position is a match when i < j < k.  In int64 both
+# orientations of a pair are tested, and the one with i > k fails that
+# order test.  The match is unique, so it is also the scan's lexicographically first.
 #
 # A beta in F_p matches no triple.  beta == 0 needs alpha_i == alpha_j and
 # beta == -1 needs alpha_i == alpha_k.  Otherwise lam lies in F_p \ {0, 1},
@@ -242,14 +252,20 @@ def solve_deltas(pf: PrimeField, coeffs):
 # lam*(1 - lam)*(d_i - d_k)^2 = 0, the r = 0 argument of the module
 # docstring.  So the search returns at once for every beta in F_p.
 #
-# Time per decode: O(n) setup (one F_{p^3} inverse, the key column in one
-# matrix-vector product), one O(n log n) sort, then at most n/2 candidate
-# pairs, each tested by one product in F_p, and at most one dict lookup.
-# Memory: O(n) per decode; nothing is kept between decodes.  The key column
-# is computed in the field's own dtype, reduced and sorted as int64 for
-# p < 2^63 (_INT64_COORD_MAX_P), as Python ints (object dtype) above; the
-# candidate points and their parabola test stay in the field's dtype, int64
-# for p <= 2^30 (w0^2 < 2^60 is exact) and object above.
+# Time per decode: O(1) field work (one F_{p^3} inverse, sigma, v0, v1),
+# then one O(n) vectorised pass over the locator column d = alpha[:, 0],
+# with no sort, and at most two dict lookups.  Memory: O(n) per decode;
+# nothing is kept between decodes.  In int64 (p < 2^30) every product is
+# below 2^61 and the pass runs on all n positions.  In object dtype
+# (p > 2^30) each product is a Python int, so the pass first narrows to
+# the positions whose partner value is in the code: the partner column is
+# intersected with spec.delta_index's keys, one hashed set intersection,
+# O(n) expected for every p.  The in-code partner values are closed under
+# x -> sigma - x, so each of them is also a position's own value; that
+# position is kept when it comes before its partner, which drops both the
+# u == 0 position and the orientation with i > k.  The field's dtype, which
+# CubicField fixes once, makes that one choice; the candidate test after
+# it is the same code in both dtypes.
 
 
 def _scan_ops(n, rows):
@@ -271,26 +287,31 @@ def _search_triple(spec: CodeSpec, beta):
         return None  # beta in F_p: no triple of the parabola matches
     p = spec.p
     ext = spec.ext
-    alpha = spec._alpha
     lam = ext.inv(((beta[0] + 1) % p, beta[1], beta[2]))
-    m = np.array(ext.mul_matrix(lam), dtype=alpha.dtype)  # v @ m is v*lam
-    key = np.asarray(alpha @ m[:, 2] % p, dtype=np.int64 if p < _INT64_COORD_MAX_P else object)
-    by_key = np.argsort(key)
-    key = key.take(by_key)
-    q = np.flatnonzero(key[1:] == key[:-1])  # sorted ranks q, q + 1 share a key
-    a, b = by_key.take(q), by_key.take(q + 1)
-    i, k = np.minimum(a, b), np.maximum(a, b)
-    ak = alpha.take(k, axis=0)
-    # first two coordinates of lam*alpha_i + (1 - lam)*alpha_k, one row per pair
-    w = (alpha.take(i, axis=0) - ak) @ m[:, :2]
-    w += ak[:, :2]
-    w %= p
-    w0, w1 = w.T
-    hit = np.flatnonzero(w1 == w0 * w0 % p)  # w on the parabola: at most one pair
-    if not hit.size:
+    (l0, l1, l2), (g0, g1, c), _ = ext.mul_matrix(lam)  # lam, lam*gamma
+    if c == 0:
+        return None  # the key is injective: no two positions share one
+    sigma = -l2 * pow(c, -1, p) % p
+    v0, v1 = (l0 + sigma * g0) % p, (l1 + sigma * g1) % p  # v = lam*(1 + sigma*gamma)
+    d = spec._alpha[:, 0]
+    idx = spec.delta_index
+    pos = None
+    if d.dtype == object:  # narrow before any Python-int product
+        # the in-code partner values, closed under x -> sigma - x: each names
+        # a position whose partner is in the code; keep it when it comes first
+        pos = np.array([idx[x] - 1 for x in idx.keys() & ((sigma - d) % p).tolist()
+                        if idx[x] < idx[(sigma - x) % p]], dtype=np.intp)
+        d = d.take(pos)
+    dk = (sigma - d) % p  # each position's partner value
+    u = (d - dk) % p
+    w0 = (dk + u * v0) % p
+    w1 = (dk * dk + u * v1) % p  # first two coordinates of alpha_k + u*v
+    # w on the parabola: the match, and the position with u == 0 (w == alpha_i)
+    h = next((h for h in np.flatnonzero(w1 == w0 * w0 % p).tolist() if u[h]), None)
+    if h is None:
         return None
-    h = hit[0]
-    kappa = (int(i[h]) + 1, spec.delta_index.get(int(w0[h]), 0), int(k[h]) + 1)
+    i = h if pos is None else int(pos[h])
+    kappa = (i + 1, idx.get(int(w0[h]), 0), idx.get(int(dk[h]), 0))
     return kappa if kappa[0] < kappa[1] < kappa[2] else None
 
 
@@ -364,13 +385,20 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
     Returns the increasing triple whose ratio matches (the ratio fixes it),
     by an equal-key join (see the triple search above): only pairs (i, k)
     whose lam*alpha share a gamma^2-coordinate can close a triple, and on
-    the parabola a key is shared by at most two positions.  A decode sorts
-    that key column (numpy's unstable argsort; each pair is taken as
-    (min, max) of its positions), tests at most n/2 pairs' points for
-    w1 == w0^2 by one vectorised product, reads the one passing pair's j
-    from spec.delta_index as the closed form does, and rejects a ratio in
-    F_p at once: O(n log n) time and O(n) memory, and the re-encode adds
-    O(n).  Nothing is kept with the spec, so every decode costs the same.
+    the parabola that holds exactly when d_i + d_k = sigma, one F_p value
+    per decode.  So each position has one partner value, and a decode
+    tests every position once, with no key column and no sort: the point
+    its pair names is on the parabola (w1 == w0^2, two F_p products per
+    position) and its partner is not itself (u != 0).  At most one
+    position passes; its j and k are read from spec.delta_index as the
+    closed form reads them, and a ratio in F_p, or one whose key is
+    injective, is rejected at once.  Above p = 2^30 the pass first narrows
+    to the positions that come before their partner in the code, by one set
+    intersection with spec.delta_index's keys, so Python-int products run
+    only there: on none for most garbage, on up to about n/2 when the
+    locators pair up around sigma (1..n with d_i + d_k near n + 1).  O(n)
+    time (expected, for the hashing above 2^30) and O(n) memory, and the
+    re-encode adds O(n).  Nothing is kept with the spec between decodes.
     The nominal op count still prices the Theta(n^3) scan up to the match
     row.  Raises ParameterError for specs not built from the quadratic
     evaluation map, UnrecognizedReceivedWordError when no triple matches,

@@ -13,7 +13,6 @@ from collections import Counter
 from itertools import combinations, product
 from math import comb
 
-import numpy as np
 import pytest
 
 from rsdel import decoder
@@ -567,39 +566,20 @@ def test_search_kernels_match_reference_every_beta(p):
         assert sum(map(len, matches)) == comb(spec.n, 3)
 
 
-@pytest.mark.parametrize("p", (5, 7))
-def test_search_ignores_tie_order(p, monkeypatch):
-    # the search sorts with numpy's unstable argsort, so the two positions
-    # of an equal join key may come in either order: an argsort that lists
-    # every run of equal values in reverse position order, the opposite of
-    # a stable sort, must give the same triple for every beta
-    sorts = Counter()
-
-    def reverse_ties(a, *args, **kwargs):
-        a = np.asarray(a)
-        sorts["calls"] += 1
-        sorts["with ties"] += len(np.unique(a)) < a.size
-        return np.lexsort((-np.arange(a.size), a))
-
-    monkeypatch.setattr(decoder.np, "argsort", reverse_ties)
-    # every search sorts its key column under the patch
-    specs = [build_code(p, p - 1)] + random_delta_specs(p, random.Random(p * 100))
-    for spec in specs:
-        assert sum(map(len, every_beta_matches(spec))) == comb(spec.n, 3)
-    assert sorts["with ties"] >= 100, sorts
-
-
 def key_runs(spec, beta):
-    """How many positions share each join key: the gamma^2-coordinate of
-    lam*alpha_i, lam = (1 + beta)^-1, one field product per position."""
+    """The positions (0-based) that share each join key: the
+    gamma^2-coordinate of lam*alpha_i, lam = (1 + beta)^-1, one field
+    product per position."""
     ext = spec.ext
     lam = ext.inv(ext.add(beta, (1, 0, 0)))
-    return Counter(ext.mul(lam, spec.alpha_coords(i))[2] for i in range(1, spec.n + 1))
+    runs = {}
+    for i in range(spec.n):
+        runs.setdefault(ext.mul(lam, spec.alpha_coords(i + 1))[2], []).append(i)
+    return runs
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 def test_join_key_shared_by_at_most_two_positions(p):
-    # the claim that lets the join compare sorted keys at distance 1 only:
     # on the parabola, for every beta outside F_p, no three positions share
     # a key (key(d) is a nonzero polynomial of degree <= 2 without constant
     # term); pairs do occur
@@ -607,50 +587,112 @@ def test_join_key_shared_by_at_most_two_positions(p):
     longest = Counter()
     for beta in product(range(p), repeat=3):
         if beta[1:] != (0, 0):
-            longest[max(key_runs(spec, beta).values())] += 1
+            longest[max(map(len, key_runs(spec, beta).values()))] += 1
     assert set(longest) == {1, 2} and sum(longest.values()) == p ** 3 - p, longest
+
+
+def partner_sum(spec, beta):
+    """(c, sigma): c is the gamma^2-coordinate of lam*gamma and
+    sigma = -l2/c (None when c = 0), so key(d) = l2*d + c*d^2."""
+    ext, p = spec.ext, spec.p
+    lam = ext.inv(ext.add(beta, (1, 0, 0)))
+    c = ext.mul(lam, (0, 1, 0))[2]
+    return c, (-lam[2] * pow(c, -1, p) % p if c else None)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_partner_sum_names_the_equal_key_pairs(p):
+    # the claim the search rests on: for every beta outside F_p, two
+    # distinct positions share a join key exactly when d_i + d_k = sigma.
+    # c = 0 leaves every key distinct; on the full spec (every nonzero
+    # delta) c = 0 is also the only way to have no equal keys
+    specs = [build_code(p, p - 1)] + random_delta_specs(p, random.Random(p * 100))
+    for spec in specs:
+        d = spec.delta
+        injective = 0
+        for beta in product(range(p), repeat=3):
+            if beta[1:] == (0, 0):
+                continue
+            runs = key_runs(spec, beta)
+            equal_key = {(i, k) for run in runs.values() for i, k in combinations(run, 2)}
+            c, sigma = partner_sum(spec, beta)
+            distinct = len(runs) == spec.n
+            if c == 0 or spec.n == p - 1:
+                assert distinct == (c == 0), (spec.delta, beta)
+            injective += c == 0
+            by_sum = set() if c == 0 else {
+                (i, k) for i, k in combinations(range(spec.n), 2) if (d[i] + d[k]) % p == sigma}
+            assert by_sum == equal_key, (spec.delta, beta)
+        assert injective > 0
+
+
+def test_search_skips_the_self_partnered_position():
+    # sigma = 2*d for the delta d = 3 at position 1, whose partner is
+    # itself (u = 0): its point w is alpha_1, which always lies on the
+    # parabola.  The true triple (2, 4, 5) has d_i + d_k = 1 + 5 = 6 = 2*3
+    # and comes after it, so the search must skip position 1 to find it
+    spec = build_code(11, 10, (3, 1, 2, 4, 5, 6, 7, 8, 9, 10))
+    beta = gamma_map(spec, 2, 4, 5).coords
+    assert partner_sum(spec, beta)[1] == 2 * spec.delta[0] % spec.p
+    assert _search_triple(spec, beta) == (2, 4, 5)
+    assert list(reference_matches(spec, beta)) == [(2, 4, 5)]
 
 
 def parabola_candidates(spec, beta):
     """(equal-key pairs, pairs whose point lam*alpha_i + (1 - lam)*alpha_k
-    lies on the parabola w1 == w0^2), in Python field arithmetic."""
+    lies on the parabola w1 == w0^2, positions whose forced partner value
+    d_k = sigma - d_i != d_i lies outside the code, and positions whose point
+    with that partner lies on the parabola), in Python field arithmetic."""
     ext, p = spec.ext, spec.p
     lam = ext.inv(ext.add(beta, (1, 0, 0)))
     rest = ext.sub((1, 0, 0), lam)
     alpha = [spec.alpha_coords(i) for i in range(1, spec.n + 1)]
-    runs = {}
-    for i, a in enumerate(alpha):
-        runs.setdefault(ext.mul(lam, a)[2], []).append(i)
     pairs = on_parabola = 0
-    for run in runs.values():
+    for run in key_runs(spec, beta).values():
         for i, k in combinations(run, 2):
             w = ext.add(ext.mul(lam, alpha[i]), ext.mul(rest, alpha[k]))
             assert w[2] == 0  # key(i) - key(k)
             pairs += 1
             on_parabola += w[1] == w[0] * w[0] % p
-    return pairs, on_parabola
+    outside = forced_on_parabola = 0
+    sigma = partner_sum(spec, beta)[1]
+    for d in (() if sigma is None else spec.delta):
+        dk = (sigma - d) % p
+        if dk == d:
+            continue  # u = 0: the point is alpha_i itself
+        outside += dk not in spec.delta_index
+        w = ext.add(ext.mul(lam, (d, d * d % p, 0)), ext.mul(rest, (dk, dk * dk % p, 0)))
+        assert w[2] == 0
+        forced_on_parabola += w[1] == w[0] * w[0] % p
+    return pairs, on_parabola, outside, forced_on_parabola
 
 
 @pytest.mark.parametrize("p", (11, 13, 17))
 def test_join_has_at_most_one_parabola_candidate(p):
-    # the claim that lets the join take the first pair passing its parabola
-    # test: for every beta outside F_p, at most one equal-key pair names a
-    # point with w1 == w0^2 (the ratio fixes the triple), although a beta
-    # has up to n/2 equal-key pairs; every kept triple's ratio has one
+    # the claim that lets the search take the first position passing its
+    # parabola test: for every beta outside F_p, at most one equal-key pair
+    # names a point with w1 == w0^2 (the ratio fixes the triple), although a
+    # beta has up to n/2 equal-key pairs; every kept triple's ratio has one.
+    # The search tests every position with its forced partner, in both
+    # orders of a pair and with partners outside the code: at most one of
+    # those passes as well
     rng = random.Random(p * 7)
     specs = [build_code(p, p - 1)] + [build_code(p, n, rng.sample(range(1, p), n))
                                       for n in (p - 1, p - 3)]
     for spec in specs:
-        most_pairs = hits = 0
+        most_pairs = hits = outside = forced_hits = 0
         for beta in product(range(p), repeat=3):
             if beta[1:] == (0, 0):
                 continue
-            pairs, on_parabola = parabola_candidates(spec, beta)
-            assert on_parabola <= 1, (spec.delta, beta)
+            pairs, on_parabola, out, forced = parabola_candidates(spec, beta)
+            assert on_parabola <= 1 and forced <= 1, (spec.delta, beta)
             most_pairs = max(most_pairs, pairs)
             hits += on_parabola
+            outside += out
+            forced_hits += forced
         assert most_pairs >= 3, most_pairs
         assert hits >= comb(spec.n, 3), hits
+        assert forced_hits >= hits and outside > 0, (forced_hits, outside)
 
 
 def test_search_kernels_match_reference_random_points():
@@ -674,9 +716,9 @@ def test_search_kernels_match_reference_random_points():
 
 @pytest.mark.parametrize("p", (1073741789, (1 << 61) - 1, (1 << 63) - 25, (1 << 64) - 59))
 def test_search_kernel_matches_reference_large_p(p):
-    # int64 key columns below 2^63 (2^63 - 25 is the largest prime there),
-    # Python ints (object dtype) at 2^64 - 59, and candidate points in the
-    # field's dtype (object above 2^30); every kept triple is a hit (a
+    # Python-int partner columns (object dtype) on both sides of 2^63
+    # (2^63 - 25 is the largest prime below it), narrowed by one set
+    # intersection at every p; every kept triple is a hit (a
     # sample of them at n = 20), random betas are misses, and beta = 0
     # never matches
     rng = random.Random(p % 977)
@@ -721,8 +763,8 @@ def test_decode_cubic_search_ops_pinned():
 
 def test_decode_cubic_all_first_coordinates_equal():
     # a miss at n = 2048 (beta = -1 + gamma matches no triple) stays fast:
-    # its join key is -d, distinct at every position, so the search sorts
-    # one key column and finds no candidate pair
+    # its join key is -d, distinct at every position (c = 0), so the search
+    # returns before its pass over the positions
     spec = get_spec(10007, 2048)
     ext = spec.ext
     y = ReceivedTriple(ext.elem(10006, 1, 0), ext.zero, -ext.one)
@@ -753,8 +795,9 @@ def test_decode_cubic_ratio_in_base_field_miss_bound():
 
 def test_decode_cubic_memory_bound():
     # O(n) memory on a spec's first decode: no n x n comparison table, no
-    # filter table and nothing kept with the spec, only the sorted key
-    # column, the candidate pairs and the re-encode (0.20 MB measured)
+    # filter table and nothing kept with the spec, only a few columns of n
+    # partner values and candidate points, and the re-encode (0.20 MB
+    # measured)
     spec = build_code(10007, 4096)
     m = random_message(spec, random.Random(4096))
     y = received(spec, m, (1, 2, 3))
@@ -811,8 +854,8 @@ def test_decode_cubic_keeps_no_state_per_spec():
 
 @pytest.mark.parametrize("p,n", (((1 << 61) - 1, 64), (1073741789, 96)))
 def test_decode_cubic_matches_linear_large_p(p, n):
-    # field arithmetic in int64 (p < 2^30) and in Python ints (p > 2^30);
-    # the search's key column is int64 in both
+    # field arithmetic and the search's partner column in Python ints
+    # (p > 2^30)
     spec = get_spec(p, n)
     assert not spec.fast_search_ok()
     rng = random.Random(p % 1000)
@@ -825,6 +868,34 @@ def test_decode_cubic_matches_linear_large_p(p, n):
         b = decode_linear(spec, y)
         assert (a.kappa.kept, a.message, a.codeword) == (b.kappa.kept, b.message, b.codeword)
         assert a.kappa.kept == kept and a.message == m
+
+
+def test_decode_cubic_large_p_thousands():
+    # p = 2^64 - 59 at n = 4096: above 2^63 the partner column stays in
+    # Python ints, and its narrowing is one set intersection, O(n) expected.
+    # The search stays in milliseconds on a random miss and on the mid pair
+    # (1, n/2, n), whose d_i + d_k = n + 1 leaves n/2 positions to test in
+    # Python ints (1.5 ms measured at 2^61 - 1, 2-vCPU x86-64 VM).  np.isin
+    # on object columns compares the column once per partner value: as the
+    # narrowing it took 64 ms alone at this p and n
+    p, n = (1 << 64) - 59, 4096
+    spec = build_code(p, n)
+    rng = random.Random(n)
+    patterns = [(1, 2, 3), (1, n // 2, n), (n - 2, n - 1, n)]
+    patterns += [tuple(sorted(rng.sample(range(1, n + 1), 3))) for _ in range(3)]
+    for kept in patterns:
+        m = random_message(spec, rng)
+        y = received(spec, m, kept)
+        a, b = decode_cubic(spec, y), decode_linear(spec, y)
+        assert a.kappa.kept == b.kappa.kept == kept and a.codeword == b.codeword
+    for beta, want in ((gamma_map(spec, 1, n // 2, n).coords, (1, n // 2, n)),
+                       (spec.ext.rand(rng).coords, None)):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert _search_triple(spec, beta) == want
+            times.append(time.perf_counter() - t0)
+        assert min(times) < 0.02, times
 
 
 def test_instrumentation_counts():
