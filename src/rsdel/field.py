@@ -9,6 +9,10 @@ Python ints are arbitrary precision, so moduli up to 2^61 - 1 (and beyond)
 need no widening tricks.  The multiply-by-x matrix and the inverse are also
 written to run elementwise on numpy coordinate columns, int64 for p <= 2^30
 and object dtype above, which CubicField.inv_many uses to invert a batch.
+The one float64 array is code.CodeSpec's evaluation matrix, for
+p < _FLOAT64_PRODUCT_MAX_P (about 5.5 * 10^7): its products with
+coordinates are exact there and run through BLAS, and their results are
+cast back to int64 before any reduction.
 """
 
 from __future__ import annotations
@@ -23,6 +27,13 @@ from .errors import FieldMismatchError, ParameterError
 # below the bound for what it holds, and holds Python ints (object dtype) above.
 _INT64_PRODUCT_MAX_P = 1 << 30  # three products of coordinates plus one: 3p^2 + p < 2^63
 _INT64_COORD_MAX_P = 1 << 63    # one coordinate; a wider int enters a key by its low 63 bits
+# The same sum of three products plus one, in float64: the least p with
+# 3p^2 + p >= 2^53.  Below it every entry of a product whose terms are
+# canonical coordinates (at most (p-1) + 3(p-1)^2), every partial sum and
+# every product is an integer below 2^53, so each is exactly representable
+# and no rounding happens, in any summation order and with FMA alike: the
+# float64 product, which BLAS runs, equals the integer one.
+_FLOAT64_PRODUCT_MAX_P = 54_794_158
 
 # Deterministic Miller-Rabin: (bound, bases) pairs, each base set proven exact
 # for every n below its bound, and the smallest proven set first.  psi_k

@@ -70,7 +70,7 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
         raise BudgetExceededError(
             f"C({n},3) = {total} triples exceeds the budget of {budget}")
     ext, p = spec.ext, spec.p
-    lifted = spec._lifted   # rows (1, alpha_i[:w])
+    lifted = spec._lifted.astype(ext.dtype)   # rows (1, alpha_i[:w])
     w = lifted.shape[1] - 1
     pair_j, pair_k = np.triu_indices(n, 1)  # pairs j < k in lexicographic order
     alpha_j = spec._alpha[pair_j].T
@@ -80,6 +80,9 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     # rows of M_{1/(alpha_j - alpha_k)} that alpha_i's nonzero coordinates
     # pick out.  int64 stays exact, since a sum of row 0 and w <= 3 products
     # is at most p + 3p^2 < 2^63 for p <= 2^30, field._INT64_PRODUCT_MAX_P.
+    # spec._lifted is float64 below field._FLOAT64_PRODUCT_MAX_P, for the
+    # encoder's BLAS product; its copy in ext.dtype above keeps _ratio_keys
+    # and at() in integer arithmetic.
     rows = np.array(ext.mul_matrix(inverse)[:w], dtype=ext.dtype)  # (row, coordinate, pair)
     table = np.empty((1 + w, len(pair_j), 3), dtype=ext.dtype)  # (row, pair, coordinate)
     table[0] = (-(alpha_j[:w, None] * rows).sum(axis=0) % p).T

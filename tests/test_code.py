@@ -160,7 +160,8 @@ def test_encode_frozen_example():
     assert encode(spec, m).symbol_tuples() == [(1, 1, 0)] * 4
 
 
-@pytest.mark.parametrize("p, dtype", [(10007, np.int64), ((1 << 61) - 1, object)])
+@pytest.mark.parametrize("p, dtype", [(10007, np.int64), (54794149, np.int64),
+                                      (54794197, np.int64), ((1 << 61) - 1, object)])
 def test_symbol_tuples_match_row_tuples(p, dtype):
     spec = get_spec(p, 40)
     rng = random.Random(89)
@@ -196,38 +197,52 @@ def test_encode_matches_scalar_evaluation():
             assert cw[i - 1] == m.m1 + m.m2 * spec.alpha_at(i)
 
 
-@pytest.mark.parametrize("p", [1073741789, 2**61 - 1])
+@pytest.mark.parametrize("p", [54794149, 54794197, 1073741789, 2**61 - 1])
 def test_encode_exact_at_dtype_boundary(p):
-    # 1073741789 is the largest prime <= 2^30, the last int64 regime: a
-    # matmul entry can reach 3p^2 + p, which must stay below 2^63 and be
-    # reduced exactly.  The n largest residues put alpha's first coordinates
-    # next to p, and a message of all p-1 coordinates maximises M_{m2}'s
-    # inputs.  The alpha_rows spec (w = 3) has every coordinate within n of
-    # p - 1, and its m2 is the first seeded draw whose M_{m2} has a column
-    # of three entries above 0.97p, so that column's sums come near 3p^2 + p.
+    # 54794149 is the last prime below field._FLOAT64_PRODUCT_MAX_P, where
+    # the evaluation matrix is float64, and 54794197 the first prime above
+    # it, where it is int64; 1073741789 is the largest prime <= 2^30, the
+    # last int64 regime.  A matmul entry can reach (p-1) + 3(p-1)^2, which
+    # must stay exact and be reduced exactly.  The n largest residues put
+    # alpha's first coordinates next to p, and a message of all p-1
+    # coordinates maximises M_{m2}'s inputs.  The alpha_rows spec (w = 3)
+    # has every coordinate within n of p - 1 and first point
+    # (p-1, p-1, p-1); its m2 is solved so that column 0 of M_{m2} is all
+    # p - 1, and its m1 starts with p - 2, so the product's first entry is
+    # (p-2) + 3(p-1)^2: odd, and 1 below the largest.  At 54794197 that
+    # entry lies above 2^53, where float64 holds even integers only, so an
+    # odd one shows any rounding.
     n = 40
     quadratic = get_spec(p, n, tuple(range(p - n, p)))
     ext = quadratic.ext
     rows = [(p - 1 - i, p - 1 - 7 * i % n, p - 1 - 13 * i % n) for i in range(n)]
     offplane = CodeSpec(p, quadratic.g, range(1, n + 1), alpha_rows=rows)
     assert offplane._lifted.shape == (n, 4)
-    rng = random.Random(5)
-    while True:
-        m2 = ext.rand(rng).coords
-        columns = zip(*ext.mul_matrix(m2))
-        if any(min(column) > 0.97 * p for column in columns):
-            break
-    m1 = (p - 1, p - 1, p - 1)
-    for spec, m2 in ((quadratic, m1), (offplane, m2)):
+    h0, h2 = -ext.g.g0 % p, -ext.g.g2 % p
+    t = (p - 1) * pow(h0, -1, p) % p   # column 0 of M_{m2} is (m2_0, h0*m2_2, h0*(m2_1 + h2*m2_2))
+    solved = (p - 1, t * (1 - h2) % p, t)
+    assert [row[0] for row in ext.mul_matrix(solved)] == [p - 1] * 3
+    top = (p - 1, p - 1, p - 1)
+    odd = (p - 2, p - 1, p - 1)
+    entry = odd[0] + sum(a * row[0] for a, row in zip(offplane.alpha_coords(1),
+                                                      ext.mul_matrix(solved)))
+    assert entry == (p - 2) + 3 * (p - 1) ** 2 and entry % 2 == 1
+    assert (entry > 1 << 53) == (p > 54794149)
+    want_lifted = {54794149: np.float64, 54794197: np.int64, 1073741789: np.int64}.get(p, object)
+    for spec, m1, m2 in ((quadratic, top, top), (offplane, odd, solved)):
         assert spec.ext.dtype == (np.int64 if p <= 1 << 30 else object)
+        assert spec._lifted.dtype == want_lifted and not spec._lifted.flags.writeable
         message = Message(ext.from_coords(m1), ext.from_coords(m2))
-        if spec is offplane:
-            raw = spec._lifted @ np.array((m1, *ext.mul_matrix(m2)), dtype=spec.ext.dtype)
-            assert raw.max() > 2.8 * p * p
-        got = encode(spec, message).symbol_tuples()
+        codeword = encode(spec, message)
+        assert codeword.coords.dtype == spec.ext.dtype
+        got = codeword.symbol_tuples()
         assert {type(c) for sym in got for c in sym} == {int}  # never np.int64
         for i in range(1, n + 1):
             assert got[i - 1] == ext.add(m1, ext.mul(m2, spec.alpha_coords(i)))
+        words = encode_many(spec, [message, message])
+        assert words.dtype == spec.ext.dtype and words.flags.c_contiguous
+        assert np.array_equal(words[:, 0], codeword.coords)
+        assert np.array_equal(words[:, 1], codeword.coords)
 
 
 @pytest.mark.parametrize("p", [10007, 2**61 - 1, 2**64 - 59])
@@ -444,7 +459,8 @@ def test_spec_entries_must_be_integers():
         CodeSpec(10007, g, (1, 2, 3), alpha_rows=[(big, 0, 0), (big + 10007, 0, 0), (1, 0, 0)])
 
 
-@pytest.mark.parametrize("p, dtype", [(10007, np.int64), ((1 << 61) - 1, object)])
+@pytest.mark.parametrize("p, dtype", [(10007, np.int64), (54794149, np.int64),
+                                      (54794197, np.int64), ((1 << 61) - 1, object)])
 def test_encode_many_matches_encode(p, dtype):
     # oracle: encode, and m1 + m2*alpha_i by CubicField.mul one symbol at a
     # time, for the quadratic map and for points of lifted width 3

@@ -325,15 +325,17 @@ def test_check_injectivity_budget_refusal_allocates_nothing():
 
 # Every p sorts one hashed int64 key per value.  The cases straddle the
 # regime edges: the last prime below and the first above 2^21 and 2^31;
+# 54794149, the last prime whose evaluation matrix is float64, which
+# check_injectivity casts to int64 once;
 # 1073741789 (int64 pair table) against 2^31 - 1 and 2147483659 (object pair
 # table); 2^61 - 1; and 2^64 - 59 and 2^64 + 13, whose coordinates enter the
 # keys by their low 63 bits.
-_QUADRATIC_CASES = [(10007, 30), (2097143, 24), (2097169, 24),
+_QUADRATIC_CASES = [(10007, 30), (2097143, 24), (2097169, 24), (54794149, 24),
                     (1073741789, 24), ((1 << 31) - 1, 20), (2147483659, 20),
                     ((1 << 61) - 1, 16), ((1 << 64) - 59, 10),
                     ((1 << 64) + 13, 10), (5, 4), (7, 6)]
 _BASE_FIELD_CASES = [(5, 4), (7, 6), (11, 10), (13, 12), (10007, 25), (2097143, 14),
-                     (2097169, 14), (1073741789, 14), ((1 << 31) - 1, 12),
+                     (2097169, 14), (54794149, 14), (1073741789, 14), ((1 << 31) - 1, 12),
                      (2147483659, 12), ((1 << 61) - 1, 10), ((1 << 64) - 59, 8),
                      ((1 << 64) + 13, 8)]
 
