@@ -46,11 +46,13 @@ class CodeSpec:
     and certification, e.g. as counterexamples.  _lifted is the (n, 1 + w)
     locator matrix [1 | alpha[:, :w]], where w counts alpha's columns up to
     its last nonzero one (2 for the quadratic map): one matmul with it
-    evaluates a message at every point, and certification builds its
-    ratios from it.  Its dtype is chosen here, once: float64 for
-    p < field._FLOAT64_PRODUCT_MAX_P (about 5.5 * 10^7), where the
-    evaluation product is exact in float64 and BLAS runs it, and ext.dtype
-    above; _alpha is always in ext.dtype.  delta_index maps each delta to
+    evaluates a message at every point, the cubic decoder's triple search
+    tests every position with one product of its rows (1, d, d^2), both
+    through _lifted_product, and certification builds its ratios from it.
+    Its dtype is chosen here, once: float64 for
+    p < field._FLOAT64_PRODUCT_MAX_P (about 5.5 * 10^7), where both
+    products are exact in float64 and BLAS runs them, and ext.dtype above;
+    _alpha is always in ext.dtype.  delta_index maps each delta to
     its 1-based position; both decoders read their kept positions from it.
     No decoder keeps anything on the spec.
 
@@ -140,8 +142,9 @@ class CodeSpec:
     def fast_search_ok(self) -> bool:
         """Whether p < 2^21, so that p^3 < 2^63 and a symbol packs into one
         int64.  A label of the arithmetic regime only: nothing in the
-        package reads it.  The decoder's triple search branches on the
-        field's dtype (int64 up to 2^30, object above), not on this label."""
+        package reads it.  The decoder's triple search branches on
+        _lifted.dtype (float64 or int64 up to 2^30, object above), not on
+        this label."""
         return self.p < (1 << 21)
 
 
@@ -228,26 +231,41 @@ def _require_field(ext: CubicField, elems, what: str) -> None:
             raise FieldMismatchError(f"{what} lies in {e.field!r}, not in {ext!r}")
 
 
-def _evaluate(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
-    """The B words of messages as one reduced (n, 3B) product, word b in
-    columns 3b..3b+2.
+def _lifted_product(spec: CodeSpec, lifted: np.ndarray, rhs) -> np.ndarray:
+    """lifted @ rhs reduced mod p, in spec.ext.dtype: the one arithmetic
+    kernel of the re-encode and of the triple search.
 
-    Row i of [1 | alpha[:, :w]] @ [m1; rows 0..w-1 of M_{m2}] is
-    m1 + alpha_i*m2, since alpha_i's coordinates past w are zero; the B
-    right-hand sides stand side by side as one (1 + w, 3B) matrix in the
-    dtype of spec._lifted.  An entry is at most (p-1) + 3(p-1)^2.  For
+    lifted is spec._lifted or rows taken from it, and rhs (any array-like,
+    converted to lifted's dtype) holds canonical residues in 1 + w <= 4
+    rows.  As lifted's rows are (1, canonical coordinates), an entry of the
+    product is at most (p-1) + 3(p-1)^2 < 3p^2 + p.  For
     p < field._FLOAT64_PRODUCT_MAX_P (about 5.5 * 10^7) that is below
     2^53, so the float64 product, which BLAS runs, is exact; up to 2^30 it
     is below 2^63 and the product is int64, which numpy multiplies without
     BLAS; above, Python ints.  One path serves all three: the product is
     cast to ext.dtype (a no-op unless it is float64) and reduced in place
     by field.reduce_mod, through libdivide for int64, faster than % from
-    about 800 entries on, and by % for object arrays.  At p = 10007
-    (numpy 2.4, OpenBLAS, one thread, x86-64) n = 512 takes about 1.0 us
-    for the product (3.4 us in int64), 0.6 us for the cast and 2.1 us for
-    the reduction; n = 4096 takes 3.7 us (21.7 us in int64), 3.0 us and
-    7.2 us.  Raises FieldMismatchError at the first message outside
-    spec's field.
+    about 800 entries on, and by % for object arrays.  O(N) time and
+    memory for N entries of the product.
+    """
+    # no name holds the float64 product, so it is freed before the reduction
+    return reduce_mod((lifted @ np.asarray(rhs, dtype=lifted.dtype))
+                      .astype(spec.ext.dtype, copy=False), spec.p)
+
+
+def _evaluate(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
+    """The B words of messages as one reduced (n, 3B) product, word b in
+    columns 3b..3b+2.
+
+    Row i of [1 | alpha[:, :w]] @ [m1; rows 0..w-1 of M_{m2}] is
+    m1 + alpha_i*m2, since alpha_i's coordinates past w are zero; the B
+    right-hand sides stand side by side as one (1 + w, 3B) matrix, and
+    _lifted_product multiplies and reduces it (its exactness bound covers
+    every dtype of spec._lifted).  At p = 10007 (numpy 2.4, OpenBLAS, one
+    thread, x86-64) n = 512 takes about 1.0 us for the product (3.4 us in
+    int64), 0.6 us for the cast and 2.1 us for the reduction; n = 4096
+    takes 3.7 us (21.7 us in int64), 3.0 us and 7.2 us.  Raises
+    FieldMismatchError at the first message outside spec's field.
     """
     ext = spec.ext
     lifted = spec._lifted
@@ -259,12 +277,10 @@ def _evaluate(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
     if len(rhs) == 1:
         # one message's rows are already in place, and a plain array is
         # cheapest for encode, which every decode calls
-        rows = np.array(rhs[0], dtype=lifted.dtype)
-    else:
-        flat = chain.from_iterable   # entries in (row, message, coordinate) order
-        rows = np.array(list(flat(flat(zip(*rhs)))), dtype=lifted.dtype)
-        rows = rows.reshape(1 + w, 3 * len(rhs))
-    return reduce_mod((lifted @ rows).astype(ext.dtype, copy=False), spec.p)
+        return _lifted_product(spec, lifted, rhs[0])
+    flat = chain.from_iterable   # entries in (row, message, coordinate) order
+    rows = np.array(list(flat(flat(zip(*rhs)))), dtype=lifted.dtype)
+    return _lifted_product(spec, lifted, rows.reshape(1 + w, 3 * len(rhs)))
 
 
 def encode_many(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:

@@ -57,7 +57,15 @@ from typing import Optional
 import numpy as np
 
 from .channel import DeletionPattern
-from .code import CodeSpec, Message, Codeword, _require_field, encode, interpolate
+from .code import (
+    CodeSpec,
+    Codeword,
+    Message,
+    _lifted_product,
+    _require_field,
+    encode,
+    interpolate,
+)
 from .errors import (
     FieldMismatchError,
     InconsistentReceivedWordError,
@@ -67,7 +75,7 @@ from .errors import (
 from .field import ExtElem, PrimeField
 
 PATH_CLOSED_FORM = "closed-form"
-PATH_FALLBACK = "fallback-search"
+PATH_FALLBACK = "triple-search"  # the decode_cubic path; perfbench reads this name
 PATH_CONSTANT = "constant"
 
 # Nominal F_p costs per operation, used by the instrumentation so counts are
@@ -227,23 +235,35 @@ def solve_deltas(pf: PrimeField, coeffs):
 # For such a pair alpha_i - alpha_k = u*(1 + sigma*gamma) with
 # u = d_i - d_k, so the one point that could complete it is
 # w = lam*alpha_i + (1 - lam)*alpha_k = alpha_k + u*v, v = lam*(1 + sigma*gamma),
-# and v2 = l2 + sigma*c = 0.  Per position that is w0 = d_k + u*v0 and
-# w1 = d_k^2 + u*v1, two products in F_p, where v0, v1 and sigma are three
-# F_p scalars per decode.  w is a point of the parabola only if
-# w1 == w0^2.  The guard u != 0 drops the one delta with 2*d == sigma,
-# whose "partner" is itself: its w is alpha_i, which always passes.  With
-# u != 0, (d_i, w0, d_k) are distinct values of F_p whose points have ratio
-# beta (w0 == d_i would make lam == 1, w0 == d_k would make lam == 0).  The
-# closed form fixes such a value triple from beta alone (module docstring),
-# so at most one position passes that test.  The test of the paper's
-# equation stays per position: it is linear in d_i and could be solved,
-# but that would make a second closed form, and the cubic decoder would
-# stop being an independent check of decode_linear.  The passing
-# position's j and k are read as the closed form reads its locators,
-# spec.delta_index.get(w0, 0) and .get(d_k, 0) (a value outside the code
-# reads 0), and the position is a match when i < j < k.  In int64 both
-# orientations of a pair are tested, and the one with i > k fails that
-# order test.  The match is unique, so it is also the scan's lexicographically first.
+# and v2 = l2 + sigma*c = 0.  Per position, with d = d_i, d_k = sigma - d
+# and u = 2d - sigma, that is w0 = d_k + u*v0 and w1 = d_k^2 + u*v1, both
+# affine in the position's row (1, d, d^2) of spec._lifted:
+#
+#     w0 = C + D*d,          C = sigma*(1 - v0),     D = 2*v0 - 1,
+#     w1 = A + B*d + d^2,    A = sigma^2 - sigma*v1, B = 2*v1 - 2*sigma.
+#
+# w is a point of the parabola only if w1 == w0^2, and
+#
+#     w1 - w0^2 = (A - C^2) + (B - 2*C*D)*d + (1 - D^2)*d^2 = (1, d, d^2) . q,
+#
+# so the test at every position is one product _lifted @ q, the encoder's
+# kernel (code._lifted_product), with q three F_p scalars per decode.  The
+# form vanishes at the one delta with 2*d == sigma (u == 0), whose
+# "partner" is itself: its w is alpha_i, which always passes, and the
+# search skips it.  With u != 0, (d_i, w0, d_k) are distinct values of F_p
+# whose points have ratio beta (w0 == d_i would make lam == 1, w0 == d_k
+# would make lam == 0).  The closed form fixes such a value triple from
+# beta alone (module docstring), so at most one such position passes, and
+# at most two positions read 0 in all.  q is not solved: it factors as
+# u*l(d) with l linear, and l's root is the match, but solving it would
+# make a second closed form, and the cubic decoder would stop being an
+# independent check of decode_linear.  The test of the paper's equation
+# runs at every position instead.  The passing position's j and k are
+# read as the closed form reads its locators, spec.delta_index.get(w0, 0)
+# and .get(d_k, 0) (a value outside the code reads 0), and the position is
+# a match when i < j < k.  Below 2^30 both orientations of a pair are
+# tested, and the one with i > k fails that order test.  The match is
+# unique, so it is also the scan's lexicographically first.
 #
 # A beta in F_p matches no triple.  beta == 0 needs alpha_i == alpha_j and
 # beta == -1 needs alpha_i == alpha_k.  Otherwise lam lies in F_p \ {0, 1},
@@ -252,20 +272,22 @@ def solve_deltas(pf: PrimeField, coeffs):
 # lam*(1 - lam)*(d_i - d_k)^2 = 0, the r = 0 argument of the module
 # docstring.  So the search returns at once for every beta in F_p.
 #
-# Time per decode: O(1) field work (one F_{p^3} inverse, sigma, v0, v1),
-# then one O(n) vectorised pass over the locator column d = alpha[:, 0],
-# with no sort, and at most two dict lookups.  Memory: O(n) per decode;
-# nothing is kept between decodes.  In int64 (p < 2^30) every product is
-# below 2^61 and the pass runs on all n positions.  In object dtype
-# (p > 2^30) each product is a Python int, so the pass first narrows to
-# the positions whose partner value is in the code: the partner column is
-# intersected with spec.delta_index's keys, one hashed set intersection,
-# O(n) expected for every p.  The in-code partner values are closed under
+# Time per decode: O(1) field work (one F_{p^3} inverse, sigma, v0, v1 and
+# q), then one O(n) product of the (n, 3) matrix spec._lifted with q, its
+# cast and reduction, one compare with 0, at most two Python checks of u
+# and two dict lookups, with no sort.  Memory: O(n) per decode (the product
+# column, its cast and the reduction's quotients); nothing is kept between
+# decodes.  _lifted's dtype, which CodeSpec fixes once, makes the one
+# choice.  Below 2^30 (float64 through BLAS up to about 5.5 * 10^7, int64
+# above) the product runs on all n rows.  In object dtype (p > 2^30) each
+# product is a Python int, so the search first narrows to the positions
+# whose partner value is in the code: the partner column is intersected
+# with spec.delta_index's keys, one hashed set intersection, O(n) expected
+# for every p.  The in-code partner values are closed under
 # x -> sigma - x, so each of them is also a position's own value; that
 # position is kept when it comes before its partner, which drops both the
-# u == 0 position and the orientation with i > k.  The field's dtype, which
-# CubicField fixes once, makes that one choice; the candidate test after
-# it is the same code in both dtypes.
+# u == 0 position and the orientation with i > k, and the product runs on
+# the kept rows of _lifted only.
 
 
 def _scan_ops(n, rows):
@@ -293,26 +315,28 @@ def _search_triple(spec: CodeSpec, beta):
         return None  # the key is injective: no two positions share one
     sigma = -l2 * pow(c, -1, p) % p
     v0, v1 = (l0 + sigma * g0) % p, (l1 + sigma * g1) % p  # v = lam*(1 + sigma*gamma)
-    d = spec._alpha[:, 0]
+    # w0 = C + D*d and w1 = A + B*d + d^2: the named point, affine in (1, d, d^2)
+    C, D = sigma * (1 - v0) % p, (2 * v0 - 1) % p
+    A, B = sigma * (sigma - v1) % p, 2 * (v1 - sigma) % p
+    q = ((A - C * C) % p, (B - 2 * C * D) % p, (1 - D * D) % p)  # w1 - w0^2
+    lifted = spec._lifted
     idx = spec.delta_index
     pos = None
-    if d.dtype == object:  # narrow before any Python-int product
+    if lifted.dtype == object:  # narrow before any Python-int product
         # the in-code partner values, closed under x -> sigma - x: each names
         # a position whose partner is in the code; keep it when it comes first
-        pos = np.array([idx[x] - 1 for x in idx.keys() & ((sigma - d) % p).tolist()
+        partners = ((sigma - lifted[:, 1]) % p).tolist()
+        pos = np.array([idx[x] - 1 for x in idx.keys() & partners
                         if idx[x] < idx[(sigma - x) % p]], dtype=np.intp)
-        d = d.take(pos)
-    dk = (sigma - d) % p  # each position's partner value
-    u = (d - dk) % p
-    w0 = (dk + u * v0) % p
-    w1 = (dk * dk + u * v1) % p  # first two coordinates of alpha_k + u*v
-    # w on the parabola: the match, and the position with u == 0 (w == alpha_i)
-    h = next((h for h in np.flatnonzero(w1 == w0 * w0 % p).tolist() if u[h]), None)
-    if h is None:
-        return None
-    i = h if pos is None else int(pos[h])
-    kappa = (i + 1, idx.get(int(w0[h]), 0), idx.get(int(dk[h]), 0))
-    return kappa if kappa[0] < kappa[1] < kappa[2] else None
+        lifted = lifted.take(pos, axis=0)
+    # w on the parabola: the match, and the position with 2d == sigma (w == alpha_i)
+    for h in np.flatnonzero(_lifted_product(spec, lifted, q) == 0).tolist():
+        i = h if pos is None else int(pos[h])
+        d = spec.delta[i]
+        if 2 * d % p != sigma:
+            kappa = (i + 1, idx.get((C + D * d) % p, 0), idx.get((sigma - d) % p, 0))
+            return kappa if kappa[0] < kappa[1] < kappa[2] else None
+    return None
 
 
 # -- decoders ------------------------------------------------------------
@@ -388,17 +412,19 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
     the parabola that holds exactly when d_i + d_k = sigma, one F_p value
     per decode.  So each position has one partner value, and a decode
     tests every position once, with no key column and no sort: the point
-    its pair names is on the parabola (w1 == w0^2, two F_p products per
-    position) and its partner is not itself (u != 0).  At most one
-    position passes; its j and k are read from spec.delta_index as the
-    closed form reads them, and a ratio in F_p, or one whose key is
-    injective, is rejected at once.  Above p = 2^30 the pass first narrows
-    to the positions that come before their partner in the code, by one set
-    intersection with spec.delta_index's keys, so Python-int products run
-    only there: on none for most garbage, on up to about n/2 when the
-    locators pair up around sigma (1..n with d_i + d_k near n + 1).  O(n)
-    time (expected, for the hashing above 2^30) and O(n) memory, and the
-    re-encode adds O(n).  Nothing is kept with the spec between decodes.
+    its pair names is on the parabola when w1 - w0^2, a quadratic form in
+    the position's row (1, d, d^2) of spec._lifted, is 0, so one product
+    of _lifted with three F_p scalars, in the encoder's kernel, tests every
+    position.  Of the at most two positions that pass, the one whose
+    partner is itself (u = 0) is skipped; the other's j and k are read from
+    spec.delta_index as the closed form reads them, and a ratio in F_p, or
+    one whose key is injective, is rejected at once.  Above p = 2^30 the
+    product first narrows to the positions that come before their partner
+    in the code, by one set intersection with spec.delta_index's keys, so
+    Python-int products run only there: on none for most garbage, on up to
+    about n/2 when the locators pair up around sigma (1..n with
+    d_i + d_k near n + 1).  O(n) time (expected, for the hashing above
+    2^30) and O(n) memory, and the re-encode adds O(n).  Nothing is kept with the spec between decodes.
     The nominal op count still prices the Theta(n^3) scan up to the match
     row.  Raises ParameterError for specs not built from the quadratic
     evaluation map, UnrecognizedReceivedWordError when no triple matches,

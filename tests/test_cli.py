@@ -49,16 +49,16 @@ def test_pipeline_roundtrip(tmp_path, capsys):
     assert rc == 0 and "kept 2,4,5" in out
     assert rx.read_text().count("\n") == 3
 
-    for algo in ("cubic", "linear"):
+    for algo, path in (("cubic", "triple-search"), ("linear", "closed-form")):
         dec = tmp_path / f"dec-{algo}.sym"
         rc, out, _ = run(capsys, "decode", "--spec", str(spec),
                          "--received", str(rx), "--algo", algo,
                          "--emit-kappa", "--out", str(dec))
         assert rc == 0
+        assert f"path {path}\n" in out
         assert "m1 1,2,3" in out and "m2 4,5,6" in out
         assert "kappa 2 4 5" in out
         assert dec.read_text() == cw.read_text()
-    assert "path closed-form" in out  # linear ran last
 
 
 def test_encode_random_deterministic(tmp_path, capsys):

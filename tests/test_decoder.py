@@ -795,9 +795,9 @@ def test_decode_cubic_ratio_in_base_field_miss_bound():
 
 def test_decode_cubic_memory_bound():
     # O(n) memory on a spec's first decode: no n x n comparison table, no
-    # filter table and nothing kept with the spec, only a few columns of n
-    # partner values and candidate points, and the re-encode (0.20 MB
-    # measured)
+    # filter table and nothing kept with the spec, only the search's one
+    # product column of n entries (with its int64 cast and the reduction's
+    # quotients), and the re-encode (0.20 MB measured)
     spec = build_code(10007, 4096)
     m = random_message(spec, random.Random(4096))
     y = received(spec, m, (1, 2, 3))
@@ -868,6 +868,47 @@ def test_decode_cubic_matches_linear_large_p(p, n):
         b = decode_linear(spec, y)
         assert (a.kappa.kept, a.message, a.codeword) == (b.kappa.kept, b.message, b.codeword)
         assert a.kappa.kept == kept and a.message == m
+
+
+def outcome(decode, spec, y):
+    """(kept, message, codeword) of a decode, or the rejection's type."""
+    try:
+        out = decode(spec, y)
+    except (UnrecognizedReceivedWordError, InconsistentReceivedWordError) as exc:
+        return type(exc)
+    return out.kappa.kept, out.message, out.codeword
+
+
+@pytest.mark.parametrize("p, dtype", ((54794149, "float64"), (54794197, "int64")))
+def test_search_product_exact_at_the_dtype_edge(p, dtype):
+    # the search's parabola test is one product of _lifted's rows
+    # (1, d, d^2) with three residues, in float64 up to 54794149 (the last
+    # prime below field._FLOAT64_PRODUCT_MAX_P) and in int64 from 54794197.
+    # Deltas from the top 5000 residues put d near p, and d^2 mod p, which
+    # is k^2 for d = p - k, up to about p/2, so the product's entries come
+    # within a factor of 2 of its bound (p-1) + 2(p-1)^2
+    rng = random.Random(p)
+    top = range(p - 5000, p)
+    spec = build_code(p, 200, rng.sample(top, 200))
+    assert spec._lifted.dtype == dtype
+    assert max(spec._lifted[:, 2]) > p // 3
+    kept = [tuple(sorted(rng.sample(range(1, 201), 3))) for _ in range(300)]
+    for t in kept:
+        m = random_message(spec, rng)
+        y = received(spec, m, t)
+        assert outcome(decode_cubic, spec, y) == outcome(decode_linear, spec, y) \
+            == (t, m, encode(spec, m))
+    rejected = 0
+    for _ in range(300):
+        y = ReceivedTriple(*(spec.ext.rand(rng) for _ in range(3)))
+        a = outcome(decode_cubic, spec, y)
+        assert a == outcome(decode_linear, spec, y)
+        rejected += a is UnrecognizedReceivedWordError
+    assert rejected > 290
+    small = build_code(p, 10, rng.sample(top, 10))
+    betas = [gamma_map(small, *t.kept).coords for t in enumerate_triples(10)]
+    betas += [small.ext.rand(rng).coords for _ in range(20)]
+    assert sum(bool(assert_kernels_match_reference(small, beta)) for beta in betas) >= 120
 
 
 def test_decode_cubic_large_p_thousands():
