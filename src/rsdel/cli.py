@@ -145,8 +145,8 @@ def cmd_check_condition(args) -> int:
 
     Refuses before allocating when C(n, 3) exceeds --budget.  Otherwise
     O(T log T) numpy time for T = C(n, 3), and about 11 B per triple for
-    p <= 2^30 or 23 B above (about 25 B, at most 28 B, when a collision is
-    named).
+    p <= 2^30 or 21-23 B above (about 25-27 B, at most 28 B, when a
+    collision is named).
     """
     spec = code.load_spec(args.spec)
     witness = verify.check_injectivity(spec, budget=args.budget)
@@ -413,9 +413,10 @@ def cmd_bench(args) -> int:
     2 * (--trials + 1) decodes per algorithm (O(n) each), or --trials calls of check_injectivity (O(T log T) for
     T = C(n, 3)) and of a 64-pair audit (O(n) per pair).  Memory is that of
     the largest single job, one code at a time: O(n) for a decode of either
-    algorithm, and about 11 to 28 B per triple for check_injectivity, which
-    is not budgeted here; the grid and the records are O(grid).
-    --budget-seconds stops between jobs.
+    algorithm, and for check_injectivity, which is not budgeted here, about
+    11 B per triple for p <= 2^30 and 21-23 B above (tracemalloc at
+    n = 150); the grid and the records are O(grid).  --budget-seconds stops
+    between jobs.
     """
     if args.trials < 1:
         raise ParameterError(f"bench needs --trials >= 1, got {args.trials}")

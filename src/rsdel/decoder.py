@@ -137,7 +137,7 @@ class ReceivedTriple:
         symbols = tuple(symbols)
         if len(symbols) != 3:
             raise InconsistentReceivedWordError(
-                f"decoder consumes exactly three symbols, got {len(symbols)}")
+                f"decoder consumes exactly three symbols, got {len(symbols)}", "length")
         return cls(*symbols)
 
     def __iter__(self):
@@ -168,7 +168,7 @@ def compute_beta(y: ReceivedTriple):
         return None
     if e12 or e23 or y1 == y3:
         raise InconsistentReceivedWordError(
-            "exactly two of three received symbols are equal")
+            "exactly two of three received symbols are equal", "two-equal")
     return ExtElem(ext, ext.mul(ext.sub(y1, y2), ext.inv(ext.sub(y2, y3))))
 
 
@@ -468,7 +468,8 @@ def decode_received(spec: CodeSpec, symbols, decode=decode_linear,
     symbols = tuple(symbols)
     if not 3 <= len(symbols) <= spec.n:
         raise InconsistentReceivedWordError(
-            f"a channel output of this code has 3 to {spec.n} symbols, got {len(symbols)}")
+            f"a channel output of this code has 3 to {spec.n} symbols, got {len(symbols)}",
+            "length")
     y = ReceivedTriple(*symbols[:3])
     rest = symbols[3:]
     _require_elements(rest, 4)
@@ -477,7 +478,8 @@ def decode_received(spec: CodeSpec, symbols, decode=decode_linear,
     if out.path == PATH_CONSTANT:
         if any(s.coords != y.y1.coords for s in rest):
             raise InconsistentReceivedWordError(
-                "the first three symbols are equal but a later one differs")
+                "the first three symbols are equal but a later one differs",
+                "constant-mismatch")
         return out
     if not rest:
         return out
@@ -487,7 +489,8 @@ def decode_received(spec: CodeSpec, symbols, decode=decode_linear,
         i = where.get(s.coords, 0)
         if i <= kept[-1]:
             raise InconsistentReceivedWordError(
-                "the received word is not a subsequence of the decoded codeword")
+                "the received word is not a subsequence of the decoded codeword",
+                "not-a-subsequence")
         kept.append(i)
     # the loop above kept each position only above the last one
     return DecodeOutcome(out.message, out.codeword,

@@ -4,6 +4,8 @@ Plain field-arithmetic failures reuse the builtin ZeroDivisionError; everything
 code-specific derives from RSDelError so callers can catch one base class.
 """
 
+from typing import Optional
+
 
 class RSDelError(Exception):
     """Base class for all package-specific errors."""
@@ -27,8 +29,14 @@ class InconsistentReceivedWordError(RSDelError):
     Raised when exactly two of three symbols are equal (a degree-one codeword
     is either constant or injective on the evaluation points), when the
     received word has the wrong length, or when its later symbols are not a
-    subsequence of the codeword decoded from its first three.
+    subsequence of the codeword decoded from its first three.  reason names
+    the failed check: "length", "two-equal", "not-a-subsequence", or
+    "constant-mismatch" (three equal symbols, then a different one).
     """
+
+    def __init__(self, message: str, reason: Optional[str] = None):
+        super().__init__(message)
+        self.reason = reason
 
 
 class UnrecognizedReceivedWordError(RSDelError):

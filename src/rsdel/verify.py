@@ -45,24 +45,27 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     (BudgetExceededError) when C(n, 3) exceeds the budget, before anything is
     allocated: the certification is exhaustive or it is nothing.
 
-    The C(n, 2) differences alpha_j - alpha_k are inverted as one batch
+    The C(n, 2) differences alpha_j - alpha_k are gathered as coordinate
+    columns, reduced by field.reduce_mod and inverted as one batch
     (CubicField.inv_many: O(n^2) numpy work and a single F_p inverse) into
-    a pair table; then every ratio is computed in numpy, one block of pairs
-    (j, k) per i, and the C(n, 3) values are sorted to find repeats, which
-    is O(T log T) numpy work for T = C(n, 3) triples.  Each value is one
-    hashed int64 key, for every p, sorted in place; only a repeated key has
-    the keys built again (one more O(T) pass) and argsorted, unstably, so
-    the ranks within a run of equal keys come in no set order.  The M
-    entries of runs of two or more are gathered, one np.minimum.reduceat
-    gives each run's lowest rank, and the other entries are checked exactly
-    in rank order, one O(M) argmin each, so a key shared by distinct values
-    costs time, never a wrong answer.  Memory is O(n^2) scratch plus the
-    keys and a repeat mask: about 11 B per triple for p <= 2^30 and 23 B
-    above, where blocks hold Python ints (tracemalloc at n = 150), so the
-    default budget implies about 110 and 230 MB.  A repeated key, and so any
-    collision, takes about 25 B per triple (the argsort and the keys before
-    and after gathering them into key order), and at most 28 B when every
-    key repeats exactly twice.
+    a pair table laid out (row, coordinate, pair), the layout of
+    CubicField.mul_matrix, so that it is filled without a transpose; then
+    every ratio is computed in numpy, one block of pairs (j, k) per i, each
+    a contiguous plane per coordinate, and the C(n, 3) values are sorted to
+    find repeats, which is O(T log T) numpy work for T = C(n, 3) triples.
+    Each value is one hashed int64 key, for every p, sorted in place; only
+    a repeated key has the keys built again (one more O(T) pass) and
+    argsorted, unstably, so the ranks within a run of equal keys come in no
+    set order.  The M entries of runs of two or more are gathered, one
+    np.minimum.reduceat gives each run's lowest rank, and the other entries
+    are checked exactly in rank order, one O(M) argmin each, so a key
+    shared by distinct values costs time, never a wrong answer.  Memory is
+    O(n^2) scratch plus the keys and a repeat mask: about 11 B per triple
+    for p <= 2^30 and 21-23 B above, where blocks hold Python ints
+    (tracemalloc at n = 150), so the default budget implies about 110 and
+    230 MB.  A repeated key, and so any collision, takes about 25-27 B per
+    triple (the argsort and the keys before and after gathering them into
+    key order), and at most 28 B when every key repeats exactly twice.
     """
     n = spec.n
     total = comb(n, 3)
@@ -73,22 +76,25 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     lifted = spec._lifted.astype(ext.dtype)   # rows (1, alpha_i[:w])
     w = lifted.shape[1] - 1
     pair_j, pair_k = np.triu_indices(n, 1)  # pairs j < k in lexicographic order
-    alpha_j = spec._alpha[pair_j].T
-    inverse = ext.inv_many((alpha_j - spec._alpha[pair_k].T) % p)
-    # lifted[i] @ table[:, 3t:3t+3] is the ratio of triple (i, j, k) for pair
-    # t = (j, k): row 0 holds v = -alpha_j/(alpha_j - alpha_k), rows 1..w the
-    # rows of M_{1/(alpha_j - alpha_k)} that alpha_i's nonzero coordinates
-    # pick out.  int64 stays exact, since a sum of row 0 and w <= 3 products
-    # is at most p + 3p^2 < 2^63 for p <= 2^30, field._INT64_PRODUCT_MAX_P.
-    # spec._lifted is float64 below field._FLOAT64_PRODUCT_MAX_P, for the
-    # encoder's BLAS product; its copy in ext.dtype above keeps _ratio_keys
-    # and at() in integer arithmetic.
-    rows = np.array(ext.mul_matrix(inverse)[:w], dtype=ext.dtype)  # (row, coordinate, pair)
-    table = np.empty((1 + w, len(pair_j), 3), dtype=ext.dtype)  # (row, pair, coordinate)
-    table[0] = (-(alpha_j[:w, None] * rows).sum(axis=0) % p).T
-    table[1:] = rows.transpose(0, 2, 1)
-    table = table.reshape(1 + w, -1)
-    del alpha_j, inverse, rows
+    alpha = spec._alpha.T   # (coordinate, point)
+    alpha_j = alpha.take(pair_j, axis=1)
+    inverse = ext.inv_many(reduce_mod(alpha_j - alpha.take(pair_k, axis=1), p))
+    # table[:, :, t] is the (row, coordinate) matrix of pair t = (j, k), and
+    # lifted[i] @ table[:, :, t] the ratio of triple (i, j, k): row 0 holds
+    # v = -alpha_j/(alpha_j - alpha_k), rows 1..w the rows of
+    # M_{1/(alpha_j - alpha_k)} that alpha_i's nonzero coordinates pick out,
+    # in mul_matrix's own (row, coordinate, pair) layout.  int64 stays exact:
+    # a block of _ratio_keys sums w <= 3 products and then row 0, at most
+    # 3p^2 + p < 2^63 for p <= 2^30 (field._INT64_PRODUCT_MAX_P), and row
+    # 0's own sum of w products stays below 3p^2.  spec._lifted is float64
+    # below field._FLOAT64_PRODUCT_MAX_P, for the encoder's BLAS product;
+    # its copy in ext.dtype above keeps _ratio_keys and at() in integer
+    # arithmetic.
+    table = np.empty((1 + w, 3, len(pair_j)), dtype=ext.dtype)
+    table[1:] = ext.mul_matrix(inverse)[:w]
+    np.negative((alpha_j[:w, None] * table[1:]).sum(axis=0), out=table[0])
+    reduce_mod(table[0], p)
+    del alpha_j, inverse
     widths = [comb(n - 1 - i, 2) for i in range(n - 2)]     # block i: the pairs j > i
     block_rank = list(accumulate(widths[:-1], initial=0))  # its first triple's rank
     block_pair = [len(pair_j) - width for width in widths]  # and its first pair
@@ -123,7 +129,7 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     def at(r):   # the triple of rank r and its ratio value
         i = bisect_right(block_rank, r) - 1
         t = block_pair[i] + r - block_rank[i]
-        value = tuple(int(c) for c in lifted[i] @ table[:, 3 * t:3 * t + 3] % p)
+        value = tuple(int(c) for c in lifted[i] @ table[:, :, t] % p)
         return (i + 1, int(pair_j[t]) + 1, int(pair_k[t]) + 1), value
 
     # candidates in increasing rank: the first whose value equals an earlier
@@ -147,32 +153,39 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
 def _ratio_keys(table, lifted, block_pair, block_rank, p, total):
     """Int64 sort keys of all C(n, 3) ratio values, one block of pairs per i.
 
-    Block i is row 0 of the pair table plus lifted[i, r] times row r, built
-    by in-place adds that skip zero multipliers, then reduced mod p by
-    field.reduce_mod (int64 blocks through libdivide, with the scratch
-    block for its quotients); object blocks are then cast to int64, of each
-    coordinate's low 63 bits from _INT64_COORD_MAX_P on.
+    Block i is one contiguous (coordinate, pair) buffer for the pairs
+    j > i, three contiguous coordinate planes: the products lifted[i, r]
+    times row r of the pair table are written into it first (the first one
+    straight in, even when zero, every other nonzero one through the
+    scratch block and an in-place add) and row 0 is added last, so no pass
+    copies the table.  One field.reduce_mod covers the block (int64 through
+    libdivide, with the scratch block for its quotients); an object block
+    is then cast to int64, of each coordinate's low 63 bits from
+    _INT64_COORD_MAX_P on.
     The key c0 + _KEY_MUL*(c1 + _KEY_MUL*c2) mod 2^64 is built by Horner's
-    rule straight into its slice of the keys: equal values have equal keys,
-    and distinct ones share one only by chance.
+    rule from the three planes straight into its slice of the keys: equal
+    values have equal keys, and distinct ones share one only by chance.
     """
     keys = np.empty(total, dtype=np.int64)
-    block = np.empty(table.shape[1], dtype=table.dtype)
+    pairs = table.shape[2]
+    block = np.empty(3 * pairs, dtype=table.dtype)
     scratch = np.empty_like(block)
     for i, (pair, rank) in enumerate(zip(block_pair, block_rank)):
-        size = table.shape[1] - 3 * pair
-        b, s = block[:size], scratch[:size]
-        b[:] = table[0, 3 * pair:]
-        for r, c in enumerate(lifted[i, 1:], 1):
+        size = 3 * (pairs - pair)
+        b = block[:size].reshape(3, -1)   # (coordinate, pair): contiguous planes
+        s = scratch[:size].reshape(b.shape)
+        np.multiply(table[1, :, pair:], lifted[i, 1], out=b)   # w >= 1
+        for r, c in enumerate(lifted[i, 2:], 2):
             if c:
-                np.multiply(table[r, 3 * pair:], c, out=s)
+                np.multiply(table[r, :, pair:], c, out=s)
                 b += s
+        b += table[0, :, pair:]
         reduce_mod(b, p, s)
         if b.dtype != np.int64:
             if p >= _INT64_COORD_MAX_P:
                 b &= _INT64_COORD_MAX_P - 1   # the low 63 bits
             b = b.astype(np.int64)
-        c0, c1, c2 = b.reshape(-1, 3).T
+        c0, c1, c2 = b
         key = keys[rank:rank + len(c0)]
         np.multiply(c2, _KEY_MUL, out=key)
         key += c1

@@ -267,6 +267,53 @@ def test_decode_received_rejects_unchecked_symbols():
                 decode_received(spec, word, decode)
 
 
+def rejection_reason(call, *args):
+    with pytest.raises(InconsistentReceivedWordError) as info:
+        call(*args)
+    return info.value.reason
+
+
+def reason_words():
+    """A spec, one codeword's symbols and two symbols outside its tail."""
+    spec = get_spec(11, 10)
+    e, f = spec.ext.elem(1, 2, 3), spec.ext.elem(4, 5, 6)
+    return spec, encode(spec, Message(e, f)).symbols(), e, f
+
+
+def test_inconsistent_reason_length():
+    spec, cw, _, _ = reason_words()
+    assert rejection_reason(ReceivedTriple.from_symbols, cw[:4]) == "length"
+    assert rejection_reason(ReceivedTriple.from_symbols, cw[:2]) == "length"
+    for word in (cw[:2], cw + (cw[0],)):
+        for decode in (decode_cubic, decode_linear):
+            assert rejection_reason(decode_received, spec, word, decode) == "length"
+
+
+def test_inconsistent_reason_two_equal():
+    spec, cw, e, f = reason_words()
+    for y in ((e, e, f), (f, e, e), (e, f, e)):
+        assert rejection_reason(compute_beta, ReceivedTriple(*y)) == "two-equal"
+        for decode in (decode_cubic, decode_linear):
+            assert rejection_reason(decode, spec, ReceivedTriple(*y)) == "two-equal"
+            assert rejection_reason(decode_received, spec, y + cw[7:], decode) == "two-equal"
+
+
+def test_inconsistent_reason_not_a_subsequence():
+    spec, cw, e, f = reason_words()
+    assert e not in cw[7:] and f not in cw[7:]
+    for word in ((cw[1], cw[4], cw[6], e, f), (cw[0], cw[2], cw[5], cw[4]),
+                 (cw[0], cw[2], cw[5], cw[7], cw[7]), (cw[3], cw[4], cw[5], cw[1])):
+        for decode in (decode_cubic, decode_linear):
+            assert rejection_reason(decode_received, spec, word, decode) == "not-a-subsequence"
+
+
+def test_inconsistent_reason_constant_mismatch():
+    spec, _, e, f = reason_words()
+    for word in ((e, e, e, f), (e, e, e, e, e, f, e)):
+        for decode in (decode_cubic, decode_linear):
+            assert rejection_reason(decode_received, spec, word, decode) == "constant-mismatch"
+
+
 def test_decode_cubic_worked_example():
     spec = get_spec(5, 4)
     m = Message(spec.ext.zero, spec.ext.one)

@@ -9,7 +9,7 @@ import pytest
 from rsdel.channel import enumerate_triples
 from rsdel.code import CodeSpec, Message, build_code, encode, gamma_map, random_message
 from rsdel.errors import BudgetExceededError, FieldMismatchError, ParameterError
-from rsdel.field import find_irreducible_cubic
+from rsdel.field import CubicField, PrimeField, find_irreducible_cubic
 from rsdel import verify
 from rsdel.verify import (
     AuditResult,
@@ -407,6 +407,62 @@ def test_check_injectivity_matches_reference_with_c0_keys(monkeypatch):
         assert assert_matches_reference(base_field_spec(p, n)) is not None
     assert sum(assert_matches_reference(spec) is not None
                for spec in random_point_specs()) >= 10
+
+
+def horner_key(coords):
+    """_ratio_keys' key of one ratio value, in Python ints: each coordinate
+    by its low 63 bits (all of it below 2^63), then
+    c0 + M*(c1 + M*c2) mod 2^64 as a signed int64."""
+    c0, c1, c2 = (c & ((1 << 63) - 1) for c in coords)
+    key = (c0 + verify._KEY_MUL * (c1 + verify._KEY_MUL * c2)) % (1 << 64)
+    return key - (1 << 64) if key >= 1 << 63 else key
+
+
+@pytest.mark.parametrize("p,n", [(10007, 40), (1073741789, 30), ((1 << 61) - 1, 16),
+                                 ((1 << 64) - 59, 10)])
+def test_ratio_keys_are_the_keys_of_the_ratio_map(monkeypatch, p, n):
+    # the key of rank r is the key of gamma_map at the r-th increasing
+    # triple in lexicographic order, with no decoder logic on either side
+    spec = get_spec(p, n)
+    got = []
+    ratio_keys = verify._ratio_keys
+
+    def recorded(*args):
+        keys = ratio_keys(*args)
+        got.append(keys.copy())   # check_injectivity sorts its keys in place
+        return keys
+
+    monkeypatch.setattr(verify, "_ratio_keys", recorded)
+    assert check_injectivity(spec) is None
+    want = [horner_key(gamma_map(spec, *pattern.kept).coords)
+            for pattern in enumerate_triples(n)]
+    assert len(got) == 1 and got[0].tolist() == want
+
+
+@pytest.mark.parametrize("p", [10007, 1073741789, (1 << 61) - 1, (1 << 64) - 59])
+def test_check_injectivity_finds_a_collision_at_the_last_rank(p):
+    # random distinct points, then alpha_n solved so that
+    # Gamma(n-2, n-1, n) = Gamma(1, 2, 3): the collision is the last
+    # triple, read from the table's last block and last pair
+    n = 20
+    rng = random.Random(p)
+    ext = CubicField(PrimeField(p))
+    while True:
+        points = []
+        while len(points) < n - 1:
+            x = ext.rand(rng)
+            if x not in points:
+                points.append(x)
+        value = (points[0] - points[1]) / (points[1] - points[2])
+        last = points[-1] - (points[-2] - points[-1]) / value
+        if last not in points:
+            break
+    spec = CodeSpec(p, ext.g, range(1, n + 1),
+                    alpha_rows=[x.coords for x in points + [last]])
+    assert gamma_map(spec, n - 2, n - 1, n) == gamma_map(spec, 1, 2, 3) == value
+    w = check_injectivity(spec)
+    assert (w.triple_a, w.triple_b, w.value) == ((1, 2, 3), (n - 2, n - 1, n), value)
+    assert_matches_reference(spec)
 
 
 def test_check_injectivity_memory_bound():
