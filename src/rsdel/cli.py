@@ -9,7 +9,6 @@ injectivity condition.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import random
 import sys
@@ -31,6 +30,8 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 EXIT_UNRECOGNIZED = 4
+
+DECODERS = {"cubic": decoder.decode_cubic, "linear": decoder.decode_linear}
 
 
 def _parse_int_list(text: str):
@@ -124,8 +125,7 @@ def cmd_decode(args) -> int:
     """
     spec = code.load_spec(args.spec)
     symbols = code.load_symbols(args.received, spec)
-    decode = decoder.decode_linear if args.algo == "linear" else decoder.decode_cubic
-    outcome = decoder.decode_received(spec, symbols, decode)
+    outcome = decoder.decode_received(spec, symbols, DECODERS[args.algo])
     code.save_symbols(args.out, outcome.codeword)
     m = outcome.message
     print(f"path {outcome.path}")
@@ -206,7 +206,7 @@ def cmd_roundtrip(args) -> int:
                 f"{args.trials} trials of all C({spec.n},3) kept triples are "
                 f"{total} received words, over the budget of {args.budget}")
     rng = random.Random(args.seed)
-    algos = ("cubic", "linear") if args.algo == "both" else (args.algo,)
+    decodes = list(DECODERS.values()) if args.algo == "both" else [DECODERS[args.algo]]
     failures = 0
     trials = 0
     longest = 0
@@ -223,10 +223,9 @@ def cmd_roundtrip(args) -> int:
             longest = max(longest, len(received))
             trials += 1
             ok = True
-            for algo in algos:
-                fn = decoder.decode_linear if algo == "linear" else decoder.decode_cubic
+            for decode in decodes:
                 try:
-                    out = decoder.decode_received(spec, received, fn)
+                    out = decoder.decode_received(spec, received, decode)
                 except RSDelError:
                     ok = False
                     break
@@ -256,21 +255,6 @@ class BenchRecord:
     field_ops: int
 
 
-def _bench_record(p, n, algo, times, field_ops, search_time=None) -> BenchRecord:
-    """The record of one job's timed trials: total_time is their mean,
-    p50_time their median, and search_time the mean unless given."""
-    mean = sum(times) / len(times)
-    return BenchRecord(p=p, n=n, algo=algo, trials=len(times),
-                       search_time=mean if search_time is None else search_time,
-                       total_time=mean, p50_time=median(times), field_ops=field_ops)
-
-
-def _over_budget(started, budget_seconds) -> bool:
-    """Whether budget_seconds (None: no budget) have passed since the
-    perf_counter reading started."""
-    return budget_seconds is not None and perf_counter() - started > budget_seconds
-
-
 def _bench_grid(p_values, n_values):
     """(p, n) pairs: one p for every n, or one p per n, and at least one n."""
     if len(p_values) == 1:
@@ -278,6 +262,47 @@ def _bench_grid(p_values, n_values):
     if not n_values or len(p_values) != len(n_values):
         raise ParameterError("need at least one n, and one p or exactly one p per n")
     return list(zip(p_values, n_values))
+
+
+def _expect(ok: bool, failure: str) -> None:
+    if not ok:
+        raise AssertionError(failure)
+
+
+def _run_jobs(p_values, n_values, budget_seconds, jobs):
+    """One record per job that jobs(p, n) yields at each (p, n) of the grid,
+    in order.  Returns (records, truncated).
+
+    A job is (algo, fn, args, take, work), and args holds one argument
+    tuple per trial.  A trial times the call fn(*args) alone, between two
+    perf_counter reads, and then hands its result to take.  total_time is
+    the mean of the trial times and p50_time their median.  work is either
+    the field_ops of one call, with search_time equal to total_time, or
+    the DecodeInstrumentation that the calls charge, whose means over the
+    trials are search_time and field_ops.  Before each job, the walk stops
+    if budget_seconds (None: no budget) have passed since it began.
+    """
+    records = []
+    started = perf_counter()
+    for p, n in _bench_grid(p_values, n_values):
+        for algo, fn, args, take, work in jobs(p, n):
+            if budget_seconds is not None and perf_counter() - started > budget_seconds:
+                return records, True
+            times = []
+            for a in args:
+                t0 = perf_counter()
+                out = fn(*a)
+                times.append(perf_counter() - t0)
+                take(out)
+            trials = len(times)
+            total = sum(times) / trials
+            search, field_ops = total, work
+            if isinstance(work, decoder.DecodeInstrumentation):
+                search, field_ops = work.search_seconds / trials, round(work.total_ops / trials)
+            assert search <= total and field_ops > 0
+            records.append(BenchRecord(p, n, algo, trials, search, total,
+                                       median(times), field_ops))
+    return records, False
 
 
 def run_bench(p_values, n_values, trials: int, seed: int = 0,
@@ -300,49 +325,30 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
     total_time are means over the trials, p50_time the median total time,
     and field_ops the mean nominal count.  Returns (records, truncated).
     """
-    records = []
-    started = perf_counter()
-    for p, n in _bench_grid(p_values, n_values):
-        if _over_budget(started, budget_seconds):
-            return records, True
-        times = []
-        for _ in range(trials):
-            t0 = perf_counter()
-            spec = code.build_code(p, n)
-            times.append(perf_counter() - t0)
-        records.append(_bench_record(p, n, "build_code", times, n))
+    def jobs(p, n):
+        specs = []
+        yield "build_code", code.build_code, [(p, n)] * trials, specs.append, n
+        spec = specs[-1]
         rng = random.Random(seed)
-        m = code.random_message(spec, rng)
-        cw = code.encode(spec, m)
+        cw = code.encode(spec, code.random_message(spec, rng))
 
         def word(kept):
             pattern = channel.DeletionPattern(tuple(kept))
-            return decoder.ReceivedTriple.from_symbols(channel.apply_deletions(cw, pattern))
+            return decoder.ReceivedTriple(*channel.apply_deletions(cw, pattern))
+
+        def check(out):
+            _expect(out.codeword == cw, "benchmark decode returned a wrong codeword")
 
         worst = [word((n - 2, n - 1, n))] * trials
         fresh = [word(sorted(rng.sample(range(1, n + 1), 3))) for _ in range(trials)]
         for algo, words in (("cubic", worst), ("linear", worst),
                             ("cubic-random", fresh), ("linear-random", fresh)):
-            if _over_budget(started, budget_seconds):
-                return records, True
-            fn = decoder.decode_cubic if algo.startswith("cubic") else decoder.decode_linear
-            fn(spec, worst[0])  # warm-up
-            search = 0.0
-            times = []
-            ops = 0
-            for y in words:
-                inst = decoder.DecodeInstrumentation()
-                t0 = perf_counter()
-                out = fn(spec, y, inst)
-                times.append(perf_counter() - t0)
-                search += inst.search_seconds
-                ops += inst.total_ops
-                if out.codeword != cw:
-                    raise AssertionError("benchmark decode returned a wrong codeword")
-            rec = _bench_record(p, n, algo, times, round(ops / trials), search / trials)
-            assert rec.search_time <= rec.total_time and rec.field_ops > 0
-            records.append(rec)
-    return records, False
+            decode = DECODERS[algo.removesuffix("-random")]
+            decode(spec, worst[0])  # warm-up
+            inst = decoder.DecodeInstrumentation()
+            yield algo, decode, [(spec, y, inst) for y in words], check, inst
+
+    return _run_jobs(p_values, n_values, budget_seconds, jobs)
 
 
 AUDIT_BENCH_PAIRS = 64
@@ -354,47 +360,24 @@ def run_certify_bench(p_values, n_values, trials: int, seed: int = 0,
     per (p, n), in the shape of the decode records.
 
     search_time and total_time are both the mean over `trials` calls,
-    p50_time their median.  field_ops counts the work of one call: the C(n, 3) ratio
-    values that check_injectivity certifies, and the 2 * 64 * n symbols that
-    an audit of 64 seeded message pairs encodes.  Raises AssertionError if a
-    code fails either check.  Returns (records, truncated).
+    p50_time their median.  field_ops counts the work of one call: the
+    C(n, 3) ratio values that check_injectivity certifies, and the
+    2 * 64 * n symbols that an audit of 64 seeded message pairs encodes.
+    Raises AssertionError if a code fails either check.  Returns
+    (records, truncated).
     """
-    records = []
-    started = perf_counter()
-    for p, n in _bench_grid(p_values, n_values):
+    def jobs(p, n):
         spec = code.build_code(p, n)
         pairs = verify.sample_message_pairs(spec, AUDIT_BENCH_PAIRS, seed)
-        jobs = (
-            ("check_injectivity", lambda: verify.check_injectivity(spec) is None,
-             channel.triple_count(n)),
-            ("audit_code", lambda: verify.audit_code(spec, pairs).max_lcs <= 2,
-             2 * AUDIT_BENCH_PAIRS * n),
-        )
-        for algo, job, work in jobs:
-            if _over_budget(started, budget_seconds):
-                return records, True
-            times = []
-            for _ in range(trials):
-                t0 = perf_counter()
-                ok = job()
-                times.append(perf_counter() - t0)
-                if not ok:
-                    raise AssertionError(f"benchmark code failed {algo}")
-            records.append(_bench_record(p, n, algo, times, work))
-    return records, False
+        yield ("check_injectivity", verify.check_injectivity, [(spec,)] * trials,
+               lambda witness: _expect(witness is None,
+                                       "benchmark code failed check_injectivity"),
+               channel.triple_count(n))
+        yield ("audit_code", verify.audit_code, [(spec, pairs)] * trials,
+               lambda audit: _expect(audit.max_lcs <= 2, "benchmark code failed audit_code"),
+               2 * AUDIT_BENCH_PAIRS * n)
 
-
-def write_bench_csv(path, records, truncated: bool) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "n", "algo", "trials",
-                         "search_time", "total_time", "p50_time", "field_ops"])
-        for r in records:
-            writer.writerow([r.p, r.n, r.algo, r.trials,
-                             f"{r.search_time:.9f}", f"{r.total_time:.9f}",
-                             f"{r.p50_time:.9f}", r.field_ops])
-        if truncated:
-            fh.write("# truncated: time budget exceeded\n")
+    return _run_jobs(p_values, n_values, budget_seconds, jobs)
 
 
 def write_bench_json(path, records, truncated: bool) -> None:
@@ -407,16 +390,17 @@ def write_bench_json(path, records, truncated: bool) -> None:
 def cmd_bench(args) -> int:
     """Time code builds and decodes of the last and of random kept triples,
     or with --certify the certification jobs, over a (p, n) grid and write
-    one record per job.
+    one record per job to the JSON file --out.
 
     Each grid point costs --trials code builds (see build_code) and
-    2 * (--trials + 1) decodes per algorithm (O(n) each), or --trials calls of check_injectivity (O(T log T) for
-    T = C(n, 3)) and of a 64-pair audit (O(n) per pair).  Memory is that of
-    the largest single job, one code at a time: O(n) for a decode of either
-    algorithm, and for check_injectivity, which is not budgeted here, about
-    11 B per triple for p <= 2^30 and 21-23 B above (tracemalloc at
-    n = 150); the grid and the records are O(grid).  --budget-seconds stops
-    between jobs.
+    2 * (--trials + 1) decodes per algorithm (O(n) each), or --trials
+    calls of check_injectivity (O(T log T) for T = C(n, 3)) and of a
+    64-pair audit (O(n) per pair).  Memory is that of the largest single
+    job, one code at a time: O(n) for a decode of either algorithm, and
+    for check_injectivity, which is not budgeted here, about 11 B per
+    triple for p <= 2^30 and 21-23 B above (tracemalloc at n = 150); the
+    grid and the records are O(grid).  --budget-seconds stops between
+    jobs.
     """
     if args.trials < 1:
         raise ParameterError(f"bench needs --trials >= 1, got {args.trials}")
@@ -427,8 +411,7 @@ def cmd_bench(args) -> int:
     run = run_certify_bench if args.certify else run_bench
     records, truncated = run(p_values, n_values, args.trials, seed=args.seed,
                              budget_seconds=args.budget_seconds)
-    write = write_bench_json if args.out.endswith(".json") else write_bench_csv
-    write(args.out, records, truncated)
+    write_bench_json(args.out, records, truncated)
     note = " (truncated)" if truncated else ""
     print(f"wrote {len(records)} records to {args.out}{note}")
     return EXIT_OK
@@ -468,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("decode", help="decode a received word of 3 to n symbols")
     q.add_argument("--spec", required=True)
     q.add_argument("--received", required=True)
-    q.add_argument("--algo", choices=("cubic", "linear"), required=True)
+    q.add_argument("--algo", choices=tuple(DECODERS), required=True)
     q.add_argument("--emit-kappa", action="store_true")
     q.add_argument("--out", required=True)
     q.set_defaults(fn=cmd_decode)
@@ -489,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--spec", required=True)
     q.add_argument("--trials", type=int, default=100)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--algo", choices=("cubic", "linear", "both"), default="both")
+    q.add_argument("--algo", choices=(*DECODERS, "both"), default="both")
     q.add_argument("--exhaustive", action="store_true",
                    help="all C(n,3) kept triples per message instead of one random")
     q.add_argument("--budget", type=int, default=10_000_000,
@@ -506,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--budget-seconds", type=float, default=None)
     q.add_argument("--certify", action="store_true",
                    help="time check_injectivity and a 64-pair audit_code instead of decodes")
-    q.add_argument("--out", required=True, help="CSV file, or JSON if the name ends in .json")
+    q.add_argument("--out", required=True, help="JSON file")
     q.set_defaults(fn=cmd_bench)
 
     return parser
@@ -529,7 +512,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"refusing: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, RSDelError, OSError) as exc:
+    except (RSDelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

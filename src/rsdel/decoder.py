@@ -132,14 +132,6 @@ class ReceivedTriple:
     def __post_init__(self):
         _require_elements(self)
 
-    @classmethod
-    def from_symbols(cls, symbols) -> "ReceivedTriple":
-        symbols = tuple(symbols)
-        if len(symbols) != 3:
-            raise InconsistentReceivedWordError(
-                f"decoder consumes exactly three symbols, got {len(symbols)}", "length")
-        return cls(*symbols)
-
     def __iter__(self):
         return iter((self.y1, self.y2, self.y3))
 

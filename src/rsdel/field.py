@@ -148,30 +148,12 @@ def _reduction_consts(p: int, g: MonicCubic):
     return (h0, h1, h2, k0, k1, k2)
 
 
-def _mul3(p, consts, x, y):
-    """Schoolbook product of two coordinate triples, reduced mod the cubic.
-
-    Works in the quotient ring whether or not the cubic is irreducible, which
-    the irreducibility test below relies on.
-    """
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    h0, h1, h2, k0, k1, k2 = consts
-    z3 = (x1 * y2 + x2 * y1) % p
-    z4 = x2 * y2 % p
-    return (
-        (x0 * y0 + z3 * h0 + z4 * k0) % p,
-        (x0 * y1 + x1 * y0 + z3 * h1 + z4 * k1) % p,
-        (x0 * y2 + x1 * y1 + x2 * y0 + z3 * h2 + z4 * k2) % p,
-    )
-
-
 def _pow_x_mod_cubic(p: int, g: MonicCubic, e: int):
     """x^e in F_p[x]/(g) by a left-to-right ladder.
 
     After the leading bit of e, each bit squares the result and, if set,
     multiplies it by x: a shift up one power with gamma^3 folded back in,
-    three products instead of a full _mul3.  The square is written out
+    three products instead of a full product.  The square is written out
     too, six coordinate products instead of nine.  Works in the quotient
     ring whether or not g is irreducible.
     """
@@ -360,7 +342,19 @@ class CubicField:
         return (-x[0] % p, -x[1] % p, -x[2] % p)
 
     def mul(self, x, y):
-        return _mul3(self.p, self._consts, x, y)
+        """Schoolbook product of two coordinate triples; the gamma^3 and
+        gamma^4 terms fold back in through the reduction constants."""
+        p = self.p
+        x0, x1, x2 = x
+        y0, y1, y2 = y
+        h0, h1, h2, k0, k1, k2 = self._consts
+        z3 = (x1 * y2 + x2 * y1) % p
+        z4 = x2 * y2 % p
+        return (
+            (x0 * y0 + z3 * h0 + z4 * k0) % p,
+            (x0 * y1 + x1 * y0 + z3 * h1 + z4 * k1) % p,
+            (x0 * y2 + x1 * y1 + x2 * y0 + z3 * h2 + z4 * k2) % p,
+        )
 
     def mul_matrix(self, x):
         """Rows (x, x*gamma, x*gamma^2) of the multiply-by-x matrix M_x.
@@ -567,10 +561,14 @@ class ExtElem:
         if isinstance(other, ExtElem):
             return other.field == self.field and other.coords == self.coords
         if isinstance(other, int):
-            return self.coords == (other % self.field.p, 0, 0)
+            return self.coords == (other, 0, 0)
         return NotImplemented
 
     def __hash__(self):
+        # equal to the int k exactly when the coords are (k, 0, 0)
+        c0, c1, c2 = self.coords
+        if c1 == c2 == 0:
+            return hash(c0)
         return hash((self.field.p, self.field.g, self.coords))
 
     def __repr__(self):

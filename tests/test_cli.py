@@ -337,68 +337,77 @@ def test_roundtrip_exhaustive_budget(tmp_path, capsys):
     assert rc == 0 and "trials 5" in out
 
 
-def test_bench_command(tmp_path, capsys):
-    out_csv = tmp_path / "bench.csv"
-    rc, out, _ = run(capsys, "bench", "--p", "10007", "--n", "16,32",
-                     "--trials", "2", "--out", str(out_csv))
-    assert rc == 0 and "wrote 10 records" in out
-    lines = out_csv.read_text().splitlines()
-    assert lines[0] == "p,n,algo,trials,search_time,total_time,p50_time,field_ops"
-    assert len(lines) == 11
-    for line in lines[1:]:
-        p, n, algo, trials, search_t, total_t, p50_t, ops = line.split(",")
-        assert p == "10007" and n in ("16", "32")
-        assert algo in ("build_code", "cubic", "linear", "cubic-random", "linear-random")
-        assert trials == "2"
-        assert 0.0 <= float(search_t) <= float(total_t)
-        # the median of two trials is their mean
-        assert abs(float(p50_t) - float(total_t)) <= 2e-9
-        assert int(ops) > 0
+def bench_rows(path):
+    """The document's truncated flag and its (p, n, algo, trials, field_ops)
+    rows; the file is JSON whatever its name."""
+    doc = json.loads(path.read_text())
+    return doc["truncated"], [(r["p"], r["n"], r["algo"], r["trials"], r["field_ops"])
+                              for r in doc["records"]]
 
 
-def test_bench_json(tmp_path, capsys):
-    # the same records as the CSV, chosen by the file suffix
-    out_json = tmp_path / "bench.json"
-    rc, out, _ = run(capsys, "bench", "--p", "10007,1073741789", "--n", "16,32",
-                     "--trials", "2", "--out", str(out_json))
+def check_bench_run(tmp_path, capsys, p_arg, name, p32, random_ops):
+    """Run the decode bench on n = 16, 32 and check its document: the decode
+    counts are pinned, the build counts are n."""
+    out_path = tmp_path / name
+    rc, out, _ = run(capsys, "bench", "--p", p_arg, "--n", "16,32",
+                     "--trials", "2", "--out", str(out_path))
     assert rc == 0 and "wrote 10 records" in out
-    doc = json.loads(out_json.read_text())
-    assert doc["truncated"] is False
-    assert [(r["p"], r["n"], r["algo"]) for r in doc["records"]] == [
-        (p, n, algo) for p, n in ((10007, 16), (1073741789, 32))
-        for algo in ("build_code", "cubic", "linear", "cubic-random", "linear-random")]
-    by_algo = {(r["n"], r["algo"]): r for r in doc["records"]}
+    assert bench_rows(out_path) == (False, [
+        (10007, 16, "build_code", 2, 16), (10007, 16, "cubic", 2, 1838),
+        (10007, 16, "linear", 2, 564), (10007, 16, "cubic-random", 2, 1722),
+        (10007, 16, "linear-random", 2, 564),
+        (p32, 32, "build_code", 2, 32), (p32, 32, "cubic", 2, 8006),
+        (p32, 32, "linear", 2, 804), (p32, 32, "cubic-random", 2, random_ops),
+        (p32, 32, "linear-random", 2, 804)])
+    records = json.loads(out_path.read_text())["records"]
+    assert all(set(r) == {f.name for f in dataclasses.fields(cli.BenchRecord)}
+               for r in records)
+    by_algo = {(r["n"], r["algo"]): r for r in records}
     for n in (16, 32):
         # the last triple maximizes the cubic count; the linear count does
         # not depend on the triple
         assert by_algo[n, "cubic"]["field_ops"] > by_algo[n, "cubic-random"]["field_ops"]
         assert by_algo[n, "linear"]["field_ops"] == by_algo[n, "linear-random"]["field_ops"]
-    for r in doc["records"]:
-        assert r["trials"] == 2 and r["field_ops"] > 0
+    for r in records:
         assert 0.0 <= r["search_time"] <= r["total_time"]
+        # the median of two trials is their mean
         assert r["p50_time"] == pytest.approx(r["total_time"])
         if r["algo"] == "build_code":
-            assert r["field_ops"] == r["n"] and r["search_time"] == r["total_time"] > 0
-    rc, out, _ = run(capsys, "bench", "--p", "10007", "--n", "16", "--trials", "1",
-                     "--budget-seconds", "1e-9", "--out", str(out_json))
-    assert rc == 0 and "(truncated)" in out
-    assert json.loads(out_json.read_text()) == {"truncated": True, "records": []}
+            assert r["search_time"] == r["total_time"] > 0
+
+
+def test_bench_command(tmp_path, capsys):
+    # one p for every n (the only decode run of that grid); a .csv name still
+    # gets the JSON document
+    check_bench_run(tmp_path, capsys, "10007", "bench.csv", 10007, 6582)
+
+
+def test_bench_json(tmp_path, capsys):
+    # one p per n
+    check_bench_run(tmp_path, capsys, "10007,1073741789", "bench.json", 1073741789, 7450)
+
+
+def test_bench_budget_truncation(tmp_path, capsys):
+    for n_arg, name in (("16", "bench.json"), ("16,32", "bench.csv")):
+        out_path = tmp_path / name
+        rc, out, _ = run(capsys, "bench", "--p", "10007", "--n", n_arg, "--trials", "1",
+                         "--budget-seconds", "1e-9", "--out", str(out_path))
+        assert rc == 0 and "(truncated)" in out
+        assert json.loads(out_path.read_text()) == {"truncated": True, "records": []}
 
 
 def test_bench_certify(tmp_path, capsys):
     out_json = tmp_path / "certify.json"
-    rc, out, _ = run(capsys, "bench", "--certify", "--p", "10007,1073741789",
-                     "--n", "16,32", "--trials", "2", "--out", str(out_json))
-    assert rc == 0 and "wrote 4 records" in out
-    doc = json.loads(out_json.read_text())
-    assert doc["truncated"] is False
-    assert [(r["p"], r["n"], r["algo"], r["field_ops"]) for r in doc["records"]] == [
-        (10007, 16, "check_injectivity", 560), (10007, 16, "audit_code", 2 * 64 * 16),
-        (1073741789, 32, "check_injectivity", 4960),
-        (1073741789, 32, "audit_code", 2 * 64 * 32)]
-    for r in doc["records"]:
-        assert r["trials"] == 2 and 0.0 < r["search_time"] == r["total_time"]
-        assert r["p50_time"] == pytest.approx(r["total_time"])
+    for p_arg, p32 in (("10007,1073741789", 1073741789), ("10007", 10007)):
+        rc, out, _ = run(capsys, "bench", "--certify", "--p", p_arg,
+                         "--n", "16,32", "--trials", "2", "--out", str(out_json))
+        assert rc == 0 and "wrote 4 records" in out
+        assert bench_rows(out_json) == (False, [
+            (10007, 16, "check_injectivity", 2, 560), (10007, 16, "audit_code", 2, 2 * 64 * 16),
+            (p32, 32, "check_injectivity", 2, 4960), (p32, 32, "audit_code", 2, 2 * 64 * 32)])
+        for r in json.loads(out_json.read_text())["records"]:
+            assert 0.0 < r["search_time"] == r["total_time"]
+            assert r["p50_time"] == pytest.approx(r["total_time"])
     rc, out, _ = run(capsys, "bench", "--certify", "--p", "10007", "--n", "16",
                      "--trials", "1", "--budget-seconds", "1e-9", "--out", str(out_json))
     assert rc == 0 and "(truncated)" in out
@@ -423,15 +432,6 @@ def test_bench_build_code_p50_is_the_median_trial(monkeypatch):
     assert not truncated and records[0].algo == "build_code"
     assert (records[0].total_time, records[0].search_time, records[0].p50_time,
             records[0].field_ops) == (3.0, 3.0, 2.0, 16)
-
-
-def test_bench_budget_truncation(tmp_path, capsys):
-    out_csv = tmp_path / "bench.csv"
-    rc, out, _ = run(capsys, "bench", "--p", "10007", "--n", "16,32",
-                     "--trials", "1", "--budget-seconds", "1e-9", "--out", str(out_csv))
-    assert rc == 0
-    assert "(truncated)" in out
-    assert out_csv.read_text().rstrip().endswith("# truncated: time budget exceeded")
 
 
 def test_usage_error_without_subcommand(capsys):

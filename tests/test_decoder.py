@@ -214,17 +214,6 @@ def test_solve_deltas_exhaustive_small_fields():
         assert total == (p - 1) * (p - 2) * (p - 3)
 
 
-def test_from_symbols():
-    spec = get_spec(5, 4)
-    syms = list(encode(spec, Message(spec.ext.zero, spec.ext.one)).symbols())
-    y = ReceivedTriple.from_symbols(syms[:3])
-    assert (y.y1, y.y2, y.y3) == tuple(syms[:3])
-    with pytest.raises(InconsistentReceivedWordError):
-        ReceivedTriple.from_symbols(syms)  # four symbols
-    with pytest.raises(InconsistentReceivedWordError):
-        ReceivedTriple.from_symbols(syms[:2])
-
-
 def test_decode_received_any_length():
     # every channel output of 3..n symbols decodes, with all m positions
     # in kappa, under both decoders; m = 3 is exactly the triple decode
@@ -282,8 +271,6 @@ def reason_words():
 
 def test_inconsistent_reason_length():
     spec, cw, _, _ = reason_words()
-    assert rejection_reason(ReceivedTriple.from_symbols, cw[:4]) == "length"
-    assert rejection_reason(ReceivedTriple.from_symbols, cw[:2]) == "length"
     for word in (cw[:2], cw + (cw[0],)):
         for decode in (decode_cubic, decode_linear):
             assert rejection_reason(decode_received, spec, word, decode) == "length"
@@ -490,12 +477,9 @@ def test_received_triple_rejects_non_elements():
         words += [(bad, e, e), (e, bad, e), (e, e, bad), (bad, bad, bad)]
     for word in words:
         with pytest.raises(FieldMismatchError):
-            ReceivedTriple.from_symbols(word)
+            ReceivedTriple(*word)
         with pytest.raises(FieldMismatchError):
             decode_received(spec, word + (e,))
-        for decode in (decode_cubic, decode_linear):
-            with pytest.raises(FieldMismatchError):
-                decode(spec, ReceivedTriple(*word))
     # and a later symbol of a longer word, after a valid channel output
     valid = encode(spec, Message(e, spec.ext.one)).symbols()[:4]
     for bad in ((1, 2, 3), 5, None):

@@ -19,10 +19,8 @@ from rsdel.field import (
     CubicField,
     MonicCubic,
     PrimeField,
-    _mul3,
     _no_root_by_gcd,
     _pow_x_mod_cubic,
-    _reduction_consts,
     find_irreducible_cubic,
     is_irreducible_cubic,
     is_prime,
@@ -210,14 +208,26 @@ def test_find_irreducible_rejects_bad_modulus():
             find_irreducible_cubic(p)
 
 
+def mul_mod_cubic(p, g, x, y):
+    """x*y mod the monic cubic g (reducible or not): the degree-4 product,
+    then long division by g."""
+    z = [0] * 5
+    for i, j in product(range(3), repeat=2):
+        z[i + j] += x[i] * y[j]
+    for d in (4, 3):  # x^d = -x^(d-3) * (g2*x^2 + g1*x + g0) mod g
+        z[d - 1] -= z[d] * g.g2
+        z[d - 2] -= z[d] * g.g1
+        z[d - 3] -= z[d] * g.g0
+    return (z[0] % p, z[1] % p, z[2] % p)
+
+
 def pow_x_right_to_left(p, g, e):
     """x^e mod g by right-to-left square-and-multiply with full products."""
-    consts = _reduction_consts(p, g)
     result, base = (1, 0, 0), (0, 1, 0)
     while e:
         if e & 1:
-            result = _mul3(p, consts, result, base)
-        base = _mul3(p, consts, base, base)
+            result = mul_mod_cubic(p, g, result, base)
+        base = mul_mod_cubic(p, g, base, base)
         e >>= 1
     return result
 
@@ -392,6 +402,10 @@ def test_ext_int_embedding_and_mismatch():
     assert (2 * a).coords == (4, 2, 0)
     assert F5.elem(3, 0, 0) == 3
     assert F5.elem(3, 1, 0) != 3
+    # equal to an int only on its canonical coordinates, and hashed like it
+    assert F5.elem(3, 0, 0) != 8
+    assert hash(F5.elem(3, 0, 0)) == hash(3)
+    assert len({F5.one, 1}) == 1
     b = F7.elem(2, 1, 0)
     assert a != b  # different fields never compare equal
     with pytest.raises(FieldMismatchError):
