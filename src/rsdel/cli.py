@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import random
 import sys
 from dataclasses import asdict, dataclass
 from statistics import median
 from time import perf_counter
+
+import numpy as np
 
 from . import channel, code, decoder, verify
 from .errors import (
@@ -120,8 +124,8 @@ def cmd_decode(args) -> int:
     Loading is O(n + m) for m received symbols; decode_received adds
     O(n + m) time and memory to the decode of the first three.  That decode
     is O(n) for --algo linear on every input.  For --algo cubic it is
-    O(n) time (expected, through one hashed set intersection above
-    p = 2^30) and O(n) memory (a spec file always holds the quadratic map).
+    O(n) time (expected, through one hashed set intersection from
+    p = 2^63 on) and O(n) memory (a spec file always holds the quadratic map).
     """
     spec = code.load_spec(args.spec)
     symbols = code.load_symbols(args.received, spec)
@@ -308,17 +312,23 @@ def _run_jobs(p_values, n_values, budget_seconds, jobs):
 def run_bench(p_values, n_values, trials: int, seed: int = 0,
               budget_seconds=None):
     """Code builds and decodes; per (p, n) a "build_code" record, then the
-    records "cubic", "linear", "cubic-random" and "linear-random".
+    records "cubic", "linear", "cubic-random", "linear-random" and
+    "cubic-midpair".
 
     The build record times `trials` calls of build_code(p, n): search_time
     and total_time are their mean, p50_time their median, and field_ops is
-    n.  The decodes take one seeded random message.  "cubic" and "linear"
-    decode the lexicographically last kept triple (n-2, n-1, n) on every
-    trial, which maximizes the cubic search's nominal count; its ratio does
-    not depend on the message, so every trial repeats one search input.
-    The "-random" records decode, trial by trial, the channel words of
-    `trials` fresh kept triples drawn from random.Random(seed), the same
-    triples for both algos.  One untimed decode of the last triple per
+    n.  The decodes take one message drawn from random.Random(seed).
+    "cubic" and "linear" decode the lexicographically last kept triple
+    (n-2, n-1, n) on every trial, which maximizes the cubic search's
+    nominal count; its ratio does not depend on the message, so every
+    trial repeats one search input.  The "-random" records decode, trial by
+    trial, the channel words of `trials` fresh kept triples drawn from a
+    second random.Random(seed), apart from the message's, so that every p
+    decodes the same triples, and both algos the same words.
+    "cubic-midpair" decodes (1, ceil(n/2), n) on every trial: its ratio
+    pairs up about n/2 positions of the code around sigma = n + 1, the
+    search's costliest valid input when its products are narrowed to the
+    in-code pairs (p >= 2^63).  One untimed decode of the last triple per
     (code, record) runs before the timed trials, so first-call costs
     (numpy's code pages, allocator growth) are not averaged into the
     times; the decoders keep nothing per code.  search_time and
@@ -329,8 +339,8 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
         specs = []
         yield "build_code", code.build_code, [(p, n)] * trials, specs.append, n
         spec = specs[-1]
-        rng = random.Random(seed)
-        cw = code.encode(spec, code.random_message(spec, rng))
+        cw = code.encode(spec, code.random_message(spec, random.Random(seed)))
+        triples = random.Random(seed)
 
         def word(kept):
             pattern = channel.DeletionPattern(tuple(kept))
@@ -340,10 +350,12 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
             _expect(out.codeword == cw, "benchmark decode returned a wrong codeword")
 
         worst = [word((n - 2, n - 1, n))] * trials
-        fresh = [word(sorted(rng.sample(range(1, n + 1), 3))) for _ in range(trials)]
+        fresh = [word(sorted(triples.sample(range(1, n + 1), 3))) for _ in range(trials)]
+        midpair = [word((1, (n + 1) // 2, n))] * trials
         for algo, words in (("cubic", worst), ("linear", worst),
-                            ("cubic-random", fresh), ("linear-random", fresh)):
-            decode = DECODERS[algo.removesuffix("-random")]
+                            ("cubic-random", fresh), ("linear-random", fresh),
+                            ("cubic-midpair", midpair)):
+            decode = DECODERS[algo.partition("-")[0]]
             decode(spec, worst[0])  # warm-up
             inst = decoder.DecodeInstrumentation()
             yield algo, decode, [(spec, y, inst) for y in words], check, inst
@@ -380,20 +392,38 @@ def run_certify_bench(p_values, n_values, trials: int, seed: int = 0,
     return _run_jobs(p_values, n_values, budget_seconds, jobs)
 
 
+def machine_stamp() -> dict:
+    """The machine a bench document ran on: the CPU model (the first
+    "model name" line of /proc/cpuinfo, read only; platform.processor()
+    where that file is missing), the Python and numpy versions, and
+    OPENBLAS_NUM_THREADS, which sets the float64 product's thread count
+    (None when unset).  Rows with different stamps are not comparable."""
+    cpu = platform.processor() or None
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"cpu": cpu, "python": platform.python_version(), "numpy": np.__version__,
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 def write_bench_json(path, records, truncated: bool) -> None:
     with open(path, "w") as fh:
-        json.dump({"truncated": truncated, "records": [asdict(r) for r in records]},
-                  fh, indent=1)
+        json.dump({"truncated": truncated, "machine": machine_stamp(),
+                   "records": [asdict(r) for r in records]}, fh, indent=1)
         fh.write("\n")
 
 
 def cmd_bench(args) -> int:
-    """Time code builds and decodes of the last and of random kept triples,
-    or with --certify the certification jobs, over a (p, n) grid and write
-    one record per job to the JSON file --out.
+    """Time code builds and decodes of the last, of random and of the
+    mid-pair kept triples, or with --certify the certification jobs, over a
+    (p, n) grid and write one record per job to the JSON file --out, with
+    the machine stamp of machine_stamp.
 
     Each grid point costs --trials code builds (see build_code) and
-    2 * (--trials + 1) decodes per algorithm (O(n) each), or --trials
+    5 * (--trials + 1) decodes (O(n) each), or --trials
     calls of check_injectivity (O(T log T) for T = C(n, 3)) and of a
     64-pair audit (O(n) per pair).  Memory is that of the largest single
     job, one code at a time: O(n) for a decode of either algorithm, and
@@ -480,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_roundtrip)
 
     q = sub.add_parser("bench", help="code build timings, decode timings and op counts "
-                       "on the last and on random kept triples, or certification "
-                       "timings with --certify")
+                       "on the last, on random and on the mid-pair kept triples, or "
+                       "certification timings with --certify")
     q.add_argument("--p", required=True, help="one modulus, or one per n")
     q.add_argument("--n", required=True, help="comma-separated blocklength grid")
     q.add_argument("--trials", type=int, default=3)

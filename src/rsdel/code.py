@@ -21,7 +21,18 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateInterpolationError, FieldMismatchError, ParameterError
-from .field import _FLOAT64_PRODUCT_MAX_P, CubicField, ExtElem, MonicCubic, PrimeField, reduce_mod
+from .field import (
+    _FLOAT64_PRODUCT_MAX_P,
+    _INT64_COORD_MAX_P,
+    _INT64_PRODUCT_MAX_P,
+    CubicField,
+    ExtElem,
+    MonicCubic,
+    PrimeField,
+    reduce_mod,
+    shoup_columns,
+    shoup_product,
+)
 
 
 def _integers(values, what: str) -> tuple:
@@ -49,22 +60,30 @@ class CodeSpec:
     evaluates a message at every point, the cubic decoder's triple search
     tests every position with one product of its rows (1, d, d^2), both
     through _lifted_product, and certification builds its ratios from it.
-    Its dtype is chosen here, once: float64 for
-    p < field._FLOAT64_PRODUCT_MAX_P (about 5.5 * 10^7), where both
-    products are exact in float64 and BLAS runs them, and ext.dtype above;
-    _alpha is always in ext.dtype.  delta_index maps each delta to
-    its 1-based position; both decoders read their kept positions from it.
-    No decoder keeps anything on the spec.
+    Its dtype is chosen here, once, by the four regimes of field: float64
+    for p < field._FLOAT64_PRODUCT_MAX_P (about 5.5 * 10^7), where both
+    products are exact in float64 and BLAS runs them; int64 below 2^30;
+    uint64 below 2^63, where _columns holds alpha's first w columns with
+    their 32-bit halves in field.shoup_product's (5, w, 1, n) layout (None
+    in the other regimes), and that kernel runs both products; object
+    above.  _alpha is always in ext.dtype.  _symbol_dtype is the dtype of
+    every codeword's coordinates: int64 for p < 2^63, object above.
+    delta_index maps each delta to its 1-based position; both decoders
+    read their kept positions from it.  No decoder keeps anything on the
+    spec.
 
     g=None takes the canonical cubic (CubicField's search, as build_code
     does); a given g is tested for irreducibility once.  Construction runs
     one primality test of p (at most 13 pow calls), the cubic search or
     that one gcd test, and O(n) C-level passes to check delta and build
-    the arrays and the index.
+    the arrays and the index.  In the uint64 regime, filling _lifted
+    converts each of alpha's wn Python ints once, and _columns adds a copy
+    of them and three passes for their halves, which add about 20% to a
+    build at n >= 512.
     """
 
     __slots__ = ("p", "g", "delta", "n", "field", "ext", "delta_index",
-                 "from_quadratic_map", "_alpha", "_lifted")
+                 "from_quadratic_map", "_alpha", "_lifted", "_columns", "_symbol_dtype")
 
     def __init__(self, p: int, g: Optional[MonicCubic], delta: Sequence[int], *,
                  alpha_rows=None):
@@ -107,10 +126,15 @@ class CodeSpec:
             w = int(np.flatnonzero(alpha.any(axis=0))[-1]) + 1  # distinct points: w >= 1
         alpha.setflags(write=False)
         self._alpha = alpha
-        lifted = np.ones((n, 1 + w), dtype=np.float64 if p < _FLOAT64_PRODUCT_MAX_P else dtype)
+        regime = (np.float64 if p < _FLOAT64_PRODUCT_MAX_P else
+                  np.int64 if p < _INT64_PRODUCT_MAX_P else
+                  np.uint64 if p < _INT64_COORD_MAX_P else object)
+        lifted = np.ones((n, 1 + w), dtype=regime)
         lifted[:, 1:] = alpha[:, :w]
         lifted.setflags(write=False)
         self._lifted = lifted
+        self._columns = shoup_columns(lifted[:, 1:].T) if regime is np.uint64 else None
+        self._symbol_dtype = np.int64 if p < _INT64_COORD_MAX_P else object
 
     def __eq__(self, other):
         return (
@@ -143,8 +167,7 @@ class CodeSpec:
         """Whether p < 2^21, so that p^3 < 2^63 and a symbol packs into one
         int64.  A label of the arithmetic regime only: nothing in the
         package reads it.  The decoder's triple search branches on
-        _lifted.dtype (float64 or int64 up to 2^30, object above), not on
-        this label."""
+        _lifted.dtype (object from 2^63 on), not on this label."""
         return self.p < (1 << 21)
 
 
@@ -179,12 +202,14 @@ class Message:
 
 
 class Codeword:
-    """Length-n vector of F_{p^3} symbols, stored as an (n, 3) array."""
+    """Length-n vector of F_{p^3} symbols, stored as an (n, 3) array of
+    dtype spec._symbol_dtype (int64 for p < 2^63, object above), so that
+    equal codewords of one spec hold equal arrays and hash equally."""
 
     __slots__ = ("spec", "coords")
 
     def __init__(self, spec: CodeSpec, coords):
-        coords = np.asarray(coords, dtype=spec.ext.dtype)
+        coords = np.asarray(coords, dtype=spec._symbol_dtype)
         if coords.shape != (spec.n, 3):
             raise ParameterError(f"codeword must have shape ({spec.n}, 3)")
         coords.setflags(write=False)
@@ -231,26 +256,34 @@ def _require_field(ext: CubicField, elems, what: str) -> None:
             raise FieldMismatchError(f"{what} lies in {e.field!r}, not in {ext!r}")
 
 
-def _lifted_product(spec: CodeSpec, lifted: np.ndarray, rhs) -> np.ndarray:
-    """lifted @ rhs reduced mod p, in spec.ext.dtype: the one arithmetic
-    kernel of the re-encode and of the triple search.
+def _lifted_product(spec: CodeSpec, rhs, rows=None) -> np.ndarray:
+    """spec._lifted @ rhs reduced mod p, canonical, in spec._symbol_dtype:
+    the one arithmetic kernel of the re-encode and of the triple search.
 
-    lifted is spec._lifted or rows taken from it, and rhs (any array-like,
-    converted to lifted's dtype) holds canonical residues in 1 + w <= 4
-    rows.  As lifted's rows are (1, canonical coordinates), an entry of the
-    product is at most (p-1) + 3(p-1)^2 < 3p^2 + p.  For
-    p < field._FLOAT64_PRODUCT_MAX_P (about 5.5 * 10^7) that is below
-    2^53, so the float64 product, which BLAS runs, is exact; up to 2^30 it
-    is below 2^63 and the product is int64, which numpy multiplies without
-    BLAS; above, Python ints.  One path serves all three: the product is
-    cast to ext.dtype (a no-op unless it is float64) and reduced in place
-    by field.reduce_mod, through libdivide for int64, faster than % from
-    about 800 entries on, and by % for object arrays.  O(N) time and
-    memory for N entries of the product.
+    rhs (an array-like of Python ints, or an integer array) holds canonical
+    residues in 1 + w <= 4 rows.  rows, for p >= 2^63 only, picks the rows
+    of _lifted to multiply.  As _lifted's rows are (1, canonical
+    coordinates), an entry of the product is at most (p-1) + 3(p-1)^2 <
+    3p^2 + p.  _lifted's dtype names the regime.  For
+    p < field._FLOAT64_PRODUCT_MAX_P (about 5.5 * 10^7) that sum is below
+    2^53, so the float64 product, which BLAS runs, is exact; below 2^30
+    it is below 2^63 and the product is int64, which numpy multiplies
+    without BLAS.  Both are cast to int64 (a no-op for int64) and reduced
+    in place by field.reduce_mod, through libdivide, faster than % from
+    about 800 entries on.  Below 2^63 field.shoup_product multiplies the
+    uint64 columns of spec._columns exactly and returns canonical int64
+    (its docstring states its time and memory).  From 2^63 on the product
+    is Python ints, reduced by %.  O(N) time and memory for N entries of
+    the product.
     """
+    if spec._columns is not None:
+        return shoup_product(spec._columns, rhs, spec.p)
+    lifted = spec._lifted
+    if rows is not None:
+        lifted = lifted.take(rows, axis=0)
     # no name holds the float64 product, so it is freed before the reduction
     return reduce_mod((lifted @ np.asarray(rhs, dtype=lifted.dtype))
-                      .astype(spec.ext.dtype, copy=False), spec.p)
+                      .astype(spec._symbol_dtype, copy=False), spec.p)
 
 
 def _evaluate(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
@@ -260,12 +293,16 @@ def _evaluate(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
     Row i of [1 | alpha[:, :w]] @ [m1; rows 0..w-1 of M_{m2}] is
     m1 + alpha_i*m2, since alpha_i's coordinates past w are zero; the B
     right-hand sides stand side by side as one (1 + w, 3B) matrix, and
-    _lifted_product multiplies and reduces it (its exactness bound covers
-    every dtype of spec._lifted).  At p = 10007 (numpy 2.4, OpenBLAS, one
-    thread, x86-64) n = 512 takes about 1.0 us for the product (3.4 us in
-    int64), 0.6 us for the cast and 2.1 us for the reduction; n = 4096
-    takes 3.7 us (21.7 us in int64), 3.0 us and 7.2 us.  Raises
-    FieldMismatchError at the first message outside spec's field.
+    _lifted_product multiplies and reduces it, exactly in each of the four
+    regimes of spec._lifted's dtype.  At p = 10007 (numpy 2.4, OpenBLAS,
+    one thread, x86-64) n = 512 takes about 1.0 us for the product (3.4 us
+    in int64), 0.6 us for the cast and 2.1 us for the reduction; n = 4096
+    takes 3.7 us (21.7 us in int64), 3.0 us and 7.2 us.  For
+    2^30 <= p < 2^63 the uint64 kernel (field.shoup_product) takes about
+    12 us at n = 64, 20 us at n = 512 and 60 us at n = 4096, against 23,
+    168 and 1320 us for the same product in Python ints; from 2^63 on the
+    product is Python ints.  Raises FieldMismatchError at the first message
+    outside spec's field.
     """
     ext = spec.ext
     lifted = spec._lifted
@@ -277,23 +314,25 @@ def _evaluate(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
     if len(rhs) == 1:
         # one message's rows are already in place, and a plain array is
         # cheapest for encode, which every decode calls
-        return _lifted_product(spec, lifted, rhs[0])
+        return _lifted_product(spec, rhs[0])
     flat = chain.from_iterable   # entries in (row, message, coordinate) order
     rows = np.array(list(flat(flat(zip(*rhs)))), dtype=lifted.dtype)
-    return _lifted_product(spec, lifted, rows.reshape(1 + w, 3 * len(rhs)))
+    return _lifted_product(spec, rows.reshape(1 + w, 3 * len(rhs)))
 
 
 def encode_many(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
     """Evaluate B messages at every evaluation point in one matmul.
 
     messages is any iterable, read once in order.  Returns the C-contiguous
-    (n, B, 3) array of canonical coordinates, dtype spec.ext.dtype: word b
-    is [:, b], equal to encode(spec, the b-th message).  Raises
-    FieldMismatchError at the first message outside spec's field.
-    Takes O(nB) time and memory: O(1) Python work per message, then a fixed
-    number of numpy calls (one matmul, in float64 through BLAS for
-    p < about 5.5 * 10^7, its cast to int64 and the in-place reduction of
-    its 3nB entries, which for int64 arrays runs through libdivide: see
+    (n, B, 3) array of canonical coordinates, dtype spec._symbol_dtype
+    (int64 for p < 2^63): word b is [:, b], equal to encode(spec, the b-th
+    message).  Raises FieldMismatchError at the first message outside
+    spec's field.  Takes O(nB) time and memory: O(1) Python work per
+    message, then a fixed number of numpy calls (one matmul, in float64
+    through BLAS for p < about 5.5 * 10^7, its cast to int64 and the
+    in-place reduction of its 3nB entries, which for int64 arrays runs
+    through libdivide; for 2^30 <= p < 2^63 the uint64 Shoup kernel's
+    fixed number of passes over its 2 * 3nB column products: see
     _evaluate).
     """
     words = _evaluate(spec, messages)
@@ -308,7 +347,9 @@ def encode(spec: CodeSpec, m: Message) -> Codeword:
     n = 512 and 15 us at n = 4096, against 7.0 and 32 us with an int64
     product (see _evaluate).  The reduction of the 3n entries gains over %
     from n of about 270 on and loses a few tenths of a microsecond below.
-    Takes O(n) time and memory."""
+    For 2^30 <= p < 2^63 the product is the uint64 Shoup kernel: at
+    p = 2^61 - 1 about 12 us at n = 64 and 20 us at n = 512.  Takes O(n)
+    time and memory."""
     return Codeword(spec, _evaluate(spec, (m,)))
 
 
@@ -479,4 +520,4 @@ def load_codeword(path, spec: CodeSpec) -> Codeword:
     if len(symbols) != spec.n:
         raise ParameterError(
             f"codeword file has {len(symbols)} symbols, code needs {spec.n}")
-    return Codeword(spec, np.array([s.coords for s in symbols], dtype=spec.ext.dtype))
+    return Codeword(spec, np.array([s.coords for s in symbols], dtype=spec._symbol_dtype))

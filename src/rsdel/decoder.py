@@ -253,7 +253,7 @@ def solve_deltas(pf: PrimeField, coeffs):
 # runs at every position instead.  The passing position's j and k are
 # read as the closed form reads its locators, spec.delta_index.get(w0, 0)
 # and .get(d_k, 0) (a value outside the code reads 0), and the position is
-# a match when i < j < k.  Below 2^30 both orientations of a pair are
+# a match when i < j < k.  Below 2^63 both orientations of a pair are
 # tested, and the one with i > k fails that order test.  The match is
 # unique, so it is also the scan's lexicographically first.
 #
@@ -270,8 +270,11 @@ def solve_deltas(pf: PrimeField, coeffs):
 # and two dict lookups, with no sort.  Memory: O(n) per decode (the product
 # column, its cast and the reduction's quotients); nothing is kept between
 # decodes.  _lifted's dtype, which CodeSpec fixes once, makes the one
-# choice.  Below 2^30 (float64 through BLAS up to about 5.5 * 10^7, int64
-# above) the product runs on all n rows.  In object dtype (p > 2^30) each
+# choice.  Below 2^63 the product runs on all n rows: float64 through BLAS
+# up to about 5.5 * 10^7, an int64 matmul below 2^30, and the uint64 Shoup
+# kernel (field.shoup_product) below 2^63, about 10 us at n = 64 and
+# 12 us at n = 512 (p = 2^61 - 1, x86-64), with a (5, 2, 1, n) uint64
+# buffer.  In object dtype (p >= 2^63) each
 # product is a Python int, so the search first narrows to the positions
 # whose partner value is in the code: the partner column is intersected
 # with spec.delta_index's keys, one hashed set intersection, O(n) expected
@@ -314,15 +317,14 @@ def _search_triple(spec: CodeSpec, beta):
     lifted = spec._lifted
     idx = spec.delta_index
     pos = None
-    if lifted.dtype == object:  # narrow before any Python-int product
+    if lifted.dtype == object:  # p >= 2^63: narrow before any Python-int product
         # the in-code partner values, closed under x -> sigma - x: each names
         # a position whose partner is in the code; keep it when it comes first
         partners = ((sigma - lifted[:, 1]) % p).tolist()
         pos = np.array([idx[x] - 1 for x in idx.keys() & partners
                         if idx[x] < idx[(sigma - x) % p]], dtype=np.intp)
-        lifted = lifted.take(pos, axis=0)
     # w on the parabola: the match, and the position with 2d == sigma (w == alpha_i)
-    for h in np.flatnonzero(_lifted_product(spec, lifted, q) == 0).tolist():
+    for h in np.flatnonzero(_lifted_product(spec, q, pos) == 0).tolist():
         i = h if pos is None else int(pos[h])
         d = spec.delta[i]
         if 2 * d % p != sigma:
@@ -410,13 +412,16 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
     position.  Of the at most two positions that pass, the one whose
     partner is itself (u = 0) is skipped; the other's j and k are read from
     spec.delta_index as the closed form reads them, and a ratio in F_p, or
-    one whose key is injective, is rejected at once.  Above p = 2^30 the
-    product first narrows to the positions that come before their partner
-    in the code, by one set intersection with spec.delta_index's keys, so
-    Python-int products run only there: on none for most garbage, on up to
-    about n/2 when the locators pair up around sigma (1..n with
-    d_i + d_k near n + 1).  O(n) time (expected, for the hashing above
-    2^30) and O(n) memory, and the re-encode adds O(n).  Nothing is kept with the spec between decodes.
+    one whose key is injective, is rejected at once.  The product runs on
+    all n rows below p = 2^63, through the re-encode's kernel for the
+    regime (float64 BLAS, int64, or the uint64 Shoup kernel from 2^30 on).
+    From 2^63 on it first narrows to the positions that come before their
+    partner in the code, by one set intersection with spec.delta_index's
+    keys, so Python-int products run only there: on none for most
+    garbage, on up to about n/2 when the locators pair up around sigma
+    (1..n with d_i + d_k near n + 1).  O(n) time (expected, for the
+    hashing from 2^63 on) and O(n) memory, and the re-encode adds O(n).
+    Nothing is kept with the spec between decodes.
     The nominal op count still prices the Theta(n^3) scan up to the match
     row.  Raises ParameterError for specs not built from the quadratic
     evaluation map, UnrecognizedReceivedWordError when no triple matches,

@@ -87,9 +87,9 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     # a block of _ratio_keys sums w <= 3 products and then row 0, at most
     # 3p^2 + p < 2^63 for p <= 2^30 (field._INT64_PRODUCT_MAX_P), and row
     # 0's own sum of w products stays below 3p^2.  spec._lifted is float64
-    # below field._FLOAT64_PRODUCT_MAX_P, for the encoder's BLAS product;
-    # its copy in ext.dtype above keeps _ratio_keys and at() in integer
-    # arithmetic.
+    # below field._FLOAT64_PRODUCT_MAX_P and uint64 from 2^30 to 2^63, for
+    # the encoder's kernels; its copy in ext.dtype keeps _ratio_keys and
+    # at() in int64 or Python-int arithmetic.
     table = np.empty((1 + w, 3, len(pair_j)), dtype=ext.dtype)
     table[1:] = ext.mul_matrix(inverse)[:w]
     np.negative((alpha_j[:w, None] * table[1:]).sum(axis=0), out=table[0])
@@ -289,10 +289,11 @@ def audit_code(spec: CodeSpec, pairs: Iterable[tuple[Message, Message]]) -> Audi
     pair is the first to reach the maximum.  pairs is any iterable, read
     once, in chunks of max(1, 2^12 // 2n) pairs; ParameterError for an equal
     pair and FieldMismatchError for a foreign message are raised in the
-    order of the pairs.  For p <= 2^30 a chunk's words come from one
-    encode_many call, O(n) per pair, and each symbol is hashed as its
-    24-byte row, whose bytes are equal exactly when the canonical int64
-    coordinates are.  Above that each message is encoded on its own, O(n),
+    order of the pairs.  The branch is on the codewords' dtype
+    (spec._symbol_dtype).  For p < 2^63 they are int64: a chunk's words come
+    from one encode_many call, O(n) per pair, and each symbol is hashed as
+    its 24-byte row, whose bytes are equal exactly when the canonical int64
+    coordinates are.  From 2^63 on each message is encoded on its own, O(n),
     and its symbols are coordinate tuples, since the raw bytes of an object
     array are pointers.  Each pair then costs one lcs_length: O(n) expected
     hashing plus O(r log n) for the r matching position pairs among the
@@ -307,9 +308,10 @@ def audit_code(spec: CodeSpec, pairs: Iterable[tuple[Message, Message]]) -> Audi
     count = 0
     while chunk := list(islice(pairs, per_chunk)):
         messages = _distinct_messages(chunk)
-        if spec.ext.dtype == object:
+        if spec._symbol_dtype == object:
             # one product over a chunk's Python ints is no faster than the
-            # products apart, and made the 2^61-1 audit about 10% slower
+            # products apart, and made the 2^61-1 audit about 10% slower when
+            # it ran in Python ints
             symbols = (encode(spec, m).symbol_tuples() for m in messages)
         else:
             words = encode_many(spec, messages)

@@ -7,11 +7,13 @@ stays in-process for speed.
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 from itertools import chain, count
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rsdel
@@ -266,7 +268,8 @@ def test_audit_command(tmp_path, capsys):
 @pytest.mark.parametrize("p, n, pairs, seed, max_lcs", [
     (5, 4, 1000, 2, 2),        # two audit chunks, of 512 and 488 pairs
     (10007, 150, 250, 3, 0),   # twenty audit chunks of up to 13 pairs
-    ((1 << 61) - 1, 20, 30, 5, 0),   # object words, coordinate tuples
+    ((1 << 61) - 1, 20, 30, 5, 0),   # int64 words of the Shoup kernel, 24-byte rows
+    ((1 << 64) - 59, 20, 30, 5, 0),   # object words, coordinate tuples
 ])
 def test_audit_command_streams_seeded_pairs(tmp_path, capsys, monkeypatch, p, n, pairs,
                                             seed, max_lcs):
@@ -345,28 +348,37 @@ def bench_rows(path):
                               for r in doc["records"]]
 
 
-def check_bench_run(tmp_path, capsys, p_arg, name, p32, random_ops):
+MACHINE_KEYS = {"cpu", "python", "numpy", "openblas_num_threads"}
+
+
+def check_bench_run(tmp_path, capsys, p_arg, name, p32):
     """Run the decode bench on n = 16, 32 and check its document: the decode
-    counts are pinned, the build counts are n."""
+    counts are pinned (the random triples, and so their counts, are the
+    same at every p), the build counts are n, and the document carries the
+    machine stamp."""
     out_path = tmp_path / name
     rc, out, _ = run(capsys, "bench", "--p", p_arg, "--n", "16,32",
                      "--trials", "2", "--out", str(out_path))
-    assert rc == 0 and "wrote 10 records" in out
+    assert rc == 0 and "wrote 12 records" in out
     assert bench_rows(out_path) == (False, [
         (10007, 16, "build_code", 2, 16), (10007, 16, "cubic", 2, 1838),
-        (10007, 16, "linear", 2, 564), (10007, 16, "cubic-random", 2, 1722),
-        (10007, 16, "linear-random", 2, 564),
+        (10007, 16, "linear", 2, 564), (10007, 16, "cubic-random", 2, 1455),
+        (10007, 16, "linear-random", 2, 564), (10007, 16, "cubic-midpair", 2, 1110),
         (p32, 32, "build_code", 2, 32), (p32, 32, "cubic", 2, 8006),
-        (p32, 32, "linear", 2, 804), (p32, 32, "cubic-random", 2, random_ops),
-        (p32, 32, "linear-random", 2, 804)])
-    records = json.loads(out_path.read_text())["records"]
+        (p32, 32, "linear", 2, 804), (p32, 32, "cubic-random", 2, 5248),
+        (p32, 32, "linear-random", 2, 804), (p32, 32, "cubic-midpair", 2, 2206)])
+    doc = json.loads(out_path.read_text())
+    assert set(doc) == {"truncated", "machine", "records"} and set(doc["machine"]) == MACHINE_KEYS
+    records = doc["records"]
     assert all(set(r) == {f.name for f in dataclasses.fields(cli.BenchRecord)}
                for r in records)
     by_algo = {(r["n"], r["algo"]): r for r in records}
     for n in (16, 32):
-        # the last triple maximizes the cubic count; the linear count does
-        # not depend on the triple
-        assert by_algo[n, "cubic"]["field_ops"] > by_algo[n, "cubic-random"]["field_ops"]
+        # the last triple maximizes the cubic count and the mid pair (1,
+        # ceil(n/2), n) matches on the first row; the linear count does not
+        # depend on the triple
+        assert by_algo[n, "cubic"]["field_ops"] > by_algo[n, "cubic-random"]["field_ops"] \
+            > by_algo[n, "cubic-midpair"]["field_ops"]
         assert by_algo[n, "linear"]["field_ops"] == by_algo[n, "linear-random"]["field_ops"]
     for r in records:
         assert 0.0 <= r["search_time"] <= r["total_time"]
@@ -379,12 +391,12 @@ def check_bench_run(tmp_path, capsys, p_arg, name, p32, random_ops):
 def test_bench_command(tmp_path, capsys):
     # one p for every n (the only decode run of that grid); a .csv name still
     # gets the JSON document
-    check_bench_run(tmp_path, capsys, "10007", "bench.csv", 10007, 6582)
+    check_bench_run(tmp_path, capsys, "10007", "bench.csv", 10007)
 
 
 def test_bench_json(tmp_path, capsys):
     # one p per n
-    check_bench_run(tmp_path, capsys, "10007,1073741789", "bench.json", 1073741789, 7450)
+    check_bench_run(tmp_path, capsys, "10007,1073741789", "bench.json", 1073741789)
 
 
 def test_bench_budget_truncation(tmp_path, capsys):
@@ -393,7 +405,21 @@ def test_bench_budget_truncation(tmp_path, capsys):
         rc, out, _ = run(capsys, "bench", "--p", "10007", "--n", n_arg, "--trials", "1",
                          "--budget-seconds", "1e-9", "--out", str(out_path))
         assert rc == 0 and "(truncated)" in out
-        assert json.loads(out_path.read_text()) == {"truncated": True, "records": []}
+        doc = json.loads(out_path.read_text())
+        assert doc == {"truncated": True, "machine": doc["machine"], "records": []}
+        assert set(doc["machine"]) == MACHINE_KEYS
+
+
+def test_bench_machine_stamp(monkeypatch):
+    # the versions of this process, and the OpenBLAS thread variable as set
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    stamp = cli.machine_stamp()
+    assert set(stamp) == MACHINE_KEYS
+    assert stamp["python"] == platform.python_version() and stamp["numpy"] == np.__version__
+    assert stamp["openblas_num_threads"] == "1"
+    assert stamp["cpu"] is None or isinstance(stamp["cpu"], str)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert cli.machine_stamp()["openblas_num_threads"] is None
 
 
 def test_bench_certify(tmp_path, capsys):
@@ -411,7 +437,8 @@ def test_bench_certify(tmp_path, capsys):
     rc, out, _ = run(capsys, "bench", "--certify", "--p", "10007", "--n", "16",
                      "--trials", "1", "--budget-seconds", "1e-9", "--out", str(out_json))
     assert rc == 0 and "(truncated)" in out
-    assert json.loads(out_json.read_text()) == {"truncated": True, "records": []}
+    doc = json.loads(out_json.read_text())
+    assert doc == {"truncated": True, "machine": doc["machine"], "records": []}
 
 
 def test_bench_p50_is_the_median_trial(monkeypatch):

@@ -9,7 +9,9 @@ import pytest
 from rsdel import field
 from rsdel.code import (
     CodeSpec,
+    Codeword,
     Message,
+    _lifted_product,
     build_code,
     encode,
     encode_many,
@@ -161,8 +163,10 @@ def test_encode_frozen_example():
 
 
 @pytest.mark.parametrize("p, dtype", [(10007, np.int64), (54794149, np.int64),
-                                      (54794197, np.int64), ((1 << 61) - 1, object)])
+                                      (54794197, np.int64), ((1 << 61) - 1, np.int64),
+                                      ((1 << 64) - 59, object)])
 def test_symbol_tuples_match_row_tuples(p, dtype):
+    # codewords are int64 below 2^63 and Python ints from 2^63 on
     spec = get_spec(p, 40)
     rng = random.Random(89)
     for _ in range(5):
@@ -197,15 +201,19 @@ def test_encode_matches_scalar_evaluation():
             assert cw[i - 1] == m.m1 + m.m2 * spec.alpha_at(i)
 
 
-@pytest.mark.parametrize("p", [54794149, 54794197, 1073741789, 2**61 - 1])
+@pytest.mark.parametrize("p", [54794149, 54794197, 1073741789, 2**61 - 1, 2**63 - 25,
+                               2**64 - 59])
 def test_encode_exact_at_dtype_boundary(p):
     # 54794149 is the last prime below field._FLOAT64_PRODUCT_MAX_P, where
     # the evaluation matrix is float64, and 54794197 the first prime above
     # it, where it is int64; 1073741789 is the largest prime <= 2^30, the
-    # last int64 regime.  A matmul entry can reach (p-1) + 3(p-1)^2, which
-    # must stay exact and be reduced exactly.  The n largest residues put
-    # alpha's first coordinates next to p, and a message of all p-1
-    # coordinates maximises M_{m2}'s inputs.  The alpha_rows spec (w = 3)
+    # last int64 regime.  2^61 - 1 and 2^63 - 25 (the largest prime below
+    # 2^63) take the uint64 Shoup kernel, and 2^64 - 59 Python ints; the
+    # codewords are int64 below 2^63.  A matmul entry can reach
+    # (p-1) + 3(p-1)^2, which must stay exact and be reduced exactly (the
+    # Shoup kernel folds each term and each sum instead).  The n largest
+    # residues put alpha's first coordinates next to p, and a message of
+    # all p-1 coordinates maximises M_{m2}'s inputs.  The alpha_rows spec (w = 3)
     # has every coordinate within n of p - 1 and first point
     # (p-1, p-1, p-1); its m2 is solved so that column 0 of M_{m2} is all
     # p - 1, and its m1 starts with p - 2, so the product's first entry is
@@ -228,19 +236,21 @@ def test_encode_exact_at_dtype_boundary(p):
                                                       ext.mul_matrix(solved)))
     assert entry == (p - 2) + 3 * (p - 1) ** 2 and entry % 2 == 1
     assert (entry > 1 << 53) == (p > 54794149)
-    want_lifted = {54794149: np.float64, 54794197: np.int64, 1073741789: np.int64}.get(p, object)
+    want_lifted = {54794149: np.float64, 54794197: np.int64, 1073741789: np.int64,
+                   2**64 - 59: object}.get(p, np.uint64)
+    want_symbols = np.int64 if p < 1 << 63 else object
     for spec, m1, m2 in ((quadratic, top, top), (offplane, odd, solved)):
         assert spec.ext.dtype == (np.int64 if p <= 1 << 30 else object)
         assert spec._lifted.dtype == want_lifted and not spec._lifted.flags.writeable
         message = Message(ext.from_coords(m1), ext.from_coords(m2))
         codeword = encode(spec, message)
-        assert codeword.coords.dtype == spec.ext.dtype
+        assert codeword.coords.dtype == want_symbols
         got = codeword.symbol_tuples()
         assert {type(c) for sym in got for c in sym} == {int}  # never np.int64
         for i in range(1, n + 1):
             assert got[i - 1] == ext.add(m1, ext.mul(m2, spec.alpha_coords(i)))
         words = encode_many(spec, [message, message])
-        assert words.dtype == spec.ext.dtype and words.flags.c_contiguous
+        assert words.dtype == want_symbols and words.flags.c_contiguous
         assert np.array_equal(words[:, 0], codeword.coords)
         assert np.array_equal(words[:, 1], codeword.coords)
 
@@ -460,7 +470,8 @@ def test_spec_entries_must_be_integers():
 
 
 @pytest.mark.parametrize("p, dtype", [(10007, np.int64), (54794149, np.int64),
-                                      (54794197, np.int64), ((1 << 61) - 1, object)])
+                                      (54794197, np.int64), ((1 << 61) - 1, np.int64),
+                                      ((1 << 64) - 59, object)])
 def test_encode_many_matches_encode(p, dtype):
     # oracle: encode, and m1 + m2*alpha_i by CubicField.mul one symbol at a
     # time, for the quadratic map and for points of lifted width 3
@@ -485,3 +496,90 @@ def test_encode_many_matches_encode(p, dtype):
     good = random_message(spec, rng)
     with pytest.raises(FieldMismatchError):
         encode_many(spec, [good, Message(other.ext.one, other.ext.zero)])
+
+
+SHOUP_PRIMES = ((1 << 31) - 1, (1 << 61) - 1, (1 << 63) - 25)
+
+
+def shoup_edges(p):
+    """The uint64 kernel's edge residues: 0, 1, 2, p - 2, p - 1, (p - 1)/2
+    and the 32-bit boundary 2^32 - 1, 2^32, 2^32 + 1, where x_hi and v'_hi
+    change."""
+    return sorted({v % p for v in (0, 1, 2, p - 2, p - 1, (p - 1) // 2,
+                                   2**32 - 1, 2**32, 2**32 + 1)})
+
+
+def lifted_reference(spec, rhs):
+    """[1 | alpha[:, :w]] @ rhs mod p in Python ints, row by row."""
+    p, w = spec.p, spec._lifted.shape[1] - 1
+    head, *rows = rhs
+    return [[(head[k] + sum(a * row[k] for a, row in zip(spec.alpha_coords(i)[:w], rows))) % p
+             for k in range(len(head))] for i in range(1, spec.n + 1)]
+
+
+@pytest.mark.parametrize("p", SHOUP_PRIMES)
+def test_shoup_kernel_exact_on_edges(p):
+    # the uint64 kernel against Python ints, with every edge residue in
+    # every column and every scalar: the product itself, one message
+    # (encode), B messages (encode_many) and the search's 3-scalar column
+    edges = shoup_edges(p)
+    e = len(edges)
+    quadratic = get_spec(p, e - 1, tuple(edges[1:]))   # columns d and d^2
+    wide = CodeSpec(p, quadratic.g, range(1, e**3 + 1),   # w = 3, every edge triple
+                    alpha_rows=[(a, b, c) for a in edges for b in edges for c in edges])
+    rng = random.Random(p)
+    for spec in (quadratic, wide):
+        assert spec._lifted.dtype == np.uint64 and spec._columns.dtype == np.uint64
+        ext, w = spec.ext, spec._lifted.shape[1] - 1
+        # every row of rhs holds every edge residue, in e^2 columns shifted
+        # against each other, so each meets every column entry of the spec
+        rhs = [[edges[(k + r * (k // e)) % e] for k in range(e * e)] for r in range(1 + w)]
+        got = _lifted_product(spec, rhs)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.tolist() == lifted_reference(spec, rhs)
+        for q in [(v,) * (1 + w) for v in edges] + [rng.choices(edges, k=1 + w)
+                                                    for _ in range(20)]:
+            column = _lifted_product(spec, q)
+            assert column.dtype == np.int64 and column.shape == (spec.n,)
+            want = lifted_reference(spec, [(v,) for v in q])
+            assert column.tolist() == [row[0] for row in want]
+        messages = [Message(ext.from_coords(c1), ext.from_coords(c2)) for c1, c2 in
+                    [((v, v, v), (v, v, v)) for v in edges]
+                    + [(rng.choices(edges, k=3), rng.choices(edges, k=3)) for _ in range(12)]]
+        words = encode_many(spec, messages)
+        assert words.dtype == np.int64 and words.shape == (spec.n, len(messages), 3)
+        for b, m in enumerate(messages):
+            cw = encode(spec, m)
+            want = [ext.add(m.m1.coords, ext.mul(m.m2.coords, spec.alpha_coords(i)))
+                    for i in range(1, spec.n + 1)]
+            assert cw.symbol_tuples() == want
+            assert words[:, b].tolist() == [list(t) for t in want]
+
+
+@pytest.mark.parametrize("p, lifted, symbols", [
+    (1073741789, np.int64, np.int64), ((1 << 31) - 1, np.uint64, np.int64),
+    ((1 << 63) - 25, np.uint64, np.int64), ((1 << 64) - 59, object, object)])
+def test_lifted_and_codeword_dtype_boundary(tmp_path, p, lifted, symbols):
+    # 1073741789 is the last prime below 2^30 (int64 matmul) and 2^31 - 1 a
+    # prime above it (uint64 Shoup kernel), 2^63 - 25 the last prime below
+    # 2^63 and 2^64 - 59 a prime above it (Python ints).  Codewords take one
+    # symbol dtype per spec however they are built, so equal codewords
+    # hash equally
+    n = 12
+    spec = get_spec(p, n)
+    assert spec._lifted.dtype == lifted and spec._symbol_dtype == symbols
+    if lifted == np.uint64:
+        assert spec._columns.shape == (5, 2, 1, n) and not spec._columns.flags.writeable
+        assert spec._columns[4, :, 0].tolist() == spec._alpha[:, :2].T.tolist()
+    else:
+        assert spec._columns is None
+    m = random_message(spec, random.Random(p % 1000))
+    cw = encode(spec, m)
+    assert cw.coords.dtype == symbols and encode_many(spec, [m, m]).dtype == symbols
+    path = tmp_path / "word.txt"
+    save_symbols(path, cw)
+    for other in (load_codeword(path, spec), Codeword(spec, cw.symbol_tuples()),
+                  Codeword(spec, np.array(cw.symbol_tuples(), dtype=object))):
+        assert other.coords.dtype == symbols
+        assert other == cw and hash(other) == hash(cw)
+

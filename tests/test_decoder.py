@@ -747,11 +747,11 @@ def test_search_kernels_match_reference_random_points():
 
 @pytest.mark.parametrize("p", (1073741789, (1 << 61) - 1, (1 << 63) - 25, (1 << 64) - 59))
 def test_search_kernel_matches_reference_large_p(p):
-    # Python-int partner columns (object dtype) on both sides of 2^63
-    # (2^63 - 25 is the largest prime below it), narrowed by one set
-    # intersection at every p; every kept triple is a hit (a
-    # sample of them at n = 20), random betas are misses, and beta = 0
-    # never matches
+    # on both sides of 2^30 and of 2^63 (2^63 - 25 is the largest prime
+    # below it): the int64 matmul, the uint64 Shoup kernel on all n rows,
+    # and Python ints narrowed by one set intersection; every kept triple
+    # is a hit (a sample of them at n = 20), random betas are misses, and
+    # beta = 0 never matches
     rng = random.Random(p % 977)
     for n in (3, 12, 20):
         spec = get_spec(p, n)
@@ -885,8 +885,8 @@ def test_decode_cubic_keeps_no_state_per_spec():
 
 @pytest.mark.parametrize("p,n", (((1 << 61) - 1, 64), (1073741789, 96)))
 def test_decode_cubic_matches_linear_large_p(p, n):
-    # field arithmetic and the search's partner column in Python ints
-    # (p > 2^30)
+    # field arithmetic in Python ints (p > 2^30), and the search's product
+    # in the int64 matmul (1073741789) or the uint64 Shoup kernel (2^61 - 1)
     spec = get_spec(p, n)
     assert not spec.fast_search_ok()
     rng = random.Random(p % 1000)

@@ -2,10 +2,11 @@
 error.
 
 Hypothesis draws received words of 3..n symbols (channel outputs, channel
-outputs with some symbols replaced, and uniformly random symbols), random
-bytes for the two file loaders, and command lines for every subcommand of
-the CLI but bench, on spec files, symbol files and option values that are
-valid, corrupted or random.  The runs are derandomized, keep no example
+outputs with some symbols replaced, and uniformly random symbols), messages
+and evaluation points in each of the encoder's four arithmetic regimes,
+random bytes for the two file loaders, and command lines for every
+subcommand of the CLI but bench, on spec files, symbol files and option
+values that are valid, corrupted or random.  The runs are derandomized, keep no example
 database and have fixed example counts, so tier-1 stays deterministic; the
 module's budget is a few seconds (about 3 s on a 2-vCPU x86-64 VM).
 """
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from rsdel.channel import DeletionPattern, apply_deletions
 from rsdel.cli import main
-from rsdel.code import Message, encode, load_spec, load_symbols
+from rsdel.code import CodeSpec, Message, encode, load_spec, load_symbols
 from rsdel.decoder import PATH_CONSTANT, decode_cubic, decode_linear, decode_received
 from rsdel.errors import (
     InconsistentReceivedWordError,
@@ -95,6 +96,45 @@ def test_every_word_decodes_exactly_or_fails_typed(case):
     if m is not None:
         assert out.message == m
         assert out.kappa == (DeletionPattern(()) if m.m2.is_zero() else pattern)
+
+
+# one prime per regime of the evaluation matrix: float64 (BLAS), int64,
+# uint64 (the Shoup kernel) and object (Python ints)
+REGIME_PRIMES = (10007, 54794197, (1 << 61) - 1, (1 << 64) - 59)
+
+
+@st.composite
+def regime_encodings(draw):
+    """(spec, message): a spec of 3..10 points in one regime, from the
+    quadratic map or from arbitrary rows (lifted width 1 to 3), and a
+    message, their residues drawn uniformly or from the kernel's edges."""
+    p = draw(st.sampled_from(REGIME_PRIMES))
+    edges = sorted({v % p for v in (0, 1, 2, p - 2, p - 1, (p - 1) // 2,
+                                    2**32 - 1, 2**32, 2**32 + 1)})
+    residues = st.one_of(st.sampled_from(edges), st.integers(0, p - 1))
+    n = draw(st.integers(3, 10))
+    g = get_spec(p, 3).g
+    if draw(st.booleans()):
+        delta = draw(st.lists(residues.filter(bool), min_size=n, max_size=n, unique=True))
+        spec = CodeSpec(p, g, delta)
+    else:
+        rows = draw(st.lists(st.tuples(residues, residues, residues), min_size=n, max_size=n,
+                             unique=True))
+        spec = CodeSpec(p, g, range(1, n + 1), alpha_rows=rows)
+    coords = st.tuples(residues, residues, residues)
+    return spec, Message(spec.ext.from_coords(draw(coords)), spec.ext.from_coords(draw(coords)))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(regime_encodings())
+def test_encode_matches_rowwise_field_arithmetic(case):
+    # encode's one product, in whichever regime, against m1 + m2*alpha_i by
+    # CubicField's Python-int arithmetic, one symbol at a time
+    spec, m = case
+    ext = spec.ext
+    want = [ext.add(m.m1.coords, ext.mul(m.m2.coords, spec.alpha_coords(i)))
+            for i in range(1, spec.n + 1)]
+    assert encode(spec, m).symbol_tuples() == want
 
 
 @pytest.fixture(scope="module")

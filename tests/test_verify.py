@@ -212,9 +212,10 @@ def audit_per_pair(spec, pairs):
     return AuditResult(best if count else 0, witness, count)
 
 
-# int64 symbols hashed as 24-byte rows, and object symbols (p > 2^30, here
-# also beyond 2^64) as coordinate tuples
-@pytest.mark.parametrize("p", [10007, (1 << 61) - 1, (1 << 64) - 59])
+# int64 symbols hashed as 24-byte rows (p < 2^63, the uint64 kernel's at
+# 2^61 - 1 and 2^63 - 25), and object symbols (p >= 2^63, here also beyond
+# 2^64) as coordinate tuples
+@pytest.mark.parametrize("p", [10007, (1 << 61) - 1, (1 << 63) - 25, (1 << 64) - 59])
 def test_chunked_audit_matches_per_pair_audit(p):
     n = 24
     chunk = verify._AUDIT_CHUNK_SYMBOLS // (2 * n)
