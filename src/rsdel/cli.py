@@ -167,11 +167,13 @@ def cmd_check_condition(args) -> int:
 def cmd_audit(args) -> int:
     """Max pairwise codeword LCS over --pairs seeded message pairs.
 
-    O(P * n) time for P pairs: each costs O(n) of encoding and an LCS of
+    O(P * n log n) time for P pairs: each costs O(n) of encoding, one key
+    per symbol and one numpy sort of its 2n keys, and only a pair whose
+    keys repeat (a shared symbol or a constant word) adds an exact LCS of
     O(n) expected hashing plus O(r log n) for its r matching positions.
     The pairs are generated as they are audited, so memory is one audit
-    chunk of about 2^12 symbols (O(n) for one pair when n > 2^11), whatever
-    P is.
+    chunk of about 2^12 symbols and 8 B of keys each (O(n) for one pair
+    when n > 2^11), whatever P is.
     """
     if args.pairs < 1:
         raise ParameterError(f"audit needs --pairs >= 1, got {args.pairs}")

@@ -2,10 +2,11 @@
 
 Nothing here shares logic with the decoders: injectivity is certified by
 exhaustive enumeration, the determinant is expanded directly rather than
-through the ratio map, and LCS is computed by Hunt-Szymanski on the
-codeword symbols.  A code corrects t deletions iff every distinct codeword
-pair has LCS < n - t, so for these codes (t = n - 3) the audit target is
-max LCS <= 2.
+through the ratio map, and the LCS of a codeword pair is 0 when its
+sorted symbol keys hold no repeat and is otherwise computed by
+Hunt-Szymanski on the symbols.  A code corrects t deletions iff every
+distinct codeword pair has LCS < n - t, so for these codes (t = n - 3) the
+audit target is max LCS <= 2.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .code import CodeSpec, Message, encode, encode_many, random_message
+from .code import CodeSpec, Message, encode_many, random_message
 from .errors import BudgetExceededError, ParameterError
 from .field import _INT64_COORD_MAX_P, ExtElem, reduce_mod
 
@@ -210,7 +211,8 @@ def vandermonde_det(spec: CodeSpec, triple_a, triple_b) -> ExtElem:
 
 def lcs_length(xs: Sequence, ys: Sequence) -> int:
     """Longest common subsequence length, by Hunt-Szymanski on the shared
-    symbols.
+    symbols: the exact answer for any two words, which audit_code asks only
+    of a pair whose keys repeat, and the tests' oracle for it.
 
     Only a symbol of both words can take part in a common subsequence, so
     the two symbol sets are intersected first (C-level set operations), and
@@ -246,8 +248,10 @@ def fll_distance(xs: Sequence, ys: Sequence) -> int:
     """n - LCS for two equal-length words (deletion balls of radius t
     intersect exactly when this is <= t).
 
-    Costs one lcs_length: O(n) expected hashing plus O(r log n) for the r
-    matching position pairs among the shared symbols, and O(n) memory.
+    Costs one lcs_length on any hashable symbols, with no key sort first:
+    O(n) expected hashing plus O(r log n) for the r matching position pairs
+    among the shared symbols, and O(n) memory.  audit_code is the route for
+    many codeword pairs.
     """
     xs = list(xs)
     ys = list(ys)
@@ -264,11 +268,18 @@ class AuditResult:
     pairs_checked: int
 
 
-# symbols per audit chunk: enough pairs for one encode_many to amortise its
-# numpy calls, while a chunk's 24-byte rows (96 KB) stay in cache; per pair,
-# 2^12 was as fast as 2^10 or 2^13 and 10-20% faster than 2^15 or 2^17 at
-# n = 50, 150 and 1000
+# symbols per audit chunk: enough pairs for one encode_many and one sort to
+# amortise their numpy calls, while a chunk's 24-byte rows (96 KB) and 8-byte
+# keys stay in cache; per pair, with the sorted keys, 2^12 and 2^13 were
+# within 8% of each other at n = 50, 150 and 1000 (p = 10007 and 2^61-1),
+# and 2^10 and 2^15 7-50% slower
 _AUDIT_CHUNK_SYMBOLS = 1 << 12
+
+# a symbol's audit key c0 + K*(c1 + K*c2) mod 2^64, _ratio_keys's key with
+# K = _KEY_MUL, as the uint64 product of its coordinates with these weights;
+# K^2 mod 2^64 is taken in Python ints, since numpy warns when a uint64
+# scalar product wraps
+_SYMBOL_KEY = np.array([1, _KEY_MUL, _KEY_MUL * _KEY_MUL % (1 << 64)], dtype=np.uint64)
 
 
 def _distinct_messages(pairs):
@@ -289,40 +300,50 @@ def audit_code(spec: CodeSpec, pairs: Iterable[tuple[Message, Message]]) -> Audi
     pair is the first to reach the maximum.  pairs is any iterable, read
     once, in chunks of max(1, 2^12 // 2n) pairs; ParameterError for an equal
     pair and FieldMismatchError for a foreign message are raised in the
-    order of the pairs.  The branch is on the codewords' dtype
-    (spec._symbol_dtype).  For p < 2^63 they are int64: a chunk's words come
-    from one encode_many call, O(n) per pair, and each symbol is hashed as
-    its 24-byte row, whose bytes are equal exactly when the canonical int64
-    coordinates are.  From 2^63 on each message is encoded on its own, O(n),
-    and its symbols are coordinate tuples, since the raw bytes of an object
-    array are pointers.  Each pair then costs one lcs_length: O(n) expected
-    hashing plus O(r log n) for the r matching position pairs among the
-    shared symbols, where r <= n for distinct codewords and r = 0 for nearly
-    every random pair.  Memory is one chunk, about 2^12 symbols, or O(n) for
-    one pair when that is more, beyond whatever the caller holds of pairs.
+    order of the pairs.  A chunk's words come from one encode_many call,
+    O(n) per pair, int64 below 2^63 and Python ints above.  Each symbol
+    then gets one uint64 key (_SYMBOL_KEY; from 2^64 on each coordinate
+    enters by its low 63 bits, as in _ratio_keys), the keys are laid out
+    one row of 2n per pair and each row is sorted: O(n log n) numpy work
+    per pair, and no Python object per symbol.  Equal symbols have equal
+    keys, so a pair whose sorted row holds no repeated key has 2n distinct
+    symbols and an LCS of exactly 0, which is nearly every random pair.
+    Only a pair with a repeated key (a shared symbol, a constant word, or
+    two distinct symbols that share a key by chance) has its symbol tuples
+    built and its LCS computed exactly by lcs_length, in pair order:
+    O(n) expected hashing plus O(r log n) for its r matching position
+    pairs, where r <= n for distinct codewords.  Memory is one chunk, about
+    2^12 symbols with 8 B of keys each, or O(n) for one pair when that is
+    more, beyond whatever the caller holds of pairs.
     """
     per_chunk = max(1, _AUDIT_CHUNK_SYMBOLS // (2 * spec.n))
     pairs = iter(pairs)
-    best = -1
+    best = 0   # every pair has an LCS of at least 0
     witness = None
     count = 0
     while chunk := list(islice(pairs, per_chunk)):
-        messages = _distinct_messages(chunk)
-        if spec._symbol_dtype == object:
-            # one product over a chunk's Python ints is no faster than the
-            # products apart, and made the 2^61-1 audit about 10% slower when
-            # it ran in Python ints
-            symbols = (encode(spec, m).symbol_tuples() for m in messages)
-        else:
-            words = encode_many(spec, messages)
-            symbols = iter(words.view(np.dtype((np.void, 24)))[..., 0].T.tolist())
-        for ma, mb in chunk:
-            l = lcs_length(next(symbols), next(symbols))
+        words = encode_many(spec, _distinct_messages(chunk))   # (n, 2 * pairs, 3)
+        if words.dtype != object:
+            coords = words.view(np.uint64)
+        elif spec.p <= 1 << 64:   # every coordinate fits: cast, with no Python-int pass
+            coords = words.astype(np.uint64)
+        else:   # each coordinate by its low 63 bits, as in _ratio_keys
+            coords = (words & (_INT64_COORD_MAX_P - 1)).astype(np.uint64)
+        keys = np.matmul(coords.transpose(1, 0, 2), _SYMBOL_KEY).reshape(len(chunk), -1)
+        keys.sort(axis=1)
+        if witness is None:
+            witness = chunk[0]
+        same = keys[:, 1:] == keys[:, :-1]
+        # the pairs with a repeated key; one any() first, as nearly no chunk has one
+        marked = np.flatnonzero(same.any(axis=1)).tolist() if same.any() else ()
+        for q in marked:
+            xs, ys = (list(map(tuple, words[:, b].tolist())) for b in (2 * q, 2 * q + 1))
+            l = lcs_length(xs, ys)
             if l > best:
                 best = l
-                witness = (ma, mb)
+                witness = chunk[q]
         count += len(chunk)
-    return AuditResult(best if count else 0, witness, count)
+    return AuditResult(best, witness, count)
 
 
 def iter_message_pairs(spec: CodeSpec, count: int, seed: int) -> Iterator[tuple[Message, Message]]:

@@ -42,9 +42,11 @@ EXPECTED = {
          "decoder.decode_cubic.packed", "decoder.decode_cubic.pyscan"),
     ),
     "certify": (
-        {"verify.check_injectivity.triples": 551300, "verify.lcs_length.calls": 64,
+        # no seeded pair shares a symbol: audit_code answers each from its
+        # sorted keys and never calls lcs_length
+        {"verify.check_injectivity.triples": 551300, "verify.lcs_length.calls": 0,
          "decoder.total_ops": 0},
-        ("verify.check_injectivity", "verify.audit_code", "verify.lcs_length"),
+        ("verify.check_injectivity", "verify.audit_code"),
     ),
 }
 

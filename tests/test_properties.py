@@ -4,7 +4,9 @@ error.
 Hypothesis draws received words of 3..n symbols (channel outputs, channel
 outputs with some symbols replaced, and uniformly random symbols), messages
 and evaluation points in each of the encoder's four arithmetic regimes,
-random bytes for the two file loaders, and command lines for every
+codeword pairs for the audit (random, constant, shifted or sharing a
+symbol, on good and on base-field specs), random bytes for the two file
+loaders, and command lines for every
 subcommand of the CLI but bench, on spec files, symbol files and option
 values that are valid, corrupted or random.  The runs are derandomized, keep no example
 database and have fixed example counts, so tier-1 stays deterministic; the
@@ -15,6 +17,7 @@ import contextlib
 import io
 import itertools
 import tempfile
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,7 @@ from rsdel.errors import (
     ParameterError,
     UnrecognizedReceivedWordError,
 )
+from rsdel.verify import AuditResult, audit_code, base_field_spec
 
 from conftest import get_spec, is_checked_pattern
 
@@ -98,6 +102,11 @@ def test_every_word_decodes_exactly_or_fails_typed(case):
         assert out.kappa == (DeletionPattern(()) if m.m2.is_zero() else pattern)
 
 
+# small primes, whose random symbols often repeat, and one prime per regime
+# of the codewords' keys: int64 through float64 or uint64 products, and
+# object above 2^63
+AUDIT_PRIMES = (5, 7, 13, 10007, (1 << 61) - 1, (1 << 64) - 59)
+
 # one prime per regime of the evaluation matrix: float64 (BLAS), int64,
 # uint64 (the Shoup kernel) and object (Python ints)
 REGIME_PRIMES = (10007, 54794197, (1 << 61) - 1, (1 << 64) - 59)
@@ -135,6 +144,77 @@ def test_encode_matches_rowwise_field_arithmetic(case):
     want = [ext.add(m.m1.coords, ext.mul(m.m2.coords, spec.alpha_coords(i)))
             for i in range(1, spec.n + 1)]
     assert encode(spec, m).symbol_tuples() == want
+
+
+def hunt_szymanski(xs, ys):
+    """LCS length of two symbol lists: each x's matching positions in ys, in
+    decreasing order, extend a strictly increasing patience-sorting LIS."""
+    where = {}
+    for j, y in enumerate(ys):
+        where.setdefault(y, []).append(j)
+    tails = []
+    for x in xs:
+        for j in reversed(where.get(x, ())):
+            at = bisect_left(tails, j)
+            tails[at:at + 1] = [j]
+    return len(tails)
+
+
+def audit_reference(spec, pairs):
+    """The AuditResult of pairs one pair at a time, by hunt_szymanski on the
+    symbol tuples of separate encodes; ParameterError at an equal pair."""
+    best, witness = 0, None
+    for ma, mb in pairs:
+        if ma == mb:
+            raise ParameterError("equal pair")
+        l = hunt_szymanski(encode(spec, ma).symbol_tuples(), encode(spec, mb).symbol_tuples())
+        if witness is None or l > best:
+            best, witness = l, (ma, mb)
+    return AuditResult(best, witness, len(pairs))
+
+
+@st.composite
+def audit_cases(draw):
+    """(spec, pairs): a build_code spec or base_field_spec of 3..24 points
+    and up to 6 pairs, each random, with a constant word, shifted
+    (m1 + m2, m2), an LCS of n - 1 on base_field_spec, or with the second
+    word taking a symbol of the first at another position."""
+    p = draw(st.sampled_from(AUDIT_PRIMES))
+    n = draw(st.integers(3, min(24, p - 1)))
+    spec = draw(st.sampled_from((get_spec(p, n), base_field_spec(p, n))))
+    ext = spec.ext
+    elems = st.tuples(*[st.integers(0, p - 1)] * 3).map(ext.from_coords)
+    pairs = []
+    for kind in draw(st.lists(st.sampled_from(("random", "constant", "shifted", "sharing")),
+                              max_size=6)):
+        ma = Message(draw(elems), draw(elems))
+        if kind == "random":
+            mb = Message(draw(elems), draw(elems))
+        elif kind == "constant":
+            mb = Message(draw(elems), ext.zero)
+        elif kind == "shifted":
+            mb = Message(ma.m1 + ma.m2, ma.m2)
+        else:
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(1, n))
+            m2 = draw(elems)
+            mb = Message(encode(spec, ma)[i] - m2 * spec.alpha_at(j), m2)
+        pairs.append(draw(st.sampled_from(((ma, mb), (mb, ma)))))
+    return spec, pairs
+
+
+@settings(PROPERTY, max_examples=200)
+@given(audit_cases())
+def test_audit_matches_per_pair_hunt_szymanski(case):
+    # the sorted-key audit against an exact LCS of every pair, equal pairs
+    # (a shifted or sharing word can equal its partner) raising alike
+    spec, pairs = case
+    try:
+        want = audit_reference(spec, pairs)
+    except ParameterError:
+        with pytest.raises(ParameterError):
+            audit_code(spec, pairs)
+    else:
+        assert audit_code(spec, pairs) == want
 
 
 @pytest.fixture(scope="module")

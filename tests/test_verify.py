@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from rsdel.channel import enumerate_triples
@@ -212,39 +213,40 @@ def audit_per_pair(spec, pairs):
     return AuditResult(best if count else 0, witness, count)
 
 
-# int64 symbols hashed as 24-byte rows (p < 2^63, the uint64 kernel's at
-# 2^61 - 1 and 2^63 - 25), and object symbols (p >= 2^63, here also beyond
-# 2^64) as coordinate tuples
-@pytest.mark.parametrize("p", [10007, (1 << 61) - 1, (1 << 63) - 25, (1 << 64) - 59])
+def mixed_pairs(spec, count, rng):
+    """count distinct pairs: random pairs, constant-vs-constant pairs and
+    pairs sharing a symbol; the last pair is shifted by one position, an
+    LCS of n - 1 on base_field_spec, which thus first reaches its maximum
+    in the last chunk."""
+    ext, n, out = spec.ext, spec.n, []
+    while len(out) < count:
+        ma = random_message(spec, rng)
+        if len(out) == count - 1:
+            mb = Message(ma.m1 + ma.m2, ma.m2)
+        elif len(out) % 3 == 1:
+            ma, mb = Message(ma.m1, ext.zero), Message(ext.rand(rng), ext.zero)
+        elif len(out) % 3 == 2:
+            mb = Message(encode(spec, ma)[rng.randrange(n)], ext.zero)
+        else:
+            mb = random_message(spec, rng)
+        if ma != mb:
+            out.append((ma, mb))
+    return out
+
+
+# int64 codewords (p < 2^63, the uint64 kernel's at 2^61 - 1 and 2^63 - 25)
+# and object ones (p >= 2^63, here also beyond 2^64, whose coordinates enter
+# the keys by their low 63 bits)
+@pytest.mark.parametrize("p", [10007, (1 << 61) - 1, (1 << 63) - 25, (1 << 64) - 59,
+                               (1 << 80) + 13])
 def test_chunked_audit_matches_per_pair_audit(p):
     n = 24
     chunk = verify._AUDIT_CHUNK_SYMBOLS // (2 * n)
     rng = random.Random(p % 1000)
     good, bad = get_spec(p, n), base_field_spec(p, n)
-
-    def mixed_pairs(spec, count):
-        # random pairs, constant-vs-constant pairs and pairs sharing a
-        # symbol; the last pair is shifted by one position, an LCS of n - 1
-        # on base_field_spec, which thus first reaches its maximum in the
-        # last chunk
-        ext, out = spec.ext, []
-        while len(out) < count:
-            ma = random_message(spec, rng)
-            if len(out) == count - 1:
-                mb = Message(ma.m1 + ma.m2, ma.m2)
-            elif len(out) % 3 == 1:
-                ma, mb = Message(ma.m1, ext.zero), Message(ext.rand(rng), ext.zero)
-            elif len(out) % 3 == 2:
-                mb = Message(encode(spec, ma)[rng.randrange(n)], ext.zero)
-            else:
-                mb = random_message(spec, rng)
-            if ma != mb:
-                out.append((ma, mb))
-        return out
-
     for spec in (good, bad):
         for count in (0, 1, 2, chunk, chunk + 1):
-            pairs = mixed_pairs(spec, count)
+            pairs = mixed_pairs(spec, count, rng)
             got = audit_code(spec, iter(pairs))
             assert got == audit_per_pair(spec, pairs)
             assert got.pairs_checked == count
@@ -252,6 +254,72 @@ def test_chunked_audit_matches_per_pair_audit(p):
                 assert got.max_lcs <= 2
             elif count:
                 assert got.max_lcs == n - 1 and got.witness == pairs[-1]
+
+
+def count_lcs_calls(monkeypatch):
+    """Patch verify.lcs_length to record each call's result; returns the list."""
+    calls = []
+
+    def recorded(xs, ys):
+        calls.append(lcs_length(xs, ys))
+        return calls[-1]
+
+    monkeypatch.setattr(verify, "lcs_length", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("p,n", [(10007, 150), (1073741789, 150), ((1 << 61) - 1, 64),
+                                 ((1 << 64) - 59, 24), ((1 << 80) + 13, 24)])
+def test_audit_of_random_pairs_calls_no_lcs(monkeypatch, p, n):
+    # seeded random pairs share no symbol, so every pair is decided by its
+    # sorted keys and none reaches the exact fallback
+    def refuse(xs, ys):
+        raise AssertionError("lcs_length called on a pair without a repeated key")
+
+    spec = get_spec(p, n)
+    pairs = sample_message_pairs(spec, 64, seed=43)
+    monkeypatch.setattr(verify, "lcs_length", refuse)
+    assert audit_code(spec, pairs) == AuditResult(0, pairs[0], 64)
+
+
+@pytest.mark.parametrize("p,n", [(13, 12), (10007, 24), ((1 << 61) - 1, 24),
+                                 ((1 << 64) - 59, 24)])
+def test_audit_with_c0_keys_matches_per_pair_audit(monkeypatch, p, n):
+    # with the key c0 alone every two symbols that share c0 collide, so
+    # pairs with distinct symbols reach the exact fallback too and must
+    # still read their exact LCS
+    chunk = verify._AUDIT_CHUNK_SYMBOLS // (2 * n)
+    audits = []
+    for spec in (get_spec(p, n), base_field_spec(p, n)):
+        rng = random.Random(p % 1000)
+        for count in (0, 1, 2, chunk, chunk + 1):
+            pairs = mixed_pairs(spec, count, rng)
+            audits.append((spec, pairs, audit_per_pair(spec, pairs)))
+    calls = count_lcs_calls(monkeypatch)
+    for spec, pairs, want in audits:
+        assert audit_code(spec, iter(pairs)) == want
+    hashed_calls = len(calls)
+    monkeypatch.setattr(verify, "_SYMBOL_KEY", np.array([1, 0, 0], dtype=np.uint64))
+    for spec, pairs, want in audits:
+        assert audit_code(spec, iter(pairs)) == want
+    if p <= 10007:   # random symbols share c0 often only for small p
+        assert len(calls) - hashed_calls > hashed_calls
+
+
+def test_audit_witness_is_the_one_pair_sharing_a_symbol(monkeypatch):
+    # seven pairs in one chunk, and only the middle one shares a symbol: its
+    # second word takes the first word's symbol 5 at position 9 (LCS 1), so
+    # it alone has a repeated key, and only when each pair sorts its own
+    spec = get_spec(10007, 150)
+    ext = spec.ext
+    assert 7 <= verify._AUDIT_CHUNK_SYMBOLS // (2 * spec.n)
+    pairs = sample_message_pairs(spec, 7, seed=47)
+    ma = pairs[3][0]
+    m2 = ext.rand(random.Random(48))
+    pairs[3] = (ma, Message(encode(spec, ma)[4] - m2 * spec.alpha_at(9), m2))
+    calls = count_lcs_calls(monkeypatch)
+    assert audit_code(spec, pairs) == AuditResult(1, pairs[3], 7)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("p", [10007, (1 << 61) - 1])
