@@ -14,6 +14,7 @@ from .code import (
     CodeSpec,
     Codeword,
     Message,
+    ReceivedWord,
     build_code,
     encode,
     encode_many,
@@ -97,6 +98,7 @@ __all__ = [
     "PrimeField",
     "RSDelError",
     "ReceivedTriple",
+    "ReceivedWord",
     "UnrecognizedReceivedWordError",
     "apply_deletions",
     "audit_code",

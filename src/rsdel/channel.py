@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .code import _integers
+import numpy as np
+
+from .code import Codeword, ReceivedWord, _integers
 from .errors import ParameterError
 
 
@@ -56,17 +58,21 @@ class DeletionPattern:
 
 
 def apply_deletions(word, pattern: DeletionPattern):
-    """Symbols of `word` at the kept positions, as a tuple.
+    """Symbols of `word` at the kept positions, in order.
 
-    `word` is a Codeword or any sequence of symbols.  Takes O(m) time and
-    memory for m kept positions (one symbol read each; a Codeword builds an
-    ExtElem per read), beyond the word itself.
+    A Codeword gives a ReceivedWord of its field: one take of the kept rows
+    of its canonical coordinate array, unchecked and with no ExtElem built.
+    Any other sequence gives a tuple of its items.  Takes O(m) time and
+    memory for m kept positions, beyond the word itself.
     """
+    kept = pattern.kept
     n = len(word)
-    if pattern.kept and pattern.kept[-1] > n:
-        raise ParameterError(
-            f"kept position {pattern.kept[-1]} exceeds word length {n}")
-    return tuple(word[i - 1] for i in pattern.kept)
+    if kept and kept[-1] > n:
+        raise ParameterError(f"kept position {kept[-1]} exceeds word length {n}")
+    if isinstance(word, Codeword):
+        rows = np.array(kept, dtype=np.intp) - 1
+        return ReceivedWord._unchecked(word.spec.ext, word.coords.take(rows, axis=0))
+    return tuple(word[i - 1] for i in kept)
 
 
 def random_pattern(n: int, survivors: int, seed: int) -> DeletionPattern:

@@ -314,8 +314,8 @@ def _run_jobs(p_values, n_values, budget_seconds, jobs):
 def run_bench(p_values, n_values, trials: int, seed: int = 0,
               budget_seconds=None):
     """Code builds and decodes; per (p, n) a "build_code" record, then the
-    records "cubic", "linear", "cubic-random", "linear-random" and
-    "cubic-midpair".
+    records "cubic", "linear", "cubic-random", "linear-random",
+    "cubic-midpair" and "linear-received".
 
     The build record times `trials` calls of build_code(p, n): search_time
     and total_time are their mean, p50_time their median, and field_ops is
@@ -330,9 +330,13 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
     "cubic-midpair" decodes (1, ceil(n/2), n) on every trial: its ratio
     pairs up about n/2 positions of the code around sigma = n + 1, the
     search's costliest valid input when its products are narrowed to the
-    in-code pairs (p >= 2^63).  One untimed decode of the last triple per
-    (code, record) runs before the timed trials, so first-call costs
-    (numpy's code pages, allocator growth) are not averaged into the
+    in-code pairs (p >= 2^63).  "linear-received" times
+    decode_received(spec, word, decode_linear) on channel words of
+    min(256, n) survivors, a fresh kept set per trial drawn from a third
+    random.Random(seed): the closed-form decode of the first three symbols
+    and the check of the later ones.  One untimed decode of the last
+    triple per (code, record) runs before the timed trials, so first-call
+    costs (numpy's code pages, allocator growth) are not averaged into the
     times; the decoders keep nothing per code.  search_time and
     total_time are means over the trials, p50_time the median total time,
     and field_ops the mean nominal count.  Returns (records, truncated).
@@ -343,22 +347,29 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
         spec = specs[-1]
         cw = code.encode(spec, code.random_message(spec, random.Random(seed)))
         triples = random.Random(seed)
+        survivors = random.Random(seed)
 
         def word(kept):
-            pattern = channel.DeletionPattern(tuple(kept))
-            return decoder.ReceivedTriple(*channel.apply_deletions(cw, pattern))
+            return channel.apply_deletions(cw, channel.DeletionPattern(tuple(kept)))
 
         def check(out):
             _expect(out.codeword == cw, "benchmark decode returned a wrong codeword")
 
+        def received(spec, y, inst):
+            return decoder.decode_received(spec, y, decoder.decode_linear, inst)
+
         worst = [word((n - 2, n - 1, n))] * trials
         fresh = [word(sorted(triples.sample(range(1, n + 1), 3))) for _ in range(trials)]
         midpair = [word((1, (n + 1) // 2, n))] * trials
-        for algo, words in (("cubic", worst), ("linear", worst),
-                            ("cubic-random", fresh), ("linear-random", fresh),
-                            ("cubic-midpair", midpair)):
-            decode = DECODERS[algo.partition("-")[0]]
-            decode(spec, worst[0])  # warm-up
+        longer = [word(sorted(survivors.sample(range(1, n + 1), min(256, n))))
+                  for _ in range(trials)]
+        for algo, decode, words in (
+                ("cubic", decoder.decode_cubic, worst), ("linear", decoder.decode_linear, worst),
+                ("cubic-random", decoder.decode_cubic, fresh),
+                ("linear-random", decoder.decode_linear, fresh),
+                ("cubic-midpair", decoder.decode_cubic, midpair),
+                ("linear-received", received, longer)):
+            decode(spec, worst[0], None)  # warm-up
             inst = decoder.DecodeInstrumentation()
             yield algo, decode, [(spec, y, inst) for y in words], check, inst
 
@@ -425,7 +436,8 @@ def cmd_bench(args) -> int:
     the machine stamp of machine_stamp.
 
     Each grid point costs --trials code builds (see build_code) and
-    5 * (--trials + 1) decodes (O(n) each), or --trials
+    6 * (--trials + 1) decodes (O(n) each, and O(n + m) for the
+    min(256, n) survivors of "linear-received"), or --trials
     calls of check_injectivity (O(T log T) for T = C(n, 3)) and of a
     64-pair audit (O(n) per pair).  Memory is that of the largest single
     job, one code at a time: O(n) for a decode of either algorithm, and

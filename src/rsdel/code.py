@@ -66,11 +66,10 @@ class CodeSpec:
     uint64 below 2^63, where _columns holds alpha's first w columns with
     their 32-bit halves in field.shoup_product's (5, w, 1, n) layout (None
     in the other regimes), and that kernel runs both products; object
-    above.  _alpha is always in ext.dtype.  _symbol_dtype is the dtype of
-    every codeword's coordinates: int64 for p < 2^63, object above.
-    delta_index maps each delta to its 1-based position; both decoders
-    read their kept positions from it.  No decoder keeps anything on the
-    spec.
+    above.  _alpha is always in ext.dtype; codewords and received words
+    hold their coordinates in ext.symbol_dtype.  delta_index maps each
+    delta to its 1-based position; both decoders read their kept positions
+    from it.  No decoder keeps anything on the spec.
 
     g=None takes the canonical cubic (CubicField's search, as build_code
     does); a given g is tested for irreducibility once.  Construction runs
@@ -83,7 +82,7 @@ class CodeSpec:
     """
 
     __slots__ = ("p", "g", "delta", "n", "field", "ext", "delta_index",
-                 "from_quadratic_map", "_alpha", "_lifted", "_columns", "_symbol_dtype")
+                 "from_quadratic_map", "_alpha", "_lifted", "_columns")
 
     def __init__(self, p: int, g: Optional[MonicCubic], delta: Sequence[int], *,
                  alpha_rows=None):
@@ -134,7 +133,6 @@ class CodeSpec:
         lifted.setflags(write=False)
         self._lifted = lifted
         self._columns = shoup_columns(lifted[:, 1:].T) if regime is np.uint64 else None
-        self._symbol_dtype = np.int64 if p < _INT64_COORD_MAX_P else object
 
     def __eq__(self, other):
         return (
@@ -201,20 +199,58 @@ class Message:
     m2: ExtElem
 
 
+def _symbol_array(ext: CubicField, values, what: str) -> np.ndarray:
+    """values, coordinates three to a symbol, as an (m, 3) array of dtype
+    ext.symbol_dtype.  Each value is read through operator.index and range
+    checked as a Python int before numpy sees it, so a float, a wide int or
+    a non-canonical residue raises ParameterError, never a truncation or an
+    OverflowError.  O(m) time and memory."""
+    values = _integers(values, what)
+    if values and (min(values) < 0 or max(values) >= ext.p):
+        raise ParameterError(f"{what} must be canonical in [0, {ext.p})")
+    return np.array(values, dtype=ext.symbol_dtype).reshape(-1, 3)
+
+
+def _row_tuples(coords: np.ndarray) -> list:
+    """The rows of an (m, 3) coordinate array as tuples of Python ints."""
+    return list(zip(*coords.T.tolist()))
+
+
 class Codeword:
-    """Length-n vector of F_{p^3} symbols, stored as an (n, 3) array of
-    dtype spec._symbol_dtype (int64 for p < 2^63, object above), so that
-    equal codewords of one spec hold equal arrays and hash equally."""
+    """Length-n vector of F_{p^3} symbols, stored as a read-only (n, 3)
+    array of canonical coordinates of dtype spec.ext.symbol_dtype (int64
+    for p < 2^63, object above), so that equal codewords of one spec hold
+    equal arrays and hash equally.
+
+    Codeword(spec, coords) takes any (n, 3) array-like of integers and
+    raises ParameterError for another shape, a value that is not an
+    integer, or a coordinate outside [0, p): O(n) Python work.
+    _unchecked(spec, coords) checks nothing; it is for arrays already
+    canonical in that dtype and shape (encode's reduced product,
+    load_codeword's checked lines).
+    """
 
     __slots__ = ("spec", "coords")
 
     def __init__(self, spec: CodeSpec, coords):
-        coords = np.asarray(coords, dtype=spec._symbol_dtype)
-        if coords.shape != (spec.n, 3):
+        try:
+            rows = np.array(coords, dtype=object)
+        except (TypeError, ValueError):  # nested sequences of uneven depth
+            rows = None
+        if rows is None or rows.shape != (spec.n, 3):
             raise ParameterError(f"codeword must have shape ({spec.n}, 3)")
+        coords = _symbol_array(spec.ext, rows.ravel().tolist(), "codeword coordinates")
         coords.setflags(write=False)
         self.spec = spec
         self.coords = coords
+
+    @classmethod
+    def _unchecked(cls, spec: CodeSpec, coords: np.ndarray) -> "Codeword":
+        cw = object.__new__(cls)
+        coords.setflags(write=False)
+        cw.spec = spec
+        cw.coords = coords
+        return cw
 
     def __len__(self):
         return self.spec.n
@@ -232,7 +268,7 @@ class Codeword:
 
     def symbol_tuples(self):
         """Symbols as coordinate tuples of Python ints, for either dtype."""
-        return list(zip(*self.coords.T.tolist()))
+        return _row_tuples(self.coords)
 
     def __eq__(self, other):
         return (
@@ -249,6 +285,88 @@ class Codeword:
         return f"Codeword(n={self.spec.n}, p={self.spec.p})"
 
 
+class ReceivedWord:
+    """Received symbols of one CubicField, in order: field, and a read-only
+    (m, 3) array coords of their canonical coordinates, of dtype
+    field.symbol_dtype (int64 for p < 2^63, object above).  This array is
+    the one form of a received word that the decoders read.
+
+    ReceivedWord(symbols) takes a non-empty sequence of ExtElem and checks
+    it once: FieldMismatchError for a symbol that is not an ExtElem or that
+    lies in another field than the first, ParameterError for a coordinate
+    that is not an integer in [0, p), checked on Python ints before numpy
+    sees them.  O(m) Python work.  _unchecked(field, coords) checks
+    nothing: channel.apply_deletions takes a codeword's rows into it,
+    load_symbols its checked lines, and a slice views a word's rows.
+    Iterating a word, or indexing one symbol, yields ExtElem; a slice is a
+    word.  Equal words have one field and equal coordinates.
+    """
+
+    __slots__ = ("field", "coords")
+
+    def __init__(self, symbols):
+        symbols = tuple(symbols)
+        if not symbols:
+            raise ParameterError("a received word needs at least one symbol")
+        field = getattr(symbols[0], "field", None)
+        for number, y in enumerate(symbols, 1):
+            if not isinstance(y, ExtElem):
+                raise FieldMismatchError(
+                    f"received symbol {number} is a {type(y).__name__}, not an ExtElem")
+            if y.field is not field and y.field != field:
+                raise FieldMismatchError(
+                    f"received symbol {number} lies in {y.field!r}, symbol 1 in {field!r}")
+        rows = [y.coords for y in symbols]
+        try:
+            triples = set(map(len, rows)) == {3}
+        except TypeError:
+            triples = False
+        if not triples:
+            raise ParameterError("received symbols must have three coordinates")
+        coords = _symbol_array(field, list(chain.from_iterable(rows)),
+                               "received symbol coordinates")
+        coords.setflags(write=False)
+        self.field = field
+        self.coords = coords
+
+    @classmethod
+    def _unchecked(cls, field: CubicField, coords: np.ndarray) -> "ReceivedWord":
+        word = object.__new__(cls)
+        coords.setflags(write=False)
+        word.field = field
+        word.coords = coords
+        return word
+
+    def __len__(self):
+        return len(self.coords)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ReceivedWord._unchecked(self.field, self.coords[i])
+        return ExtElem(self.field, tuple(self.coords[i].tolist()))
+
+    def __iter__(self):
+        field = self.field
+        return (ExtElem(field, row) for row in _row_tuples(self.coords))
+
+    def symbol_tuples(self):
+        """Symbols as coordinate tuples of Python ints, for either dtype."""
+        return _row_tuples(self.coords)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ReceivedWord)
+            and other.field == self.field
+            and np.array_equal(other.coords, self.coords)
+        )
+
+    def __hash__(self):
+        return hash((self.field, tuple(self.symbol_tuples())))
+
+    def __repr__(self):
+        return f"ReceivedWord(m={len(self)}, p={self.field.p})"
+
+
 def _require_field(ext: CubicField, elems, what: str) -> None:
     """Raise FieldMismatchError unless every element lies in the field ext."""
     for e in elems:
@@ -257,7 +375,7 @@ def _require_field(ext: CubicField, elems, what: str) -> None:
 
 
 def _lifted_product(spec: CodeSpec, rhs, rows=None) -> np.ndarray:
-    """spec._lifted @ rhs reduced mod p, canonical, in spec._symbol_dtype:
+    """spec._lifted @ rhs reduced mod p, canonical, in spec.ext.symbol_dtype:
     the one arithmetic kernel of the re-encode and of the triple search.
 
     rhs (an array-like of Python ints, or an integer array) holds canonical
@@ -283,7 +401,7 @@ def _lifted_product(spec: CodeSpec, rhs, rows=None) -> np.ndarray:
         lifted = lifted.take(rows, axis=0)
     # no name holds the float64 product, so it is freed before the reduction
     return reduce_mod((lifted @ np.asarray(rhs, dtype=lifted.dtype))
-                      .astype(spec._symbol_dtype, copy=False), spec.p)
+                      .astype(spec.ext.symbol_dtype, copy=False), spec.p)
 
 
 def _evaluate(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
@@ -324,7 +442,7 @@ def encode_many(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
     """Evaluate B messages at every evaluation point in one matmul.
 
     messages is any iterable, read once in order.  Returns the C-contiguous
-    (n, B, 3) array of canonical coordinates, dtype spec._symbol_dtype
+    (n, B, 3) array of canonical coordinates, dtype spec.ext.symbol_dtype
     (int64 for p < 2^63): word b is [:, b], equal to encode(spec, the b-th
     message).  Raises FieldMismatchError at the first message outside
     spec's field.  Takes O(nB) time and memory: O(1) Python work per
@@ -349,8 +467,9 @@ def encode(spec: CodeSpec, m: Message) -> Codeword:
     from n of about 270 on and loses a few tenths of a microsecond below.
     For 2^30 <= p < 2^63 the product is the uint64 Shoup kernel: at
     p = 2^61 - 1 about 12 us at n = 64 and 20 us at n = 512.  Takes O(n)
-    time and memory."""
-    return Codeword(spec, _evaluate(spec, (m,)))
+    time and memory.  The reduced product is canonical, so the codeword
+    takes it unchecked."""
+    return Codeword._unchecked(spec, _evaluate(spec, (m,)))
 
 
 def interpolate(spec: CodeSpec, i: int, j: int, y_i: ExtElem, y_j: ExtElem) -> Message:
@@ -469,11 +588,12 @@ def load_spec(path) -> CodeSpec:
 
 
 def save_symbols(path, word) -> None:
-    """Write a codeword or any symbol sequence, one c0,c1,c2 line each.
+    """Write a codeword, a received word or any ExtElem sequence, one
+    c0,c1,c2 line each.
 
     O(m) time and memory for m symbols.
     """
-    if isinstance(word, Codeword):
+    if isinstance(word, (Codeword, ReceivedWord)):
         rows = word.symbol_tuples()
     else:
         rows = [sym.coords for sym in word]
@@ -488,14 +608,16 @@ def _require_canonical(p: int, coords, where: str) -> None:
         raise ParameterError(f"{where}: coordinates must be canonical in [0, {p})")
 
 
-def load_symbols(path, spec: CodeSpec):
-    """Read a symbol sequence of any length into a tuple of ExtElem.
+def load_symbols(path, spec: CodeSpec) -> ReceivedWord:
+    """Read a symbol sequence of any length into a ReceivedWord of spec's
+    field, parsed straight into its coordinate array: no ExtElem is built.
 
     Raises ParameterError for a file that is not UTF-8 text, or a line that
-    is not three canonical integers.  O(L) time and memory for a file of L
-    bytes (O(m) for m symbols).
+    is not three canonical integers; each line is checked as it is read, so
+    the word takes its array unchecked.  O(L) time and memory for a file of
+    L bytes (O(m) for m symbols).
     """
-    out = []
+    values = []
     for lineno, line in enumerate(_text_lines(path, "symbol file"), 1):
         line = line.strip()
         if not line:
@@ -509,15 +631,16 @@ def load_symbols(path, spec: CodeSpec):
         except ValueError:
             raise ParameterError(f"line {lineno}: non-integer coordinate") from None
         _require_canonical(spec.p, (c0, c1, c2), f"line {lineno}")
-        out.append(ExtElem(spec.ext, (c0, c1, c2)))
-    return tuple(out)
+        values += (c0, c1, c2)
+    ext = spec.ext
+    return ReceivedWord._unchecked(ext, np.array(values, dtype=ext.symbol_dtype).reshape(-1, 3))
 
 
 def load_codeword(path, spec: CodeSpec) -> Codeword:
     """Read exactly n symbols as a Codeword of spec; raises ParameterError
     for another count.  O(L) time and memory for a file of L bytes."""
-    symbols = load_symbols(path, spec)
-    if len(symbols) != spec.n:
+    word = load_symbols(path, spec)
+    if len(word) != spec.n:
         raise ParameterError(
-            f"codeword file has {len(symbols)} symbols, code needs {spec.n}")
-    return Codeword(spec, np.array([s.coords for s in symbols], dtype=spec._symbol_dtype))
+            f"codeword file has {len(word)} symbols, code needs {spec.n}")
+    return Codeword._unchecked(spec, word.coords)

@@ -61,8 +61,8 @@ from .code import (
     CodeSpec,
     Codeword,
     Message,
+    ReceivedWord,
     _lifted_product,
-    _require_field,
     encode,
     interpolate,
 )
@@ -72,7 +72,7 @@ from .errors import (
     ParameterError,
     UnrecognizedReceivedWordError,
 )
-from .field import ExtElem, PrimeField
+from .field import CubicField, ExtElem, PrimeField
 
 PATH_CLOSED_FORM = "closed-form"
 PATH_FALLBACK = "triple-search"  # the decode_cubic path; perfbench reads this name
@@ -111,29 +111,26 @@ class DecodeInstrumentation:
     search_seconds: float = 0.0
 
 
-def _require_elements(symbols, first: int = 1) -> None:
-    """Raise FieldMismatchError for a symbol that is not an ExtElem;
-    symbols[0] is received symbol number `first`."""
-    for number, y in enumerate(symbols, first):
-        if not isinstance(y, ExtElem):
-            raise FieldMismatchError(
-                f"received symbol {number} is a {type(y).__name__}, not an ExtElem")
+def ReceivedTriple(y1: ExtElem, y2: ExtElem, y3: ExtElem) -> ReceivedWord:
+    """The received word (y1, y2, y3): ReceivedWord's three-symbol
+    constructor, with its checks."""
+    return ReceivedWord((y1, y2, y3))
 
 
-@dataclass(frozen=True)
-class ReceivedTriple:
-    """Three received symbols; a member that is not an ExtElem raises
-    FieldMismatchError when the triple is built."""
-
-    y1: ExtElem
-    y2: ExtElem
-    y3: ExtElem
-
-    def __post_init__(self):
-        _require_elements(self)
-
-    def __iter__(self):
-        return iter((self.y1, self.y2, self.y3))
+def _received_word(symbols, low: int, high: int) -> ReceivedWord:
+    """symbols as a ReceivedWord, built (and so checked) here unless it is
+    one.  Raises InconsistentReceivedWordError("length") first, for a
+    length outside low..high."""
+    if isinstance(symbols, ReceivedWord):
+        word, m = symbols, len(symbols.coords)
+    else:
+        symbols = tuple(symbols)
+        word, m = None, len(symbols)
+    if not low <= m <= high:
+        count = f"{low}" if low == high else f"{low} to {high}"
+        raise InconsistentReceivedWordError(
+            f"expected {count} received symbols, got {m}", "length")
+    return word if word is not None else ReceivedWord(symbols)
 
 
 @dataclass
@@ -144,16 +141,15 @@ class DecodeOutcome:
     path: str
 
 
-def compute_beta(y: ReceivedTriple):
-    """The triple ratio, or None when the received word is constant.
+def compute_beta(ext: CubicField, y1, y2, y3):
+    """The ratio (y1 - y2) / (y2 - y3) of three received symbols of the
+    field ext, given as canonical coordinate triples (the rows of a
+    three-symbol ReceivedWord, which checked them when it was built), or
+    None when the three are equal.
 
     Exactly two equal symbols cannot come out of the channel: a degree-one
     codeword is constant (m2 = 0) or injective on evaluation points.
-    Symbols from different fields raise FieldMismatchError.
     """
-    ext = y.y1.field
-    _require_field(ext, (y.y2, y.y3), "received symbol")
-    y1, y2, y3 = y.y1.coords, y.y2.coords, y.y3.coords
     e12 = y1 == y2
     e23 = y2 == y3
     if e12 and e23:
@@ -363,17 +359,25 @@ def _decode(spec, y, inst, identify, path):
     """The pipeline both decoders share, and the one place that prices a
     decode: identify(spec, beta) returns (nominal ops, kappa or None).
     Raises ParameterError first for a spec not built from the quadratic
-    evaluation map, which both identifications assume."""
+    evaluation map, which both identifications assume, then
+    InconsistentReceivedWordError("length") unless y has three symbols,
+    and FieldMismatchError for a word outside spec's field: the one field
+    check of a decode.  y is a ReceivedWord, or any ExtElem sequence,
+    which is built into one here.  The word's three rows are read once, as
+    Python-int tuples in one tolist, for every later stage."""
     if not spec.from_quadratic_map:
         raise ParameterError(
             "the decoders need evaluation points delta + delta^2*gamma; "
             "this spec was built from alpha_rows")
+    y = _received_word(y, 3, 3)
     ext = spec.ext
-    _require_field(ext, y, "received symbol")
+    if y.field is not ext and y.field != ext:
+        raise FieldMismatchError(f"received symbols lie in {y.field!r}, not in {ext!r}")
+    y1, y2, y3 = map(tuple, y.coords.tolist())
     t0 = perf_counter()
-    beta = compute_beta(y)
+    beta = compute_beta(ext, y1, y2, y3)
     if beta is None:
-        m, kappa, path = Message(y.y1, ext.zero), (), PATH_CONSTANT
+        m, kappa, path = Message(ExtElem(ext, y1), ext.zero), (), PATH_CONSTANT
     else:
         ops, kappa = identify(spec, beta)
         if inst:
@@ -383,11 +387,11 @@ def _decode(spec, y, inst, identify, path):
         if kappa is None:
             raise UnrecognizedReceivedWordError(
                 "no kept triple is consistent with the received word")
-        m = interpolate(spec, kappa[0], kappa[1], y.y1, y.y2)
+        m = interpolate(spec, kappa[0], kappa[1], ExtElem(ext, y1), ExtElem(ext, y2))
         third = ext.add(m.m1.coords, ext.mul(m.m2.coords, spec.alpha_coords(kappa[2])))
         if inst:
             inst.total_ops += OPS_INTERPOLATE + OPS_THIRD_POINT
-        if third != y.y3.coords:
+        if third != y3:
             raise UnrecognizedReceivedWordError(
                 f"third received symbol is off the interpolated line at {kappa}")
     if inst:
@@ -396,7 +400,7 @@ def _decode(spec, y, inst, identify, path):
     return DecodeOutcome(m, encode(spec, m), DeletionPattern._validated(kappa), path)
 
 
-def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
+def decode_cubic(spec: CodeSpec, y: ReceivedWord,
                  inst: Optional[DecodeInstrumentation] = None) -> DecodeOutcome:
     """Decode by the paper's exhaustive triple search, run as a join.
 
@@ -423,15 +427,16 @@ def decode_cubic(spec: CodeSpec, y: ReceivedTriple,
     hashing from 2^63 on) and O(n) memory, and the re-encode adds O(n).
     Nothing is kept with the spec between decodes.
     The nominal op count still prices the Theta(n^3) scan up to the match
-    row.  Raises ParameterError for specs not built from the quadratic
-    evaluation map, UnrecognizedReceivedWordError when no triple matches,
-    and FieldMismatchError before any arithmetic when a symbol is not in
-    spec's field.
+    row.  y is a word of exactly three symbols (see _decode).  Raises
+    ParameterError for specs not built from the quadratic evaluation map,
+    InconsistentReceivedWordError("length") for another length,
+    FieldMismatchError before any arithmetic when the word is not in
+    spec's field, and UnrecognizedReceivedWordError when no triple matches.
     """
     return _decode(spec, y, inst, _search, PATH_FALLBACK)
 
 
-def decode_linear(spec: CodeSpec, y: ReceivedTriple,
+def decode_linear(spec: CodeSpec, y: ReceivedWord,
                   inst: Optional[DecodeInstrumentation] = None) -> DecodeOutcome:
     """Decode via the closed form, or reject the word.
 
@@ -439,9 +444,11 @@ def decode_linear(spec: CodeSpec, y: ReceivedTriple,
     straight-line solve, three table lookups) plus O(n) re-encode time and
     memory on every input, garbage included: a word whose closed form does
     not give an increasing in-code locator triple raises
-    UnrecognizedReceivedWordError at once.  Raises ParameterError for specs
-    not built from the quadratic evaluation map, and FieldMismatchError
-    before any arithmetic when a symbol is not in spec's field.
+    UnrecognizedReceivedWordError at once.  y is a word of exactly three
+    symbols (see _decode).  Raises ParameterError for specs not built from
+    the quadratic evaluation map, InconsistentReceivedWordError("length")
+    for another length, and FieldMismatchError before any arithmetic when
+    the word is not in spec's field.
     """
     return _decode(spec, y, inst, _closed_form, PATH_CLOSED_FORM)
 
@@ -450,40 +457,43 @@ def decode_received(spec: CodeSpec, symbols, decode=decode_linear,
                     inst: Optional[DecodeInstrumentation] = None) -> DecodeOutcome:
     """Decode a received word of any length 3 <= m <= n, checking every symbol.
 
-    The first three symbols are decoded with `decode` (decode_linear or
-    decode_cubic).  Each later symbol must then occur in the re-encoded
-    codeword at a position after the previous symbol's; the symbols of a
-    non-constant codeword are pairwise distinct, so a dict from symbol to
-    position finds it.  A constant codeword needs all m symbols equal.
-    kappa lists all m kept positions (none for a constant word).  Raises
-    InconsistentReceivedWordError when m is outside 3..n or the word is not
-    a subsequence of the decoded codeword, FieldMismatchError for a symbol
-    outside spec's field, and, from `decode`, ParameterError for a spec not
-    built from the quadratic map.  Takes the decode's time plus O(n + m)
-    time and memory.
+    symbols is a ReceivedWord, or any ExtElem sequence, which is built into
+    one once, after its length is checked.  The word's first three symbols
+    are decoded with `decode` (decode_linear or decode_cubic), which
+    compares the word's field with spec's.  Each later symbol, read from
+    the word's array, must then occur in the re-encoded codeword at a
+    position after the previous symbol's; the symbols of a non-constant
+    codeword are pairwise distinct, so a dict from symbol to position finds
+    it.  A constant codeword needs all m symbols equal, one array compare.
+    kappa lists all m kept positions (none for a constant word).
+
+    Errors, in order: InconsistentReceivedWordError("length") when m is
+    outside 3..n; building the word, FieldMismatchError for a symbol that
+    is not an ExtElem or mixed fields and ParameterError for a
+    non-canonical coordinate; from `decode`, ParameterError for a spec not
+    built from the quadratic map, FieldMismatchError for a word outside
+    spec's field, and its rejections of the first three symbols; then
+    InconsistentReceivedWordError when the word is not a subsequence of
+    the decoded codeword.  Takes the decode's time plus O(n + m) time and
+    memory: building a word from ExtElems is O(m) Python work, a
+    ReceivedWord is taken as it is, and the check of the later symbols
+    reads them in one tolist and hashes the codeword's n symbols.
     """
-    symbols = tuple(symbols)
-    if not 3 <= len(symbols) <= spec.n:
-        raise InconsistentReceivedWordError(
-            f"a channel output of this code has 3 to {spec.n} symbols, got {len(symbols)}",
-            "length")
-    y = ReceivedTriple(*symbols[:3])
-    rest = symbols[3:]
-    _require_elements(rest, 4)
-    _require_field(spec.ext, rest, "received symbol")
-    out = decode(spec, y, inst)
+    word = _received_word(symbols, 3, spec.n)
+    out = decode(spec, word[:3], inst)
+    rest = word[3:]
     if out.path == PATH_CONSTANT:
-        if any(s.coords != y.y1.coords for s in rest):
+        if (rest.coords != word.coords[0]).any():
             raise InconsistentReceivedWordError(
                 "the first three symbols are equal but a later one differs",
                 "constant-mismatch")
         return out
-    if not rest:
+    if not len(rest):
         return out
     where = {sym: i for i, sym in enumerate(out.codeword.symbol_tuples(), 1)}
     kept = list(out.kappa.kept)
-    for s in rest:
-        i = where.get(s.coords, 0)
+    for s in rest.symbol_tuples():
+        i = where.get(s, 0)
         if i <= kept[-1]:
             raise InconsistentReceivedWordError(
                 "the received word is not a subsequence of the decoded codeword",

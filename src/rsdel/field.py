@@ -273,9 +273,14 @@ class CubicField:
     g=None takes the canonical cubic, found by _canonical_cubic's search and
     kept without a second test; a given g costs one gcd test, O(log p)
     squares in F_p[x]/(g).
+
+    dtype is that of inv_many's coordinate columns (int64 below 2^30);
+    symbol_dtype that of every array of canonical symbol coordinates,
+    codewords, encode_many's words and received words: int64 below 2^63,
+    object above.
     """
 
-    __slots__ = ("base", "g", "p", "dtype", "_consts")
+    __slots__ = ("base", "g", "p", "dtype", "symbol_dtype", "_consts")
 
     def __init__(self, base: PrimeField, g: Optional[MonicCubic] = None):
         p = base.p
@@ -292,6 +297,7 @@ class CubicField:
         self.p = p
         self.g = g
         self.dtype = np.int64 if p < _INT64_PRODUCT_MAX_P else object  # of coordinate arrays
+        self.symbol_dtype = np.int64 if p < _INT64_COORD_MAX_P else object
         self._consts = _reduction_consts(p, g)
 
     def __eq__(self, other):

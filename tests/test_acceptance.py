@@ -259,7 +259,7 @@ def test_criterion_8_error_taxonomy():
             unrecognized += 1
             continue
         # an accepted word must be exactly explained, never silently wrong
-        assert apply_deletions(out.codeword, out.kappa) == y
+        assert tuple(apply_deletions(out.codeword, out.kappa)) == y
         assert encode(spec, out.message) == out.codeword
         accidental_valid += 1
 

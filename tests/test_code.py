@@ -11,6 +11,7 @@ from rsdel.code import (
     CodeSpec,
     Codeword,
     Message,
+    ReceivedWord,
     _lifted_product,
     build_code,
     encode,
@@ -30,7 +31,8 @@ from rsdel.errors import (
     FieldMismatchError,
     ParameterError,
 )
-from rsdel.field import MonicCubic, find_irreducible_cubic
+from rsdel.channel import DeletionPattern, apply_deletions
+from rsdel.field import ExtElem, MonicCubic, find_irreducible_cubic
 
 from conftest import get_spec
 
@@ -421,6 +423,47 @@ def test_load_symbols_validation(tmp_path):
         load_codeword(path, spec)  # wrong length for a codeword
 
 
+@pytest.mark.parametrize("p", (10007, (1 << 61) - 1, (1 << 64) - 59))
+def test_codeword_constructor_checks_coordinates(p):
+    # the public constructor refuses what encode never makes: a coordinate
+    # outside [0, p) (also past int64), a non-integer, another shape
+    spec = get_spec(p, 4)
+    rows = [[1, 2, 3], [0, 0, 0], [p - 1, 1, 0], [4, p - 1, p - 2]]
+    for coords in (rows, np.array(rows, dtype=object), [tuple(r) for r in rows]):
+        cw = Codeword(spec, coords)
+        assert cw.coords.dtype == spec.ext.symbol_dtype and cw.coords.tolist() == rows
+        assert not cw.coords.flags.writeable
+    heads = ([p, 0, 0], [-1, 0, 0], [max(p, 1 << 63), 0, 0], [1 << 70, 0, 0], [1.0, 0, 0],
+             ["1", 0, 0], [1, 2], [1, [2], 3])
+    for bad in [[head] + rows[1:] for head in heads] + [rows[:3], [r[:2] for r in rows],
+                                                        None, "abcd"]:
+        with pytest.raises(ParameterError):
+            Codeword(spec, bad)
+
+
+def test_received_word_container_behaviour():
+    spec = get_spec(11, 10)
+    ext = spec.ext
+    cw = encode(spec, Message(ext.elem(1, 2, 3), ext.elem(4, 5, 6)))
+    word = apply_deletions(cw, DeletionPattern((2, 5, 7, 9)))
+    assert type(word) is ReceivedWord and word.field is ext and len(word) == 4
+    assert not word.coords.flags.writeable
+    assert word.coords.tolist() == [list(cw[i].coords) for i in (1, 4, 6, 8)]
+    assert tuple(word) == (cw[1], cw[4], cw[6], cw[8]) and word[2] == cw[6]
+    assert word.symbol_tuples() == [cw[i].coords for i in (1, 4, 6, 8)]
+    assert type(word[1:3]) is ReceivedWord and tuple(word[1:3]) == (cw[4], cw[6])
+    built = ReceivedWord(tuple(word))
+    assert built == word and hash(built) == hash(word) and built != word[:3]
+    assert built != tuple(word) and repr(word) == "ReceivedWord(m=4, p=11)"
+    assert len(apply_deletions(cw, DeletionPattern(()))) == 0
+    with pytest.raises(ParameterError):
+        ReceivedWord(())
+    with pytest.raises(ParameterError):
+        ReceivedWord((ext.one, ExtElem(ext, (1, 2))))
+    with pytest.raises(FieldMismatchError):
+        ReceivedWord((ext.one, build_code(13, 4).ext.one))
+
+
 def test_codeword_container_behaviour():
     spec = get_spec(5, 4)
     cw = encode(spec, Message(spec.ext.zero, spec.ext.one))
@@ -567,7 +610,7 @@ def test_lifted_and_codeword_dtype_boundary(tmp_path, p, lifted, symbols):
     # hash equally
     n = 12
     spec = get_spec(p, n)
-    assert spec._lifted.dtype == lifted and spec._symbol_dtype == symbols
+    assert spec._lifted.dtype == lifted and spec.ext.symbol_dtype == symbols
     if lifted == np.uint64:
         assert spec._columns.shape == (5, 2, 1, n) and not spec._columns.flags.writeable
         assert spec._columns[4, :, 0].tolist() == spec._alpha[:, :2].T.tolist()

@@ -70,10 +70,15 @@ def received(spec, m, kept):
     return ReceivedTriple(*apply_deletions(cw, DeletionPattern(kept)))
 
 
+def ratio(y):
+    """compute_beta of a three-symbol word, on its rows as the decoders read them."""
+    return compute_beta(y.field, *y.symbol_tuples())
+
+
 def test_compute_beta_worked_example():
     spec = get_spec(5, 4)
     y = received(spec, Message(spec.ext.zero, spec.ext.one), (1, 2, 3))
-    beta = compute_beta(y)
+    beta = ratio(y)
     assert beta.coords == (1, 3, 0)
     assert beta == gamma_map(spec, 1, 2, 3)
 
@@ -81,7 +86,7 @@ def test_compute_beta_worked_example():
 def test_compute_beta_constant_is_none():
     spec = get_spec(5, 4)
     e = spec.ext.elem(3, 0, 0)
-    assert compute_beta(ReceivedTriple(e, e, e)) is None
+    assert ratio(ReceivedTriple(e, e, e)) is None
 
 
 def test_compute_beta_rejects_two_equal():
@@ -89,7 +94,7 @@ def test_compute_beta_rejects_two_equal():
     e, f = spec.ext.elem(3, 0, 0), spec.ext.elem(1, 2, 0)
     for y in ((e, e, f), (f, e, e), (e, f, e)):
         with pytest.raises(InconsistentReceivedWordError):
-            compute_beta(ReceivedTriple(*y))
+            ratio(ReceivedTriple(*y))
 
 
 def test_extract_coefficients_worked_example():
@@ -279,7 +284,7 @@ def test_inconsistent_reason_length():
 def test_inconsistent_reason_two_equal():
     spec, cw, e, f = reason_words()
     for y in ((e, e, f), (f, e, e), (e, f, e)):
-        assert rejection_reason(compute_beta, ReceivedTriple(*y)) == "two-equal"
+        assert rejection_reason(ratio, ReceivedTriple(*y)) == "two-equal"
         for decode in (decode_cubic, decode_linear):
             assert rejection_reason(decode, spec, ReceivedTriple(*y)) == "two-equal"
             assert rejection_reason(decode_received, spec, y + cw[7:], decode) == "two-equal"
@@ -453,7 +458,7 @@ def test_decode_rejects_foreign_field():
         for pat in enumerate_triples(spec.n):
             y = received(spec, random_message(spec, rng), pat.kept)
             moved = tuple(ExtElem(F, sym.coords) for sym in y)
-            words += [moved, (y.y1, y.y2, moved[2])]
+            words += [moved, (y[0], y[1], moved[2])]
         for word in words:
             for decode in (decode_cubic, decode_linear):
                 with pytest.raises(FieldMismatchError):
@@ -464,7 +469,7 @@ def test_decode_rejects_foreign_field():
         with pytest.raises(FieldMismatchError):
             interpolate(spec, 1, 2, e, f)
         with pytest.raises(FieldMismatchError):
-            compute_beta(ReceivedTriple(spec.ext.one, spec.ext.zero, f))
+            ratio(ReceivedTriple(spec.ext.one, spec.ext.zero, f))
 
 
 def test_received_triple_rejects_non_elements():
@@ -485,6 +490,44 @@ def test_received_triple_rejects_non_elements():
     for bad in ((1, 2, 3), 5, None):
         with pytest.raises(FieldMismatchError):
             decode_received(spec, valid + (bad,))
+
+
+@pytest.mark.parametrize("p", (10007, (1 << 61) - 1, (1 << 64) - 59))
+def test_non_canonical_coordinates_raise_parameter_error(p):
+    # a coordinate outside [0, p) is refused when the word is built, with
+    # the error load_symbols raises for it, at every position alike: no
+    # position may reduce c0 + p silently or read it as a rejection, and
+    # an int past 2^64 must not reach numpy as an OverflowError
+    spec = get_spec(p, 64)
+    ext = spec.ext
+    cw = encode(spec, random_message(spec, random.Random(p % 1000)))
+    word = tuple(apply_deletions(cw, DeletionPattern((3, 9, 20, 30))))
+    assert decode_received(spec, word).kappa.kept == (3, 9, 20, 30)
+    for at in range(4):
+        c0, c1, c2 = word[at].coords
+        for bad in ((c0 + p, c1, c2), (c0, c1, c2 - p), (max(p, 1 << 63), c1, c2),
+                    (1 << 70, 0, 0), (float(c0), c1, c2)):
+            moved = word[:at] + (ExtElem(ext, bad),) + word[at + 1:]
+            for decode in (decode_cubic, decode_linear):
+                with pytest.raises(ParameterError):
+                    decode_received(spec, moved, decode)
+                if at < 3:
+                    with pytest.raises(ParameterError):
+                        decode(spec, moved[:3])
+            if at < 3:
+                with pytest.raises(ParameterError):
+                    ReceivedTriple(*moved[:3])
+
+
+def test_decoders_take_words_of_three_symbols():
+    # a decoder given another length refuses it as decode_received does,
+    # before it reads a symbol; an ExtElem tuple of three is built into a word
+    spec, cw, e, _ = reason_words()
+    word = apply_deletions(encode(spec, Message(e, spec.ext.one)), DeletionPattern((1, 2, 3, 4)))
+    for decode in (decode_cubic, decode_linear):
+        for y in (word, word[:2], word[:0], cw[:4], ("not", "symbols")):
+            assert rejection_reason(decode, spec, y) == "length"
+        assert decode(spec, tuple(word[:3])) == decode(spec, word[:3])
 
 
 def test_decode_rejects_two_equal_symbols():
@@ -520,7 +563,7 @@ def test_search_paths_agree():
     for _ in range(40):
         m = random_message(spec, rng)
         kept = tuple(sorted(rng.sample(range(1, 49), 3)))
-        beta = compute_beta(received(spec, m, kept))
+        beta = ratio(received(spec, m, kept))
         assert _search_triple(spec, beta.coords) == kept
         assert next(reference_matches(spec, beta.coords)) == kept
 
@@ -799,7 +842,7 @@ def test_decode_cubic_all_first_coordinates_equal():
     spec = get_spec(10007, 2048)
     ext = spec.ext
     y = ReceivedTriple(ext.elem(10006, 1, 0), ext.zero, -ext.one)
-    assert compute_beta(y).coords == (10006, 1, 0)
+    assert ratio(y).coords == (10006, 1, 0)
     t0 = time.perf_counter()
     with pytest.raises(UnrecognizedReceivedWordError):
         decode_cubic(spec, y)
@@ -814,7 +857,7 @@ def test_decode_cubic_ratio_in_base_field_miss_bound():
     spec = build_code(10007, 4096)
     ext = spec.ext
     y = ReceivedTriple(ext.elem(2), ext.zero, -ext.one)
-    assert compute_beta(y).coords == (2, 0, 0)
+    assert ratio(y).coords == (2, 0, 0)
     times = []
     for _ in range(3):
         t0 = time.perf_counter()
@@ -862,7 +905,7 @@ def test_decode_cubic_keeps_no_state_per_spec():
             words.append((s, received(spec, random_message(spec, rng), kept)))
         for _ in range(4):
             words.append((s, ReceivedTriple(*(spec.ext.rand(rng) for _ in range(3)))))
-    assert len({(s, compute_beta(y).coords) for s, y in words}) > len(words) // 2
+    assert len({(s, ratio(y).coords) for s, y in words}) > len(words) // 2
 
     def decode_all(order):
         specs = fresh_specs()

@@ -2,8 +2,10 @@
 error.
 
 Hypothesis draws received words of 3..n symbols (channel outputs, channel
-outputs with some symbols replaced, and uniformly random symbols), messages
-and evaluation points in each of the encoder's four arithmetic regimes,
+outputs with some symbols replaced, and uniformly random symbols), the
+same words built from a codeword's rows and from ExtElems in each of the
+symbol arrays' dtypes, messages and evaluation points in each of the
+encoder's four arithmetic regimes,
 codeword pairs for the audit (random, constant, shifted or sharing a
 symbol, on good and on base-field specs), random bytes for the two file
 loaders, and command lines for every
@@ -26,11 +28,26 @@ from hypothesis import strategies as st
 
 from rsdel.channel import DeletionPattern, apply_deletions
 from rsdel.cli import main
-from rsdel.code import CodeSpec, Message, encode, load_spec, load_symbols
-from rsdel.decoder import PATH_CONSTANT, decode_cubic, decode_linear, decode_received
+from rsdel.code import (
+    CodeSpec,
+    Codeword,
+    Message,
+    ReceivedWord,
+    encode,
+    load_spec,
+    load_symbols,
+)
+from rsdel.decoder import (
+    PATH_CONSTANT,
+    ReceivedTriple,
+    decode_cubic,
+    decode_linear,
+    decode_received,
+)
 from rsdel.errors import (
     InconsistentReceivedWordError,
     ParameterError,
+    RSDelError,
     UnrecognizedReceivedWordError,
 )
 from rsdel.verify import AuditResult, audit_code, base_field_spec
@@ -96,7 +113,7 @@ def test_every_word_decodes_exactly_or_fails_typed(case):
         assert out.kappa.kept == () and out.message.m2.is_zero()
         assert all(sym == out.codeword[0] for sym in word)
     else:
-        assert apply_deletions(out.codeword, out.kappa) == word
+        assert tuple(apply_deletions(out.codeword, out.kappa)) == word
     if m is not None:
         assert out.message == m
         assert out.kappa == (DeletionPattern(()) if m.m2.is_zero() else pattern)
@@ -144,6 +161,58 @@ def test_encode_matches_rowwise_field_arithmetic(case):
     want = [ext.add(m.m1.coords, ext.mul(m.m2.coords, spec.alpha_coords(i)))
             for i in range(1, spec.n + 1)]
     assert encode(spec, m).symbol_tuples() == want
+
+
+@st.composite
+def regime_words(draw):
+    """(spec, codeword, pattern): a codeword of build_code(p, n), n in 3..10
+    and p one of REGIME_PRIMES, whose rows encode a message (constant one
+    time in eight), encode one with rows replaced, or are random, and the
+    kept positions of a word of 3..n of its symbols."""
+    p = draw(st.sampled_from(REGIME_PRIMES))
+    n = draw(st.integers(3, 10))
+    spec = get_spec(p, n)
+    residues = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    coords = st.tuples(residues, residues, residues)
+    kind = draw(st.sampled_from(("valid", "corrupted", "garbage")))
+    if kind == "garbage":
+        rows = draw(st.lists(coords, min_size=n, max_size=n))
+    else:
+        m2 = (0, 0, 0) if draw(st.integers(0, 7)) == 0 else draw(coords)
+        m = Message(spec.ext.from_coords(draw(coords)), spec.ext.from_coords(m2))
+        rows = encode(spec, m).symbol_tuples()
+        if kind == "corrupted":
+            for at in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+                rows[at] = draw(coords)
+    size = draw(st.integers(3, n))
+    kept = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=size, max_size=size))))
+    return spec, Codeword(spec, rows), DeletionPattern(kept)
+
+
+def alike(decode, *args):
+    """A decode's (message, kappa, path), or its error's type and reason."""
+    try:
+        out = decode(*args)
+    except RSDelError as exc:
+        return type(exc), getattr(exc, "reason", None)
+    return out.message, out.kappa, out.path
+
+
+@settings(PROPERTY, max_examples=200)
+@given(regime_words())
+def test_words_from_rows_and_from_elements_decode_alike(case):
+    # apply_deletions takes a codeword's rows into a word unchecked; the
+    # same symbols as ExtElems are checked and built into a word by the
+    # decoders.  Every decode reads the two alike, in every symbol dtype
+    spec, cw, pattern = case
+    rows = apply_deletions(cw, pattern)
+    elems = tuple(cw[i - 1] for i in pattern.kept)
+    assert type(rows) is ReceivedWord and rows.coords.dtype == spec.ext.symbol_dtype
+    assert rows == ReceivedWord(elems) and tuple(rows) == elems
+    for decode in (decode_linear, decode_cubic):
+        assert alike(decode, spec, rows[:3]) == alike(decode, spec, ReceivedTriple(*elems[:3]))
+        assert alike(decode_received, spec, rows, decode) \
+            == alike(decode_received, spec, elems, decode)
 
 
 def hunt_szymanski(xs, ys):
