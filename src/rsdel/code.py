@@ -151,11 +151,14 @@ class CodeSpec:
 
     def alpha_coords(self, i: int):
         """Coordinate triple of the i-th evaluation point, i in 1..n, as
-        Python ints for either dtype.  One range check and one tolist of
-        the point's row: a decode reads three points, and a tolist costs a
-        third of three int() conversions of numpy scalars."""
+        Python ints for either dtype.  One range check, then, for the
+        quadratic map, (d, d^2 mod p, 0) from delta (a decode reads three
+        points), or one tolist of the point's row of an alpha_rows spec."""
         if not 1 <= i <= self.n:
             raise ParameterError(f"position {i} out of range 1..{self.n}")
+        if self.from_quadratic_map:
+            d = self.delta[i - 1]
+            return (d, d * d % self.p, 0)
         return tuple(self._alpha[i - 1].tolist())
 
     def alpha_at(self, i: int) -> ExtElem:
@@ -374,6 +377,11 @@ def _require_field(ext: CubicField, elems, what: str) -> None:
             raise FieldMismatchError(f"{what} lies in {e.field!r}, not in {ext!r}")
 
 
+# entries of a product from which field.reduce_mod's three libdivide passes
+# beat one % (see its docstring)
+_REDUCE_MOD_MIN_SIZE = 800
+
+
 def _lifted_product(spec: CodeSpec, rhs, rows=None) -> np.ndarray:
     """spec._lifted @ rhs reduced mod p, canonical, in spec.ext.symbol_dtype:
     the one arithmetic kernel of the re-encode and of the triple search.
@@ -387,9 +395,13 @@ def _lifted_product(spec: CodeSpec, rhs, rows=None) -> np.ndarray:
     2^53, so the float64 product, which BLAS runs, is exact; below 2^30
     it is below 2^63 and the product is int64, which numpy multiplies
     without BLAS.  Both are cast to int64 (a no-op for int64) and reduced
-    in place by field.reduce_mod, through libdivide, faster than % from
-    about 800 entries on.  Below 2^63 field.shoup_product multiplies the
-    uint64 columns of spec._columns exactly and returns canonical int64
+    in place: by field.reduce_mod, through libdivide, from
+    _REDUCE_MOD_MIN_SIZE entries on (an encode from n of about 267 on),
+    and by one % below, where % is faster (the search's product at
+    n < 800, an encode at smaller n: 1.2 against 2.8 us at 96 entries,
+    3.0 against 4.0 us at 512, 8.0 against 4.6 us at 1536 on a 2-vCPU
+    x86-64 VM).  Below 2^63 field.shoup_product multiplies the uint64
+    columns of spec._columns exactly and returns canonical int64
     (its docstring states its time and memory).  From 2^63 on the product
     is Python ints, reduced by %.  O(N) time and memory for N entries of
     the product.
@@ -400,8 +412,12 @@ def _lifted_product(spec: CodeSpec, rhs, rows=None) -> np.ndarray:
     if rows is not None:
         lifted = lifted.take(rows, axis=0)
     # no name holds the float64 product, so it is freed before the reduction
-    return reduce_mod((lifted @ np.asarray(rhs, dtype=lifted.dtype))
-                      .astype(spec.ext.symbol_dtype, copy=False), spec.p)
+    product = (lifted @ np.asarray(rhs, dtype=lifted.dtype)).astype(
+        spec.ext.symbol_dtype, copy=False)
+    if product.size < _REDUCE_MOD_MIN_SIZE:
+        product %= spec.p
+        return product
+    return reduce_mod(product, spec.p)
 
 
 def _evaluate(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
@@ -429,10 +445,6 @@ def _evaluate(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
     for m in messages:
         _require_field(ext, (m.m1, m.m2), "message")
         rhs.append((m.m1.coords, *ext.mul_matrix(m.m2.coords)[:w]))
-    if len(rhs) == 1:
-        # one message's rows are already in place, and a plain array is
-        # cheapest for encode, which every decode calls
-        return _lifted_product(spec, rhs[0])
     flat = chain.from_iterable   # entries in (row, message, coordinate) order
     rows = np.array(list(flat(flat(zip(*rhs)))), dtype=lifted.dtype)
     return _lifted_product(spec, rows.reshape(1 + w, 3 * len(rhs)))
@@ -463,13 +475,19 @@ def encode(spec: CodeSpec, m: Message) -> Codeword:
     the (n, 1, 3) view.  Below p of about 5.5 * 10^7 the matmul is exact in
     float64 and BLAS runs it: at p = 10007 an encode takes about 5.5 us at
     n = 512 and 15 us at n = 4096, against 7.0 and 32 us with an int64
-    product (see _evaluate).  The reduction of the 3n entries gains over %
-    from n of about 270 on and loses a few tenths of a microsecond below.
+    product (see _evaluate).  The reduction of the 3n entries runs through
+    libdivide from n of about 267 on and takes one % below (see
+    _lifted_product).
     For 2^30 <= p < 2^63 the product is the uint64 Shoup kernel: at
     p = 2^61 - 1 about 12 us at n = 64 and 20 us at n = 512.  Takes O(n)
-    time and memory.  The reduced product is canonical, so the codeword
-    takes it unchecked."""
-    return Codeword._unchecked(spec, _evaluate(spec, (m,)))
+    time and memory.  The one message's rows [m1; rows 0..w-1 of M_{m2}]
+    go straight to _lifted_product as tuples, without _evaluate's batch
+    layout.  The reduced product is canonical, so the codeword takes it
+    unchecked."""
+    ext = spec.ext
+    _require_field(ext, (m.m1, m.m2), "message")
+    rhs = (m.m1.coords, *ext.mul_matrix(m.m2.coords)[:spec._lifted.shape[1] - 1])
+    return Codeword._unchecked(spec, _lifted_product(spec, rhs))
 
 
 def interpolate(spec: CodeSpec, i: int, j: int, y_i: ExtElem, y_j: ExtElem) -> Message:

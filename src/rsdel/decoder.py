@@ -28,6 +28,22 @@ theta = a/r,
 The quadratic behind d2 has a second root -a/(2r); it forces d2 = d3 and is
 never returned.
 
+The decoders never form beta itself.  compute_beta returns it as a fraction
+num/den with den = N(y2 - y3) in F_p^*, the norm, so no inversion happens
+there.  The coefficients are linear in beta, so those of num are
+(A, B, C, R, S, T) = den*(a, b, c, r, s, t), and solve_deltas runs the
+closed form above with its denominators cleared: with u = C*R - A*T and
+DR = den*R,
+
+    DEN = 2*u*(u + DR)                      = den^2*R^2 * (d2's denominator)
+    NUM = DR*R*(B*R - A*S) - A*u^2          = den^2*R^3 * (d2's numerator)
+    W   = (DEN*DR*R)^-1,   V = DEN*W        = (den*R^2)^-1
+    d2 = NUM*DR*W,   theta = A*DR*V,   d3 = -d2 - theta,
+    d1 = V*(d2*(DR + 2*u)*R + A*u)
+
+with one F_p inverse, W.  R = 0 exactly when r = 0, and DEN = 0 exactly when
+d2's denominator is 0, the two rejections.
+
 The closed form never degenerates on a channel output.  For a true triple
 with distinct locators, p2 gives a = -r*(d2 + d3).  If r = 0 then a = 0 and
 b = r + a*g2 = 0, so beta = c lies in F_p, and p0, p1 then force
@@ -45,7 +61,10 @@ the independent empirical oracle for that claim.
 Both decoders run one pipeline, _decode: the ratio (a constant word decodes
 at once), the kept triple (_closed_form or _search, the only difference),
 interpolation and the third-point check, then the re-encode.  The stages
-take no instrumentation; _decode prices every one at the counts below.
+take no instrumentation; _decode prices every one at the counts below.  A
+non-constant decode runs two F_p inversions: one to identify the triple
+(solve_deltas's W, or the search's W) and one in interpolate.  A rejection
+names its check in UnrecognizedReceivedWordError.reason.
 """
 
 from __future__ import annotations
@@ -87,7 +106,7 @@ OPS_EXT_SUB = 3
 OPS_EXT_MUL = 25
 OPS_EXT_INV = 80
 OPS_BETA = 2 * OPS_EXT_SUB + OPS_EXT_INV + OPS_EXT_MUL
-OPS_SOLVE = 24              # straight-line closed form incl. two F_p inversions
+OPS_SOLVE = 24              # the closed form, priced as when it ran two F_p inversions
 OPS_INTERPOLATE = 2 * OPS_EXT_SUB + OPS_EXT_INV + 2 * OPS_EXT_MUL
 OPS_THIRD_POINT = OPS_EXT_MUL + OPS_EXT_ADD
 OPS_ENCODE_PER_SYMBOL = 15  # nominal: one row of the alpha @ M_{m2} matmul plus m1
@@ -144,11 +163,14 @@ class DecodeOutcome:
 def compute_beta(ext: CubicField, y1, y2, y3):
     """The ratio (y1 - y2) / (y2 - y3) of three received symbols of the
     field ext, given as canonical coordinate triples (the rows of a
-    three-symbol ReceivedWord, which checked them when it was built), or
-    None when the three are equal.
+    three-symbol ReceivedWord, which checked them when it was built), as a
+    fraction (num, den), or None when the three are equal.
 
-    Exactly two equal symbols cannot come out of the channel: a degree-one
-    codeword is constant (m2 = 0) or injective on evaluation points.
+    beta = num/den with num = (y1 - y2)*adj(y2 - y3), an ExtElem, and
+    den = N(y2 - y3), the norm, a nonzero int of F_p: CubicField._adjugate
+    gives both, and nothing is inverted.  Exactly two equal symbols cannot
+    come out of the channel: a degree-one codeword is constant (m2 = 0) or
+    injective on evaluation points.
     """
     e12 = y1 == y2
     e23 = y2 == y3
@@ -157,42 +179,51 @@ def compute_beta(ext: CubicField, y1, y2, y3):
     if e12 or e23 or y1 == y3:
         raise InconsistentReceivedWordError(
             "exactly two of three received symbols are equal", "two-equal")
-    return ExtElem(ext, ext.mul(ext.sub(y1, y2), ext.inv(ext.sub(y2, y3))))
+    adj, den = ext._adjugate(ext.sub(y2, y3))
+    return ExtElem(ext, ext.mul(ext.sub(y1, y2), adj)), den
 
 
 def extract_coefficients(beta: ExtElem):
     """Read (a, b, c, r, s, t) from beta and beta*gamma.
 
     beta = a*gamma^2 + b*gamma + c, beta*gamma = r*gamma^2 + s*gamma + t.
-    Equivalently r = b - a*g2, s = c - a*g1, t = -a*g0.
+    Equivalently r = b - a*g2, s = c - a*g1, t = -a*g0.  Linear in beta, so
+    on a fraction's num it gives den times the coefficients of num/den.
     """
     c, b, a = beta.coords
     t, s, r = beta.field.mul_matrix(beta.coords)[1]
     return (a, b, c, r, s, t)
 
 
-def solve_deltas(pf: PrimeField, coeffs):
+def solve_deltas(pf: PrimeField, coeffs, den: int = 1):
     """Closed-form kept delta values (d1, d2, d3), or None.
 
-    None is returned when r = 0 (theta undefined) or the d2 denominator is 0
-    (the quadratic degenerates).  Neither happens for coefficients of a true
-    locator triple (see the module docstring), so None means no triple
-    explains beta.  The alternate quadratic root -a/(2r) is never produced;
-    it would force d2 = d3.
+    coeffs are the coefficients of num, and the ratio is num/den, den
+    nonzero in F_p (compute_beta's fraction; den = 1 when coeffs are
+    beta's own).  The closed form runs with its denominators cleared (see
+    the module docstring), with one F_p inverse.  None is returned when
+    r = 0 (theta undefined) or the d2 denominator is 0 (the quadratic
+    degenerates).  Neither happens for coefficients of a true locator
+    triple (see the module docstring), so None means no triple explains
+    beta.  The alternate quadratic root -a/(2r) is never produced; it would
+    force d2 = d3.
     """
-    a, b, c, r, s, t = coeffs
+    A, B, C, R, S, T = coeffs
     p = pf.p
-    if r % p == 0:
+    if R % p == 0:
         return None
-    theta = a * pow(r, -1, p) % p
-    tt = t * theta % p
-    den = 2 * (c + c * c - 2 * c * tt + tt * (tt - 1)) % p
-    if den == 0:
+    DR = den * R % p
+    u = (C * R - A * T) % p
+    DEN = 2 * u * (u + DR) % p
+    if DEN == 0:
         return None
-    num = (b - theta * (c * c + s - 2 * c * tt + tt * tt)) % p
-    d2 = num * pow(den, -1, p) % p
+    NUM = (DR * R * (B * R - A * S) - A * u * u) % p
+    W = pow(DEN * DR * R, -1, p)
+    V = DEN * W % p   # (den*R^2)^-1
+    d2 = NUM * DR * W % p
+    theta = A * DR * V % p
     d3 = (-d2 - theta) % p
-    d1 = (d2 * (1 + 2 * c - 2 * tt) + theta * (c - tt)) % p
+    d1 = V * (d2 * (DR + 2 * u) * R + A * u) % p
     return (d1, d2, d3)
 
 
@@ -253,6 +284,15 @@ def solve_deltas(pf: PrimeField, coeffs):
 # tested, and the one with i > k fails that order test.  The match is
 # unique, so it is also the scan's lexicographically first.
 #
+# lam is never formed.  With beta = num/den (compute_beta's fraction),
+# lam = den/(den + num), and the search keeps it scaled as
+# L = den*adj(den + num) = nz*lam, nz = N(den + num) (CubicField._adjugate
+# gives both).  The rows of M_L are nz times those of M_lam, so the
+# gamma^2-coordinate of L*gamma is c~ = nz*c: c~ == 0 exactly when c == 0,
+# and sigma = -L2/c~, where nz cancels.  One inverse W = (c~*nz)^-1 gives
+# both 1/c~ = nz*W and 1/nz = c~*W, which v0 and v1 need:
+# v = (L0 + sigma*G0, L1 + sigma*G1, 0)/nz, (G0, G1, c~) = L*gamma.
+#
 # A beta in F_p matches no triple.  beta == 0 needs alpha_i == alpha_j and
 # beta == -1 needs alpha_i == alpha_k.  Otherwise lam lies in F_p \ {0, 1},
 # and the first two coordinates of a match read d_j = lam*d_i + (1 - lam)*d_k
@@ -260,13 +300,13 @@ def solve_deltas(pf: PrimeField, coeffs):
 # lam*(1 - lam)*(d_i - d_k)^2 = 0, the r = 0 argument of the module
 # docstring.  So the search returns at once for every beta in F_p.
 #
-# Time per decode: O(1) field work (one F_{p^3} inverse, sigma, v0, v1 and
-# q), then one O(n) product of the (n, 3) matrix spec._lifted with q, its
-# cast and reduction, one compare with 0, at most two Python checks of u
-# and two dict lookups, with no sort.  Memory: O(n) per decode (the product
-# column, its cast and the reduction's quotients); nothing is kept between
-# decodes.  _lifted's dtype, which CodeSpec fixes once, makes the one
-# choice.  Below 2^63 the product runs on all n rows: float64 through BLAS
+# Time per decode: O(1) field work (one adjugate, one F_p inverse, sigma,
+# v0, v1 and q), then one O(n) product of the (n, 3) matrix spec._lifted
+# with q, its cast and reduction, one compare with 0, at most two Python
+# checks of u and two dict lookups, with no sort.  Memory: O(n) per decode
+# (the product column, its cast and the reduction's quotients); nothing is
+# kept between decodes.  _lifted's dtype, which CodeSpec fixes once, makes
+# the one choice.  Below 2^63 the product runs on all n rows: float64 through BLAS
 # up to about 5.5 * 10^7, an int64 matmul below 2^30, and the uint64 Shoup
 # kernel (field.shoup_product) below 2^63, about 10 us at n = 64 and
 # 12 us at n = 512 (p = 2^61 - 1, x86-64), with a (5, 2, 1, n) uint64
@@ -295,17 +335,24 @@ def _scan_ops(n, rows):
             + triples * OPS_SEARCH_PER_TRIPLE)
 
 
-def _search_triple(spec: CodeSpec, beta):
-    if beta[1] == beta[2] == 0:
+def _search_triple(spec: CodeSpec, num, den: int = 1):
+    """The increasing triple whose ratio is num/den (num a coordinate
+    triple, den nonzero in F_p; den = 1 when num is beta itself), or None.
+    One F_p inverse: lam stays scaled as L (see above)."""
+    if num[1] == num[2] == 0:
         return None  # beta in F_p: no triple of the parabola matches
     p = spec.p
     ext = spec.ext
-    lam = ext.inv(((beta[0] + 1) % p, beta[1], beta[2]))
-    (l0, l1, l2), (g0, g1, c), _ = ext.mul_matrix(lam)  # lam, lam*gamma
+    adj, nz = ext._adjugate(((num[0] + den) % p, num[1], num[2]))
+    L = (den * adj[0] % p, den * adj[1] % p, den * adj[2] % p)  # nz*lam
+    (l0, l1, l2), (g0, g1, c), _ = ext.mul_matrix(L)  # L, L*gamma
     if c == 0:
         return None  # the key is injective: no two positions share one
-    sigma = -l2 * pow(c, -1, p) % p
-    v0, v1 = (l0 + sigma * g0) % p, (l1 + sigma * g1) % p  # v = lam*(1 + sigma*gamma)
+    W = pow(c * nz, -1, p)
+    sigma = -l2 * nz * W % p
+    inz = c * W % p  # 1/nz
+    # v = lam*(1 + sigma*gamma)
+    v0, v1 = (l0 + sigma * g0) * inz % p, (l1 + sigma * g1) * inz % p
     # w0 = C + D*d and w1 = A + B*d + d^2: the named point, affine in (1, d, d^2)
     C, D = sigma * (1 - v0) % p, (2 * v0 - 1) % p
     A, B = sigma * (sigma - v1) % p, 2 * (v1 - sigma) % p
@@ -332,39 +379,47 @@ def _search_triple(spec: CodeSpec, beta):
 # -- decoders ------------------------------------------------------------
 
 
-def _closed_form(spec, beta):
-    """(nominal ops, kappa or None) of the closed form: kappa is None unless
-    the solve gives an increasing triple of the code's locators.
+def _closed_form(spec, num, den):
+    """(nominal ops, kappa, reason) of the closed form on the ratio
+    num/den: kappa is an increasing triple of the code's locators and
+    reason None, or kappa is None and reason names the failed check,
+    "degenerate-solve", "locator-not-in-code" or "order".
 
     The solved deltas are reduced Python ints, so they index
-    spec.delta_index directly; a value outside the code reads position 0,
-    which fails the one order test 0 < k1 < k2 < k3."""
-    sol = solve_deltas(spec.field, extract_coefficients(beta))
+    spec.delta_index directly; a value outside the code reads position 0."""
+    sol = solve_deltas(spec.field, extract_coefficients(num), den)
     if sol is None:
-        return OPS_EXT_MUL, None
+        return OPS_EXT_MUL, None, "degenerate-solve"
     get = spec.delta_index.get
     kappa = (get(sol[0], 0), get(sol[1], 0), get(sol[2], 0))
-    ok = 0 < kappa[0] < kappa[1] < kappa[2]
-    return OPS_EXT_MUL + OPS_SOLVE, kappa if ok else None
+    ops = OPS_EXT_MUL + OPS_SOLVE
+    if 0 < kappa[0] < kappa[1] < kappa[2]:
+        return ops, kappa, None
+    return ops, None, "order" if all(kappa) else "locator-not-in-code"
 
 
-def _search(spec, beta):
-    """(nominal ops, kappa or None) of the triple search, priced as the
-    scan up to the match row, or of every row on a miss."""
-    kappa = _search_triple(spec, beta.coords)
-    return _scan_ops(spec.n, spec.n - 2 if kappa is None else kappa[0]), kappa
+def _search(spec, num, den):
+    """(nominal ops, kappa, reason) of the triple search on the ratio
+    num/den, priced as the scan up to the match row, or of every row on a
+    miss, whose reason is "search-miss"."""
+    kappa = _search_triple(spec, num.coords, den)
+    if kappa is None:
+        return _scan_ops(spec.n, spec.n - 2), None, "search-miss"
+    return _scan_ops(spec.n, kappa[0]), kappa, None
 
 
 def _decode(spec, y, inst, identify, path):
     """The pipeline both decoders share, and the one place that prices a
-    decode: identify(spec, beta) returns (nominal ops, kappa or None).
-    Raises ParameterError first for a spec not built from the quadratic
-    evaluation map, which both identifications assume, then
-    InconsistentReceivedWordError("length") unless y has three symbols,
-    and FieldMismatchError for a word outside spec's field: the one field
-    check of a decode.  y is a ReceivedWord, or any ExtElem sequence,
-    which is built into one here.  The word's three rows are read once, as
-    Python-int tuples in one tolist, for every later stage."""
+    decode: identify(spec, num, den) returns (nominal ops, kappa, reason)
+    on compute_beta's fraction, with kappa None and reason the
+    UnrecognizedReceivedWordError's on a miss.  Raises ParameterError first
+    for a spec not built from the quadratic evaluation map, which both
+    identifications assume, then InconsistentReceivedWordError("length")
+    unless y has three symbols, and FieldMismatchError for a word outside
+    spec's field: the one field check of a decode.  y is a ReceivedWord,
+    or any ExtElem sequence, which is built into one here.  The word's
+    three rows are read once, as Python-int tuples in one tolist, for
+    every later stage.  The clock is read only when inst is given."""
     if not spec.from_quadratic_map:
         raise ParameterError(
             "the decoders need evaluation points delta + delta^2*gamma; "
@@ -374,26 +429,28 @@ def _decode(spec, y, inst, identify, path):
     if y.field is not ext and y.field != ext:
         raise FieldMismatchError(f"received symbols lie in {y.field!r}, not in {ext!r}")
     y1, y2, y3 = map(tuple, y.coords.tolist())
-    t0 = perf_counter()
-    beta = compute_beta(ext, y1, y2, y3)
-    if beta is None:
+    if inst:
+        t0 = perf_counter()
+    ratio = compute_beta(ext, y1, y2, y3)
+    if ratio is None:
         m, kappa, path = Message(ExtElem(ext, y1), ext.zero), (), PATH_CONSTANT
     else:
-        ops, kappa = identify(spec, beta)
+        ops, kappa, reason = identify(spec, *ratio)
         if inst:
             inst.total_ops += OPS_BETA + ops
             inst.search_ops += OPS_BETA + ops
             inst.search_seconds += perf_counter() - t0
-        if kappa is None:
+        if reason:
             raise UnrecognizedReceivedWordError(
-                "no kept triple is consistent with the received word")
+                f"no kept triple is consistent with the received word ({reason})", reason)
         m = interpolate(spec, kappa[0], kappa[1], ExtElem(ext, y1), ExtElem(ext, y2))
         third = ext.add(m.m1.coords, ext.mul(m.m2.coords, spec.alpha_coords(kappa[2])))
         if inst:
             inst.total_ops += OPS_INTERPOLATE + OPS_THIRD_POINT
         if third != y3:
             raise UnrecognizedReceivedWordError(
-                f"third received symbol is off the interpolated line at {kappa}")
+                f"third received symbol is off the interpolated line at {kappa}",
+                "third-point")
     if inst:
         inst.total_ops += spec.n * OPS_ENCODE_PER_SYMBOL
     # kappa is (), or increasing positions in 1..n by identify's own test
@@ -416,10 +473,12 @@ def decode_cubic(spec: CodeSpec, y: ReceivedWord,
     position.  Of the at most two positions that pass, the one whose
     partner is itself (u = 0) is skipped; the other's j and k are read from
     spec.delta_index as the closed form reads them, and a ratio in F_p, or
-    one whose key is injective, is rejected at once.  The product runs on
-    all n rows below p = 2^63, through the re-encode's kernel for the
-    regime (float64 BLAS, int64, or the uint64 Shoup kernel from 2^30 on).
-    From 2^63 on it first narrows to the positions that come before their
+    one whose key is injective, is rejected at once.  The ratio stays a
+    fraction and lam stays scaled by its norm, so identification takes one
+    F_p inverse and no F_{p^3} inverse; interpolation takes one more.  The
+    product runs on all n rows below p = 2^63, through the re-encode's
+    kernel for the regime (float64 BLAS, int64, or the uint64 Shoup kernel
+    from 2^30 on).  From 2^63 on it first narrows to the positions that come before their
     partner in the code, by one set intersection with spec.delta_index's
     keys, so Python-int products run only there: on none for most
     garbage, on up to about n/2 when the locators pair up around sigma
@@ -431,7 +490,9 @@ def decode_cubic(spec: CodeSpec, y: ReceivedWord,
     ParameterError for specs not built from the quadratic evaluation map,
     InconsistentReceivedWordError("length") for another length,
     FieldMismatchError before any arithmetic when the word is not in
-    spec's field, and UnrecognizedReceivedWordError when no triple matches.
+    spec's field, and UnrecognizedReceivedWordError when no triple matches
+    (reason "search-miss") or, as a guard that real words never reach, when
+    the third symbol is off the interpolated line ("third-point").
     """
     return _decode(spec, y, inst, _search, PATH_FALLBACK)
 
@@ -440,15 +501,19 @@ def decode_linear(spec: CodeSpec, y: ReceivedWord,
                   inst: Optional[DecodeInstrumentation] = None) -> DecodeOutcome:
     """Decode via the closed form, or reject the word.
 
-    Takes O(1) identification work (one ratio, one coefficient read, one
-    straight-line solve, three table lookups) plus O(n) re-encode time and
-    memory on every input, garbage included: a word whose closed form does
-    not give an increasing in-code locator triple raises
-    UnrecognizedReceivedWordError at once.  y is a word of exactly three
-    symbols (see _decode).  Raises ParameterError for specs not built from
-    the quadratic evaluation map, InconsistentReceivedWordError("length")
-    for another length, and FieldMismatchError before any arithmetic when
-    the word is not in spec's field.
+    Takes O(1) identification work (one ratio as a fraction, one
+    coefficient read, one straight-line solve with one F_p inverse and no
+    F_{p^3} inverse, three table lookups), then interpolation with one
+    F_{p^3} inverse, plus O(n) re-encode time and memory on every input,
+    garbage included: a word whose closed form does not give an
+    increasing in-code locator triple raises UnrecognizedReceivedWordError
+    at once, with reason "degenerate-solve", "locator-not-in-code" or
+    "order" ("third-point" is a guard that real words never reach).  y is
+    a word of exactly three symbols (see _decode).  Raises ParameterError
+    for specs not built from the quadratic evaluation map,
+    InconsistentReceivedWordError("length") for another length, and
+    FieldMismatchError before any arithmetic when the word is not in
+    spec's field.
     """
     return _decode(spec, y, inst, _closed_form, PATH_CLOSED_FORM)
 

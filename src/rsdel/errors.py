@@ -23,7 +23,15 @@ class DegenerateInterpolationError(RSDelError):
     """Interpolation was asked for two coinciding evaluation positions."""
 
 
-class InconsistentReceivedWordError(RSDelError):
+class _ReasonedError(RSDelError):
+    """An error whose reason attribute names the check that failed."""
+
+    def __init__(self, message: str, reason: Optional[str] = None):
+        super().__init__(message)
+        self.reason = reason
+
+
+class InconsistentReceivedWordError(_ReasonedError):
     """Received word cannot be the output of the deletion channel.
 
     Raised when exactly two of three symbols are equal (a degree-one codeword
@@ -34,13 +42,16 @@ class InconsistentReceivedWordError(RSDelError):
     "constant-mismatch" (three equal symbols, then a different one).
     """
 
-    def __init__(self, message: str, reason: Optional[str] = None):
-        super().__init__(message)
-        self.reason = reason
 
+class UnrecognizedReceivedWordError(_ReasonedError):
+    """No kept-position triple is consistent with the received word.
 
-class UnrecognizedReceivedWordError(RSDelError):
-    """No kept-position triple is consistent with the received word."""
+    reason names the failed check: "degenerate-solve" (the closed form's
+    r = 0 or its d2 denominator is 0), "locator-not-in-code" (a solved
+    delta is no locator of the code), "order" (the solved positions do not
+    increase), "search-miss" (the triple search found no triple), or
+    "third-point" (the third symbol is off the line through the first two).
+    """
 
 
 class BudgetExceededError(RSDelError):

@@ -319,6 +319,32 @@ def test_interpolate_roundtrip():
         assert got == m
 
 
+@pytest.mark.parametrize("p", [10007, 2**61 - 1, 2**64 - 59])
+def test_interpolate_roundtrip_alpha_rows(p):
+    # interpolate reads its points through alpha_coords, whose (d, d^2, 0)
+    # shortcut from delta serves quadratic-map specs only: on an alpha_rows
+    # spec, the off-plane one of test_encode_exact_at_dtype_boundary and
+    # one holding the parabola's points under other deltas, every pair of
+    # positions recovers the message from the spec's own points
+    n = 12
+    g = get_spec(p, n).g
+    offplane = CodeSpec(p, g, range(1, n + 1),
+                        alpha_rows=[(p - 1 - i, p - 1 - 7 * i % n, p - 1 - 13 * i % n)
+                                    for i in range(n)])
+    shuffled = CodeSpec(p, g, range(1, n + 1),
+                        alpha_rows=[(d, d * d % p, 0) for d in range(n + 1, 1, -1)])
+    rng = random.Random(p % 1009)
+    for spec in (offplane, shuffled):
+        assert not spec.from_quadratic_map
+        assert spec.alpha_coords(1) != (1, 1, 0)
+        for _ in range(4):
+            m = random_message(spec, rng)
+            cw = encode(spec, m)
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    assert interpolate(spec, i, j, cw[i - 1], cw[j - 1]) == m
+
+
 def test_interpolate_rejects_repeated_position():
     spec = get_spec(5, 4)
     y = spec.ext.elem(1, 0, 0)

@@ -16,6 +16,7 @@ from math import comb
 import pytest
 
 from rsdel import decoder
+from rsdel import field as field_module
 from rsdel.channel import DeletionPattern, apply_deletions, enumerate_triples
 from rsdel.code import (
     CodeSpec,
@@ -71,16 +72,44 @@ def received(spec, m, kept):
 
 
 def ratio(y):
-    """compute_beta of a three-symbol word, on its rows as the decoders read them."""
+    """compute_beta of a three-symbol word, on its rows as the decoders
+    read them: the fraction (num, den)."""
     return compute_beta(y.field, *y.symbol_tuples())
 
 
+def beta_of(y):
+    """The ratio of a three-symbol word as one element, num/den."""
+    num, den = ratio(y)
+    return num * pow(den, -1, y.field.p)
+
+
 def test_compute_beta_worked_example():
+    # y2 - y3 = alpha_2 - alpha_3 = -1: adj(-1) = 1 and N(-1) = -1 = 4,
+    # so num = alpha_1 - alpha_2 = (4, 2, 0) and beta = num/4 = (1, 3, 0)
     spec = get_spec(5, 4)
     y = received(spec, Message(spec.ext.zero, spec.ext.one), (1, 2, 3))
-    beta = ratio(y)
+    num, den = ratio(y)
+    assert (num.coords, den) == ((4, 2, 0), 4)
+    beta = beta_of(y)
     assert beta.coords == (1, 3, 0)
     assert beta == gamma_map(spec, 1, 2, 3)
+
+
+def test_compute_beta_is_a_fraction_of_the_norm():
+    # num = (y1 - y2)*adj(y2 - y3) and den = N(y2 - y3) in F_p^*, for
+    # random words at every arithmetic regime: num/den is the ratio
+    rng = random.Random(314)
+    for p in (5, 10007, 1073741789, (1 << 61) - 1, (1 << 64) - 59):
+        ext = get_spec(p, 4).ext
+        for _ in range(50):
+            y1, y2, y3 = (ext.rand(rng) for _ in range(3))
+            if len({y1.coords, y2.coords, y3.coords}) < 3:
+                continue
+            num, den = compute_beta(ext, y1.coords, y2.coords, y3.coords)
+            assert type(den) is int and 0 < den < p
+            adj, norm = ext._adjugate((y2 - y3).coords)
+            assert den == norm and num == (y1 - y2) * ExtElem(ext, adj)
+            assert num * pow(den, -1, p) == (y1 - y2) / (y2 - y3)
 
 
 def test_compute_beta_constant_is_none():
@@ -162,6 +191,106 @@ def test_solve_deltas_symbolic_identity():
     # the rejected quadratic root would collapse the last two locators
     alt_d2 = -a / (2 * r)
     assert sp.simplify((-alt_d2 - theta) - alt_d2) == 0
+
+
+def test_division_free_forms_symbolic_identity():
+    """The division-free forms equal the affine ones as rational functions.
+
+    compute_beta hands on beta = num/den.  The coefficients of num are
+    (A, B, C, R, S, T) = den*(a, b, c, r, s, t), and solve_deltas's cleared
+    d1, d2, d3 (one inverse W) equal the affine closed form on num/den.
+    The search keeps lam = (1 + beta)^-1 scaled as L = den*adj(den + num)
+    = nz*lam, and its sigma, v0 and v1 (one inverse W = (c~*nz)^-1) equal
+    those of lam itself.  Coordinates, g and den are free symbols.
+    """
+    sp = pytest.importorskip("sympy")
+    A, B, C, D, g0, g1, g2 = sp.symbols("A B C D g0 g1 g2")
+    R, S, T = B - A * g2, C - A * g1, -A * g0
+    a, b, c, r, s, t = (x / D for x in (A, B, C, R, S, T))
+    theta = a / r
+    tt = t * theta
+    den = 2 * (c + c * c - 2 * c * tt + tt * (tt - 1))
+    d2 = (b - theta * (c * c + s - 2 * c * tt + tt * tt)) / den
+    d3 = -d2 - theta
+    d1 = d2 * (1 + 2 * c - 2 * tt) + theta * (c - tt)
+    u, DR = C * R - A * T, D * R
+    DEN = 2 * u * (u + DR)
+    NUM = DR * R * (B * R - A * S) - A * u * u
+    # the two cleared quantities as the expanded sums the module states
+    assert sp.expand(DEN - 2 * (C * D * R**2 + C**2 * R**2 - 2 * A * C * T * R
+                                + A**2 * T**2 - A * T * D * R)) == 0
+    assert sp.expand(NUM - (B * D * R**3 - A * (C**2 * R**2 + S * D * R**2
+                                                - 2 * A * C * T * R + A**2 * T**2))) == 0
+    assert sp.cancel(sp.together(DEN - D**2 * R**2 * den)) == 0  # same zeros as den
+    W = 1 / (DEN * DR * R)
+    V = DEN * W
+    new_d2 = NUM * DR * W
+    new_theta = A * DR * V
+    new_d1 = V * (new_d2 * (DR + 2 * u) * R + A * u)
+    for old, new in ((d1, new_d1), (d2, new_d2), (d3, -new_d2 - new_theta)):
+        assert sp.cancel(sp.together(old - new)) == 0
+
+    x0, x1, x2, h0, h1, h2 = sp.symbols("x0 x1 x2 h0 h1 h2")
+
+    def rows(x):  # CubicField.mul_matrix with gamma^3 = h0 + h1*gamma + h2*gamma^2
+        y0, y1, y2 = x[2] * h0, x[0] + x[2] * h1, x[1] + x[2] * h2
+        return (tuple(x), (y0, y1, y2), (y2 * h0, y0 + y2 * h1, y1 + y2 * h2))
+
+    def mul(v, x):
+        return tuple(sum(vi * row[k] for vi, row in zip(v, rows(x))) for k in range(3))
+
+    def adjugate(x):  # CubicField._adjugate
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows(x)
+        adj = (m11 * m22 - m12 * m21, m02 * m21 - m01 * m22, m01 * m12 - m02 * m11)
+        return adj, m00 * adj[0] + m10 * adj[1] + m20 * adj[2]
+
+    def zero(*exprs):
+        return all(sp.cancel(sp.together(e)) == 0 for e in exprs)
+
+    num = (x0, x1, x2)
+    one_plus_beta = (1 + x0 / D, x1 / D, x2 / D)
+    adj, norm = adjugate(one_plus_beta)
+    lam = tuple(v / norm for v in adj)
+    assert zero(*(w - e for w, e in zip(mul(lam, one_plus_beta), (1, 0, 0))))
+    (l0, l1, l2), (G0, G1, c), _ = rows(lam)
+    sigma = -l2 / c
+    v0, v1 = l0 + sigma * G0, l1 + sigma * G1
+    adj, nz = adjugate((x0 + D, x1, x2))
+    L = tuple(D * v for v in adj)
+    assert zero(*(w - e for w, e in zip(mul(L, (x0 + D, x1, x2)), (D * nz, 0, 0))))  # L = nz*lam
+    (L0, L1, L2), (H0, H1, ct), _ = rows(L)
+    assert zero(ct - nz * c)
+    W = 1 / (ct * nz)
+    new_sigma = -L2 * nz * W
+    inz = ct * W
+    assert zero(new_sigma - sigma, (L0 + new_sigma * H0) * inz - v0,
+                (L1 + new_sigma * H1) * inz - v1)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_division_free_forms_exhaustive_small_fields(p):
+    # for every num in F_{p^3} and several den != 1, the closed form on
+    # (coefficients of num, den) equals the one on num/den with den = 1, and
+    # so does the search up to p = 11, on delta = 1..p-1 and random deltas
+    spec = get_spec(p, p - 1)
+    pf, ext = spec.field, spec.ext
+    rng = random.Random(p * 31)
+    specs = [spec, build_code(p, p - 2, rng.sample(range(1, p), p - 2))] if p <= 11 else []
+    dens = range(2, p) if p <= 7 else (2, p - 1, (p + 1) // 2, rng.randrange(3, p - 1))
+    solved = found = 0
+    for num in product(range(p), repeat=3):
+        for den in dens:
+            beta = ext.mul(num, (pow(den, -1, p), 0, 0))
+            want = solve_deltas(pf, extract_coefficients(ExtElem(ext, beta)))
+            got = solve_deltas(pf, extract_coefficients(ExtElem(ext, num)), den)
+            assert got == want, (num, den)
+            solved += want is not None
+            for s in specs:
+                want = _search_triple(s, beta)
+                assert _search_triple(s, num, den) == want, (s.delta, num, den)
+                found += want is not None
+    assert solved > (p ** 3 - p * p) * len(dens) // 2
+    assert found == len(dens) * sum(comb(s.n, 3) for s in specs)  # each triple once per den
 
 
 def test_closed_form_never_degenerates_on_true_triples():
@@ -404,22 +533,45 @@ def _outcome(decode, spec, y):
     return (out.kappa.kept, out.message, out.codeword)
 
 
+def assert_decoders_agree_on_every_beta(spec, word):
+    """word(beta) is a three-symbol word with ratio beta.  Sweeping every
+    beta in F_{p^3} covers every ratio a received word can have, so the
+    closed form must accept exactly the words the full scan accepts and
+    reject the rest the same way."""
+    accepted = 0
+    for beta in product(range(spec.p), repeat=3):
+        y = word(spec.ext.from_coords(beta))
+        lin = _outcome(decode_linear, spec, y)
+        assert lin == _outcome(decode_cubic, spec, y), beta
+        accepted += isinstance(lin, tuple)
+    assert accepted == comb(spec.n, 3)
+
+
 @pytest.mark.parametrize("p", (5, 7, 11))
 def test_linear_matches_cubic_on_every_beta(p):
-    # y = (beta, 0, -1) has ratio beta; sweeping every beta in F_{p^3} covers
-    # every ratio a received word can have, so the closed form must accept
-    # exactly the words the full scan accepts and reject the rest the same way
+    # y = (beta, 0, -1) has ratio beta, with y2 - y3 = 1, so den = N(1) = 1
     spec = get_spec(p, p - 1)
     ext = spec.ext
-    accepted = 0
-    for x0 in range(p):
-        for x1 in range(p):
-            for x2 in range(p):
-                y = ReceivedTriple(ext.elem(x0, x1, x2), ext.zero, -ext.one)
-                lin = _outcome(decode_linear, spec, y)
-                assert lin == _outcome(decode_cubic, spec, y), (x0, x1, x2)
-                accepted += isinstance(lin, tuple)
-    assert accepted == comb(spec.n, 3)
+    assert_decoders_agree_on_every_beta(spec, lambda beta: ReceivedTriple(beta, ext.zero, -ext.one))
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_linear_matches_cubic_on_every_beta_with_denominator(p):
+    # y = (z*(1 + beta), z, 0) has ratio beta too, and with z outside F_p
+    # and N(z) != 1 compute_beta's den = N(z) is a real denominator: a
+    # dropped or misplaced den changes what the decoders accept
+    spec = get_spec(p, p - 1)
+    ext = spec.ext
+    z, nz = next((z, nz) for z in (ext.elem(k, 1, 0) for k in range(p))
+                 for nz in [ext._adjugate(z.coords)[1]] if nz != 1)
+
+    def word(beta):
+        y = ReceivedTriple(z * (beta + 1), z, ext.zero)
+        if len({e.coords for e in y}) == 3:
+            assert ratio(y)[1] == nz and beta_of(y) == beta
+        return y
+
+    assert_decoders_agree_on_every_beta(spec, word)
 
 
 def test_decode_linear_refuses_non_quadratic_spec():
@@ -563,7 +715,10 @@ def test_search_paths_agree():
     for _ in range(40):
         m = random_message(spec, rng)
         kept = tuple(sorted(rng.sample(range(1, 49), 3)))
-        beta = ratio(received(spec, m, kept))
+        y = received(spec, m, kept)
+        num, den = ratio(y)
+        beta = beta_of(y)
+        assert _search_triple(spec, num.coords, den) == kept
         assert _search_triple(spec, beta.coords) == kept
         assert next(reference_matches(spec, beta.coords)) == kept
 
@@ -822,7 +977,9 @@ def test_search_kernels_charge_scan_pricing():
         cases.append((spec, (0, 0, 0), None))  # beta = 0 never matches
     for spec, beta, kept in cases:
         want = scan_price(spec.n, spec.n - 2 if kept is None else kept[0])
-        assert _search(spec, spec.ext.from_coords(beta)) == (want, kept), (spec.p, spec.n, kept)
+        reason = None if kept else "search-miss"
+        assert _search(spec, spec.ext.from_coords(beta), 1) == (want, kept, reason), \
+            (spec.p, spec.n, kept)
 
 
 def test_decode_cubic_search_ops_pinned():
@@ -842,7 +999,7 @@ def test_decode_cubic_all_first_coordinates_equal():
     spec = get_spec(10007, 2048)
     ext = spec.ext
     y = ReceivedTriple(ext.elem(10006, 1, 0), ext.zero, -ext.one)
-    assert ratio(y).coords == (10006, 1, 0)
+    assert beta_of(y).coords == (10006, 1, 0)
     t0 = time.perf_counter()
     with pytest.raises(UnrecognizedReceivedWordError):
         decode_cubic(spec, y)
@@ -857,7 +1014,7 @@ def test_decode_cubic_ratio_in_base_field_miss_bound():
     spec = build_code(10007, 4096)
     ext = spec.ext
     y = ReceivedTriple(ext.elem(2), ext.zero, -ext.one)
-    assert ratio(y).coords == (2, 0, 0)
+    assert beta_of(y).coords == (2, 0, 0)
     times = []
     for _ in range(3):
         t0 = time.perf_counter()
@@ -905,7 +1062,7 @@ def test_decode_cubic_keeps_no_state_per_spec():
             words.append((s, received(spec, random_message(spec, rng), kept)))
         for _ in range(4):
             words.append((s, ReceivedTriple(*(spec.ext.rand(rng) for _ in range(3)))))
-    assert len({(s, ratio(y).coords) for s, y in words}) > len(words) // 2
+    assert len({(s, beta_of(y).coords) for s, y in words}) > len(words) // 2
 
     def decode_all(order):
         specs = fresh_specs()
@@ -1112,3 +1269,111 @@ def test_rejection_ops_pinned(decode, monkeypatch):
         decode(spec, y, inst)
     got["third-point"] = (inst.total_ops, inst.search_ops)
     assert got == {name: ops[col] for name, ops in pinned.items()}
+
+
+def unrecognized_reason(call, *args):
+    with pytest.raises(UnrecognizedReceivedWordError) as info:
+        call(*args)
+    return info.value.reason
+
+
+def test_unrecognized_reason_degenerate_solve():
+    spec = get_spec(10007, 48)
+    words = rejection_words(spec)
+    for name in ("solve-r-zero", "solve-den-zero"):
+        assert unrecognized_reason(decode_linear, spec, words[name]) == "degenerate-solve"
+
+
+def test_unrecognized_reason_locator_not_in_code():
+    # a solved delta outside 1..48 reads position 0, which names this check
+    # before the order check, also when the positions do not increase
+    spec = get_spec(10007, 48)
+    ext = spec.ext
+    words = rejection_words(spec)
+    assert unrecognized_reason(decode_linear, spec, words["locator-outside"]) \
+        == "locator-not-in-code"
+    alpha = [ext.elem(d, d * d, 0) for d in (5000, 2, 1)]
+    y = ReceivedTriple(*alpha)
+    assert unrecognized_reason(decode_linear, spec, y) == "locator-not-in-code"
+
+
+def test_unrecognized_reason_order():
+    spec = get_spec(10007, 48)
+    words = rejection_words(spec)
+    assert unrecognized_reason(decode_linear, spec, words["locators-out-of-order"]) == "order"
+    # the points of kept positions 30, 12, 5 in that order
+    cw = encode(spec, random_message(spec, random.Random(30)))
+    y = ReceivedTriple(cw[29], cw[11], cw[4])
+    assert unrecognized_reason(decode_linear, spec, y) == "order"
+
+
+@pytest.mark.parametrize("p", (10007, (1 << 61) - 1, (1 << 64) - 59))
+def test_unrecognized_reason_search_miss(p):
+    # every miss of the cubic search names one reason: a ratio in F_p, an
+    # injective key (beta = -1 + gamma), a failed parabola test, and a
+    # passing position whose triple does not increase (30, 12, 5); through
+    # decode_received as well
+    spec = get_spec(p, 48)
+    ext = spec.ext
+    words = [y for name, y in rejection_words(spec).items() if not name.startswith("constant")]
+    words.append(ReceivedTriple(ext.elem(p - 1, 1, 0), ext.zero, -ext.one))
+    cw = encode(spec, random_message(spec, random.Random(p % 1000)))
+    words.append(ReceivedTriple(cw[29], cw[11], cw[4]))
+    for y in words:
+        assert unrecognized_reason(decode_cubic, spec, y) == "search-miss"
+        assert unrecognized_reason(decode_received, spec, tuple(y) + (cw[47],),
+                                   decode_cubic) == "search-miss"
+
+
+def test_unrecognized_reason_third_point(monkeypatch):
+    # a guard that honest identifications never reach (the ratio fixes the
+    # third point), reached through a shifted interpolation
+    spec = get_spec(10007, 48)
+    y = received(spec, random_message(spec, random.Random(48)), (4, 20, 33))
+
+    def shifted(spec, i, j, y_i, y_j):
+        return interpolate(spec, i, j + 1, y_i, y_j)
+
+    monkeypatch.setattr(decoder, "interpolate", shifted)
+    for decode in (decode_linear, decode_cubic):
+        assert unrecognized_reason(decode, spec, y) == "third-point"
+
+
+@pytest.mark.parametrize("p", (10007, 1073741789, (1 << 61) - 1, (1 << 64) - 59))
+def test_two_inversions_per_decode(monkeypatch, p):
+    # a non-constant decode runs exactly two F_p inversions, one to identify
+    # the triple and one in interpolate's F_{p^3} inverse; compute_beta runs
+    # none, and a rejection at most the identification's one
+    spec = get_spec(p, 48)
+    rng = random.Random(p % 991)
+    valid = [received(spec, random_message(spec, rng), tuple(sorted(rng.sample(range(1, 49), 3))))
+             for _ in range(8)]
+    garbage = [y for name, y in rejection_words(spec).items() if not name.startswith("constant")]
+    calls = Counter()
+    real_pow, real_inv = pow, CubicField.inv
+
+    def counting_pow(base, exp, mod=None):
+        calls["pow", exp] += 1
+        return real_pow(base, exp, mod)
+
+    def counting_inv(self, x):
+        calls["inv"] += 1
+        return real_inv(self, x)
+
+    for module in (decoder, field_module):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(CubicField, "inv", counting_inv)
+    for y in valid + garbage:
+        calls.clear()
+        ratio(y)
+        assert not calls
+    for decode in (decode_linear, decode_cubic):
+        for y in valid:
+            calls.clear()
+            decode(spec, y)
+            assert calls == {("pow", -1): 2, "inv": 1}, (decode, calls)
+        for y in garbage:
+            calls.clear()
+            with pytest.raises(UnrecognizedReceivedWordError):
+                decode(spec, y)
+            assert calls[("pow", -1)] <= 1 and set(calls) <= {("pow", -1)}, (decode, calls)

@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = {
     "linear-valid": (
         {"code.encode.calls": 2048, "decoder.total_ops": 8004, "decoder.search_ops": 160,
-         "decoder.path.closed_form": 2048, "field.CubicField.inv.calls": 4096,
+         "decoder.path.closed_form": 2048, "field.CubicField.inv.calls": 2048,
          "field.CubicField.mul.calls": 8192},
         ("decoder.compute_beta", "decoder.extract_coefficients", "decoder.solve_deltas",
          "code.interpolate", "code.encode", "decoder.decode_linear"),
@@ -29,7 +29,7 @@ EXPECTED = {
         {"code.encode.calls": 290, "decoder.total_ops": 1163.5, "decoder.search_ops": 150,
          "decoder.path.closed_form": 280, "decoder.path.constant": 10,
          "decoder.rejected.unrecognized": 20, "decoder.rejected.inconsistent": 10,
-         "field.CubicField.inv.calls": 580, "field.CubicField.mul.calls": 1140},
+         "field.CubicField.inv.calls": 280, "field.CubicField.mul.calls": 1140},
         ("decoder.compute_beta", "decoder.extract_coefficients", "decoder.solve_deltas",
          "code.interpolate", "code.encode", "decoder.decode_linear"),
     ),
@@ -37,7 +37,7 @@ EXPECTED = {
         {"decoder.search.scans": 96, "decoder.search.useful_frac": 1,
          "decoder.path.fallback": 96, "code.encode.calls": 96,
          "decoder.search_ops": 5700173.875, "decoder.total_ops": 5704897.875,
-         "field.CubicField.inv.calls": 288, "field.CubicField.mul.calls": 384},
+         "field.CubicField.inv.calls": 96, "field.CubicField.mul.calls": 384},
         ("decoder.compute_beta", "code.interpolate", "code.encode",
          "decoder.decode_cubic.packed", "decoder.decode_cubic.pyscan"),
     ),
