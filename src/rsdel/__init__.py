@@ -5,8 +5,8 @@ Evaluation points alpha_i = delta_i + delta_i^2 * gamma make the triple ratio
 three surviving symbols pin down their original positions.  Two decoders:
 the paper's exhaustive triple search, run as an O(n) equal-key join
 whose nominal op count still prices the Theta(n^3) scan, and a linear-time
-closed form.  decode_received decodes a longer channel output from its first
-three symbols and checks every later one against the decoded codeword.
+closed form.  Both take any channel output of 3..n symbols: they decode its
+first three and check every later one against the decoded codeword.
 """
 
 from .channel import DeletionPattern, apply_deletions, enumerate_triples, random_pattern
@@ -38,7 +38,6 @@ from .decoder import (
     compute_beta,
     decode_cubic,
     decode_linear,
-    decode_received,
     extract_coefficients,
     solve_deltas,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "compute_beta",
     "decode_cubic",
     "decode_linear",
-    "decode_received",
     "encode",
     "encode_many",
     "enumerate_triples",

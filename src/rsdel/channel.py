@@ -28,7 +28,7 @@ class DeletionPattern:
     those checks: it is for the decoders only, whose kept tuples are
     already proven to be increasing Python ints in 1..n (the closed form's
     order test on delta-table positions, the triple search's i < j < k,
-    the constant word's (), decode_received's subsequence loop).
+    the constant word's (), the decoders' later-symbol check).
     """
 
     kept: tuple[int, ...]

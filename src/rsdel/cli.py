@@ -121,15 +121,16 @@ def cmd_corrupt(args) -> int:
 def cmd_decode(args) -> int:
     """Decode a received word of 3 to n symbols and write the codeword.
 
-    Loading is O(n + m) for m received symbols; decode_received adds
-    O(n + m) time and memory to the decode of the first three.  That decode
-    is O(n) for --algo linear on every input.  For --algo cubic it is
-    O(n) time (expected, through one hashed set intersection from
-    p = 2^63 on) and O(n) memory (a spec file always holds the quadratic map).
+    Loading is O(n + m) for m received symbols.  The decoder locates the
+    later symbols in O(n + m) time and memory beside the decode of the
+    first three, which is O(n) for --algo linear on every input.  For
+    --algo cubic it is O(n) time (expected, through one hashed set
+    intersection from p = 2^63 on) and O(n) memory (a spec file always
+    holds the quadratic map).
     """
     spec = code.load_spec(args.spec)
     symbols = code.load_symbols(args.received, spec)
-    outcome = decoder.decode_received(spec, symbols, DECODERS[args.algo])
+    outcome = DECODERS[args.algo](spec, symbols)
     code.save_symbols(args.out, outcome.codeword)
     m = outcome.message
     print(f"path {outcome.path}")
@@ -196,11 +197,11 @@ def cmd_roundtrip(args) -> int:
     Each trial keeps m random positions, m drawn uniformly from 3..n, or,
     with --exhaustive, each of the C(n,3) triples in turn, whose
     trials * C(n,3) received words are refused against --budget before any
-    decode.  Every word goes through decoder.decode_received once per
-    algorithm, which checks all m symbols: the decode must return the
-    message and codeword and, unless the codeword is constant, claim exactly
-    the kept positions, so under --algo both the two decoders agree.  A word
-    costs one decode plus O(n + m) per algorithm.
+    decode.  Every word goes through DECODERS[algo] once per algorithm,
+    which checks all m symbols: the decode must return the message and
+    codeword and, unless the codeword is constant, claim exactly the kept
+    positions, so under --algo both the two decoders agree.  A word costs
+    one decode plus O(n + m) per algorithm.
     """
     if args.trials < 1:
         raise ParameterError(f"roundtrip needs --trials >= 1, got {args.trials}")
@@ -231,7 +232,7 @@ def cmd_roundtrip(args) -> int:
             ok = True
             for decode in decodes:
                 try:
-                    out = decoder.decode_received(spec, received, decode)
+                    out = decode(spec, received)
                 except RSDelError:
                     ok = False
                     break
@@ -330,14 +331,13 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
     "cubic-midpair" decodes (1, ceil(n/2), n) on every trial: its ratio
     pairs up about n/2 positions of the code around sigma = n + 1, the
     search's costliest valid input when its products are narrowed to the
-    in-code pairs (p >= 2^63).  "linear-received" times
-    decode_received(spec, word, decode_linear) on channel words of
-    min(256, n) survivors, a fresh kept set per trial drawn from a third
-    random.Random(seed): the closed-form decode of the first three symbols
-    and the check of the later ones.  One untimed decode of the last
-    triple per (code, record) runs before the timed trials, so first-call
-    costs (numpy's code pages, allocator growth) are not averaged into the
-    times; the decoders keep nothing per code.  search_time and
+    in-code pairs (p >= 2^63).  "linear-received" times decode_linear on
+    channel words of min(256, n) survivors, a fresh kept set per trial
+    drawn from a third random.Random(seed): the closed-form decode of the
+    first three symbols and the check of the later ones.  One untimed
+    decode of the last triple per (code, record) runs before the timed
+    trials, so first-call costs (numpy's code pages, allocator growth) are
+    not averaged into the times; the decoders keep nothing per code.  search_time and
     total_time are means over the trials, p50_time the median total time,
     and field_ops the mean nominal count.  Returns (records, truncated).
     """
@@ -355,9 +355,6 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
         def check(out):
             _expect(out.codeword == cw, "benchmark decode returned a wrong codeword")
 
-        def received(spec, y, inst):
-            return decoder.decode_received(spec, y, decoder.decode_linear, inst)
-
         worst = [word((n - 2, n - 1, n))] * trials
         fresh = [word(sorted(triples.sample(range(1, n + 1), 3))) for _ in range(trials)]
         midpair = [word((1, (n + 1) // 2, n))] * trials
@@ -368,7 +365,7 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
                 ("cubic-random", decoder.decode_cubic, fresh),
                 ("linear-random", decoder.decode_linear, fresh),
                 ("cubic-midpair", decoder.decode_cubic, midpair),
-                ("linear-received", received, longer)):
+                ("linear-received", decoder.decode_linear, longer)):
             decode(spec, worst[0], None)  # warm-up
             inst = decoder.DecodeInstrumentation()
             yield algo, decode, [(spec, y, inst) for y in words], check, inst

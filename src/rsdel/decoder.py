@@ -1,4 +1,4 @@
-"""Decoders that recover a codeword from three surviving symbols.
+"""Decoders that recover a codeword from any channel output of 3..n symbols.
 
 Both decoders start from the invariant ratio
 
@@ -58,13 +58,16 @@ increasing triples for every spec built from the quadratic map (two triples
 with one ratio yield the same solve), and verify.check_injectivity stays as
 the independent empirical oracle for that claim.
 
-Both decoders run one pipeline, _decode: the ratio (a constant word decodes
-at once), the kept triple (_closed_form or _search, the only difference),
-interpolation and the third-point check, then the re-encode.  The stages
-take no instrumentation; _decode prices every one at the counts below.  A
-non-constant decode runs two F_p inversions: one to identify the triple
-(solve_deltas's W, or the search's W) and one in interpolate.  A rejection
-names its check in UnrecognizedReceivedWordError.reason.
+Both decoders run one pipeline, _decode, on a word of 3 <= m <= n symbols:
+the ratio of its first three (a constant word decodes at once), the kept
+triple (_closed_form or _search, the only difference), interpolation and
+the third-point check, the re-encode, and then the check that every later
+symbol is a codeword symbol after the one before it.  The stages take no
+instrumentation; _decode prices every one but the later-symbol check at
+the counts below.  A non-constant decode runs two F_p inversions: one to
+identify the triple (solve_deltas's W, or the search's W) and one in
+interpolate.  A rejection names its check in the reason of its
+UnrecognizedReceivedWordError or InconsistentReceivedWordError.
 """
 
 from __future__ import annotations
@@ -136,19 +139,22 @@ def ReceivedTriple(y1: ExtElem, y2: ExtElem, y3: ExtElem) -> ReceivedWord:
     return ReceivedWord((y1, y2, y3))
 
 
-def _received_word(symbols, low: int, high: int) -> ReceivedWord:
+def _received_word(symbols, n: int) -> ReceivedWord:
     """symbols as a ReceivedWord, built (and so checked) here unless it is
-    one.  Raises InconsistentReceivedWordError("length") first, for a
-    length outside low..high."""
+    one.  Raises ParameterError first when symbols cannot be iterated, then
+    InconsistentReceivedWordError("length") for a length outside 3..n."""
     if isinstance(symbols, ReceivedWord):
         word, m = symbols, len(symbols.coords)
     else:
-        symbols = tuple(symbols)
+        try:
+            symbols = tuple(symbols)
+        except TypeError:
+            raise ParameterError(
+                f"received symbols must be a sequence, got {type(symbols).__name__}") from None
         word, m = None, len(symbols)
-    if not low <= m <= high:
-        count = f"{low}" if low == high else f"{low} to {high}"
+    if not 3 <= m <= n:
         raise InconsistentReceivedWordError(
-            f"expected {count} received symbols, got {m}", "length")
+            f"expected 3 to {n} received symbols, got {m}", "length")
     return word if word is not None else ReceivedWord(symbols)
 
 
@@ -411,24 +417,41 @@ def _search(spec, num, den):
 def _decode(spec, y, inst, identify, path):
     """The pipeline both decoders share, and the one place that prices a
     decode: identify(spec, num, den) returns (nominal ops, kappa, reason)
-    on compute_beta's fraction, with kappa None and reason the
-    UnrecognizedReceivedWordError's on a miss.  Raises ParameterError first
-    for a spec not built from the quadratic evaluation map, which both
-    identifications assume, then InconsistentReceivedWordError("length")
-    unless y has three symbols, and FieldMismatchError for a word outside
-    spec's field: the one field check of a decode.  y is a ReceivedWord,
-    or any ExtElem sequence, which is built into one here.  The word's
-    three rows are read once, as Python-int tuples in one tolist, for
-    every later stage.  The clock is read only when inst is given."""
+    on compute_beta's fraction of the first three symbols, with kappa None
+    and reason the UnrecognizedReceivedWordError's on a miss.  y is a
+    ReceivedWord of 3 <= m <= n symbols, or any such ExtElem sequence,
+    which is built into one here.  The first three rows are read once, as
+    Python-int tuples in one tolist, for every later stage.  After the
+    re-encode each later symbol must occur in the codeword at a position
+    after the previous symbol's; the symbols of a non-constant codeword are
+    pairwise distinct, so a dict from symbol to position finds it.  A
+    constant codeword needs all m symbols equal, one array compare.  kappa
+    lists all m kept positions (none for a constant word).  That check adds
+    O(n + m) time and memory and is not priced.
+
+    Errors, in order: ParameterError for a spec not built from the
+    quadratic evaluation map, which both identifications assume, or for a
+    y that cannot be iterated; InconsistentReceivedWordError("length") for
+    m outside 3..n; building the word, FieldMismatchError for a symbol that
+    is not an ExtElem or for mixed fields and ParameterError for a
+    non-canonical coordinate; FieldMismatchError for a word outside spec's
+    field, the one field check of a decode; then the rejections of the
+    first three symbols ("two-equal", identify's reasons, "third-point");
+    and InconsistentReceivedWordError("not-a-subsequence" or
+    "constant-mismatch") for a later symbol.  The clock is read only when
+    inst is given."""
     if not spec.from_quadratic_map:
         raise ParameterError(
             "the decoders need evaluation points delta + delta^2*gamma; "
             "this spec was built from alpha_rows")
-    y = _received_word(y, 3, 3)
+    y = _received_word(y, spec.n)
     ext = spec.ext
     if y.field is not ext and y.field != ext:
         raise FieldMismatchError(f"received symbols lie in {y.field!r}, not in {ext!r}")
-    y1, y2, y3 = map(tuple, y.coords.tolist())
+    longer = len(y.coords) > 3
+    # a three-symbol word is read unsliced: the slice would cost about as
+    # much as its tolist, on every call of the common case
+    y1, y2, y3 = map(tuple, (y.coords[:3] if longer else y.coords).tolist())
     if inst:
         t0 = perf_counter()
     ratio = compute_beta(ext, y1, y2, y3)
@@ -453,8 +476,28 @@ def _decode(spec, y, inst, identify, path):
                 "third-point")
     if inst:
         inst.total_ops += spec.n * OPS_ENCODE_PER_SYMBOL
+    codeword = encode(spec, m)
+    if longer:
+        rest = y[3:]
+        if not kappa:
+            if (rest.coords != y.coords[0]).any():
+                raise InconsistentReceivedWordError(
+                    "the first three symbols are equal but a later one differs",
+                    "constant-mismatch")
+        else:
+            where = {sym: i for i, sym in enumerate(codeword.symbol_tuples(), 1)}
+            kept = list(kappa)
+            for s in rest.symbol_tuples():
+                i = where.get(s, 0)
+                if i <= kept[-1]:
+                    raise InconsistentReceivedWordError(
+                        "the received word is not a subsequence of the decoded codeword",
+                        "not-a-subsequence")
+                kept.append(i)
+            kappa = tuple(kept)
     # kappa is (), or increasing positions in 1..n by identify's own test
-    return DecodeOutcome(m, encode(spec, m), DeletionPattern._validated(kappa), path)
+    # and the loop above, which kept each position only above the last one
+    return DecodeOutcome(m, codeword, DeletionPattern._validated(kappa), path)
 
 
 def decode_cubic(spec: CodeSpec, y: ReceivedWord,
@@ -486,13 +529,12 @@ def decode_cubic(spec: CodeSpec, y: ReceivedWord,
     hashing from 2^63 on) and O(n) memory, and the re-encode adds O(n).
     Nothing is kept with the spec between decodes.
     The nominal op count still prices the Theta(n^3) scan up to the match
-    row.  y is a word of exactly three symbols (see _decode).  Raises
-    ParameterError for specs not built from the quadratic evaluation map,
-    InconsistentReceivedWordError("length") for another length,
-    FieldMismatchError before any arithmetic when the word is not in
-    spec's field, and UnrecognizedReceivedWordError when no triple matches
-    (reason "search-miss") or, as a guard that real words never reach, when
-    the third symbol is off the interpolated line ("third-point").
+    row.  y is a channel output of 3 <= m <= n symbols: the search runs on
+    its first three, and the later ones add O(n + m) (see _decode).
+    Raises UnrecognizedReceivedWordError when no triple matches (reason
+    "search-miss") or, as a guard that real words never reach, when the
+    third symbol is off the interpolated line ("third-point"); every other
+    error is _decode's.
     """
     return _decode(spec, y, inst, _search, PATH_FALLBACK)
 
@@ -509,61 +551,9 @@ def decode_linear(spec: CodeSpec, y: ReceivedWord,
     increasing in-code locator triple raises UnrecognizedReceivedWordError
     at once, with reason "degenerate-solve", "locator-not-in-code" or
     "order" ("third-point" is a guard that real words never reach).  y is
-    a word of exactly three symbols (see _decode).  Raises ParameterError
-    for specs not built from the quadratic evaluation map,
-    InconsistentReceivedWordError("length") for another length, and
-    FieldMismatchError before any arithmetic when the word is not in
-    spec's field.
+    a channel output of 3 <= m <= n symbols: the closed form runs on its
+    first three, and the later ones add O(n + m) (see _decode, which
+    raises every other error).
     """
     return _decode(spec, y, inst, _closed_form, PATH_CLOSED_FORM)
 
-
-def decode_received(spec: CodeSpec, symbols, decode=decode_linear,
-                    inst: Optional[DecodeInstrumentation] = None) -> DecodeOutcome:
-    """Decode a received word of any length 3 <= m <= n, checking every symbol.
-
-    symbols is a ReceivedWord, or any ExtElem sequence, which is built into
-    one once, after its length is checked.  The word's first three symbols
-    are decoded with `decode` (decode_linear or decode_cubic), which
-    compares the word's field with spec's.  Each later symbol, read from
-    the word's array, must then occur in the re-encoded codeword at a
-    position after the previous symbol's; the symbols of a non-constant
-    codeword are pairwise distinct, so a dict from symbol to position finds
-    it.  A constant codeword needs all m symbols equal, one array compare.
-    kappa lists all m kept positions (none for a constant word).
-
-    Errors, in order: InconsistentReceivedWordError("length") when m is
-    outside 3..n; building the word, FieldMismatchError for a symbol that
-    is not an ExtElem or mixed fields and ParameterError for a
-    non-canonical coordinate; from `decode`, ParameterError for a spec not
-    built from the quadratic map, FieldMismatchError for a word outside
-    spec's field, and its rejections of the first three symbols; then
-    InconsistentReceivedWordError when the word is not a subsequence of
-    the decoded codeword.  Takes the decode's time plus O(n + m) time and
-    memory: building a word from ExtElems is O(m) Python work, a
-    ReceivedWord is taken as it is, and the check of the later symbols
-    reads them in one tolist and hashes the codeword's n symbols.
-    """
-    word = _received_word(symbols, 3, spec.n)
-    out = decode(spec, word[:3], inst)
-    rest = word[3:]
-    if out.path == PATH_CONSTANT:
-        if (rest.coords != word.coords[0]).any():
-            raise InconsistentReceivedWordError(
-                "the first three symbols are equal but a later one differs",
-                "constant-mismatch")
-        return out
-    if not len(rest):
-        return out
-    where = {sym: i for i, sym in enumerate(out.codeword.symbol_tuples(), 1)}
-    kept = list(out.kappa.kept)
-    for s in rest.symbol_tuples():
-        i = where.get(s, 0)
-        if i <= kept[-1]:
-            raise InconsistentReceivedWordError(
-                "the received word is not a subsequence of the decoded codeword",
-                "not-a-subsequence")
-        kept.append(i)
-    # the loop above kept each position only above the last one
-    return DecodeOutcome(out.message, out.codeword,
-                         DeletionPattern._validated(tuple(kept)), out.path)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import rsdel
-from rsdel import cli, decoder, verify
+from rsdel import cli, verify
 from rsdel.channel import DeletionPattern, enumerate_triples
 from rsdel.cli import main
 from rsdel.code import gamma_map, load_spec
@@ -312,15 +312,16 @@ def test_roundtrip_decodes_longer_words(tmp_path, capsys, monkeypatch):
     lines = dict(line.split() for line in out.splitlines())
     assert rc == 0 and lines["trials"] == "20" and lines["failures"] == "0"
     assert int(lines["longest"]) > 3
-    # a decode that drops the claimed fourth position fails every longer word
-    decode_received = decoder.decode_received
+    # a decoder that drops the claimed fourth position fails every longer word
+    def dropping_fourth(decode):
+        def drop_fourth(*a, **kw):
+            out = decode(*a, **kw)
+            kept = out.kappa.kept[:3] + out.kappa.kept[4:]
+            return dataclasses.replace(out, kappa=DeletionPattern(kept))
+        return drop_fourth
 
-    def drop_fourth(*a, **kw):
-        out = decode_received(*a, **kw)
-        kept = out.kappa.kept[:3] + out.kappa.kept[4:]
-        return dataclasses.replace(out, kappa=DeletionPattern(kept))
-
-    monkeypatch.setattr(decoder, "decode_received", drop_fourth)
+    for algo, decode in list(cli.DECODERS.items()):
+        monkeypatch.setitem(cli.DECODERS, algo, dropping_fourth(decode))
     rc, out, _ = run(capsys, *args)
     lines = dict(line.split() for line in out.splitlines())
     assert rc == 1 and int(lines["failures"]) > 0

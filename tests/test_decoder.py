@@ -42,7 +42,6 @@ from rsdel.decoder import (
     compute_beta,
     decode_cubic,
     decode_linear,
-    decode_received,
     extract_coefficients,
     solve_deltas,
 )
@@ -348,9 +347,10 @@ def test_solve_deltas_exhaustive_small_fields():
         assert total == (p - 1) * (p - 2) * (p - 3)
 
 
-def test_decode_received_any_length():
+def test_decoders_take_any_channel_output():
     # every channel output of 3..n symbols decodes, with all m positions
-    # in kappa, under both decoders; m = 3 is exactly the triple decode
+    # in kappa, under both decoders; its first three symbols decode alone
+    # to the same message, codeword and path
     spec = get_spec(11, 10)
     rng = random.Random(1010)
     for _ in range(60):
@@ -359,17 +359,19 @@ def test_decode_received_any_length():
         pattern = DeletionPattern(tuple(sorted(rng.sample(range(1, 11), rng.randrange(3, 11)))))
         word = apply_deletions(cw, pattern)
         for decode in (decode_cubic, decode_linear):
-            out = decode_received(spec, word, decode)
+            out = decode(spec, word)
             assert (out.message, out.codeword, out.kappa) == (m, cw, pattern)
-            if len(word) == 3:
-                assert out == decode(spec, ReceivedTriple(*word))
+            first = decode(spec, ReceivedTriple(*word[:3]))
+            assert (first.message, first.codeword, first.path, first.kappa.kept) \
+                == (m, cw, out.path, out.kappa.kept[:3])
     e = spec.ext.elem(4, 0, 2)
     for size in (3, 7, 10):
-        out = decode_received(spec, (e,) * size)
-        assert out.path == PATH_CONSTANT and out.kappa.kept == ()
+        for decode in (decode_cubic, decode_linear):
+            out = decode(spec, (e,) * size)
+            assert out.path == PATH_CONSTANT and out.kappa.kept == ()
 
 
-def test_decode_received_rejects_unchecked_symbols():
+def test_decoders_reject_unchecked_later_symbols():
     spec = get_spec(11, 10)
     m = Message(spec.ext.elem(1, 2, 3), spec.ext.elem(4, 5, 6))
     cw = encode(spec, m).symbols()
@@ -387,7 +389,7 @@ def test_decode_received_rejects_unchecked_symbols():
     for word in words:
         for decode in (decode_cubic, decode_linear):
             with pytest.raises(InconsistentReceivedWordError):
-                decode_received(spec, word, decode)
+                decode(spec, word)
 
 
 def rejection_reason(call, *args):
@@ -407,7 +409,7 @@ def test_inconsistent_reason_length():
     spec, cw, _, _ = reason_words()
     for word in (cw[:2], cw + (cw[0],)):
         for decode in (decode_cubic, decode_linear):
-            assert rejection_reason(decode_received, spec, word, decode) == "length"
+            assert rejection_reason(decode, spec, word) == "length"
 
 
 def test_inconsistent_reason_two_equal():
@@ -416,7 +418,7 @@ def test_inconsistent_reason_two_equal():
         assert rejection_reason(ratio, ReceivedTriple(*y)) == "two-equal"
         for decode in (decode_cubic, decode_linear):
             assert rejection_reason(decode, spec, ReceivedTriple(*y)) == "two-equal"
-            assert rejection_reason(decode_received, spec, y + cw[7:], decode) == "two-equal"
+            assert rejection_reason(decode, spec, y + cw[7:]) == "two-equal"
 
 
 def test_inconsistent_reason_not_a_subsequence():
@@ -425,14 +427,52 @@ def test_inconsistent_reason_not_a_subsequence():
     for word in ((cw[1], cw[4], cw[6], e, f), (cw[0], cw[2], cw[5], cw[4]),
                  (cw[0], cw[2], cw[5], cw[7], cw[7]), (cw[3], cw[4], cw[5], cw[1])):
         for decode in (decode_cubic, decode_linear):
-            assert rejection_reason(decode_received, spec, word, decode) == "not-a-subsequence"
+            assert rejection_reason(decode, spec, word) == "not-a-subsequence"
 
 
 def test_inconsistent_reason_constant_mismatch():
     spec, _, e, f = reason_words()
     for word in ((e, e, e, f), (e, e, e, e, e, f, e)):
         for decode in (decode_cubic, decode_linear):
-            assert rejection_reason(decode_received, spec, word, decode) == "constant-mismatch"
+            assert rejection_reason(decode, spec, word) == "constant-mismatch"
+
+
+def test_fourth_symbol_exhaustive():
+    # at (7, 6), for two seeded messages and one constant one, every kept
+    # triple followed by every symbol of F_{7^3} as a fourth, through both
+    # decoders: a non-constant word is accepted exactly when the fourth
+    # symbol is codeword symbol i with i after the triple, and a constant
+    # word exactly when the fourth equals the constant; every other word
+    # is rejected with its later-symbol reason
+    spec = get_spec(7, 6)
+    ext = spec.ext
+    rng = random.Random(76)
+    messages = [random_message(spec, rng) for _ in range(2)]
+    messages.append(Message(ext.elem(2, 5, 1), ext.zero))
+    symbols = [ext.from_coords(c) for c in product(range(7), repeat=3)]
+    decodes = 0
+    for m in messages:
+        cw = encode(spec, m)
+        constant = m.m2.is_zero()
+        where = {sym: i for i, sym in enumerate(cw.symbol_tuples(), 1)}
+        assert constant or len(where) == spec.n
+        for triple in enumerate_triples(spec.n):
+            y = tuple(apply_deletions(cw, triple))
+            for s in symbols:
+                if constant:
+                    accept, want = s == cw[0], ()
+                else:
+                    i = where.get(s.coords, 0)
+                    accept, want = i > triple.kept[2], triple.kept + (i,)
+                for decode in (decode_cubic, decode_linear):
+                    decodes += 1
+                    if not accept:
+                        reason = "constant-mismatch" if constant else "not-a-subsequence"
+                        assert rejection_reason(decode, spec, y + (s,)) == reason
+                        continue
+                    out = decode(spec, y + (s,))
+                    assert (out.message, out.codeword, out.kappa.kept) == (m, cw, want)
+    assert decodes == 3 * 343 * comb(spec.n, 3) * 2
 
 
 def test_decode_cubic_worked_example():
@@ -494,7 +534,7 @@ def test_decode_all_triples_small():
 
 def test_decoded_patterns_pass_the_public_checks():
     # every kept triple at (13, 12), constant words, and longer words of
-    # 4..n symbols, through both decoders and decode_received
+    # 4..n symbols, through both decoders
     spec = get_spec(13, 12)
     rng = random.Random(1313)
     words = 0
@@ -509,7 +549,7 @@ def test_decoded_patterns_pass_the_public_checks():
                 assert is_checked_pattern(out.kappa)
                 longer = DeletionPattern(tuple(sorted(
                     set(pat.kept) | set(rng.sample(range(1, 13), rng.randrange(0, 10))))))
-                out = decode_received(spec, apply_deletions(cw, longer), decode)
+                out = decode(spec, apply_deletions(cw, longer))
                 assert out.kappa == longer
                 assert is_checked_pattern(out.kappa)
                 words += 2
@@ -519,7 +559,7 @@ def test_decoded_patterns_pass_the_public_checks():
         assert out.kappa.kept == ()
         assert is_checked_pattern(out.kappa)
         for size in (3, 4, 12):
-            out = decode_received(spec, (e,) * size, decode)
+            out = decode(spec, (e,) * size)
             assert out.kappa.kept == ()
             assert is_checked_pattern(out.kappa)
     assert words == 6 * 2 * 2 * comb(12, 3)
@@ -575,9 +615,9 @@ def test_linear_matches_cubic_on_every_beta_with_denominator(p):
 
 
 def test_decode_linear_refuses_non_quadratic_spec():
-    # both decoders, and decode_received through either, refuse every spec
-    # built from alpha_rows, even one that holds the parabola's own points:
-    # the closed form and the join both assume delta + delta^2*gamma
+    # both decoders refuse every spec built from alpha_rows, even one that
+    # holds the parabola's own points, on words of three and of four
+    # symbols: the closed form and the join both assume delta + delta^2*gamma
     parabola = get_spec(11, 10)
     assert parabola.from_quadratic_map
     points = [parabola.alpha_coords(i) for i in range(1, 11)]
@@ -592,7 +632,7 @@ def test_decode_linear_refuses_non_quadratic_spec():
                 with pytest.raises(ParameterError):
                     decode(spec, ReceivedTriple(*word[:3]))
                 with pytest.raises(ParameterError):
-                    decode_received(spec, word, decode)
+                    decode(spec, word)
 
 
 def test_decode_rejects_foreign_field():
@@ -617,7 +657,7 @@ def test_decode_rejects_foreign_field():
                     decode(spec, ReceivedTriple(*word))
         for decode in (decode_cubic, decode_linear):
             with pytest.raises(FieldMismatchError):
-                decode_received(spec, tuple(y) + (moved[2],), decode)
+                decode(spec, tuple(y) + (moved[2],))
         with pytest.raises(FieldMismatchError):
             interpolate(spec, 1, 2, e, f)
         with pytest.raises(FieldMismatchError):
@@ -635,13 +675,15 @@ def test_received_triple_rejects_non_elements():
     for word in words:
         with pytest.raises(FieldMismatchError):
             ReceivedTriple(*word)
-        with pytest.raises(FieldMismatchError):
-            decode_received(spec, word + (e,))
+        for decode in (decode_cubic, decode_linear):
+            with pytest.raises(FieldMismatchError):
+                decode(spec, word + (e,))
     # and a later symbol of a longer word, after a valid channel output
     valid = encode(spec, Message(e, spec.ext.one)).symbols()[:4]
     for bad in ((1, 2, 3), 5, None):
-        with pytest.raises(FieldMismatchError):
-            decode_received(spec, valid + (bad,))
+        for decode in (decode_cubic, decode_linear):
+            with pytest.raises(FieldMismatchError):
+                decode(spec, valid + (bad,))
 
 
 @pytest.mark.parametrize("p", (10007, (1 << 61) - 1, (1 << 64) - 59))
@@ -654,7 +696,8 @@ def test_non_canonical_coordinates_raise_parameter_error(p):
     ext = spec.ext
     cw = encode(spec, random_message(spec, random.Random(p % 1000)))
     word = tuple(apply_deletions(cw, DeletionPattern((3, 9, 20, 30))))
-    assert decode_received(spec, word).kappa.kept == (3, 9, 20, 30)
+    for decode in (decode_cubic, decode_linear):
+        assert decode(spec, word).kappa.kept == (3, 9, 20, 30)
     for at in range(4):
         c0, c1, c2 = word[at].coords
         for bad in ((c0 + p, c1, c2), (c0, c1, c2 - p), (max(p, 1 << 63), c1, c2),
@@ -662,7 +705,7 @@ def test_non_canonical_coordinates_raise_parameter_error(p):
             moved = word[:at] + (ExtElem(ext, bad),) + word[at + 1:]
             for decode in (decode_cubic, decode_linear):
                 with pytest.raises(ParameterError):
-                    decode_received(spec, moved, decode)
+                    decode(spec, moved)
                 if at < 3:
                     with pytest.raises(ParameterError):
                         decode(spec, moved[:3])
@@ -671,15 +714,22 @@ def test_non_canonical_coordinates_raise_parameter_error(p):
                     ReceivedTriple(*moved[:3])
 
 
-def test_decoders_take_words_of_three_symbols():
-    # a decoder given another length refuses it as decode_received does,
-    # before it reads a symbol; an ExtElem tuple of three is built into a word
+def test_decoders_take_words_of_three_to_n_symbols():
+    # a decoder refuses a length outside 3..n before it reads a symbol, and
+    # a y that is not a sequence with ParameterError, not a bare TypeError;
+    # an ExtElem tuple is built into a word
     spec, cw, e, _ = reason_words()
-    word = apply_deletions(encode(spec, Message(e, spec.ext.one)), DeletionPattern((1, 2, 3, 4)))
+    codeword = encode(spec, Message(e, spec.ext.one))
+    word = apply_deletions(codeword, DeletionPattern((1, 2, 3, 4)))
+    full = apply_deletions(codeword, DeletionPattern(tuple(range(1, spec.n + 1))))
     for decode in (decode_cubic, decode_linear):
-        for y in (word, word[:2], word[:0], cw[:4], ("not", "symbols")):
+        for y in (word[:2], word[:0], cw[:2], cw + (cw[0],), ("not", "symbols")):
             assert rejection_reason(decode, spec, y) == "length"
-        assert decode(spec, tuple(word[:3])) == decode(spec, word[:3])
+        for y in (None, 5, object()):
+            with pytest.raises(ParameterError, match="must be a sequence"):
+                decode(spec, y)
+        for y in (word[:3], word, full):
+            assert decode(spec, tuple(y)) == decode(spec, y)
 
 
 def test_decode_rejects_two_equal_symbols():
@@ -1311,8 +1361,8 @@ def test_unrecognized_reason_order():
 def test_unrecognized_reason_search_miss(p):
     # every miss of the cubic search names one reason: a ratio in F_p, an
     # injective key (beta = -1 + gamma), a failed parabola test, and a
-    # passing position whose triple does not increase (30, 12, 5); through
-    # decode_received as well
+    # passing position whose triple does not increase (30, 12, 5); on words
+    # of three and of four symbols
     spec = get_spec(p, 48)
     ext = spec.ext
     words = [y for name, y in rejection_words(spec).items() if not name.startswith("constant")]
@@ -1321,8 +1371,7 @@ def test_unrecognized_reason_search_miss(p):
     words.append(ReceivedTriple(cw[29], cw[11], cw[4]))
     for y in words:
         assert unrecognized_reason(decode_cubic, spec, y) == "search-miss"
-        assert unrecognized_reason(decode_received, spec, tuple(y) + (cw[47],),
-                                   decode_cubic) == "search-miss"
+        assert unrecognized_reason(decode_cubic, spec, tuple(y) + (cw[47],)) == "search-miss"
 
 
 def test_unrecognized_reason_third_point(monkeypatch):

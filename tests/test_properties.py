@@ -42,7 +42,6 @@ from rsdel.decoder import (
     ReceivedTriple,
     decode_cubic,
     decode_linear,
-    decode_received,
 )
 from rsdel.errors import (
     InconsistentReceivedWordError,
@@ -89,7 +88,7 @@ def received_words(draw):
 
 def outcome(spec, word, decode):
     try:
-        return decode_received(spec, word, decode)
+        return decode(spec, word)
     except (UnrecognizedReceivedWordError, InconsistentReceivedWordError) as exc:
         return type(exc)
 
@@ -117,6 +116,12 @@ def test_every_word_decodes_exactly_or_fails_typed(case):
     if m is not None:
         assert out.message == m
         assert out.kappa == (DeletionPattern(()) if m.m2.is_zero() else pattern)
+    # the later symbols only extend what the first three decode to
+    for decode, full in ((decode_linear, linear), (decode_cubic, cubic)):
+        first = decode(spec, word[:3])
+        assert (first.message, first.codeword, first.path) \
+            == (full.message, full.codeword, full.path)
+        assert first.kappa.kept == full.kappa.kept[:3]
 
 
 # small primes, whose random symbols often repeat, and one prime per regime
@@ -211,8 +216,7 @@ def test_words_from_rows_and_from_elements_decode_alike(case):
     assert rows == ReceivedWord(elems) and tuple(rows) == elems
     for decode in (decode_linear, decode_cubic):
         assert alike(decode, spec, rows[:3]) == alike(decode, spec, ReceivedTriple(*elems[:3]))
-        assert alike(decode_received, spec, rows, decode) \
-            == alike(decode_received, spec, elems, decode)
+        assert alike(decode, spec, rows) == alike(decode, spec, elems)
 
 
 def hunt_szymanski(xs, ys):
