@@ -23,7 +23,6 @@ from .code import (
     load_codeword,
     load_spec,
     load_symbols,
-    lookup_delta,
     random_message,
     save_spec,
     save_symbols,
@@ -122,7 +121,6 @@ __all__ = [
     "load_codeword",
     "load_spec",
     "load_symbols",
-    "lookup_delta",
     "random_message",
     "random_pattern",
     "sample_message_pairs",

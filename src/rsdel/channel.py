@@ -10,12 +10,11 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator
 
 import numpy as np
 
-from .code import Codeword, ReceivedWord, _integers
+from .code import ReceivedWord, _integers
 from .errors import ParameterError
 
 
@@ -60,18 +59,19 @@ class DeletionPattern:
 def apply_deletions(word, pattern: DeletionPattern):
     """Symbols of `word` at the kept positions, in order.
 
-    A Codeword gives a ReceivedWord of its field: one take of the kept rows
-    of its canonical coordinate array, unchecked and with no ExtElem built.
-    Any other sequence gives a tuple of its items.  Takes O(m) time and
-    memory for m kept positions, beyond the word itself.
+    A ReceivedWord, a Codeword among them, gives a ReceivedWord of its
+    field: one take of the kept rows of its canonical coordinate array,
+    unchecked and with no ExtElem built.  Any other sequence gives a tuple
+    of its items.  Takes O(m) time and memory for m kept positions, beyond
+    the word itself.
     """
     kept = pattern.kept
     n = len(word)
     if kept and kept[-1] > n:
         raise ParameterError(f"kept position {kept[-1]} exceeds word length {n}")
-    if isinstance(word, Codeword):
+    if isinstance(word, ReceivedWord):
         rows = np.array(kept, dtype=np.intp) - 1
-        return ReceivedWord._unchecked(word.spec.ext, word.coords.take(rows, axis=0))
+        return ReceivedWord._unchecked(word.field, word.coords.take(rows, axis=0))
     return tuple(word[i - 1] for i in kept)
 
 
@@ -97,7 +97,3 @@ def enumerate_triples(n: int) -> Iterator[DeletionPattern]:
         raise ParameterError(f"need n >= 3 to keep a triple, got {n}")
     for kept in itertools.combinations(range(1, n + 1), 3):
         yield DeletionPattern(kept)
-
-
-def triple_count(n: int) -> int:
-    return comb(n, 3)

@@ -15,6 +15,7 @@ import platform
 import random
 import sys
 from dataclasses import asdict, dataclass
+from math import comb
 from statistics import median
 from time import perf_counter
 
@@ -156,7 +157,7 @@ def cmd_check_condition(args) -> int:
     spec = code.load_spec(args.spec)
     witness = verify.check_injectivity(spec, budget=args.budget)
     if witness is None:
-        total = channel.triple_count(spec.n)
+        total = comb(spec.n, 3)
         print(f"pass: {total} triples, all ratio values distinct")
         return EXIT_OK
     v = witness.value
@@ -207,7 +208,7 @@ def cmd_roundtrip(args) -> int:
         raise ParameterError(f"roundtrip needs --trials >= 1, got {args.trials}")
     spec = code.load_spec(args.spec)
     if args.exhaustive:
-        total = args.trials * channel.triple_count(spec.n)
+        total = args.trials * comb(spec.n, 3)
         if total > args.budget:
             raise BudgetExceededError(
                 f"{args.trials} trials of all C({spec.n},3) kept triples are "
@@ -394,7 +395,7 @@ def run_certify_bench(p_values, n_values, trials: int, seed: int = 0,
         yield ("check_injectivity", verify.check_injectivity, [(spec,)] * trials,
                lambda witness: _expect(witness is None,
                                        "benchmark code failed check_injectivity"),
-               channel.triple_count(n))
+               comb(n, 3))
         yield ("audit_code", verify.audit_code, [(spec, pairs)] * trials,
                lambda audit: _expect(audit.max_lcs <= 2, "benchmark code failed audit_code"),
                2 * AUDIT_BENCH_PAIRS * n)

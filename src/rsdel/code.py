@@ -66,10 +66,11 @@ class CodeSpec:
     uint64 below 2^63, where _columns holds alpha's first w columns with
     their 32-bit halves in field.shoup_product's (5, w, 1, n) layout (None
     in the other regimes), and that kernel runs both products; object
-    above.  _alpha is always in ext.dtype; codewords and received words
-    hold their coordinates in ext.symbol_dtype.  delta_index maps each
-    delta to its 1-based position; both decoders read their kept positions
-    from it.  No decoder keeps anything on the spec.
+    above.  _lifted is the spec's one copy of its points: alpha_coords
+    reads a point back from it.  Codewords and received words hold their
+    coordinates in ext.symbol_dtype.  delta_index maps each delta to its
+    1-based position; both decoders read their kept positions from it.  No
+    decoder keeps anything on the spec.
 
     g=None takes the canonical cubic (CubicField's search, as build_code
     does); a given g is tested for irreducibility once.  Construction runs
@@ -82,7 +83,7 @@ class CodeSpec:
     """
 
     __slots__ = ("p", "g", "delta", "n", "field", "ext", "delta_index",
-                 "from_quadratic_map", "_alpha", "_lifted", "_columns")
+                 "from_quadratic_map", "_lifted", "_columns")
 
     def __init__(self, p: int, g: Optional[MonicCubic], delta: Sequence[int], *,
                  alpha_rows=None):
@@ -112,7 +113,7 @@ class CodeSpec:
         self.from_quadratic_map = alpha_rows is None
         if alpha_rows is None:
             d = np.array(delta, dtype=dtype)
-            alpha = np.stack([d, d * d % p, np.zeros(n, dtype=dtype)], axis=1)
+            alpha = np.stack([d, d * d % p], axis=1)
             w = 2   # d and d^2 are nonzero
         else:
             rows = [tuple(c % p for c in _integers(row, "alpha override entries"))
@@ -123,8 +124,6 @@ class CodeSpec:
                 raise ParameterError("evaluation points must be distinct")
             alpha = np.array(rows, dtype=dtype)
             w = int(np.flatnonzero(alpha.any(axis=0))[-1]) + 1  # distinct points: w >= 1
-        alpha.setflags(write=False)
-        self._alpha = alpha
         regime = (np.float64 if p < _FLOAT64_PRODUCT_MAX_P else
                   np.int64 if p < _INT64_PRODUCT_MAX_P else
                   np.uint64 if p < _INT64_COORD_MAX_P else object)
@@ -140,7 +139,7 @@ class CodeSpec:
             and other.p == self.p
             and other.g == self.g
             and other.delta == self.delta
-            and np.array_equal(other._alpha, self._alpha)
+            and np.array_equal(other._lifted, self._lifted)
         )
 
     def __hash__(self):
@@ -151,15 +150,17 @@ class CodeSpec:
 
     def alpha_coords(self, i: int):
         """Coordinate triple of the i-th evaluation point, i in 1..n, as
-        Python ints for either dtype.  One range check, then, for the
-        quadratic map, (d, d^2 mod p, 0) from delta (a decode reads three
-        points), or one tolist of the point's row of an alpha_rows spec."""
+        Python ints for every dtype of _lifted.  One range check, then, for
+        the quadratic map, (d, d^2 mod p, 0) from delta (a decode reads
+        three points), or the point's row of an alpha_rows spec's _lifted,
+        read back as Python ints and zero-padded to three."""
         if not 1 <= i <= self.n:
             raise ParameterError(f"position {i} out of range 1..{self.n}")
         if self.from_quadratic_map:
             d = self.delta[i - 1]
             return (d, d * d % self.p, 0)
-        return tuple(self._alpha[i - 1].tolist())
+        row = [int(c) for c in self._lifted[i - 1, 1:].tolist()]
+        return (*row, 0, 0)[:3]
 
     def alpha_at(self, i: int) -> ExtElem:
         return ExtElem(self.ext, self.alpha_coords(i))
@@ -219,75 +220,6 @@ def _row_tuples(coords: np.ndarray) -> list:
     return list(zip(*coords.T.tolist()))
 
 
-class Codeword:
-    """Length-n vector of F_{p^3} symbols, stored as a read-only (n, 3)
-    array of canonical coordinates of dtype spec.ext.symbol_dtype (int64
-    for p < 2^63, object above), so that equal codewords of one spec hold
-    equal arrays and hash equally.
-
-    Codeword(spec, coords) takes any (n, 3) array-like of integers and
-    raises ParameterError for another shape, a value that is not an
-    integer, or a coordinate outside [0, p): O(n) Python work.
-    _unchecked(spec, coords) checks nothing; it is for arrays already
-    canonical in that dtype and shape (encode's reduced product,
-    load_codeword's checked lines).
-    """
-
-    __slots__ = ("spec", "coords")
-
-    def __init__(self, spec: CodeSpec, coords):
-        try:
-            rows = np.array(coords, dtype=object)
-        except (TypeError, ValueError):  # nested sequences of uneven depth
-            rows = None
-        if rows is None or rows.shape != (spec.n, 3):
-            raise ParameterError(f"codeword must have shape ({spec.n}, 3)")
-        coords = _symbol_array(spec.ext, rows.ravel().tolist(), "codeword coordinates")
-        coords.setflags(write=False)
-        self.spec = spec
-        self.coords = coords
-
-    @classmethod
-    def _unchecked(cls, spec: CodeSpec, coords: np.ndarray) -> "Codeword":
-        cw = object.__new__(cls)
-        coords.setflags(write=False)
-        cw.spec = spec
-        cw.coords = coords
-        return cw
-
-    def __len__(self):
-        return self.spec.n
-
-    def __getitem__(self, i: int) -> ExtElem:
-        row = self.coords[i]
-        return ExtElem(self.spec.ext, (int(row[0]), int(row[1]), int(row[2])))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    def symbols(self):
-        return tuple(self)
-
-    def symbol_tuples(self):
-        """Symbols as coordinate tuples of Python ints, for either dtype."""
-        return _row_tuples(self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Codeword)
-            and other.spec == self.spec
-            and np.array_equal(other.coords, self.coords)
-        )
-
-    def __hash__(self):
-        return hash((self.spec.p, self.spec.delta, self.coords.tobytes()
-                     if self.coords.dtype == np.int64 else tuple(map(tuple, self.coords))))
-
-    def __repr__(self):
-        return f"Codeword(n={self.spec.n}, p={self.spec.p})"
-
-
 class ReceivedWord:
     """Received symbols of one CubicField, in order: field, and a read-only
     (m, 3) array coords of their canonical coordinates, of dtype
@@ -299,10 +231,11 @@ class ReceivedWord:
     lies in another field than the first, ParameterError for a coordinate
     that is not an integer in [0, p), checked on Python ints before numpy
     sees them.  O(m) Python work.  _unchecked(field, coords) checks
-    nothing: channel.apply_deletions takes a codeword's rows into it,
+    nothing: channel.apply_deletions takes a word's kept rows into it,
     load_symbols its checked lines, and a slice views a word's rows.
     Iterating a word, or indexing one symbol, yields ExtElem; a slice is a
-    word.  Equal words have one field and equal coordinates.
+    ReceivedWord, also of a Codeword.  Equal words have one field and
+    equal coordinates.
     """
 
     __slots__ = ("field", "coords")
@@ -352,6 +285,9 @@ class ReceivedWord:
         field = self.field
         return (ExtElem(field, row) for row in _row_tuples(self.coords))
 
+    def symbols(self):
+        return tuple(self)
+
     def symbol_tuples(self):
         """Symbols as coordinate tuples of Python ints, for either dtype."""
         return _row_tuples(self.coords)
@@ -368,6 +304,62 @@ class ReceivedWord:
 
     def __repr__(self):
         return f"ReceivedWord(m={len(self)}, p={self.field.p})"
+
+
+class Codeword(ReceivedWord):
+    """The ReceivedWord of all n symbols of one spec: field is spec.ext and
+    coords the read-only (n, 3) array of canonical coordinates, of dtype
+    spec.ext.symbol_dtype (int64 for p < 2^63, object above), so that
+    equal codewords of one spec hold equal arrays and hash equally.  It is
+    sliced, indexed and iterated as a ReceivedWord, and goes as it is to
+    channel.apply_deletions or to a decoder.  A codeword equals only a
+    codeword of an equal spec, never a ReceivedWord, in either order.
+
+    Codeword(spec, coords) takes any (n, 3) array-like of integers and
+    raises ParameterError for another shape, a value that is not an
+    integer, or a coordinate outside [0, p): O(n) Python work.
+    _unchecked(spec, coords) checks nothing; it is for arrays already
+    canonical in that dtype and shape (encode's reduced product,
+    load_codeword's checked lines).
+    """
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: CodeSpec, coords):
+        try:
+            rows = np.array(coords, dtype=object)
+        except (TypeError, ValueError):  # nested sequences of uneven depth
+            rows = None
+        if rows is None or rows.shape != (spec.n, 3):
+            raise ParameterError(f"codeword must have shape ({spec.n}, 3)")
+        coords = _symbol_array(spec.ext, rows.ravel().tolist(), "codeword coordinates")
+        coords.setflags(write=False)
+        self.spec = spec
+        self.field = spec.ext
+        self.coords = coords
+
+    @classmethod
+    def _unchecked(cls, spec: CodeSpec, coords: np.ndarray) -> "Codeword":
+        cw = object.__new__(cls)
+        coords.setflags(write=False)
+        cw.spec = spec
+        cw.field = spec.ext
+        cw.coords = coords
+        return cw
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Codeword)
+            and other.spec == self.spec
+            and np.array_equal(other.coords, self.coords)
+        )
+
+    def __hash__(self):
+        return hash((self.spec.p, self.spec.delta, self.coords.tobytes()
+                     if self.coords.dtype == np.int64 else tuple(map(tuple, self.coords))))
+
+    def __repr__(self):
+        return f"Codeword(n={self.spec.n}, p={self.spec.p})"
 
 
 def _require_field(ext: CubicField, elems, what: str) -> None:
@@ -523,18 +515,6 @@ def gamma_map(spec: CodeSpec, i: int, j: int, k: int) -> ExtElem:
     return (ai - aj) / (aj - ak)
 
 
-def lookup_delta(spec: CodeSpec, d: int) -> Optional[int]:
-    """1-based position of base-field value d in delta, or None.
-
-    One dict lookup: O(1) expected time, no allocation.  ParameterError if
-    d is not an integer (a float or a string is not truncated).
-    """
-    try:
-        return spec.delta_index.get(operator.index(d))
-    except TypeError:
-        raise ParameterError(f"delta values must be integers, got {d!r}") from None
-
-
 def random_message(spec: CodeSpec, rng: random.Random) -> Message:
     """A uniformly random message drawn from rng; O(1) time and memory."""
     return Message(spec.ext.rand(rng), spec.ext.rand(rng))
@@ -611,7 +591,7 @@ def save_symbols(path, word) -> None:
 
     O(m) time and memory for m symbols.
     """
-    if isinstance(word, (Codeword, ReceivedWord)):
+    if isinstance(word, ReceivedWord):
         rows = word.symbol_tuples()
     else:
         rows = [sym.coords for sym in word]

@@ -122,20 +122,6 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.p
-
-    def inv(self, x: int) -> int:
-        if x % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return pow(x, -1, self.p)
-
 
 class MonicCubic(NamedTuple):
     """Coefficients of g(x) = x^3 + g2*x^2 + g1*x + g0, low degree first."""
@@ -280,7 +266,7 @@ class CubicField:
     object above.
     """
 
-    __slots__ = ("base", "g", "p", "dtype", "symbol_dtype", "_consts")
+    __slots__ = ("g", "p", "dtype", "symbol_dtype", "_consts")
 
     def __init__(self, base: PrimeField, g: Optional[MonicCubic] = None):
         p = base.p
@@ -293,7 +279,6 @@ class CubicField:
                     f"x^3 + {g.g2}x^2 + {g.g1}x + {g.g0} has a root mod {p}; "
                     "the quotient is not a field"
                 )
-        self.base = base
         self.p = p
         self.g = g
         self.dtype = np.int64 if p < _INT64_PRODUCT_MAX_P else object  # of coordinate arrays

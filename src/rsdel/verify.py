@@ -77,7 +77,8 @@ def check_injectivity(spec: CodeSpec, budget: int = 10_000_000) -> Optional[Coll
     lifted = spec._lifted.astype(ext.dtype)   # rows (1, alpha_i[:w])
     w = lifted.shape[1] - 1
     pair_j, pair_k = np.triu_indices(n, 1)  # pairs j < k in lexicographic order
-    alpha = spec._alpha.T   # (coordinate, point)
+    alpha = np.zeros((3, n), dtype=ext.dtype)   # (coordinate, point)
+    alpha[:w] = lifted[:, 1:].T
     alpha_j = alpha.take(pair_j, axis=1)
     inverse = ext.inv_many(reduce_mod(alpha_j - alpha.take(pair_k, axis=1), p))
     # table[:, :, t] is the (row, coordinate) matrix of pair t = (j, k), and

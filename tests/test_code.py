@@ -21,7 +21,6 @@ from rsdel.code import (
     load_codeword,
     load_spec,
     load_symbols,
-    lookup_delta,
     random_message,
     save_spec,
     save_symbols,
@@ -139,20 +138,6 @@ def test_load_spec_runs_each_check_once(monkeypatch, tmp_path):
     assert gcds == [(10007, tuple(spec.g))]
 
 
-def test_lookup_delta():
-    spec = build_code(7, 3, delta_override=(2, 5, 6))
-    assert lookup_delta(spec, 2) == 1
-    assert lookup_delta(spec, 5) == 2
-    assert lookup_delta(spec, 6) == 3
-    assert lookup_delta(spec, 3) is None
-    assert lookup_delta(spec, 0) is None
-    assert lookup_delta(spec, np.int64(5)) == 2
-    # floats were truncated (2.9 found position 1) and strings parsed
-    for d in (2.9, 5.0, "6", None):
-        with pytest.raises(ParameterError):
-            lookup_delta(spec, d)
-
-
 def test_encode_frozen_example():
     # m = (0, 1): codeword symbol i is just alpha_i
     spec = get_spec(5, 4)
@@ -261,13 +246,15 @@ def test_encode_exact_at_dtype_boundary(p):
 def test_alpha_coords_are_python_ints(p):
     # int64 rows below 2^30, object rows above; both read as Python ints
     n = 12
-    for spec in (get_spec(p, n), CodeSpec(p, get_spec(p, n).g, range(1, n + 1),
-                                          alpha_rows=[(p - i, i, p - 2 * i) for i in range(1, n + 1)])):
+    quadratic = [(i, i * i % p, 0) for i in range(1, n + 1)]
+    rows = [(p - i, i, p - 2 * i) for i in range(1, n + 1)]
+    for spec, points in ((get_spec(p, n), quadratic),
+                         (CodeSpec(p, get_spec(p, n).g, range(1, n + 1), alpha_rows=rows), rows)):
         for i in range(1, n + 1):
             coords = spec.alpha_coords(i)
             assert type(coords) is tuple and len(coords) == 3
             assert all(type(c) is int for c in coords)
-            assert coords == tuple(int(c) for c in spec._alpha[i - 1])
+            assert coords == points[i - 1]
         for i in (0, n + 1):
             with pytest.raises(ParameterError):
                 spec.alpha_coords(i)
@@ -481,6 +468,8 @@ def test_received_word_container_behaviour():
     built = ReceivedWord(tuple(word))
     assert built == word and hash(built) == hash(word) and built != word[:3]
     assert built != tuple(word) and repr(word) == "ReceivedWord(m=4, p=11)"
+    kept = apply_deletions(word, DeletionPattern((1, 3)))
+    assert type(kept) is ReceivedWord and kept == ReceivedWord((cw[1], cw[6]))
     assert len(apply_deletions(cw, DeletionPattern(()))) == 0
     with pytest.raises(ParameterError):
         ReceivedWord(())
@@ -498,6 +487,10 @@ def test_codeword_container_behaviour():
     assert cw[0].coords == (1, 1, 0)
     same = encode(spec, Message(spec.ext.zero, spec.ext.one))
     assert cw == same and hash(cw) == hash(same)
+    # a codeword is the ReceivedWord of all n symbols: a slice is a word
+    assert isinstance(cw, ReceivedWord) and cw.field is spec.ext
+    assert type(cw[1:3]) is ReceivedWord
+    assert cw[1:3] == apply_deletions(cw, DeletionPattern((2, 3)))
 
 
 def test_spec_equality_and_hash():
@@ -505,6 +498,9 @@ def test_spec_equality_and_hash():
     b = build_code(5, 4)
     assert a == b and hash(a) == hash(b)
     assert a != build_code(7, 4)
+    # equal p, g and delta, other points (compared through _lifted)
+    c = CodeSpec(5, a.g, a.delta, alpha_rows=[(d, 0, 0) for d in a.delta])
+    assert a != c and c != a
 
 
 def test_direct_spec_construction_rejects_bad_alpha_rows():
@@ -531,7 +527,8 @@ def test_spec_entries_must_be_integers():
     g = get_spec(10007, 3).g
     big = (1 << 64) + 5
     spec = CodeSpec(10007, g, (1, 2, 3), alpha_rows=[(big, 0, 0), (0, big, 0), (0, 0, big)])
-    assert spec._alpha.dtype == np.int64
+    assert spec._lifted[:, 1:].tolist() == [[big % 10007, 0, 0], [0, big % 10007, 0],
+                                            [0, 0, big % 10007]]
     assert spec.alpha_coords(1) == (big % 10007, 0, 0)
     assert spec.alpha_coords(3) == (0, 0, big % 10007)
     with pytest.raises(ParameterError):
@@ -639,7 +636,8 @@ def test_lifted_and_codeword_dtype_boundary(tmp_path, p, lifted, symbols):
     assert spec._lifted.dtype == lifted and spec.ext.symbol_dtype == symbols
     if lifted == np.uint64:
         assert spec._columns.shape == (5, 2, 1, n) and not spec._columns.flags.writeable
-        assert spec._columns[4, :, 0].tolist() == spec._alpha[:, :2].T.tolist()
+        assert spec._columns[4, :, 0].tolist() == [list(range(1, n + 1)),
+                                                   [i * i % p for i in range(1, n + 1)]]
     else:
         assert spec._columns is None
     m = random_message(spec, random.Random(p % 1000))
@@ -651,4 +649,10 @@ def test_lifted_and_codeword_dtype_boundary(tmp_path, p, lifted, symbols):
                   Codeword(spec, np.array(cw.symbol_tuples(), dtype=object))):
         assert other.coords.dtype == symbols
         assert other == cw and hash(other) == hash(cw)
+    # the hash of a codeword is that of its spec's p and delta and its
+    # coordinates, and a codeword never equals a ReceivedWord, either way
+    rows = cw.coords.tobytes() if symbols is np.int64 else tuple(map(tuple, cw.coords))
+    assert hash(cw) == hash((p, spec.delta, rows))
+    word = ReceivedWord._unchecked(cw.field, cw.coords)
+    assert cw != word and word != cw and not cw == word and not word == cw
 

@@ -60,7 +60,7 @@ from rsdel.field import (
     find_irreducible_cubic,
     is_irreducible_cubic,
 )
-from rsdel.verify import base_field_spec
+from rsdel.verify import base_field_spec, check_injectivity
 
 from conftest import get_spec, is_checked_pattern
 
@@ -532,6 +532,29 @@ def test_decode_all_triples_small():
                 assert out.message == m and out.kappa == pat
 
 
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_every_irreducible_cubic(p):
+    # the claims hold for every irreducible g, not only the canonical one:
+    # with every delta in 1..p-1 (a collision on a subset is one on the full
+    # set) the ratio map is injective, and both decoders return the kept
+    # triple on every triple of one random codeword per g
+    gs = [g for g in map(MonicCubic._make, product(range(p), repeat=3))
+          if all(g.evaluate(x, p) for x in range(p))]   # no root: irreducible
+    assert len(gs) == (p ** 3 - p) // 3
+    rng = random.Random(p)
+    patterns = list(enumerate_triples(p - 1))
+    for g in gs:
+        spec = CodeSpec(p, g, range(1, p))
+        assert check_injectivity(spec) is None
+        m = random_message(spec, rng)
+        cw = encode(spec, m)
+        for pattern in patterns:
+            y = apply_deletions(cw, pattern)
+            for decode in (decode_cubic, decode_linear):
+                out = decode(spec, y)
+                assert out.kappa == pattern and out.message == m
+
+
 def test_decoded_patterns_pass_the_public_checks():
     # every kept triple at (13, 12), constant words, and longer words of
     # 4..n symbols, through both decoders
@@ -717,7 +740,8 @@ def test_non_canonical_coordinates_raise_parameter_error(p):
 def test_decoders_take_words_of_three_to_n_symbols():
     # a decoder refuses a length outside 3..n before it reads a symbol, and
     # a y that is not a sequence with ParameterError, not a bare TypeError;
-    # an ExtElem tuple is built into a word
+    # an ExtElem tuple is built into a word, and a whole codeword decodes
+    # as the word of all n symbols
     spec, cw, e, _ = reason_words()
     codeword = encode(spec, Message(e, spec.ext.one))
     word = apply_deletions(codeword, DeletionPattern((1, 2, 3, 4)))
@@ -728,8 +752,10 @@ def test_decoders_take_words_of_three_to_n_symbols():
         for y in (None, 5, object()):
             with pytest.raises(ParameterError, match="must be a sequence"):
                 decode(spec, y)
-        for y in (word[:3], word, full):
+        for y in (word[:3], word, full, codeword):
             assert decode(spec, tuple(y)) == decode(spec, y)
+        out = decode(spec, codeword)
+        assert out.codeword == codeword and out.kappa.kept == tuple(range(1, spec.n + 1))
 
 
 def test_decode_rejects_two_equal_symbols():

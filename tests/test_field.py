@@ -109,34 +109,6 @@ def test_prime_field_rejects_bad_modulus():
         PrimeField(1)
 
 
-def test_prime_field_inverse_against_scan():
-    pf = PrimeField(5)
-    assert pf.inv(3) == 2
-    for p in (3, 5, 7, 11, 13):
-        pf = PrimeField(p)
-        for x in range(1, p):
-            # oracle: the unique y with x*y = 1 mod p, found by scanning
-            want = next(y for y in range(1, p) if (x * y) % p == 1)
-            assert pf.inv(x) == want
-        with pytest.raises(ZeroDivisionError):
-            pf.inv(0)
-
-
-def test_prime_field_axioms_random():
-    rng = random.Random(991)
-    for p in (5, 13, 10007):
-        pf = PrimeField(p)
-        for _ in range(4000):
-            a, b, c = rng.randrange(p), rng.randrange(p), rng.randrange(p)
-            assert pf.add(a, b) == pf.add(b, a)
-            assert pf.mul(a, b) == pf.mul(b, a)
-            assert pf.mul(a, pf.add(b, c)) == pf.add(pf.mul(a, b), pf.mul(a, c))
-            assert pf.sub(a, a) == 0
-            assert pf.add(a, pf.sub(0, a)) == 0
-            if a != 0:
-                assert pf.mul(a, pf.inv(a)) == 1
-
-
 def test_monic_cubic_evaluate():
     g = MonicCubic(1, 1, 0)  # x^3 + x + 1
     assert g.evaluate(0, 5) == 1
