@@ -53,7 +53,6 @@ from .field import (
     CubicField,
     ExtElem,
     MonicCubic,
-    PrimeField,
     find_irreducible_cubic,
     is_irreducible_cubic,
     is_prime,
@@ -64,7 +63,6 @@ from .verify import (
     audit_code,
     base_field_spec,
     check_injectivity,
-    fll_distance,
     iter_message_pairs,
     lcs_length,
     sample_message_pairs,
@@ -93,7 +91,6 @@ __all__ = [
     "PATH_CLOSED_FORM",
     "PATH_CONSTANT",
     "PATH_FALLBACK",
-    "PrimeField",
     "RSDelError",
     "ReceivedTriple",
     "ReceivedWord",
@@ -110,7 +107,6 @@ __all__ = [
     "encode_many",
     "enumerate_triples",
     "extract_coefficients",
-    "fll_distance",
     "find_irreducible_cubic",
     "gamma_map",
     "interpolate",

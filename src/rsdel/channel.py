@@ -48,10 +48,6 @@ class DeletionPattern:
         object.__setattr__(pattern, "kept", kept)
         return pattern
 
-    @property
-    def survivors(self) -> int:
-        return len(self.kept)
-
     def __iter__(self):
         return iter(self.kept)
 

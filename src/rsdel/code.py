@@ -28,7 +28,6 @@ from .field import (
     CubicField,
     ExtElem,
     MonicCubic,
-    PrimeField,
     reduce_mod,
     shoup_columns,
     shoup_product,
@@ -48,7 +47,7 @@ def _integers(values, what: str) -> tuple:
 class CodeSpec:
     """Everything needed to encode and decode one code instance.
 
-    Derived data (field contexts, evaluation-point arrays, the delta lookup
+    Derived data (the field ext, evaluation-point arrays, the delta lookup
     table) is computed once here.  Treat instances as immutable; the numpy
     arrays are marked read-only.  from_quadratic_map records whether the
     evaluation points are delta + delta^2*gamma, the paper's code, which
@@ -70,25 +69,27 @@ class CodeSpec:
     reads a point back from it.  Codewords and received words hold their
     coordinates in ext.symbol_dtype.  delta_index maps each delta to its
     1-based position; both decoders read their kept positions from it.  No
-    decoder keeps anything on the spec.
+    decoder keeps anything on the spec.  Two specs are equal when p, g,
+    delta, from_quadratic_map and _lifted agree, so a spec that both
+    decoders refuse never equals one that they decode; a spec is equal to
+    itself at once, with no array compare.
 
     g=None takes the canonical cubic (CubicField's search, as build_code
     does); a given g is tested for irreducibility once.  Construction runs
-    one primality test of p (at most 13 pow calls), the cubic search or
-    that one gcd test, and O(n) C-level passes to check delta and build
-    the arrays and the index.  In the uint64 regime, filling _lifted
+    CubicField(p, g), one primality test of p (at most 13 pow calls) and
+    the cubic search or that one gcd test, and O(n) C-level passes to check
+    delta and build the arrays and the index.  In the uint64 regime, filling _lifted
     converts each of alpha's wn Python ints once, and _columns adds a copy
     of them and three passes for their halves, which add about 20% to a
     build at n >= 512.
     """
 
-    __slots__ = ("p", "g", "delta", "n", "field", "ext", "delta_index",
+    __slots__ = ("p", "g", "delta", "n", "ext", "delta_index",
                  "from_quadratic_map", "_lifted", "_columns")
 
     def __init__(self, p: int, g: Optional[MonicCubic], delta: Sequence[int], *,
                  alpha_rows=None):
-        field = PrimeField(p)
-        ext = CubicField(field, g)
+        ext = CubicField(p, g)
         try:
             n = len(delta)  # before any entry is read: a range is refused unread
         except TypeError:
@@ -104,7 +105,6 @@ class CodeSpec:
             raise ParameterError("delta entries must be distinct")
         self.p = p
         self.g = ext.g
-        self.field = field
         self.ext = ext
         self.delta = delta
         self.n = n
@@ -134,16 +134,17 @@ class CodeSpec:
         self._columns = shoup_columns(lifted[:, 1:].T) if regime is np.uint64 else None
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, CodeSpec)
             and other.p == self.p
             and other.g == self.g
+            and other.from_quadratic_map == self.from_quadratic_map
             and other.delta == self.delta
             and np.array_equal(other._lifted, self._lifted)
         )
 
     def __hash__(self):
-        return hash((self.p, self.g, self.delta))
+        return hash((self.p, self.g, self.delta, self.from_quadratic_map))
 
     def __repr__(self):
         return f"CodeSpec(p={self.p}, g={tuple(self.g)}, n={self.n})"
@@ -285,9 +286,6 @@ class ReceivedWord:
         field = self.field
         return (ExtElem(field, row) for row in _row_tuples(self.coords))
 
-    def symbols(self):
-        return tuple(self)
-
     def symbol_tuples(self):
         """Symbols as coordinate tuples of Python ints, for either dtype."""
         return _row_tuples(self.coords)
@@ -369,11 +367,6 @@ def _require_field(ext: CubicField, elems, what: str) -> None:
             raise FieldMismatchError(f"{what} lies in {e.field!r}, not in {ext!r}")
 
 
-# entries of a product from which field.reduce_mod's three libdivide passes
-# beat one % (see its docstring)
-_REDUCE_MOD_MIN_SIZE = 800
-
-
 def _lifted_product(spec: CodeSpec, rhs, rows=None) -> np.ndarray:
     """spec._lifted @ rhs reduced mod p, canonical, in spec.ext.symbol_dtype:
     the one arithmetic kernel of the re-encode and of the triple search.
@@ -387,15 +380,13 @@ def _lifted_product(spec: CodeSpec, rhs, rows=None) -> np.ndarray:
     2^53, so the float64 product, which BLAS runs, is exact; below 2^30
     it is below 2^63 and the product is int64, which numpy multiplies
     without BLAS.  Both are cast to int64 (a no-op for int64) and reduced
-    in place: by field.reduce_mod, through libdivide, from
-    _REDUCE_MOD_MIN_SIZE entries on (an encode from n of about 267 on),
-    and by one % below, where % is faster (the search's product at
-    n < 800, an encode at smaller n: 1.2 against 2.8 us at 96 entries,
-    3.0 against 4.0 us at 512, 8.0 against 4.6 us at 1536 on a 2-vCPU
-    x86-64 VM).  Below 2^63 field.shoup_product multiplies the uint64
-    columns of spec._columns exactly and returns canonical int64
-    (its docstring states its time and memory).  From 2^63 on the product
-    is Python ints, reduced by %.  O(N) time and memory for N entries of
+    in place by field.reduce_mod, which picks one % or libdivide by the
+    product's size (libdivide from 800 entries on: an encode from n of
+    about 267 on, the search's product from n = 800).  Below 2^63
+    field.shoup_product multiplies the uint64 columns of spec._columns
+    exactly and returns canonical int64 (its docstring states its time and
+    memory).  From 2^63 on the product is Python ints, which reduce_mod
+    reduces by %.  O(N) time and memory for N entries of
     the product.
     """
     if spec._columns is not None:
@@ -406,9 +397,6 @@ def _lifted_product(spec: CodeSpec, rhs, rows=None) -> np.ndarray:
     # no name holds the float64 product, so it is freed before the reduction
     product = (lifted @ np.asarray(rhs, dtype=lifted.dtype)).astype(
         spec.ext.symbol_dtype, copy=False)
-    if product.size < _REDUCE_MOD_MIN_SIZE:
-        product %= spec.p
-        return product
     return reduce_mod(product, spec.p)
 
 
@@ -422,8 +410,9 @@ def _evaluate(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
     _lifted_product multiplies and reduces it, exactly in each of the four
     regimes of spec._lifted's dtype.  At p = 10007 (numpy 2.4, OpenBLAS,
     one thread, x86-64) n = 512 takes about 1.0 us for the product (3.4 us
-    in int64), 0.6 us for the cast and 2.1 us for the reduction; n = 4096
-    takes 3.7 us (21.7 us in int64), 3.0 us and 7.2 us.  For
+    in int64), 0.6 us for the cast and 2.1 us for field.reduce_mod's
+    reduction; n = 4096 takes 3.7 us (21.7 us in int64), 3.0 us and
+    7.2 us.  For
     2^30 <= p < 2^63 the uint64 kernel (field.shoup_product) takes about
     12 us at n = 64, 20 us at n = 512 and 60 us at n = 4096, against 23,
     168 and 1320 us for the same product in Python ints; from 2^63 on the
@@ -452,10 +441,9 @@ def encode_many(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
     spec's field.  Takes O(nB) time and memory: O(1) Python work per
     message, then a fixed number of numpy calls (one matmul, in float64
     through BLAS for p < about 5.5 * 10^7, its cast to int64 and the
-    in-place reduction of its 3nB entries, which for int64 arrays runs
-    through libdivide; for 2^30 <= p < 2^63 the uint64 Shoup kernel's
-    fixed number of passes over its 2 * 3nB column products: see
-    _evaluate).
+    in-place reduction of its 3nB entries by field.reduce_mod; for
+    2^30 <= p < 2^63 the uint64 Shoup kernel's fixed number of passes over
+    its 2 * 3nB column products: see _evaluate).
     """
     words = _evaluate(spec, messages)
     return words.reshape(spec.n, words.shape[1] // 3, 3)
@@ -467,10 +455,9 @@ def encode(spec: CodeSpec, m: Message) -> Codeword:
     the (n, 1, 3) view.  Below p of about 5.5 * 10^7 the matmul is exact in
     float64 and BLAS runs it: at p = 10007 an encode takes about 5.5 us at
     n = 512 and 15 us at n = 4096, against 7.0 and 32 us with an int64
-    product (see _evaluate).  The reduction of the 3n entries runs through
-    libdivide from n of about 267 on and takes one % below (see
-    _lifted_product).
-    For 2^30 <= p < 2^63 the product is the uint64 Shoup kernel: at
+    product (see _evaluate).  field.reduce_mod reduces the 3n entries,
+    through libdivide from n of about 267 on and by one % below.  For
+    2^30 <= p < 2^63 the product is the uint64 Shoup kernel: at
     p = 2^61 - 1 about 12 us at n = 64 and 20 us at n = 512.  Takes O(n)
     time and memory.  The one message's rows [m1; rows 0..w-1 of M_{m2}]
     go straight to _lifted_product as tuples, without _evaluate's batch

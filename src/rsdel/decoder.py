@@ -63,10 +63,10 @@ the ratio of its first three (a constant word decodes at once), the kept
 triple (_closed_form or _search, the only difference), interpolation and
 the third-point check, the re-encode, and then the check that every later
 symbol is a codeword symbol after the one before it.  The stages take no
-instrumentation; _decode prices every one but the later-symbol check at
-the counts below.  A non-constant decode runs two F_p inversions: one to
-identify the triple (solve_deltas's W, or the search's W) and one in
-interpolate.  A rejection names its check in the reason of its
+instrumentation; _decode prices every one at the counts below.  A
+non-constant decode runs two F_p inversions: one to identify the triple
+(solve_deltas's W, or the search's W) and one in interpolate.  A
+rejection names its check in the reason of its
 UnrecognizedReceivedWordError or InconsistentReceivedWordError.
 """
 
@@ -94,7 +94,7 @@ from .errors import (
     ParameterError,
     UnrecognizedReceivedWordError,
 )
-from .field import CubicField, ExtElem, PrimeField
+from .field import CubicField, ExtElem
 
 PATH_CLOSED_FORM = "closed-form"
 PATH_FALLBACK = "triple-search"  # the decode_cubic path; perfbench reads this name
@@ -116,6 +116,8 @@ OPS_ENCODE_PER_SYMBOL = 15  # nominal: one row of the alpha @ M_{m2} matmul plus
 OPS_SEARCH_SETUP_PER_POS = OPS_EXT_MUL + OPS_EXT_ADD  # beta*alpha_j, target per j
 OPS_SEARCH_ROW_PER_ENTRY = OPS_EXT_ADD  # candidate sum per scanned k entry
 OPS_SEARCH_PER_TRIPLE = 1   # one ratio test per triple of the Theta(n^3) scan
+OPS_LOOKUP_PER_SYMBOL = 3   # nominal: a codeword symbol's three coordinates into the lookup
+OPS_LATER_PER_SYMBOL = 3    # nominal: a later symbol's three coordinates located or compared
 
 
 @dataclass
@@ -201,12 +203,12 @@ def extract_coefficients(beta: ExtElem):
     return (a, b, c, r, s, t)
 
 
-def solve_deltas(pf: PrimeField, coeffs, den: int = 1):
+def solve_deltas(p: int, coeffs, den: int = 1):
     """Closed-form kept delta values (d1, d2, d3), or None.
 
-    coeffs are the coefficients of num, and the ratio is num/den, den
-    nonzero in F_p (compute_beta's fraction; den = 1 when coeffs are
-    beta's own).  The closed form runs with its denominators cleared (see
+    p is the odd prime of the field; coeffs are the coefficients of num,
+    and the ratio is num/den, den nonzero in F_p (compute_beta's fraction;
+    den = 1 when coeffs are beta's own).  The closed form runs with its denominators cleared (see
     the module docstring), with one F_p inverse.  None is returned when
     r = 0 (theta undefined) or the d2 denominator is 0 (the quadratic
     degenerates).  Neither happens for coefficients of a true locator
@@ -215,7 +217,6 @@ def solve_deltas(pf: PrimeField, coeffs, den: int = 1):
     force d2 = d3.
     """
     A, B, C, R, S, T = coeffs
-    p = pf.p
     if R % p == 0:
         return None
     DR = den * R % p
@@ -393,7 +394,7 @@ def _closed_form(spec, num, den):
 
     The solved deltas are reduced Python ints, so they index
     spec.delta_index directly; a value outside the code reads position 0."""
-    sol = solve_deltas(spec.field, extract_coefficients(num), den)
+    sol = solve_deltas(spec.p, extract_coefficients(num), den)
     if sol is None:
         return OPS_EXT_MUL, None, "degenerate-solve"
     get = spec.delta_index.get
@@ -427,7 +428,11 @@ def _decode(spec, y, inst, identify, path):
     pairwise distinct, so a dict from symbol to position finds it.  A
     constant codeword needs all m symbols equal, one array compare.  kappa
     lists all m kept positions (none for a constant word).  That check adds
-    O(n + m) time and memory and is not priced.
+    O(n + m) time and memory, and to total_ops only (not search_ops) the
+    nominal price of the whole stage, rejections too: OPS_LOOKUP_PER_SYMBOL
+    per codeword symbol entered in the lookup (none for a constant word)
+    and OPS_LATER_PER_SYMBOL per later symbol.  A three-symbol word pays
+    nothing for it.
 
     Errors, in order: ParameterError for a spec not built from the
     quadratic evaluation map, which both identifications assume, or for a
@@ -479,6 +484,9 @@ def _decode(spec, y, inst, identify, path):
     codeword = encode(spec, m)
     if longer:
         rest = y[3:]
+        if inst:
+            inst.total_ops += (len(rest.coords) * OPS_LATER_PER_SYMBOL
+                               + (spec.n * OPS_LOOKUP_PER_SYMBOL if kappa else 0))
         if not kappa:
             if (rest.coords != y.coords[0]).any():
                 raise InconsistentReceivedWordError(

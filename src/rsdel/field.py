@@ -1,9 +1,12 @@
 """Exact arithmetic in F_p and in the cubic extension F_{p^3}.
 
-Elements of F_p are canonical Python ints in [0, p).  Elements of F_{p^3}
-live in the power basis {1, gamma, gamma^2} where gamma is a root of a monic
-irreducible cubic g(x) = x^3 + g2*x^2 + g1*x + g0 over F_p; products reduce
-through gamma^3 = -(g2*gamma^2 + g1*gamma + g0).
+One object holds a field: CubicField(p, g) checks that p is an odd prime and
+that g is irreducible, once.  F_p has no object of its own; its elements
+are canonical Python ints in [0, p), reduced by %, and a numpy array of
+them by reduce_mod, which picks % or libdivide by the array's size.
+Elements of F_{p^3} live in the power basis {1, gamma, gamma^2} where gamma
+is a root of a monic irreducible cubic g(x) = x^3 + g2*x^2 + g1*x + g0 over
+F_p; products reduce through gamma^3 = -(g2*gamma^2 + g1*gamma + g0).
 
 Python ints are arbitrary precision, so moduli up to 2^61 - 1 (and beyond)
 need no widening tricks.  The multiply-by-x matrix and the inverse are also
@@ -97,30 +100,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-class PrimeField:
-    """The field F_p for an odd prime p.  Elements are ints in [0, p).
-
-    Construction is one is_prime(p): at most 13 pow calls.  p >= psi_13 ~
-    3.3 * 10^24, where no primality test is proven, raises ParameterError.
-    """
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if p < 3 or not is_prime(p):
-            raise ParameterError(f"modulus must be an odd prime, got {p}")
-        self.p = p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
 
 
 class MonicCubic(NamedTuple):
@@ -239,13 +218,14 @@ def _canonical_cubic(p: int) -> MonicCubic:
 
 
 def find_irreducible_cubic(p: int) -> MonicCubic:
-    """First monic cubic with no root in F_p, ordered by (g2, g1, g0).
+    """First monic cubic with no root in F_p, ordered by (g2, g1, g0): the
+    g of CubicField(p).
 
     Raises ParameterError unless p is an odd prime.  Time: one primality
-    test of p (PrimeField, at most 13 pow calls) and the canonical search
-    of _canonical_cubic, each candidate tested once.
+    test of p (at most 13 pow calls) and the canonical search of
+    _canonical_cubic, each candidate tested once.
     """
-    return CubicField(PrimeField(p)).g
+    return CubicField(p).g
 
 
 class CubicField:
@@ -256,9 +236,12 @@ class CubicField:
     for operator syntax.  Hot loops use the tuple methods directly, and
     inv_many takes and returns coordinate columns of dtype self.dtype.
 
-    g=None takes the canonical cubic, found by _canonical_cubic's search and
-    kept without a second test; a given g costs one gcd test, O(log p)
-    squares in F_p[x]/(g).
+    CubicField(p, g) raises ParameterError unless p is an odd prime, by one
+    is_prime(p): at most 13 pow calls, and p >= psi_13 ~ 3.3 * 10^24, where
+    no primality test is proven, is refused too.  g=None takes the
+    canonical cubic, found by _canonical_cubic's search and kept without a
+    second test; a given g costs one gcd test, O(log p) squares in
+    F_p[x]/(g), and raises ParameterError when it has a root.
 
     dtype is that of inv_many's coordinate columns (int64 below 2^30);
     symbol_dtype that of every array of canonical symbol coordinates,
@@ -268,8 +251,9 @@ class CubicField:
 
     __slots__ = ("g", "p", "dtype", "symbol_dtype", "_consts")
 
-    def __init__(self, base: PrimeField, g: Optional[MonicCubic] = None):
-        p = base.p
+    def __init__(self, p: int, g: Optional[MonicCubic] = None):
+        if p < 3 or not is_prime(p):
+            raise ParameterError(f"modulus must be an odd prime, got {p}")
         if g is None:
             g = _canonical_cubic(p)
         else:
@@ -419,19 +403,28 @@ class CubicField:
         return self.mul(x, self.inv(y))
 
 
+# entries of an int64 array from which reduce_mod's three libdivide passes
+# beat one % (see its docstring)
+_REDUCE_MOD_MIN_SIZE = 800
+
+
 def reduce_mod(a, p, scratch=None):
     """Reduce the array a mod p in place and return it.
 
-    An int64 array is reduced as a - p*(a // p): numpy runs floor division
-    by a scalar through libdivide (Granlund and Montgomery, PLDI 1994, a
-    multiply and shifts in place of a hardware divide), so the three passes
-    beat one % from about 800 entries on (numpy 2.4 on x86-64: 2.3 against
-    2.9 us at 1536 entries, 1.4 against 0.8 us at 288).  scratch, an int64
-    array of a's shape, holds the quotients; without it one is allocated.
-    Any other dtype (object arrays of Python ints) takes %.  The result is
-    canonical in [0, p) for negative entries too.  O(N) time for N entries.
+    The one reduction rule for arrays, so that no caller picks a kernel by
+    size.  An int64 array of _REDUCE_MOD_MIN_SIZE entries or more is
+    reduced as a - p*(a // p): numpy runs floor division by a scalar
+    through libdivide (Granlund and Montgomery, PLDI 1994, a multiply and
+    shifts in place of a hardware divide), so the three passes beat one %
+    from about 800 entries on (numpy 2.4 on x86-64, libdivide against %:
+    2.3 against 2.9 us at 1536 entries, 1.4 against 0.8 us at 288).
+    scratch, an int64 array of a's shape, holds the quotients; without it
+    one is allocated.  A smaller int64 array, and any other dtype (object
+    arrays of Python ints), takes one %, and scratch is not used.  The
+    result is canonical in [0, p) for negative entries too.  O(N) time for
+    N entries.
     """
-    if a.dtype != np.int64:
+    if a.dtype != np.int64 or a.size < _REDUCE_MOD_MIN_SIZE:
         a %= p
         return a
     if scratch is None:
@@ -559,8 +552,9 @@ def _batch_inverse(values, p):
 class ExtElem:
     """An immutable element of a CubicField.
 
-    Supports +, -, *, / against other elements of the same field, and against
-    plain ints (embedded into the base subfield).
+    Supports +, -, *, / and == against other elements of the same field, and
+    against plain ints (embedded into the base subfield): x == 0 tests for
+    zero and 1 / x inverts, raising ZeroDivisionError for zero.
     """
 
     __slots__ = ("field", "coords")
@@ -580,9 +574,6 @@ class ExtElem:
     @property
     def c2(self) -> int:
         return self.coords[2]
-
-    def is_zero(self) -> bool:
-        return self.coords == (0, 0, 0)
 
     def _coerce(self, other):
         if isinstance(other, ExtElem):
@@ -637,9 +628,6 @@ class ExtElem:
 
     def __neg__(self):
         return ExtElem(self.field, self.field.neg(self.coords))
-
-    def inverse(self):
-        return ExtElem(self.field, self.field.inv(self.coords))
 
     def __eq__(self, other):
         if isinstance(other, ExtElem):

@@ -160,10 +160,10 @@ def _ratio_keys(table, lifted, block_pair, block_rank, p, total):
     times row r of the pair table are written into it first (the first one
     straight in, even when zero, every other nonzero one through the
     scratch block and an in-place add) and row 0 is added last, so no pass
-    copies the table.  One field.reduce_mod covers the block (int64 through
-    libdivide, with the scratch block for its quotients); an object block
-    is then cast to int64, of each coordinate's low 63 bits from
-    _INT64_COORD_MAX_P on.
+    copies the table.  One field.reduce_mod covers the block: through
+    libdivide, with the scratch block for its quotients, and by one % for
+    the small tail blocks and for an object block, which is then cast to
+    int64, of each coordinate's low 63 bits from _INT64_COORD_MAX_P on.
     The key c0 + _KEY_MUL*(c1 + _KEY_MUL*c2) mod 2^64 is built by Horner's
     rule from the three planes straight into its slice of the keys: equal
     values have equal keys, and distinct ones share one only by chance.
@@ -243,23 +243,6 @@ def lcs_length(xs: Sequence, ys: Sequence) -> int:
             else:
                 tails[at] = j
     return len(tails)
-
-
-def fll_distance(xs: Sequence, ys: Sequence) -> int:
-    """n - LCS for two equal-length words (deletion balls of radius t
-    intersect exactly when this is <= t).
-
-    Costs one lcs_length on any hashable symbols, with no key sort first:
-    O(n) expected hashing plus O(r log n) for the r matching position pairs
-    among the shared symbols, and O(n) memory.  audit_code is the route for
-    many codeword pairs.
-    """
-    xs = list(xs)
-    ys = list(ys)
-    if len(xs) != len(ys):
-        raise ParameterError(
-            f"distance needs equal lengths, got {len(xs)} and {len(ys)}")
-    return len(xs) - lcs_length(xs, ys)
 
 
 @dataclass

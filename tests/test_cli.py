@@ -365,11 +365,11 @@ def check_bench_run(tmp_path, capsys, p_arg, name, p32):
         (10007, 16, "build_code", 2, 16), (10007, 16, "cubic", 2, 1838),
         (10007, 16, "linear", 2, 564), (10007, 16, "cubic-random", 2, 1455),
         (10007, 16, "linear-random", 2, 564), (10007, 16, "cubic-midpair", 2, 1110),
-        (10007, 16, "linear-received", 2, 564),
+        (10007, 16, "linear-received", 2, 651),
         (p32, 32, "build_code", 2, 32), (p32, 32, "cubic", 2, 8006),
         (p32, 32, "linear", 2, 804), (p32, 32, "cubic-random", 2, 5248),
         (p32, 32, "linear-random", 2, 804), (p32, 32, "cubic-midpair", 2, 2206),
-        (p32, 32, "linear-received", 2, 804)])
+        (p32, 32, "linear-received", 2, 987)])
     doc = json.loads(out_path.read_text())
     assert set(doc) == {"truncated", "machine", "records"} and set(doc["machine"]) == MACHINE_KEYS
     records = doc["records"]

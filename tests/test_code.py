@@ -501,6 +501,16 @@ def test_spec_equality_and_hash():
     # equal p, g and delta, other points (compared through _lifted)
     c = CodeSpec(5, a.g, a.delta, alpha_rows=[(d, 0, 0) for d in a.delta])
     assert a != c and c != a
+    # the parabola's own points given as alpha_rows: one _lifted, but both
+    # decoders refuse that spec, so it equals neither the built spec nor
+    # its codewords theirs
+    built = build_code(11, 6)
+    rows = CodeSpec(11, built.g, built.delta,
+                    alpha_rows=[built.alpha_coords(i) for i in range(1, 7)])
+    assert np.array_equal(rows._lifted, built._lifted)
+    assert built != rows and rows != built and hash(built) != hash(rows)
+    m = Message(built.ext.one, built.ext.gamma)
+    assert encode(built, m) != encode(rows, m) and encode(rows, m) == encode(rows, m)
 
 
 def test_direct_spec_construction_rejects_bad_alpha_rows():

@@ -5,7 +5,7 @@ Hypothesis draws received words of 3..n symbols (channel outputs, channel
 outputs with some symbols replaced, and uniformly random symbols), the
 same words built from a codeword's rows and from ExtElems in each of the
 symbol arrays' dtypes, messages and evaluation points in each of the
-encoder's four arithmetic regimes,
+encoder's four arithmetic regimes (under a random irreducible g and delta),
 codeword pairs for the audit (random, constant, shifted or sharing a
 symbol, on good and on base-field specs), random bytes for the two file
 loaders, and command lines for every
@@ -18,6 +18,7 @@ module's budget is a few seconds (about 3 s on a 2-vCPU x86-64 VM).
 import contextlib
 import io
 import itertools
+import random
 import tempfile
 from bisect import bisect_left
 from pathlib import Path
@@ -38,7 +39,10 @@ from rsdel.code import (
     load_symbols,
 )
 from rsdel.decoder import (
+    OPS_LATER_PER_SYMBOL,
+    OPS_LOOKUP_PER_SYMBOL,
     PATH_CONSTANT,
+    DecodeInstrumentation,
     ReceivedTriple,
     decode_cubic,
     decode_linear,
@@ -49,6 +53,7 @@ from rsdel.errors import (
     RSDelError,
     UnrecognizedReceivedWordError,
 )
+from rsdel.field import MonicCubic, is_irreducible_cubic
 from rsdel.verify import AuditResult, audit_code, base_field_spec
 
 from conftest import get_spec, is_checked_pattern
@@ -109,19 +114,44 @@ def test_every_word_decodes_exactly_or_fails_typed(case):
     assert is_checked_pattern(out.kappa)
     assert encode(spec, out.message) == out.codeword
     if out.path == PATH_CONSTANT:
-        assert out.kappa.kept == () and out.message.m2.is_zero()
+        assert out.kappa.kept == () and out.message.m2 == 0
         assert all(sym == out.codeword[0] for sym in word)
     else:
         assert tuple(apply_deletions(out.codeword, out.kappa)) == word
     if m is not None:
         assert out.message == m
-        assert out.kappa == (DeletionPattern(()) if m.m2.is_zero() else pattern)
+        assert out.kappa == (DeletionPattern(()) if m.m2 == 0 else pattern)
     # the later symbols only extend what the first three decode to
     for decode, full in ((decode_linear, linear), (decode_cubic, cubic)):
         first = decode(spec, word[:3])
         assert (first.message, first.codeword, first.path) \
             == (full.message, full.codeword, full.path)
         assert first.kappa.kept == full.kappa.kept[:3]
+
+
+def total_ops(decode, spec, word):
+    """The total_ops of one decode of word, rejected or not."""
+    inst = DecodeInstrumentation()
+    with contextlib.suppress(UnrecognizedReceivedWordError, InconsistentReceivedWordError):
+        decode(spec, word, inst)
+    return inst.total_ops
+
+
+@settings(PROPERTY, max_examples=200)
+@given(received_words())
+def test_later_symbols_add_their_price(case):
+    # an m-symbol word costs what its first three do, plus the later-symbol
+    # stage: a lookup entry per codeword symbol (none for a constant word)
+    # and a locate per later symbol, rejections at a later symbol too; a
+    # word whose first three are rejected never reaches the stage
+    spec, word, _, _ = case
+    for decode in (decode_linear, decode_cubic):
+        first = outcome(spec, word[:3], decode)
+        price = 0
+        if not isinstance(first, type) and len(word) > 3:
+            price = ((len(word) - 3) * OPS_LATER_PER_SYMBOL
+                     + (spec.n * OPS_LOOKUP_PER_SYMBOL if first.kappa.kept else 0))
+        assert total_ops(decode, spec, word) == total_ops(decode, spec, word[:3]) + price
 
 
 # small primes, whose random symbols often repeat, and one prime per regime
@@ -134,20 +164,37 @@ AUDIT_PRIMES = (5, 7, 13, 10007, (1 << 61) - 1, (1 << 64) - 59)
 REGIME_PRIMES = (10007, 54794197, (1 << 61) - 1, (1 << 64) - 59)
 
 
+def draw_cubic(draw, p):
+    """A uniform monic cubic over F_p, drawn by rejection until it is
+    irreducible (about one in three is), from a generator that hypothesis
+    seeds, so that the smallest example is one draw and not a run of
+    reducible zero cubics."""
+    rng = random.Random(draw(st.integers(0, (1 << 32) - 1)))
+    while True:
+        g = MonicCubic(rng.randrange(p), rng.randrange(p), rng.randrange(p))
+        if is_irreducible_cubic(p, g):
+            return g
+
+
+def draw_delta(draw, n, residues):
+    """n distinct nonzero residues: a random delta."""
+    return draw(st.lists(residues.filter(bool), min_size=n, max_size=n, unique=True))
+
+
 @st.composite
 def regime_encodings(draw):
-    """(spec, message): a spec of 3..10 points in one regime, from the
-    quadratic map or from arbitrary rows (lifted width 1 to 3), and a
-    message, their residues drawn uniformly or from the kernel's edges."""
+    """(spec, message): a spec of 3..10 points in one regime, under a
+    random irreducible g and delta, from the quadratic map or from
+    arbitrary rows (lifted width 1 to 3), and a message, their residues
+    drawn uniformly or from the kernel's edges."""
     p = draw(st.sampled_from(REGIME_PRIMES))
     edges = sorted({v % p for v in (0, 1, 2, p - 2, p - 1, (p - 1) // 2,
                                     2**32 - 1, 2**32, 2**32 + 1)})
     residues = st.one_of(st.sampled_from(edges), st.integers(0, p - 1))
     n = draw(st.integers(3, 10))
-    g = get_spec(p, 3).g
+    g = draw_cubic(draw, p)
     if draw(st.booleans()):
-        delta = draw(st.lists(residues.filter(bool), min_size=n, max_size=n, unique=True))
-        spec = CodeSpec(p, g, delta)
+        spec = CodeSpec(p, g, draw_delta(draw, n, residues))
     else:
         rows = draw(st.lists(st.tuples(residues, residues, residues), min_size=n, max_size=n,
                              unique=True))
@@ -170,14 +217,15 @@ def test_encode_matches_rowwise_field_arithmetic(case):
 
 @st.composite
 def regime_words(draw):
-    """(spec, codeword, pattern): a codeword of build_code(p, n), n in 3..10
-    and p one of REGIME_PRIMES, whose rows encode a message (constant one
-    time in eight), encode one with rows replaced, or are random, and the
-    kept positions of a word of 3..n of its symbols."""
+    """(spec, codeword, pattern): a codeword of a spec of n in 3..10 points
+    from the quadratic map, under a random irreducible g and delta, and p
+    one of REGIME_PRIMES, whose rows encode a message (constant one time in
+    eight), encode one with rows replaced, or are random, and the kept
+    positions of a word of 3..n of its symbols."""
     p = draw(st.sampled_from(REGIME_PRIMES))
     n = draw(st.integers(3, 10))
-    spec = get_spec(p, n)
     residues = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    spec = CodeSpec(p, draw_cubic(draw, p), draw_delta(draw, n, residues))
     coords = st.tuples(residues, residues, residues)
     kind = draw(st.sampled_from(("valid", "corrupted", "garbage")))
     if kind == "garbage":
