@@ -14,8 +14,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .code import ReceivedWord, _integers
+from .code import ReceivedWord
 from .errors import ParameterError
+from .field import _integers
 
 
 @dataclass(frozen=True)

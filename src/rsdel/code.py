@@ -12,7 +12,6 @@ Positions are 1-based everywhere in the public API.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from itertools import chain
@@ -28,20 +27,11 @@ from .field import (
     CubicField,
     ExtElem,
     MonicCubic,
+    _integers,
     reduce_mod,
     shoup_columns,
     shoup_product,
 )
-
-
-def _integers(values, what: str) -> tuple:
-    """values as a tuple of Python ints, each read through operator.index,
-    so a float or a string is refused rather than truncated; raises
-    ParameterError for a value that is not an integer."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        raise ParameterError(f"{what} must be integers") from None
 
 
 class CodeSpec:
@@ -75,21 +65,25 @@ class CodeSpec:
     itself at once, with no array compare.
 
     g=None takes the canonical cubic (CubicField's search, as build_code
-    does); a given g is tested for irreducibility once.  Construction runs
+    does); a given g, any sequence of three integers, is tested for
+    irreducibility once.  p, g and delta are read through operator.index,
+    so a float or a string raises ParameterError.  Construction runs
     CubicField(p, g), one primality test of p (at most 13 pow calls) and
     the cubic search or that one gcd test, and O(n) C-level passes to check
-    delta and build the arrays and the index.  In the uint64 regime, filling _lifted
-    converts each of alpha's wn Python ints once, and _columns adds a copy
-    of them and three passes for their halves, which add about 20% to a
-    build at n >= 512.
+    delta and build the arrays and the index.  The quadratic map's columns
+    come straight from delta: below 2^30 d^2 mod p is one int64 numpy pass,
+    and from 2^30 on, where d^2 can pass 64 bits, one Python-int pass
+    writes it into _lifted.  In the uint64 regime _columns adds a copy of
+    the two columns and three passes for their halves.
     """
 
     __slots__ = ("p", "g", "delta", "n", "ext", "delta_index",
                  "from_quadratic_map", "_lifted", "_columns")
 
-    def __init__(self, p: int, g: Optional[MonicCubic], delta: Sequence[int], *,
+    def __init__(self, p: int, g: Optional[Sequence[int]], delta: Sequence[int], *,
                  alpha_rows=None):
         ext = CubicField(p, g)
+        p = ext.p
         try:
             n = len(delta)  # before any entry is read: a range is refused unread
         except TypeError:
@@ -109,12 +103,19 @@ class CodeSpec:
         self.delta = delta
         self.n = n
         self.delta_index = delta_index
-        dtype = ext.dtype
         self.from_quadratic_map = alpha_rows is None
+        regime = (np.float64 if p < _FLOAT64_PRODUCT_MAX_P else
+                  np.int64 if p < _INT64_PRODUCT_MAX_P else
+                  np.uint64 if p < _INT64_COORD_MAX_P else object)
         if alpha_rows is None:
-            d = np.array(delta, dtype=dtype)
-            alpha = np.stack([d, d * d % p], axis=1)
-            w = 2   # d and d^2 are nonzero
+            lifted = np.ones((n, 3), dtype=regime)  # w = 2: d and d^2 are nonzero
+            if p < _INT64_PRODUCT_MAX_P:
+                d = np.array(delta, dtype=np.int64)
+                lifted[:, 1] = d
+                lifted[:, 2] = d * d % p
+            else:
+                lifted[:, 1] = delta
+                lifted[:, 2] = [d * d % p for d in delta]
         else:
             rows = [tuple(c % p for c in _integers(row, "alpha override entries"))
                     for row in alpha_rows]
@@ -122,13 +123,10 @@ class CodeSpec:
                 raise ParameterError("alpha override must have shape (n, 3)")
             if len(set(rows)) != n:
                 raise ParameterError("evaluation points must be distinct")
-            alpha = np.array(rows, dtype=dtype)
+            alpha = np.array(rows, dtype=ext.dtype)
             w = int(np.flatnonzero(alpha.any(axis=0))[-1]) + 1  # distinct points: w >= 1
-        regime = (np.float64 if p < _FLOAT64_PRODUCT_MAX_P else
-                  np.int64 if p < _INT64_PRODUCT_MAX_P else
-                  np.uint64 if p < _INT64_COORD_MAX_P else object)
-        lifted = np.ones((n, 1 + w), dtype=regime)
-        lifted[:, 1:] = alpha[:, :w]
+            lifted = np.ones((n, 1 + w), dtype=regime)
+            lifted[:, 1:] = alpha[:, :w]
         lifted.setflags(write=False)
         self._lifted = lifted
         self._columns = shoup_columns(lifted[:, 1:].T) if regime is np.uint64 else None
@@ -185,8 +183,11 @@ def build_code(p: int, n: int, delta_override: Optional[Sequence[int]] = None) -
     so a few are tried in practice), and O(n) to validate delta and build
     the spec's arrays and lookup dict.  Memory: O(n); an n outside
     3..p - 1 is refused in O(1) memory, before delta = (1, ..., n) exists.
+    p and n are read through operator.index: a float or a string raises
+    ParameterError.
     Both decoders use the spec as built: nothing is added on a decode.
     """
+    (n,) = _integers((n,), "blocklengths")
     if delta_override is not None:
         delta = tuple(delta_override)
         if len(delta) != n:

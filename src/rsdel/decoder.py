@@ -124,10 +124,12 @@ OPS_LATER_PER_SYMBOL = 3    # nominal: a later symbol's three coordinates locate
 class DecodeInstrumentation:
     """Field-operation and timing probe threaded through one or more decodes.
 
-    _decode prices every stage.  total_ops accumulates every priced
-    operation; search_ops and search_seconds only those spent identifying
-    the kept triple (beta, coefficient extraction and solving for the linear
-    path; beta plus the triple search for the cubic path), rejections too.
+    _decode prices every stage, and only for a decode given a probe: one
+    without reads no clock and evaluates no price.  total_ops accumulates
+    every priced operation; search_ops and search_seconds only those spent
+    identifying the kept triple (beta, coefficient extraction and solving
+    for the linear path; beta plus the triple search for the cubic path),
+    rejections too.
     """
 
     total_ops: int = 0
@@ -244,7 +246,8 @@ def solve_deltas(p: int, coeffs, den: int = 1):
 #     <=>  lam*alpha_i + (1 - lam)*alpha_k == alpha_j,   lam = (1 + beta)^-1.
 #
 # The nominal count always prices the Theta(n^3) scan up to the match row
-# (_scan_ops), so the counts do not depend on the kernel.
+# (_search_ops), so the counts do not depend on the kernel; _decode
+# evaluates that price only under a probe.
 #
 # The search serves the paper's code only (_decode refuses every other
 # spec), whose points alpha = (d, d^2, 0) lie in the gamma^2 = 0 plane.
@@ -309,10 +312,13 @@ def solve_deltas(p: int, coeffs, den: int = 1):
 #
 # Time per decode: O(1) field work (one adjugate, one F_p inverse, sigma,
 # v0, v1 and q), then one O(n) product of the (n, 3) matrix spec._lifted
-# with q, its cast and reduction, one compare with 0, at most two Python
-# checks of u and two dict lookups, with no sort.  Memory: O(n) per decode
-# (the product column, its cast and the reduction's quotients); nothing is
-# kept between decodes.  _lifted's dtype, which CodeSpec fixes once, makes
+# with q, its cast and reduction, one compare with 0 whose at most two
+# zeros ndarray.nonzero reads (np.flatnonzero's Python-level wrapper took
+# 2.4 against 1.2 us at n = 512 on a 2-vCPU x86-64 VM), at most two Python
+# checks of u and two dict lookups, with no sort.  The nominal scan price,
+# about ten big-int operations, is computed only under a probe.
+# Memory: O(n) per decode (the product column, its cast and the
+# reduction's quotients); nothing is kept between decodes.  _lifted's dtype, which CodeSpec fixes once, makes
 # the one choice.  Below 2^63 the product runs on all n rows: float64 through BLAS
 # up to about 5.5 * 10^7, an int64 matmul below 2^30, and the uint64 Shoup
 # kernel (field.shoup_product) below 2^63, about 10 us at n = 64 and
@@ -374,7 +380,7 @@ def _search_triple(spec: CodeSpec, num, den: int = 1):
         pos = np.array([idx[x] - 1 for x in idx.keys() & partners
                         if idx[x] < idx[(sigma - x) % p]], dtype=np.intp)
     # w on the parabola: the match, and the position with 2d == sigma (w == alpha_i)
-    for h in np.flatnonzero(_lifted_product(spec, q, pos) == 0).tolist():
+    for h in (_lifted_product(spec, q, pos) == 0).nonzero()[0].tolist():
         i = h if pos is None else int(pos[h])
         d = spec.delta[i]
         if 2 * d % p != sigma:
@@ -387,39 +393,50 @@ def _search_triple(spec: CodeSpec, num, den: int = 1):
 
 
 def _closed_form(spec, num, den):
-    """(nominal ops, kappa, reason) of the closed form on the ratio
-    num/den: kappa is an increasing triple of the code's locators and
-    reason None, or kappa is None and reason names the failed check,
-    "degenerate-solve", "locator-not-in-code" or "order".
+    """(kappa, reason) of the closed form on the ratio num/den: kappa is an
+    increasing triple of the code's locators and reason None, or kappa is
+    None and reason names the failed check, "degenerate-solve",
+    "locator-not-in-code" or "order".
 
     The solved deltas are reduced Python ints, so they index
     spec.delta_index directly; a value outside the code reads position 0."""
     sol = solve_deltas(spec.p, extract_coefficients(num), den)
     if sol is None:
-        return OPS_EXT_MUL, None, "degenerate-solve"
+        return None, "degenerate-solve"
     get = spec.delta_index.get
     kappa = (get(sol[0], 0), get(sol[1], 0), get(sol[2], 0))
-    ops = OPS_EXT_MUL + OPS_SOLVE
     if 0 < kappa[0] < kappa[1] < kappa[2]:
-        return ops, kappa, None
-    return ops, None, "order" if all(kappa) else "locator-not-in-code"
+        return kappa, None
+    return None, "order" if all(kappa) else "locator-not-in-code"
+
+
+def _closed_form_ops(spec, kappa, reason):
+    """Nominal ops of _closed_form's (kappa, reason): the coefficient read,
+    and the solve unless it degenerated."""
+    if reason == "degenerate-solve":
+        return OPS_EXT_MUL
+    return OPS_EXT_MUL + OPS_SOLVE
 
 
 def _search(spec, num, den):
-    """(nominal ops, kappa, reason) of the triple search on the ratio
-    num/den, priced as the scan up to the match row, or of every row on a
-    miss, whose reason is "search-miss"."""
+    """(kappa, reason) of the triple search on the ratio num/den: the
+    matching triple and None, or None and "search-miss"."""
     kappa = _search_triple(spec, num.coords, den)
-    if kappa is None:
-        return _scan_ops(spec.n, spec.n - 2), None, "search-miss"
-    return _scan_ops(spec.n, kappa[0]), kappa, None
+    return (kappa, None) if kappa else (None, "search-miss")
 
 
-def _decode(spec, y, inst, identify, path):
+def _search_ops(spec, kappa, reason):
+    """Nominal ops of _search's (kappa, reason): the scan up to the match
+    row, or every row on a miss."""
+    return _scan_ops(spec.n, spec.n - 2 if kappa is None else kappa[0])
+
+
+def _decode(spec, y, inst, identify, price, path):
     """The pipeline both decoders share, and the one place that prices a
-    decode: identify(spec, num, den) returns (nominal ops, kappa, reason)
-    on compute_beta's fraction of the first three symbols, with kappa None
-    and reason the UnrecognizedReceivedWordError's on a miss.  y is a
+    decode: identify(spec, num, den) returns (kappa, reason) on
+    compute_beta's fraction of the first three symbols, with kappa None and
+    reason the UnrecognizedReceivedWordError's on a miss, and
+    price(spec, kappa, reason) gives its nominal ops.  y is a
     ReceivedWord of 3 <= m <= n symbols, or any such ExtElem sequence,
     which is built into one here.  The first three rows are read once, as
     Python-int tuples in one tolist, for every later stage.  After the
@@ -443,8 +460,9 @@ def _decode(spec, y, inst, identify, path):
     field, the one field check of a decode; then the rejections of the
     first three symbols ("two-equal", identify's reasons, "third-point");
     and InconsistentReceivedWordError("not-a-subsequence" or
-    "constant-mismatch") for a later symbol.  The clock is read only when
-    inst is given."""
+    "constant-mismatch") for a later symbol.  Without inst nothing is
+    timed or priced: the clock, price and every count run only under a
+    probe."""
     if not spec.from_quadratic_map:
         raise ParameterError(
             "the decoders need evaluation points delta + delta^2*gamma; "
@@ -463,10 +481,11 @@ def _decode(spec, y, inst, identify, path):
     if ratio is None:
         m, kappa, path = Message(ExtElem(ext, y1), ext.zero), (), PATH_CONSTANT
     else:
-        ops, kappa, reason = identify(spec, *ratio)
+        kappa, reason = identify(spec, *ratio)
         if inst:
-            inst.total_ops += OPS_BETA + ops
-            inst.search_ops += OPS_BETA + ops
+            ops = OPS_BETA + price(spec, kappa, reason)
+            inst.total_ops += ops
+            inst.search_ops += ops
             inst.search_seconds += perf_counter() - t0
         if reason:
             raise UnrecognizedReceivedWordError(
@@ -536,15 +555,16 @@ def decode_cubic(spec: CodeSpec, y: ReceivedWord,
     (1..n with d_i + d_k near n + 1).  O(n) time (expected, for the
     hashing from 2^63 on) and O(n) memory, and the re-encode adds O(n).
     Nothing is kept with the spec between decodes.
-    The nominal op count still prices the Theta(n^3) scan up to the match
-    row.  y is a channel output of 3 <= m <= n symbols: the search runs on
-    its first three, and the later ones add O(n + m) (see _decode).
+    Under a probe, the nominal op count still prices the Theta(n^3) scan
+    up to the match row.  y is a channel output of 3 <= m <= n symbols:
+    the search runs on its first three, and the later ones add O(n + m)
+    (see _decode).
     Raises UnrecognizedReceivedWordError when no triple matches (reason
     "search-miss") or, as a guard that real words never reach, when the
     third symbol is off the interpolated line ("third-point"); every other
     error is _decode's.
     """
-    return _decode(spec, y, inst, _search, PATH_FALLBACK)
+    return _decode(spec, y, inst, _search, _search_ops, PATH_FALLBACK)
 
 
 def decode_linear(spec: CodeSpec, y: ReceivedWord,
@@ -563,5 +583,5 @@ def decode_linear(spec: CodeSpec, y: ReceivedWord,
     first three, and the later ones add O(n + m) (see _decode, which
     raises every other error).
     """
-    return _decode(spec, y, inst, _closed_form, PATH_CLOSED_FORM)
+    return _decode(spec, y, inst, _closed_form, _closed_form_ops, PATH_CLOSED_FORM)
 

@@ -28,7 +28,8 @@ Codewords hold int64 coordinates in the first three regimes.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+import operator
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +47,18 @@ _INT64_COORD_MAX_P = 1 << 63    # one coordinate: int64 codewords and shoup_prod
 # and no rounding happens, in any summation order and with FMA alike: the
 # float64 product, which BLAS runs, equals the integer one.
 _FLOAT64_PRODUCT_MAX_P = 54_794_158
+
+
+def _integers(values, what: str) -> tuple:
+    """values as a tuple of Python ints, each read through operator.index,
+    so a float or a string is refused rather than truncated; raises
+    ParameterError for a value that is not an integer, or for values that
+    cannot be iterated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ParameterError(f"{what} must be integers") from None
+
 
 # Deterministic Miller-Rabin: (bound, bases) pairs, each base set proven exact
 # for every n below its bound, and the smallest proven set first.  psi_k
@@ -76,8 +89,11 @@ def is_prime(n: int) -> bool:
     (_MR_BASE_SETS): one pow per base, so at most 13 pow calls of an
     O(log n)-bit exponent.  p = 10007 takes 2 bases, 2^31 - 1 takes 4, and
     every p from 3.4 * 10^14 up to 2^64 takes 7.  No base set is proven
-    from psi_13 on, so there an odd n raises ParameterError.
+    from psi_13 on, so there an odd n raises ParameterError; so does an n
+    that is not an integer (a float or a string), read through
+    operator.index.
     """
+    (n,) = _integers((n,), "primality candidates")
     if n < 3 or n % 2 == 0:
         return n == 2
     for bound, bases in _MR_BASE_SETS:
@@ -176,15 +192,27 @@ def _no_root_by_gcd(p: int, g: MonicCubic) -> bool:
     return value != 0
 
 
-def is_irreducible_cubic(p: int, g: MonicCubic) -> bool:
+def _monic_cubic(p: int, g) -> MonicCubic:
+    """g, any sequence of three integers (g0, g1, g2), as a MonicCubic of
+    residues mod p; raises ParameterError for anything else."""
+    coeffs = _integers(g, "cubic coefficients")
+    if len(coeffs) != 3:
+        raise ParameterError(f"g must have three coefficients (g0, g1, g2), got {len(coeffs)}")
+    return MonicCubic(*(c % p for c in coeffs))
+
+
+def is_irreducible_cubic(p: int, g: Sequence[int]) -> bool:
     """True iff g has no root in F_p.
 
     For a cubic that is exactly irreducibility.  Every p takes the same test,
     gcd(x^p - x mod g, g) = 1 with x^p computed by _pow_x_mod_cubic's
     ladder: O(log p) squares in F_p[x]/(g).  There is no O(p) root scan,
-    not even for small p.
+    not even for small p.  p and g are read as CubicField reads them, so g
+    is any sequence of three integers and anything else raises
+    ParameterError.
     """
-    return _no_root_by_gcd(p, MonicCubic(g.g0 % p, g.g1 % p, g.g2 % p))
+    (p,) = _integers((p,), "moduli")
+    return _no_root_by_gcd(p, _monic_cubic(p, g))
 
 
 def _canonical_cubic(p: int) -> MonicCubic:
@@ -240,8 +268,11 @@ class CubicField:
     is_prime(p): at most 13 pow calls, and p >= psi_13 ~ 3.3 * 10^24, where
     no primality test is proven, is refused too.  g=None takes the
     canonical cubic, found by _canonical_cubic's search and kept without a
-    second test; a given g costs one gcd test, O(log p) squares in
-    F_p[x]/(g), and raises ParameterError when it has a root.
+    second test; a given g is any sequence of three integers (g0, g1, g2),
+    a MonicCubic or a plain tuple, costs one gcd test, O(log p) squares in
+    F_p[x]/(g), and raises ParameterError when it has a root.  p and g's
+    coefficients are read through operator.index, so a float, a string or
+    a g of another length raises ParameterError too.
 
     dtype is that of inv_many's coordinate columns (int64 below 2^30);
     symbol_dtype that of every array of canonical symbol coordinates,
@@ -251,13 +282,14 @@ class CubicField:
 
     __slots__ = ("g", "p", "dtype", "symbol_dtype", "_consts")
 
-    def __init__(self, p: int, g: Optional[MonicCubic] = None):
+    def __init__(self, p: int, g: Optional[Sequence[int]] = None):
+        (p,) = _integers((p,), "moduli")
         if p < 3 or not is_prime(p):
             raise ParameterError(f"modulus must be an odd prime, got {p}")
         if g is None:
             g = _canonical_cubic(p)
         else:
-            g = MonicCubic(g.g0 % p, g.g1 % p, g.g2 % p)
+            g = _monic_cubic(p, g)
             if not _no_root_by_gcd(p, g):
                 raise ParameterError(
                     f"x^3 + {g.g2}x^2 + {g.g1}x + {g.g0} has a root mod {p}; "

@@ -87,6 +87,46 @@ def test_build_code_validation_messages():
         assert str(exc.value) == message
 
 
+def test_code_parameters_are_integers():
+    # p, n and g's coefficients are read through operator.index: build_code
+    # raised TypeError on a float p or n, and CodeSpec AttributeError on a
+    # plain tuple g and TypeError on a float or string coefficient
+    for p, n in ((7.5, 3), (7.0, 3), ("7", 3), (7, 3.0), (7, "3")):
+        with pytest.raises(ParameterError, match="must be integers"):
+            build_code(p, n)
+    spec = build_code(np.int64(10007), np.int64(12))
+    assert spec == get_spec(10007, 12) and type(spec.p) is int and spec.n == 12
+    want = CodeSpec(7, MonicCubic(1, 1, 0), (1, 2, 3))
+    for g in ((1, 1, 0), [1, 1, 0], np.array([1, 1, 0]), (8, -6, 7)):
+        spec = CodeSpec(7, g, (1, 2, 3))
+        assert spec == want and spec.g == MonicCubic(1, 1, 0) and type(spec.g) is MonicCubic
+        assert encode(spec, Message(spec.ext.one, spec.ext.gamma)) \
+            == encode(want, Message(want.ext.one, want.ext.gamma))
+    for p, g in ((7.0, (1, 1, 0)), (7, (1.0, 1, 0)), (7, ("1", 1, 0)), (7, 5), (7, (1, 1)),
+                 (7, (1, 1, 0, 0))):
+        with pytest.raises(ParameterError):
+            CodeSpec(p, g, (1, 2, 3))
+
+
+@pytest.mark.parametrize("p", (1073741827, (1 << 61) - 1, (1 << 63) - 25))
+def test_lifted_from_delta_matches_python_ints(p):
+    # the quadratic map's columns are written straight from delta, d^2 mod
+    # p in one Python-int pass; above 2^32, deltas near p square past 64 bits
+    delta = sorted({d for d in (1, 2, 3, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, (p - 1) // 2,
+                                p - 3, p - 2, p - 1) if d < p})
+    spec = CodeSpec(p, None, delta)
+    rows = [(1, d, d * d % p) for d in delta]
+    assert (p < 1 << 32) or any(d * d >= 1 << 64 for d in delta)
+    assert spec._lifted.dtype == np.uint64 and not spec._lifted.flags.writeable
+    assert [tuple(int(c) for c in row) for row in spec._lifted.tolist()] == rows
+    cols = [[row[1] for row in rows], [row[2] for row in rows]]
+    halves = [[[x & 0xFFFFFFFF for x in col] for col in cols], [[x >> 32 for x in col] for col in cols]]
+    stack = spec._columns
+    assert stack.shape == (5, 2, 1, len(delta)) and not stack.flags.writeable
+    assert [stack[k, :, 0].tolist() for k in range(5)] == halves + halves + [cols]
+    assert [spec.alpha_coords(i) for i in range(1, len(delta) + 1)] == [(d, d2, 0) for _, d, d2 in rows]
+
+
 def test_build_code_refuses_oversized_n_unread():
     # n is checked before delta = (1, ..., n) exists: 10^6 entries took
     # 48.6 MB to refuse while they were built first

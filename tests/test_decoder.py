@@ -36,8 +36,10 @@ from rsdel.decoder import (
     PATH_FALLBACK,
     DecodeInstrumentation,
     ReceivedTriple,
+    _closed_form,
     _scan_ops,
     _search,
+    _search_ops,
     _search_triple,
     compute_beta,
     decode_cubic,
@@ -1062,8 +1064,9 @@ def test_search_kernels_charge_scan_pricing():
     for spec, beta, kept in cases:
         want = scan_price(spec.n, spec.n - 2 if kept is None else kept[0])
         reason = None if kept else "search-miss"
-        assert _search(spec, spec.ext.from_coords(beta), 1) == (want, kept, reason), \
-            (spec.p, spec.n, kept)
+        found = _search(spec, spec.ext.from_coords(beta), 1)
+        assert found == (kept, reason), (spec.p, spec.n, kept)
+        assert _search_ops(spec, *found) == want, (spec.p, spec.n, kept)
 
 
 def test_decode_cubic_search_ops_pinned():
@@ -1311,6 +1314,43 @@ def rejection_words(spec):
         "constant-zero": ReceivedTriple(ext.zero, ext.zero, ext.zero),
         "constant": ReceivedTriple(*[ext.elem(3, 4, 5)] * 3),
     }
+
+
+@pytest.mark.parametrize("p", (10007, (1 << 61) - 1, (1 << 64) - 59))
+def test_unprobed_decode_prices_nothing(monkeypatch, p):
+    # without a probe no price is evaluated: with every price function and
+    # the scan's price raising, both decoders still decode a hit, a constant
+    # word and a longer word, and reject with the reasons their
+    # identifications give
+    spec = get_spec(p, 48)
+    m = random_message(spec, random.Random(p % 983))
+    cw = encode(spec, m)
+    hit, longer = (apply_deletions(cw, DeletionPattern(kept))
+                   for kept in ((4, 20, 33), (2, 9, 17, 30, 41, 48)))
+    words = rejection_words(spec)
+    garbage = {name: y for name, y in words.items() if not name.startswith("constant")}
+    reasons = {name: _closed_form(spec, *ratio(y))[1] for name, y in garbage.items()}
+    assert reasons["locators-out-of-order"] == "order"
+
+    def unpriced(*args):
+        raise AssertionError("a decode without a probe evaluated a price")
+
+    for name in ("_closed_form_ops", "_search_ops", "_scan_ops"):
+        monkeypatch.setattr(decoder, name, unpriced)
+    for decode, path in ((decode_linear, PATH_CLOSED_FORM), (decode_cubic, PATH_FALLBACK)):
+        for y, kept in ((hit, (4, 20, 33)), (longer, (2, 9, 17, 30, 41, 48))):
+            out = decode(spec, y)
+            assert (out.message, out.codeword, out.kappa.kept, out.path) == (m, cw, kept, path)
+        for name in ("constant", "constant-zero"):
+            out = decode(spec, words[name])
+            assert out.path == PATH_CONSTANT and out.kappa.kept == ()
+        for name, y in garbage.items():
+            with pytest.raises(UnrecognizedReceivedWordError) as exc:
+                decode(spec, y)
+            assert exc.value.reason == (reasons[name] if decode is decode_linear
+                                        else "search-miss"), name
+    with pytest.raises(AssertionError, match="without a probe"):
+        decode_cubic(spec, hit, DecodeInstrumentation())
 
 
 @pytest.mark.parametrize("decode", (decode_linear, decode_cubic))

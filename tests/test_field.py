@@ -87,6 +87,40 @@ def test_is_prime_refuses_past_the_last_proven_bound():
         CubicField(318665857834031151167461)
 
 
+def test_field_parameters_are_integers():
+    # p and g's coefficients are read through operator.index: a float or a
+    # string raised TypeError, and a plain tuple g AttributeError
+    for bad in (7.0, 7.5, "7", None, (7,)):
+        with pytest.raises(ParameterError, match="must be integers"):
+            CubicField(bad)
+    for bad in (7.0, "7", None):
+        with pytest.raises(ParameterError, match="must be integers"):
+            is_prime(bad)
+    assert is_prime(np.int64(10007)) and not is_prime(np.int64(10005))
+    field7 = CubicField(np.int64(7))
+    assert type(field7.p) is int and field7 == CubicField(7)
+    want = CubicField(7, MonicCubic(1, 1, 0))
+    for g in ((1, 1, 0), [1, 1, 0], np.array([1, 1, 0]), (8, -6, 7),
+              [np.int64(8), np.int64(-6), 7]):
+        ext = CubicField(7, g)
+        assert ext == want and type(ext.g) is MonicCubic
+        assert all(type(c) is int for c in ext.g)
+    for g in ((1.0, 1, 0), ("1", 1, 0), (1, 1, None), 5, "110"):
+        with pytest.raises(ParameterError, match="cubic coefficients must be integers"):
+            CubicField(7, g)
+    for g in ((1, 1), (1, 1, 0, 0), ()):
+        with pytest.raises(ParameterError, match="three coefficients"):
+            CubicField(7, g)
+    with pytest.raises(ParameterError, match="has a root"):
+        CubicField(7, (0, 0, 0))
+    # is_irreducible_cubic reads p and g the same way
+    assert is_irreducible_cubic(7, (1, 1, 0)) and is_irreducible_cubic(np.int64(7), [8, -6, 7])
+    assert not is_irreducible_cubic(7, (0, 0, 0))
+    for p, g in ((7.0, (1, 1, 0)), (7, (1.0, 1, 0)), (7, ("1", 1, 0)), (7, (1, 1)), (7, 5)):
+        with pytest.raises(ParameterError):
+            is_irreducible_cubic(p, g)
+
+
 @pytest.mark.parametrize("n, bases", [
     (3, 1), (10007, 2), (1073741789, 4), (2147483659, 4),
     (2**61 - 1, 7), (2**64 - 59, 7), (2**64 + 13, 12)])

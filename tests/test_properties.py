@@ -10,9 +10,12 @@ codeword pairs for the audit (random, constant, shifted or sharing a
 symbol, on good and on base-field specs), random bytes for the two file
 loaders, and command lines for every
 subcommand of the CLI but bench, on spec files, symbol files and option
-values that are valid, corrupted or random.  The runs are derandomized, keep no example
-database and have fixed example counts, so tier-1 stays deterministic; the
-module's budget is a few seconds (about 3 s on a 2-vCPU x86-64 VM).
+values that are valid, corrupted or random.  Every regime word is also
+decoded with and without a probe.  The runs are derandomized, keep no
+example database and have fixed example counts, so tier-1 stays
+deterministic; the module takes about 10 s (9.6-10.1 s under pytest on a
+2-vCPU x86-64 VM), about 1.5 s each for its four slowest properties: the
+probe, rows-and-elements, encode and command-line ones.
 """
 
 import contextlib
@@ -265,6 +268,17 @@ def test_words_from_rows_and_from_elements_decode_alike(case):
     for decode in (decode_linear, decode_cubic):
         assert alike(decode, spec, rows[:3]) == alike(decode, spec, ReceivedTriple(*elems[:3]))
         assert alike(decode, spec, rows) == alike(decode, spec, elems)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(regime_words())
+def test_a_probe_changes_no_outcome(case):
+    # the probe only observes: a decode given one returns what a decode
+    # without one returns, or raises the same error type with the same reason
+    spec, cw, pattern = case
+    word = apply_deletions(cw, pattern)
+    for decode in (decode_linear, decode_cubic):
+        assert alike(decode, spec, word, DecodeInstrumentation()) == alike(decode, spec, word)
 
 
 def hunt_szymanski(xs, ys):
