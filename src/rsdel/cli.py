@@ -124,10 +124,8 @@ def cmd_decode(args) -> int:
 
     Loading is O(n + m) for m received symbols.  The decoder locates the
     later symbols in O(n + m) time and memory beside the decode of the
-    first three, which is O(n) for --algo linear on every input.  For
-    --algo cubic it is O(n) time (expected, through one hashed set
-    intersection from p = 2^63 on) and O(n) memory (a spec file always
-    holds the quadratic map).
+    first three, which is O(n) time and memory for either --algo on every
+    input (a spec file always holds the quadratic map).
     """
     spec = code.load_spec(args.spec)
     symbols = code.load_symbols(args.received, spec)
@@ -285,10 +283,13 @@ def _run_jobs(p_values, n_values, budget_seconds, jobs):
     tuple per trial.  A trial times the call fn(*args) alone, between two
     perf_counter reads, and then hands its result to take.  total_time is
     the mean of the trial times and p50_time their median.  work is either
-    the field_ops of one call, with search_time equal to total_time, or
-    the DecodeInstrumentation that the calls charge, whose means over the
-    trials are search_time and field_ops.  Before each job, the walk stops
-    if budget_seconds (None: no budget) have passed since it began.
+    the field_ops of one call, with search_time equal to total_time, or a
+    DecodeInstrumentation: after the timed trials, one more pass, timed
+    as a whole, calls fn(*args, work) on every argument tuple.  field_ops
+    is then the probe's mean total_ops over the trials, and search_time
+    is total_time times the share of that pass the probe spent searching,
+    so it never exceeds total_time.  Before each job, the walk stops if
+    budget_seconds (None: no budget) have passed since it began.
     """
     records = []
     started = perf_counter()
@@ -306,7 +307,12 @@ def _run_jobs(p_values, n_values, budget_seconds, jobs):
             total = sum(times) / trials
             search, field_ops = total, work
             if isinstance(work, decoder.DecodeInstrumentation):
-                search, field_ops = work.search_seconds / trials, round(work.total_ops / trials)
+                t0 = perf_counter()
+                for a in args:
+                    fn(*a, work)
+                # the probed pass's search share, applied to the unprobed mean
+                search = total * work.search_seconds / (perf_counter() - t0)
+                field_ops = round(work.total_ops / trials)
             assert search <= total and field_ops > 0
             records.append(BenchRecord(p, n, algo, trials, search, total,
                                        median(times), field_ops))
@@ -330,17 +336,21 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
     second random.Random(seed), apart from the message's, so that every p
     decodes the same triples, and both algos the same words.
     "cubic-midpair" decodes (1, ceil(n/2), n) on every trial: its ratio
-    pairs up about n/2 positions of the code around sigma = n + 1, the
-    search's costliest valid input when its products are narrowed to the
-    in-code pairs (p >= 2^63).  "linear-received" times decode_linear on
-    channel words of min(256, n) survivors, a fresh kept set per trial
-    drawn from a third random.Random(seed): the closed-form decode of the
-    first three symbols and the check of the later ones.  One untimed
-    decode of the last triple per (code, record) runs before the timed
-    trials, so first-call costs (numpy's code pages, allocator growth) are
-    not averaged into the times; the decoders keep nothing per code.  search_time and
-    total_time are means over the trials, p50_time the median total time,
-    and field_ops the mean nominal count.  Returns (records, truncated).
+    pairs up about n/2 positions of the code around sigma = n + 1 and
+    matches on the first row, a valid word whose search, one product over
+    all n rows, costs what any word's does.  "linear-received" times
+    decode_linear on channel words of min(256, n) survivors, a fresh kept
+    set per trial drawn from a third random.Random(seed): the closed-form
+    decode of the first three symbols and the check of the later ones.
+    One untimed decode of the last triple per (code, record) runs before
+    the timed trials, so first-call costs (numpy's code pages, allocator
+    growth) are not averaged into the times; the decoders keep nothing per
+    code.  The timed decodes run without a probe, as callers run them;
+    total_time is their mean and p50_time their median.  A
+    DecodeInstrumentation charges a second pass of the same words:
+    field_ops is its mean nominal count, and search_time total_time times
+    the search's share of that pass (see _run_jobs).  Returns (records,
+    truncated).
     """
     def jobs(p, n):
         specs = []
@@ -369,7 +379,7 @@ def run_bench(p_values, n_values, trials: int, seed: int = 0,
                 ("linear-received", decoder.decode_linear, longer)):
             decode(spec, worst[0], None)  # warm-up
             inst = decoder.DecodeInstrumentation()
-            yield algo, decode, [(spec, y, inst) for y in words], check, inst
+            yield algo, decode, [(spec, y) for y in words], check, inst
 
     return _run_jobs(p_values, n_values, budget_seconds, jobs)
 
@@ -434,7 +444,7 @@ def cmd_bench(args) -> int:
     the machine stamp of machine_stamp.
 
     Each grid point costs --trials code builds (see build_code) and
-    6 * (--trials + 1) decodes (O(n) each, and O(n + m) for the
+    6 * (2 * --trials + 1) decodes (O(n) each, and O(n + m) for the
     min(256, n) survivors of "linear-received"), or --trials
     calls of check_injectivity (O(T log T) for T = C(n, 3)) and of a
     64-pair audit (O(n) per pair).  Memory is that of the largest single

@@ -167,8 +167,8 @@ class CodeSpec:
     def fast_search_ok(self) -> bool:
         """Whether p < 2^21, so that p^3 < 2^63 and a symbol packs into one
         int64.  A label of the arithmetic regime only: nothing in the
-        package reads it.  The decoder's triple search branches on
-        _lifted.dtype (object from 2^63 on), not on this label."""
+        package reads it, and the decoder's triple search takes one path
+        for every p."""
         return self.p < (1 << 21)
 
 
@@ -368,13 +368,12 @@ def _require_field(ext: CubicField, elems, what: str) -> None:
             raise FieldMismatchError(f"{what} lies in {e.field!r}, not in {ext!r}")
 
 
-def _lifted_product(spec: CodeSpec, rhs, rows=None) -> np.ndarray:
+def _lifted_product(spec: CodeSpec, rhs) -> np.ndarray:
     """spec._lifted @ rhs reduced mod p, canonical, in spec.ext.symbol_dtype:
     the one arithmetic kernel of the re-encode and of the triple search.
 
     rhs (an array-like of Python ints, or an integer array) holds canonical
-    residues in 1 + w <= 4 rows.  rows, for p >= 2^63 only, picks the rows
-    of _lifted to multiply.  As _lifted's rows are (1, canonical
+    residues in 1 + w <= 4 rows.  As _lifted's rows are (1, canonical
     coordinates), an entry of the product is at most (p-1) + 3(p-1)^2 <
     3p^2 + p.  _lifted's dtype names the regime.  For
     p < field._FLOAT64_PRODUCT_MAX_P (about 5.5 * 10^7) that sum is below
@@ -393,8 +392,6 @@ def _lifted_product(spec: CodeSpec, rhs, rows=None) -> np.ndarray:
     if spec._columns is not None:
         return shoup_product(spec._columns, rhs, spec.p)
     lifted = spec._lifted
-    if rows is not None:
-        lifted = lifted.take(rows, axis=0)
     # no name holds the float64 product, so it is freed before the reduction
     product = (lifted @ np.asarray(rhs, dtype=lifted.dtype)).astype(
         spec.ext.symbol_dtype, copy=False)

@@ -76,8 +76,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
 
-import numpy as np
-
 from .channel import DeletionPattern
 from .code import (
     CodeSpec,
@@ -290,9 +288,9 @@ def solve_deltas(p: int, coeffs, den: int = 1):
 # runs at every position instead.  The passing position's j and k are
 # read as the closed form reads its locators, spec.delta_index.get(w0, 0)
 # and .get(d_k, 0) (a value outside the code reads 0), and the position is
-# a match when i < j < k.  Below 2^63 both orientations of a pair are
-# tested, and the one with i > k fails that order test.  The match is
-# unique, so it is also the scan's lexicographically first.
+# a match when i < j < k.  Both orientations of a pair are tested, and
+# the one with i > k fails that order test.  The match is unique, so it is
+# also the scan's lexicographically first.
 #
 # lam is never formed.  With beta = num/den (compute_beta's fraction),
 # lam = den/(den + num), and the search keeps it scaled as
@@ -308,7 +306,9 @@ def solve_deltas(p: int, coeffs, den: int = 1):
 # and the first two coordinates of a match read d_j = lam*d_i + (1 - lam)*d_k
 # and d_j^2 = lam*d_i^2 + (1 - lam)*d_k^2, whose difference is
 # lam*(1 - lam)*(d_i - d_k)^2 = 0, the r = 0 argument of the module
-# docstring.  So the search returns at once for every beta in F_p.
+# docstring.  The c == 0 test rejects every such beta: den + num then lies
+# in F_p, so L is a multiple of (1, 0, 0) (L = 0 for beta == -1) and
+# L*gamma has no gamma^2 term.
 #
 # Time per decode: O(1) field work (one adjugate, one F_p inverse, sigma,
 # v0, v1 and q), then one O(n) product of the (n, 3) matrix spec._lifted
@@ -318,20 +318,13 @@ def solve_deltas(p: int, coeffs, den: int = 1):
 # checks of u and two dict lookups, with no sort.  The nominal scan price,
 # about ten big-int operations, is computed only under a probe.
 # Memory: O(n) per decode (the product column, its cast and the
-# reduction's quotients); nothing is kept between decodes.  _lifted's dtype, which CodeSpec fixes once, makes
-# the one choice.  Below 2^63 the product runs on all n rows: float64 through BLAS
-# up to about 5.5 * 10^7, an int64 matmul below 2^30, and the uint64 Shoup
-# kernel (field.shoup_product) below 2^63, about 10 us at n = 64 and
-# 12 us at n = 512 (p = 2^61 - 1, x86-64), with a (5, 2, 1, n) uint64
-# buffer.  In object dtype (p >= 2^63) each
-# product is a Python int, so the search first narrows to the positions
-# whose partner value is in the code: the partner column is intersected
-# with spec.delta_index's keys, one hashed set intersection, O(n) expected
-# for every p.  The in-code partner values are closed under
-# x -> sigma - x, so each of them is also a position's own value; that
-# position is kept when it comes before its partner, which drops both the
-# u == 0 position and the orientation with i > k, and the product runs on
-# the kept rows of _lifted only.
+# reduction's quotients); nothing is kept between decodes.  The product
+# runs on all n rows in every regime, in the re-encode's kernel for
+# _lifted's dtype, which CodeSpec fixes once: float64 through BLAS up to
+# about 5.5 * 10^7, an int64 matmul below 2^30, the uint64 Shoup kernel
+# (field.shoup_product) below 2^63, about 10 us at n = 64 and 12 us at
+# n = 512 (p = 2^61 - 1, x86-64) with a (5, 2, 1, n) uint64 buffer, and
+# Python ints from 2^63 on.
 
 
 def _scan_ops(n, rows):
@@ -352,8 +345,6 @@ def _search_triple(spec: CodeSpec, num, den: int = 1):
     """The increasing triple whose ratio is num/den (num a coordinate
     triple, den nonzero in F_p; den = 1 when num is beta itself), or None.
     One F_p inverse: lam stays scaled as L (see above)."""
-    if num[1] == num[2] == 0:
-        return None  # beta in F_p: no triple of the parabola matches
     p = spec.p
     ext = spec.ext
     adj, nz = ext._adjugate(((num[0] + den) % p, num[1], num[2]))
@@ -370,18 +361,9 @@ def _search_triple(spec: CodeSpec, num, den: int = 1):
     C, D = sigma * (1 - v0) % p, (2 * v0 - 1) % p
     A, B = sigma * (sigma - v1) % p, 2 * (v1 - sigma) % p
     q = ((A - C * C) % p, (B - 2 * C * D) % p, (1 - D * D) % p)  # w1 - w0^2
-    lifted = spec._lifted
     idx = spec.delta_index
-    pos = None
-    if lifted.dtype == object:  # p >= 2^63: narrow before any Python-int product
-        # the in-code partner values, closed under x -> sigma - x: each names
-        # a position whose partner is in the code; keep it when it comes first
-        partners = ((sigma - lifted[:, 1]) % p).tolist()
-        pos = np.array([idx[x] - 1 for x in idx.keys() & partners
-                        if idx[x] < idx[(sigma - x) % p]], dtype=np.intp)
     # w on the parabola: the match, and the position with 2d == sigma (w == alpha_i)
-    for h in (_lifted_product(spec, q, pos) == 0).nonzero()[0].tolist():
-        i = h if pos is None else int(pos[h])
+    for i in (_lifted_product(spec, q) == 0).nonzero()[0].tolist():
         d = spec.delta[i]
         if 2 * d % p != sigma:
             kappa = (i + 1, idx.get((C + D * d) % p, 0), idx.get((sigma - d) % p, 0))
@@ -542,18 +524,14 @@ def decode_cubic(spec: CodeSpec, y: ReceivedWord,
     of _lifted with three F_p scalars, in the encoder's kernel, tests every
     position.  Of the at most two positions that pass, the one whose
     partner is itself (u = 0) is skipped; the other's j and k are read from
-    spec.delta_index as the closed form reads them, and a ratio in F_p, or
-    one whose key is injective, is rejected at once.  The ratio stays a
-    fraction and lam stays scaled by its norm, so identification takes one
-    F_p inverse and no F_{p^3} inverse; interpolation takes one more.  The
-    product runs on all n rows below p = 2^63, through the re-encode's
-    kernel for the regime (float64 BLAS, int64, or the uint64 Shoup kernel
-    from 2^30 on).  From 2^63 on it first narrows to the positions that come before their
-    partner in the code, by one set intersection with spec.delta_index's
-    keys, so Python-int products run only there: on none for most
-    garbage, on up to about n/2 when the locators pair up around sigma
-    (1..n with d_i + d_k near n + 1).  O(n) time (expected, for the
-    hashing from 2^63 on) and O(n) memory, and the re-encode adds O(n).
+    spec.delta_index as the closed form reads them, and a ratio whose key
+    is injective, every ratio in F_p among them, is rejected at once.  The
+    ratio stays a fraction and lam stays scaled by its norm, so
+    identification takes one F_p inverse and no F_{p^3} inverse;
+    interpolation takes one more.  The product runs on all n rows for
+    every p, through the re-encode's kernel for the regime (float64 BLAS,
+    int64, the uint64 Shoup kernel from 2^30 on, Python ints from 2^63
+    on).  O(n) time and O(n) memory, and the re-encode adds O(n).
     Nothing is kept with the spec between decodes.
     Under a probe, the nominal op count still prices the Theta(n^3) scan
     up to the match row.  y is a channel output of 3 <= m <= n symbols:

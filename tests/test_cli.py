@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import rsdel
-from rsdel import cli, verify
+from rsdel import cli, decoder, verify
 from rsdel.channel import DeletionPattern, enumerate_triples
 from rsdel.cli import main
 from rsdel.code import gamma_map, load_spec
@@ -462,6 +462,35 @@ def test_bench_build_code_p50_is_the_median_trial(monkeypatch):
     assert not truncated and records[0].algo == "build_code"
     assert (records[0].total_time, records[0].search_time, records[0].p50_time,
             records[0].field_ops) == (3.0, 3.0, 2.0, 16)
+
+
+def test_bench_times_decodes_without_a_probe(monkeypatch):
+    # a timed decode runs without a probe, as callers run it; the counts come
+    # from a second, untimed pass of the same words under one probe per record
+    reads = [0]
+
+    def clock():
+        reads[0] += 1
+        return float(reads[0])
+
+    monkeypatch.setattr(cli, "perf_counter", clock)
+    windows = {}   # the decodes between two clock reads, by the first read
+    for name in ("decode_cubic", "decode_linear"):
+        def spy(spec, y, inst=None, real=getattr(decoder, name)):
+            # the walk reads the clock once, then twice around each trial and
+            # each probed pass; the warm-up decodes fall between windows
+            if reads[0] % 2 == 0:
+                windows.setdefault(reads[0], []).append((inst, y))
+            return real(spec, y, inst)
+        monkeypatch.setattr(decoder, name, spy)
+    records, _ = cli.run_bench([10007], [16], trials=2)
+    timed = [w[0] for w in windows.values() if len(w) == 1]
+    probed = [w for w in windows.values() if len(w) == 2]
+    assert len(timed) == 6 * 2 and len(probed) == 6
+    assert all(inst is None for inst, _ in timed)
+    assert [y for _, y in timed] == [y for w in probed for _, y in w]
+    assert all(w[0][0] is w[1][0] is not None for w in probed)
+    assert [r.field_ops for r in records[1:]] == [1838, 564, 1455, 564, 1110, 651]
 
 
 def test_usage_error_without_subcommand(capsys):

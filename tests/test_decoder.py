@@ -21,6 +21,7 @@ from rsdel.channel import DeletionPattern, apply_deletions, enumerate_triples
 from rsdel.code import (
     CodeSpec,
     Message,
+    _lifted_product,
     build_code,
     encode,
     gamma_map,
@@ -1032,10 +1033,9 @@ def test_search_kernels_match_reference_random_points():
 @pytest.mark.parametrize("p", (1073741789, (1 << 61) - 1, (1 << 63) - 25, (1 << 64) - 59))
 def test_search_kernel_matches_reference_large_p(p):
     # on both sides of 2^30 and of 2^63 (2^63 - 25 is the largest prime
-    # below it): the int64 matmul, the uint64 Shoup kernel on all n rows,
-    # and Python ints narrowed by one set intersection; every kept triple
-    # is a hit (a sample of them at n = 20), random betas are misses, and
-    # beta = 0 never matches
+    # below it): the int64 matmul, the uint64 Shoup kernel and Python ints,
+    # each on all n rows; every kept triple is a hit (a sample of them at
+    # n = 20), random betas are misses, and beta = 0 never matches
     rng = random.Random(p % 977)
     for n in (3, 12, 20):
         spec = get_spec(p, n)
@@ -1046,6 +1046,31 @@ def test_search_kernel_matches_reference_large_p(p):
         betas += [gamma_map(spec, *t.kept).coords for t in triples]
         found = sum(bool(assert_kernels_match_reference(spec, beta)) for beta in betas)
         assert found == len(triples)
+
+
+@pytest.mark.parametrize("p", (10007, 1073741789, (1 << 61) - 1, (1 << 64) - 59))
+def test_search_product_covers_every_row(monkeypatch, p):
+    # one search path for every regime: the product tests all n rows of
+    # spec._lifted, on a kept triple and on a miss, Python ints included
+    n = 40
+    spec = get_spec(p, n)
+    rows = []
+
+    def recording(*args):
+        column = _lifted_product(*args)
+        rows.append(len(column))
+        return column
+
+    monkeypatch.setattr(decoder, "_lifted_product", recording)
+    m = random_message(spec, random.Random(p % 991))
+    for kept in ((1, n // 2, n), (7, 8, 31)):
+        rows.clear()
+        assert decode_cubic(spec, received(spec, m, kept)).kappa.kept == kept
+        assert rows == [n], kept
+    rows.clear()
+    with pytest.raises(UnrecognizedReceivedWordError) as exc:
+        decode_cubic(spec, rejection_words(spec)["random-garbage"])
+    assert exc.value.reason == "search-miss" and rows == [n]
 
 
 def test_search_kernels_charge_scan_pricing():
@@ -1230,13 +1255,10 @@ def test_search_product_exact_at_the_dtype_edge(p, dtype):
 
 
 def test_decode_cubic_large_p_thousands():
-    # p = 2^64 - 59 at n = 4096: above 2^63 the partner column stays in
-    # Python ints, and its narrowing is one set intersection, O(n) expected.
-    # The search stays in milliseconds on a random miss and on the mid pair
-    # (1, n/2, n), whose d_i + d_k = n + 1 leaves n/2 positions to test in
-    # Python ints (1.5 ms measured at 2^61 - 1, 2-vCPU x86-64 VM).  np.isin
-    # on object columns compares the column once per partner value: as the
-    # narrowing it took 64 ms alone at this p and n
+    # p = 2^64 - 59 at n = 4096: above 2^63 the search's product runs on
+    # all n rows in Python ints.  It stays in milliseconds on the mid pair
+    # (1, n/2, n), on a random miss and in a decode_cubic of a garbage word
+    # (search-miss): 1-1.5 ms each at this p and n, 2-vCPU x86-64 VM
     p, n = (1 << 64) - 59, 4096
     spec = build_code(p, n)
     rng = random.Random(n)
@@ -1255,6 +1277,15 @@ def test_decode_cubic_large_p_thousands():
             assert _search_triple(spec, beta) == want
             times.append(time.perf_counter() - t0)
         assert min(times) < 0.02, times
+    garbage = ReceivedTriple(*(spec.ext.rand(rng) for _ in range(3)))
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        with pytest.raises(UnrecognizedReceivedWordError) as exc:
+            decode_cubic(spec, garbage)
+        times.append(time.perf_counter() - t0)
+        assert exc.value.reason == "search-miss"
+    assert min(times) < 0.02, times
 
 
 def test_instrumentation_counts():
