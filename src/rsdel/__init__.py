@@ -53,7 +53,6 @@ from .field import (
     CubicField,
     ExtElem,
     MonicCubic,
-    find_irreducible_cubic,
     is_irreducible_cubic,
     is_prime,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "encode_many",
     "enumerate_triples",
     "extract_coefficients",
-    "find_irreducible_cubic",
     "gamma_map",
     "interpolate",
     "is_irreducible_cubic",

@@ -9,6 +9,7 @@ injectivity condition.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -85,11 +86,11 @@ def cmd_encode(args) -> int:
         m1, m2 = _parse_coords(args.m1), _parse_coords(args.m2)
         for option, coords in (("--m1", m1), ("--m2", m2)):
             code._require_canonical(spec.p, coords, option)  # as in a symbol file
-        m = code.Message(spec.ext.from_coords(m1), spec.ext.from_coords(m2))
+        m = code.Message(spec.ext.elem(*m1), spec.ext.elem(*m2))
     cw = code.encode(spec, m)
     code.save_symbols(args.out, cw)
-    print(f"m1 {m.m1.c0},{m.m1.c1},{m.m1.c2}")
-    print(f"m2 {m.m2.c0},{m.m2.c1},{m.m2.c2}")
+    print("m1 {},{},{}".format(*m.m1.coords))
+    print("m2 {},{},{}".format(*m.m2.coords))
     print(f"wrote {spec.n} symbols to {args.out}")
     return EXIT_OK
 
@@ -133,8 +134,8 @@ def cmd_decode(args) -> int:
     code.save_symbols(args.out, outcome.codeword)
     m = outcome.message
     print(f"path {outcome.path}")
-    print(f"m1 {m.m1.c0},{m.m1.c1},{m.m1.c2}")
-    print(f"m2 {m.m2.c0},{m.m2.c1},{m.m2.c2}")
+    print("m1 {},{},{}".format(*m.m1.coords))
+    print("m2 {},{},{}".format(*m.m2.coords))
     if args.emit_kappa:
         if outcome.kappa.kept:
             print("kappa " + " ".join(str(i) for i in outcome.kappa.kept))
@@ -158,9 +159,8 @@ def cmd_check_condition(args) -> int:
         total = comb(spec.n, 3)
         print(f"pass: {total} triples, all ratio values distinct")
         return EXIT_OK
-    v = witness.value
-    print(f"condition violated: triples {witness.triple_a} and {witness.triple_b} "
-          f"share ratio value ({v.c0},{v.c1},{v.c2})")
+    print("condition violated: triples {} and {} share ratio value ({},{},{})".format(
+        witness.triple_a, witness.triple_b, *witness.value.coords))
     return EXIT_FAILURE
 
 
@@ -288,8 +288,12 @@ def _run_jobs(p_values, n_values, budget_seconds, jobs):
     as a whole, calls fn(*args, work) on every argument tuple.  field_ops
     is then the probe's mean total_ops over the trials, and search_time
     is total_time times the share of that pass the probe spent searching,
-    so it never exceeds total_time.  Before each job, the walk stops if
-    budget_seconds (None: no budget) have passed since it began.
+    so it never exceeds total_time.  Each job's timed trials run after
+    one gc.collect() with the collector off, so that no cyclic collection,
+    about 1 ms, lands in a trial's time; the collector's prior state comes
+    back after them, also when a trial or take raises.
+    Before each job, the walk stops if budget_seconds (None: no budget)
+    have passed since it began.
     """
     records = []
     started = perf_counter()
@@ -297,12 +301,19 @@ def _run_jobs(p_values, n_values, budget_seconds, jobs):
         for algo, fn, args, take, work in jobs(p, n):
             if budget_seconds is not None and perf_counter() - started > budget_seconds:
                 return records, True
+            gc.collect()
+            enabled = gc.isenabled()
+            gc.disable()
             times = []
-            for a in args:
-                t0 = perf_counter()
-                out = fn(*a)
-                times.append(perf_counter() - t0)
-                take(out)
+            try:
+                for a in args:
+                    t0 = perf_counter()
+                    out = fn(*a)
+                    times.append(perf_counter() - t0)
+                    take(out)
+            finally:
+                if enabled:
+                    gc.enable()
             trials = len(times)
             total = sum(times) / trials
             search, field_ops = total, work

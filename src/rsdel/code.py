@@ -161,9 +161,6 @@ class CodeSpec:
         row = [int(c) for c in self._lifted[i - 1, 1:].tolist()]
         return (*row, 0, 0)[:3]
 
-    def alpha_at(self, i: int) -> ExtElem:
-        return ExtElem(self.ext, self.alpha_coords(i))
-
     def fast_search_ok(self) -> bool:
         """Whether p < 2^21, so that p^3 < 2^63 and a symbol packs into one
         int64.  A label of the arithmetic regime only: nothing in the
@@ -327,7 +324,7 @@ class Codeword(ReceivedWord):
     def __init__(self, spec: CodeSpec, coords):
         try:
             rows = np.array(coords, dtype=object)
-        except (TypeError, ValueError):  # nested sequences of uneven depth
+        except (TypeError, ValueError):  # e.g. row blocks whose widths numpy cannot stack
             rows = None
         if rows is None or rows.shape != (spec.n, 3):
             raise ParameterError(f"codeword must have shape ({spec.n}, 3)")
@@ -496,7 +493,7 @@ def gamma_map(spec: CodeSpec, i: int, j: int, k: int) -> ExtElem:
     if not (1 <= i < j < k <= spec.n):
         raise ParameterError(
             f"triple must be strictly increasing within 1..{spec.n}, got {(i, j, k)}")
-    ai, aj, ak = spec.alpha_at(i), spec.alpha_at(j), spec.alpha_at(k)
+    ai, aj, ak = (ExtElem(spec.ext, spec.alpha_coords(t)) for t in (i, j, k))
     return (ai - aj) / (aj - ak)
 
 

@@ -245,17 +245,6 @@ def _canonical_cubic(p: int) -> MonicCubic:
     raise AssertionError("no irreducible cubic found; p is not prime")
 
 
-def find_irreducible_cubic(p: int) -> MonicCubic:
-    """First monic cubic with no root in F_p, ordered by (g2, g1, g0): the
-    g of CubicField(p).
-
-    Raises ParameterError unless p is an odd prime.  Time: one primality
-    test of p (at most 13 pow calls) and the canonical search of
-    _canonical_cubic, each candidate tested once.
-    """
-    return CubicField(p).g
-
-
 class CubicField:
     """F_{p^3} = F_p[x]/(g) in the power basis {1, gamma, gamma^2}.
 
@@ -319,13 +308,6 @@ class CubicField:
     def elem(self, c0: int = 0, c1: int = 0, c2: int = 0) -> "ExtElem":
         p = self.p
         return ExtElem(self, (c0 % p, c1 % p, c2 % p))
-
-    def from_coords(self, coords) -> "ExtElem":
-        c0, c1, c2 = coords
-        return self.elem(c0, c1, c2)
-
-    def from_base(self, x: int) -> "ExtElem":
-        return self.elem(x, 0, 0)
 
     @property
     def zero(self) -> "ExtElem":
@@ -430,9 +412,6 @@ class CubicField:
         cols = np.asarray(cols, dtype=self.dtype)
         adj, det = self._adjugate(cols)
         return np.array(adj, dtype=cols.dtype) * _batch_inverse(det, p) % p
-
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
 
 
 # entries of an int64 array from which reduce_mod's three libdivide passes
@@ -595,18 +574,6 @@ class ExtElem:
         self.field = field
         self.coords = coords
 
-    @property
-    def c0(self) -> int:
-        return self.coords[0]
-
-    @property
-    def c1(self) -> int:
-        return self.coords[1]
-
-    @property
-    def c2(self) -> int:
-        return self.coords[2]
-
     def _coerce(self, other):
         if isinstance(other, ExtElem):
             if other.field != self.field:
@@ -615,7 +582,7 @@ class ExtElem:
                 )
             return other
         if isinstance(other, int):
-            return self.field.from_base(other)
+            return self.field.elem(other)
         return None
 
     def __add__(self, other):
@@ -650,13 +617,13 @@ class ExtElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExtElem(self.field, self.field.div(self.coords, o.coords))
+        return ExtElem(self.field, self.field.mul(self.coords, self.field.inv(o.coords)))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExtElem(self.field, self.field.div(o.coords, self.coords))
+        return ExtElem(self.field, self.field.mul(o.coords, self.field.inv(self.coords)))
 
     def __neg__(self):
         return ExtElem(self.field, self.field.neg(self.coords))

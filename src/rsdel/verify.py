@@ -205,8 +205,8 @@ def vandermonde_det(spec: CodeSpec, triple_a, triple_b) -> ExtElem:
     for t in (triple_a, triple_b):
         if len(t) != 3 or any(x >= y for x, y in zip(t, t[1:])):
             raise ParameterError(f"triples must be strictly increasing, got {t}")
-    x1, x2, x3 = (spec.alpha_at(i) for i in triple_a)
-    y1, y2, y3 = (spec.alpha_at(i) for i in triple_b)
+    x1, x2, x3 = (ExtElem(spec.ext, spec.alpha_coords(i)) for i in triple_a)
+    y1, y2, y3 = (ExtElem(spec.ext, spec.alpha_coords(i)) for i in triple_b)
     return (x2 * y3 - x3 * y2) - (x1 * y3 - x3 * y1) + (x1 * y2 - x2 * y1)
 
 
@@ -286,8 +286,10 @@ def audit_code(spec: CodeSpec, pairs: Iterable[tuple[Message, Message]]) -> Audi
     pair and FieldMismatchError for a foreign message are raised in the
     order of the pairs.  A chunk's words come from one encode_many call,
     O(n) per pair, int64 below 2^63 and Python ints above.  Each symbol
-    then gets one uint64 key (_SYMBOL_KEY; from 2^64 on each coordinate
-    enters by its low 63 bits, as in _ratio_keys), the keys are laid out
+    then gets one uint64 key (_SYMBOL_KEY).  A coordinate enters it whole
+    for p < 2^64: viewed as uint64 below 2^63, cast to uint64 from 2^63
+    on.  For p > 2^64 it enters by its low 63 bits, the mask that
+    _ratio_keys applies from 2^63 on.  The keys are laid out
     one row of 2n per pair and each row is sorted: O(n log n) numpy work
     per pair, and no Python object per symbol.  Equal symbols have equal
     keys, so a pair whose sorted row holds no repeated key has 2n distinct

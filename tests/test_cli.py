@@ -5,6 +5,7 @@ stays in-process for speed.
 """
 
 import dataclasses
+import gc
 import json
 import os
 import platform
@@ -20,7 +21,8 @@ import rsdel
 from rsdel import cli, decoder, verify
 from rsdel.channel import DeletionPattern, enumerate_triples
 from rsdel.cli import main
-from rsdel.code import gamma_map, load_spec
+from rsdel.code import Message, build_code, encode, gamma_map, load_spec
+from rsdel.errors import RSDelError
 
 
 def run(capsys, *argv):
@@ -156,7 +158,7 @@ def test_exit_unrecognized_garbage(tmp_path, capsys):
             break
     assert garbage is not None
     rx = tmp_path / "rx.sym"
-    rx.write_text("".join(f"{e.c0},{e.c1},{e.c2}\n" for e in garbage))
+    rx.write_text("".join("{},{},{}\n".format(*e.coords) for e in garbage))
     for algo in ("cubic", "linear"):
         rc, _, err = run(capsys, "decode", "--spec", str(spec_path),
                          "--received", str(rx), "--algo", algo,
@@ -245,6 +247,18 @@ def test_corrupt_rejects_bad_pattern(tmp_path, capsys):
     assert rc == 2  # more deletions than symbols
 
 
+def test_corrupt_refuses_a_keep_list_of_non_integers_and_no_pattern(tmp_path, capsys):
+    spec = gen(tmp_path, capsys)
+    cw = tmp_path / "cw.sym"
+    run(capsys, "encode", "--spec", str(spec), "--random", "--out", str(cw))
+    args = ("corrupt", "--spec", str(spec), "--in", str(cw), "--out", str(tmp_path / "r.sym"))
+    rc, out, err = run(capsys, *args, "--keep", "1,x,3")
+    assert rc == 2 and out == ""
+    assert err == "error: expected comma-separated integers, got '1,x,3'\n"
+    rc, out, err = run(capsys, *args)
+    assert rc == 2 and out == "" and err == "error: corrupt needs --keep or --deletions\n"
+
+
 def test_check_condition(tmp_path, capsys):
     spec = gen(tmp_path, capsys)
     rc, out, _ = run(capsys, "check-condition", "--spec", str(spec))
@@ -253,6 +267,37 @@ def test_check_condition(tmp_path, capsys):
     rc, _, err = run(capsys, "check-condition", "--spec", str(spec), "--budget", "10")
     assert rc == 2
     assert "refusing" in err
+
+
+def test_check_condition_reports_a_violation(tmp_path, capsys, monkeypatch):
+    # a spec file always holds the quadratic map, which passes; the command
+    # certifies the base-field points of the same (p, n) instead
+    spec = gen(tmp_path, capsys)
+    certify = verify.check_injectivity
+    monkeypatch.setattr(verify, "check_injectivity", lambda spec, budget: certify(
+        verify.base_field_spec(spec.p, spec.n), budget))
+    rc, out, _ = run(capsys, "check-condition", "--spec", str(spec))
+    assert rc == 1
+    assert out == ("condition violated: triples (1, 2, 6) and (1, 3, 4) "
+                   "share ratio value (2,0,0)\n")
+
+
+def test_audit_reports_a_failed_pair(tmp_path, capsys, monkeypatch):
+    # likewise audited on base-field points, where the words d and d - 1 of
+    # (0, 1) and (6, 1) at p = 7 share the five symbols 1..5
+    spec = gen(tmp_path, capsys)
+    audit = verify.audit_code
+
+    def base_field_audit(spec, pairs):
+        ext = spec.ext
+        shifted = (Message(ext.zero, ext.one), Message(ext.elem(6), ext.one))
+        return audit(verify.base_field_spec(spec.p, spec.n), [next(iter(pairs)), shifted])
+
+    monkeypatch.setattr(verify, "audit_code", base_field_audit)
+    rc, out, _ = run(capsys, "audit", "--spec", str(spec), "--pairs", "5")
+    assert rc == 1
+    assert out == ("pairs 2\nmax-lcs 5\nwitness m1=(0, 0, 0),(1, 0, 0) m2=(6, 0, 0),(1, 0, 0)\n"
+                   "audit FAILED: some pair shares a length-3 subsequence\n")
 
 
 def test_audit_command(tmp_path, capsys):
@@ -325,6 +370,27 @@ def test_roundtrip_decodes_longer_words(tmp_path, capsys, monkeypatch):
     rc, out, _ = run(capsys, *args)
     lines = dict(line.split() for line in out.splitlines())
     assert rc == 1 and int(lines["failures"]) > 0
+
+
+def test_roundtrip_counts_failed_decodes(tmp_path, capsys, monkeypatch):
+    # a decode that raises and one that returns another codeword both fail
+    # their word, and any failure exits 1
+    spec = gen(tmp_path, capsys)
+
+    def refusing(spec, y, inst=None):
+        raise RSDelError("refused")
+
+    def wrong(spec, y, inst=None, real=cli.DECODERS["linear"]):
+        out = real(spec, y, inst)
+        other = encode(spec, Message(spec.ext.zero, spec.ext.one))
+        return dataclasses.replace(out, codeword=other)
+
+    monkeypatch.setitem(cli.DECODERS, "cubic", refusing)
+    monkeypatch.setitem(cli.DECODERS, "linear", wrong)
+    for algo in ("cubic", "linear", "both"):
+        rc, out, _ = run(capsys, "roundtrip", "--spec", str(spec), "--trials", "3",
+                         "--algo", algo)
+        assert rc == 1 and out.endswith("successes 0\nfailures 3\n"), algo
 
 
 def test_roundtrip_exhaustive_budget(tmp_path, capsys):
@@ -425,6 +491,19 @@ def test_bench_machine_stamp(monkeypatch):
     assert cli.machine_stamp()["openblas_num_threads"] is None
 
 
+def test_bench_machine_stamp_without_cpuinfo(monkeypatch):
+    # where /proc/cpuinfo cannot be read, the CPU is platform.processor(),
+    # or None when that is empty
+    def unreadable(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(cli, "open", unreadable, raising=False)
+    monkeypatch.setattr(platform, "processor", lambda: "test-cpu")
+    assert cli.machine_stamp()["cpu"] == "test-cpu"
+    monkeypatch.setattr(platform, "processor", lambda: "")
+    assert cli.machine_stamp()["cpu"] is None
+
+
 def test_bench_certify(tmp_path, capsys):
     out_json = tmp_path / "certify.json"
     for p_arg, p32 in (("10007,1073741789", 1073741789), ("10007", 10007)):
@@ -493,6 +572,57 @@ def test_bench_times_decodes_without_a_probe(monkeypatch):
     assert [r.field_ops for r in records[1:]] == [1838, 564, 1455, 564, 1110, 651]
 
 
+def test_bench_refuses_a_wrong_decode(monkeypatch):
+    def wrong(spec, y, inst=None, real=decoder.decode_cubic):
+        out = real(spec, y, inst)
+        return dataclasses.replace(out, codeword=encode(spec, Message(spec.ext.zero, spec.ext.one)))
+
+    monkeypatch.setattr(decoder, "decode_cubic", wrong)
+    with pytest.raises(AssertionError, match="benchmark decode returned a wrong codeword"):
+        cli.run_bench([7], [6], trials=1)
+
+
+def test_bench_times_trials_with_the_collector_off(monkeypatch):
+    # one collection before each job and none inside its trials, with the
+    # collector off throughout them; its prior state comes back after every
+    # job, also when a trial's take raises
+    events = []
+    monkeypatch.setattr(gc, "collect", lambda: events.append("collect"))
+
+    def call(tag):
+        events.append((tag, gc.isenabled()))
+        return tag
+
+    def take(tag):
+        if tag == "raise":
+            raise RuntimeError(tag)
+
+    def jobs(p, n):
+        yield "a", call, [("a1",), ("a2",)], take, 1
+        yield "b", call, [("b1",)], take, 1
+
+    def failing(p, n):
+        yield "c", call, [("raise",)], take, 1
+
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        records, truncated = cli._run_jobs([7], [3], None, jobs)
+        assert [r.algo for r in records] == ["a", "b"] and not truncated
+        assert events == ["collect", ("a1", False), ("a2", False), "collect", ("b1", False)]
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError):
+            cli._run_jobs([7], [3], None, failing)
+        assert gc.isenabled()
+        gc.disable()
+        events.clear()
+        cli._run_jobs([7], [3], None, jobs)
+        assert events == ["collect", ("a1", False), ("a2", False), "collect", ("b1", False)]
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 def test_usage_error_without_subcommand(capsys):
     # argparse's own usage errors come back as the exit code, not SystemExit
     assert main([]) == 2
@@ -512,3 +642,16 @@ def test_module_entry_point():
     for name in ("gen-code", "encode", "corrupt", "decode", "check-condition",
                  "audit", "roundtrip", "bench"):
         assert name in proc.stdout
+
+
+def test_module_entry_point_writes_a_spec(tmp_path):
+    # python -m rsdel runs main through __main__.py and exits with its code
+    src = str(Path(rsdel.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    spec_path = tmp_path / "code.spec"
+    proc = subprocess.run([sys.executable, "-m", "rsdel", "gen-code", "--p", "7", "--n", "6",
+                           "--out", str(spec_path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+    assert proc.stdout == f"wrote spec p=7 n=6 g=(2,0,0) to {spec_path}\n"
+    assert load_spec(spec_path) == build_code(7, 6)

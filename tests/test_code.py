@@ -31,7 +31,7 @@ from rsdel.errors import (
     ParameterError,
 )
 from rsdel.channel import DeletionPattern, apply_deletions
-from rsdel.field import ExtElem, MonicCubic, find_irreducible_cubic
+from rsdel.field import CubicField, ExtElem, MonicCubic
 
 from conftest import get_spec
 
@@ -165,7 +165,7 @@ def test_build_code_runs_each_check_once(monkeypatch, p, gcd_tests):
     assert len(gcds) == len(set(gcds)) == gcd_tests
     if gcds:
         assert gcds[-1] == (p, tuple(spec.g))
-    assert spec.g == CodeSpec(p, None, spec.delta).g == find_irreducible_cubic(p)
+    assert spec.g == CodeSpec(p, None, spec.delta).g == CubicField(p).g
 
 
 def test_load_spec_runs_each_check_once(monkeypatch, tmp_path):
@@ -225,7 +225,7 @@ def test_encode_matches_scalar_evaluation():
         m = random_message(spec, rng)
         cw = encode(spec, m)
         for i in range(1, spec.n + 1):
-            assert cw[i - 1] == m.m1 + m.m2 * spec.alpha_at(i)
+            assert cw[i - 1] == m.m1 + m.m2 * spec.ext.elem(*spec.alpha_coords(i))
 
 
 @pytest.mark.parametrize("p", [54794149, 54794197, 1073741789, 2**61 - 1, 2**63 - 25,
@@ -269,7 +269,7 @@ def test_encode_exact_at_dtype_boundary(p):
     for spec, m1, m2 in ((quadratic, top, top), (offplane, odd, solved)):
         assert spec.ext.dtype == (np.int64 if p <= 1 << 30 else object)
         assert spec._lifted.dtype == want_lifted and not spec._lifted.flags.writeable
-        message = Message(ext.from_coords(m1), ext.from_coords(m2))
+        message = Message(ext.elem(*m1), ext.elem(*m2))
         codeword = encode(spec, message)
         assert codeword.coords.dtype == want_symbols
         got = codeword.symbol_tuples()
@@ -443,6 +443,13 @@ def test_load_spec_rejects_malformed(tmp_path):
             load_spec(path)
 
 
+def test_load_spec_refuses_a_p_line_of_two_values(tmp_path):
+    path = tmp_path / "two-p.spec"
+    path.write_text("p 5 7\ng 1 1 0\ndelta 1 2 3 4\n")
+    with pytest.raises(ParameterError, match="key p takes exactly one value"):
+        load_spec(path)
+
+
 def test_symbols_file_roundtrip(tmp_path):
     rng = random.Random(21)
     spec = get_spec(10007, 12)
@@ -492,6 +499,21 @@ def test_codeword_constructor_checks_coordinates(p):
                                                         None, "abcd"]:
         with pytest.raises(ParameterError):
             Codeword(spec, bad)
+
+
+def test_received_word_refuses_coordinates_without_a_length():
+    ext = get_spec(5, 4).ext
+    with pytest.raises(ParameterError, match="received symbols must have three coordinates"):
+        ReceivedWord((ext.one, ExtElem(ext, 7)))
+
+
+def test_codeword_refuses_rows_numpy_cannot_stack():
+    # two blocks of rows of different widths: numpy raises ValueError
+    # rather than making a ragged object array
+    spec = get_spec(5, 4)
+    blocks = [np.zeros((2, 3), dtype=np.int64), np.zeros((2, 4), dtype=np.int64)]
+    with pytest.raises(ParameterError, match=r"codeword must have shape \(4, 3\)"):
+        Codeword(spec, blocks)
 
 
 def test_received_word_container_behaviour():
@@ -562,7 +584,7 @@ def test_spec_entries_must_be_integers():
     # floats were truncated, and an alpha entry of 2^63 or more overflowed
     # int64; now every entry is read through operator.index and reduced
     # mod p as a Python int
-    g = find_irreducible_cubic(101)
+    g = CubicField(101).g
     for delta in ((1.5, 2, 3), (1, "2", 3), (1, 2, 3.0)):
         with pytest.raises(ParameterError):
             CodeSpec(101, g, delta)
@@ -659,7 +681,7 @@ def test_shoup_kernel_exact_on_edges(p):
             assert column.dtype == np.int64 and column.shape == (spec.n,)
             want = lifted_reference(spec, [(v,) for v in q])
             assert column.tolist() == [row[0] for row in want]
-        messages = [Message(ext.from_coords(c1), ext.from_coords(c2)) for c1, c2 in
+        messages = [Message(ext.elem(*c1), ext.elem(*c2)) for c1, c2 in
                     [((v, v, v), (v, v, v)) for v in edges]
                     + [(rng.choices(edges, k=3), rng.choices(edges, k=3)) for _ in range(12)]]
         words = encode_many(spec, messages)

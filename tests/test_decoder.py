@@ -59,7 +59,6 @@ from rsdel.field import (
     CubicField,
     ExtElem,
     MonicCubic,
-    find_irreducible_cubic,
     is_irreducible_cubic,
 )
 from rsdel.verify import base_field_spec, check_injectivity
@@ -449,7 +448,7 @@ def test_fourth_symbol_exhaustive():
     rng = random.Random(76)
     messages = [random_message(spec, rng) for _ in range(2)]
     messages.append(Message(ext.elem(2, 5, 1), ext.zero))
-    symbols = [ext.from_coords(c) for c in product(range(7), repeat=3)]
+    symbols = [ext.elem(*c) for c in product(range(7), repeat=3)]
     decodes = 0
     for m in messages:
         cw = encode(spec, m)
@@ -609,7 +608,7 @@ def assert_decoders_agree_on_every_beta(spec, word):
     reject the rest the same way."""
     accepted = 0
     for beta in product(range(spec.p), repeat=3):
-        y = word(spec.ext.from_coords(beta))
+        y = word(spec.ext.elem(*beta))
         lin = _outcome(decode_linear, spec, y)
         assert lin == _outcome(decode_cubic, spec, y), beta
         accepted += isinstance(lin, tuple)
@@ -675,7 +674,7 @@ def test_decode_rejects_foreign_field():
     spec = get_spec(11, 10)
     other_g = next(g for g in map(MonicCubic._make, product(range(11), repeat=3))
                    if g != spec.g and is_irreducible_cubic(11, g))
-    foreigns = (CubicField(13, find_irreducible_cubic(13)),
+    foreigns = (CubicField(13),
                 CubicField(11, other_g))
     rng = random.Random(1105)
     for F in foreigns:
@@ -1089,7 +1088,7 @@ def test_search_kernels_charge_scan_pricing():
     for spec, beta, kept in cases:
         want = scan_price(spec.n, spec.n - 2 if kept is None else kept[0])
         reason = None if kept else "search-miss"
-        found = _search(spec, spec.ext.from_coords(beta), 1)
+        found = _search(spec, spec.ext.elem(*beta), 1)
         assert found == (kept, reason), (spec.p, spec.n, kept)
         assert _search_ops(spec, *found) == want, (spec.p, spec.n, kept)
 
@@ -1336,7 +1335,7 @@ def rejection_words(spec):
         return (alpha(d1) - alpha(d2)) / (alpha(d2) - alpha(d3))
 
     return {
-        "solve-r-zero": with_ratio(ext.from_base(2)),  # beta in F_p: r = 0
+        "solve-r-zero": with_ratio(ext.elem(2)),  # beta in F_p: r = 0
         "solve-den-zero": with_ratio(ext.elem(0, 1, 0)),  # (0, 1, 0, 1, 0, 0): den = 0
         "locator-outside": with_ratio(ratio(1, 2, 5000)),
         "locators-out-of-order": with_ratio(ratio(30, 12, 5)),

@@ -20,7 +20,6 @@ from rsdel.field import (
     MonicCubic,
     _no_root_by_gcd,
     _pow_x_mod_cubic,
-    find_irreducible_cubic,
     is_irreducible_cubic,
     is_prime,
 )
@@ -189,28 +188,26 @@ def brute_force_first_irreducible(p):
 
 def test_find_irreducible_matches_brute_force():
     for p in (3, 5, 7, 11, 13):
-        assert find_irreducible_cubic(p) == brute_force_first_irreducible(p)
+        assert CubicField(p).g == brute_force_first_irreducible(p)
 
 
 def test_find_irreducible_frozen_values():
-    assert find_irreducible_cubic(5) == MonicCubic(1, 1, 0)
-    assert find_irreducible_cubic(3) == MonicCubic(1, 2, 0)
+    assert CubicField(5).g == MonicCubic(1, 1, 0)
+    assert CubicField(3).g == MonicCubic(1, 2, 0)
     # deterministic: same answer every call
-    assert find_irreducible_cubic(10007) == find_irreducible_cubic(10007)
+    assert CubicField(10007).g == CubicField(10007).g
     # read at the version that searched after a primality test of its own
-    # and tested the winner again in CubicField; CubicField(base) with g
-    # left out finds the same cubic
+    # and tested the winner again in CubicField
     for p, g in ((7, (2, 0, 0)), (10007, (1, 1, 0)), (1073741789, (1, 1, 0)),
                  (2147483659, (2, 0, 0)), (2**61 - 1, (5, 0, 0)),
                  (2**64 - 59, (1, 1, 0)), (2**64 + 13, (3, 1, 0))):
-        assert find_irreducible_cubic(p) == MonicCubic(*g), p
         assert CubicField(p).g == MonicCubic(*g), p
 
 
 def test_find_irreducible_rejects_bad_modulus():
     for p in (2, 9, 10005, 318665857834031151167461):
         with pytest.raises(ParameterError, match=f"modulus must be an odd prime, got {p}"):
-            find_irreducible_cubic(p)
+            CubicField(p)
 
 
 def mul_mod_cubic(p, g, x, y):
@@ -248,7 +245,7 @@ def test_pow_x_ladder_matches_square_and_multiply(p):
 
 def test_find_irreducible_large_primes_fast():
     for p in (10007, 2**61 - 1):
-        g = find_irreducible_cubic(p)
+        g = CubicField(p).g
         assert is_irreducible_cubic(p, g)
 
 
@@ -279,7 +276,7 @@ def ext_mul_oracle(p, g, x, y):
 def test_ext_mul_against_schoolbook_oracle():
     rng = random.Random(412)
     for p in (5, 13, 10007):
-        F = CubicField(p, find_irreducible_cubic(p))
+        F = CubicField(p)
         for _ in range(4000):
             x = F.rand(rng)
             y = F.rand(rng)
@@ -298,7 +295,7 @@ def test_gamma_powers_frozen():
 def test_ext_field_axioms_random():
     rng = random.Random(77)
     for p in (5, 10007):
-        F = CubicField(p, find_irreducible_cubic(p))
+        F = CubicField(p)
         one = F.one
         zero = F.zero
         for _ in range(3000):
@@ -316,7 +313,7 @@ def test_ext_field_axioms_random():
 def test_ext_inverse():
     rng = random.Random(5150)
     for p in (5, 13, 10007, 2**61 - 1):
-        F = CubicField(p, find_irreducible_cubic(p))
+        F = CubicField(p)
         n_checked = 0
         while n_checked < 500:
             a = F.rand(rng)
@@ -358,7 +355,7 @@ def test_inv_many_exact_at_dtype_boundary(p):
     # 1073741789 is the largest prime <= 2^30, the last int64 regime.
     # Coordinates next to p maximise every product in the adjugate and the
     # product tree; batch lengths around powers of two exercise the padding.
-    F = CubicField(p, find_irreducible_cubic(p))
+    F = CubicField(p)
     dtype = np.int64 if p <= 1 << 30 else object
     rng = random.Random(p)
     near = [p - 1 - d for d in range(4)] + [0, 1]
@@ -400,7 +397,7 @@ def test_reduce_mod_matches_percent(p):
 
 def test_ext_int_embedding_and_mismatch():
     F5 = CubicField(5, MonicCubic(1, 1, 0))
-    F7 = CubicField(7, find_irreducible_cubic(7))
+    F7 = CubicField(7)
     a = F5.elem(2, 1, 0)
     assert (a + 3).coords == (0, 1, 0)
     assert (3 + a).coords == (0, 1, 0)
@@ -417,14 +414,23 @@ def test_ext_int_embedding_and_mismatch():
         a + b
 
 
+def test_int_minus_ext_elem():
+    F = CubicField(5, MonicCubic(1, 1, 0))
+    a = F.elem(2, 1, 3)
+    assert (3 - a).coords == (1, 4, 2)
+    assert 3 - a == -(a - 3) and (3 - a) + a == 3
+    with pytest.raises(TypeError):
+        "3" - a
+
+
 def test_decompose():
     F = CubicField(5, MonicCubic(1, 1, 0))
     e = F.elem(4, 0, 3)
     assert e.coords == (4, 0, 3)
-    assert e.c0 == 4 and e.c1 == 0 and e.c2 == 3
+    assert e.coords[0] == 4 and e.coords[1] == 0 and e.coords[2] == 3
 
 
 def test_elem_canonicalizes_inputs():
     F = CubicField(5, MonicCubic(1, 1, 0))
     assert F.elem(-1, 7, 10).coords == (4, 2, 0)
-    assert F.from_base(9).coords == (4, 0, 0)
+    assert F.elem(9).coords == (4, 0, 0)

@@ -78,18 +78,18 @@ def received_words(draw):
     size = draw(st.integers(3, n))
     kind = draw(st.sampled_from(("valid", "corrupted", "garbage")))
     if kind == "garbage":
-        return spec, tuple(ext.from_coords(c) for c in draw(
+        return spec, tuple(ext.elem(*c) for c in draw(
             st.lists(coords, min_size=size, max_size=size))), None, None
     m1, m2 = draw(coords), draw(coords)
     if draw(st.integers(0, 7)) == 0:
         m2 = (0, 0, 0)   # a constant codeword
-    m = Message(ext.from_coords(m1), ext.from_coords(m2))
+    m = Message(ext.elem(*m1), ext.elem(*m2))
     kept = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=size, max_size=size))))
     pattern = DeletionPattern(kept)
     word = list(apply_deletions(encode(spec, m), pattern))
     if kind == "corrupted":
         for at in draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size)):
-            word[at] = ext.from_coords(draw(coords))
+            word[at] = ext.elem(*draw(coords))
         return spec, tuple(word), None, None
     return spec, tuple(word), m, pattern
 
@@ -203,7 +203,7 @@ def regime_encodings(draw):
                              unique=True))
         spec = CodeSpec(p, g, range(1, n + 1), alpha_rows=rows)
     coords = st.tuples(residues, residues, residues)
-    return spec, Message(spec.ext.from_coords(draw(coords)), spec.ext.from_coords(draw(coords)))
+    return spec, Message(spec.ext.elem(*draw(coords)), spec.ext.elem(*draw(coords)))
 
 
 @settings(PROPERTY, max_examples=200)
@@ -235,7 +235,7 @@ def regime_words(draw):
         rows = draw(st.lists(coords, min_size=n, max_size=n))
     else:
         m2 = (0, 0, 0) if draw(st.integers(0, 7)) == 0 else draw(coords)
-        m = Message(spec.ext.from_coords(draw(coords)), spec.ext.from_coords(m2))
+        m = Message(spec.ext.elem(*draw(coords)), spec.ext.elem(*m2))
         rows = encode(spec, m).symbol_tuples()
         if kind == "corrupted":
             for at in draw(st.sets(st.integers(0, n - 1), min_size=1)):
@@ -318,7 +318,7 @@ def audit_cases(draw):
     n = draw(st.integers(3, min(24, p - 1)))
     spec = draw(st.sampled_from((get_spec(p, n), base_field_spec(p, n))))
     ext = spec.ext
-    elems = st.tuples(*[st.integers(0, p - 1)] * 3).map(ext.from_coords)
+    elems = st.tuples(*[st.integers(0, p - 1)] * 3).map(lambda c: ext.elem(*c))
     pairs = []
     for kind in draw(st.lists(st.sampled_from(("random", "constant", "shifted", "sharing")),
                               max_size=6)):
@@ -332,7 +332,7 @@ def audit_cases(draw):
         else:
             i, j = draw(st.integers(0, n - 1)), draw(st.integers(1, n))
             m2 = draw(elems)
-            mb = Message(encode(spec, ma)[i] - m2 * spec.alpha_at(j), m2)
+            mb = Message(encode(spec, ma)[i] - m2 * spec.ext.elem(*spec.alpha_coords(j)), m2)
         pairs.append(draw(st.sampled_from(((ma, mb), (mb, ma)))))
     return spec, pairs
 
@@ -435,7 +435,7 @@ def cli_files(draw):
     if kind == "random":
         return spec_bytes, draw(st.one_of(st.binary(max_size=80), _SYMBOL_TEXT.map(str.encode)))
     coords = st.tuples(*[st.integers(0, p - 1)] * 3)
-    m = Message(spec.ext.from_coords(draw(coords)), spec.ext.from_coords(draw(coords)))
+    m = Message(spec.ext.elem(*draw(coords)), spec.ext.elem(*draw(coords)))
     rows = encode(spec, m).symbol_tuples()
     if kind != "codeword":
         kept = draw(st.sets(st.integers(0, n - 1), max_size=n))

@@ -10,7 +10,7 @@ import pytest
 from rsdel.channel import enumerate_triples
 from rsdel.code import CodeSpec, Message, build_code, encode, gamma_map, random_message
 from rsdel.errors import BudgetExceededError, FieldMismatchError, ParameterError
-from rsdel.field import CubicField, find_irreducible_cubic
+from rsdel.field import CubicField
 from rsdel import verify
 from rsdel.verify import (
     AuditResult,
@@ -318,7 +318,7 @@ def test_audit_witness_is_the_one_pair_sharing_a_symbol(monkeypatch):
     pairs = sample_message_pairs(spec, 7, seed=47)
     ma = pairs[3][0]
     m2 = ext.rand(random.Random(48))
-    pairs[3] = (ma, Message(encode(spec, ma)[4] - m2 * spec.alpha_at(9), m2))
+    pairs[3] = (ma, Message(encode(spec, ma)[4] - m2 * spec.ext.elem(*spec.alpha_coords(9)), m2))
     calls = count_lcs_calls(monkeypatch)
     assert audit_code(spec, pairs) == AuditResult(1, pairs[3], 7)
     assert calls == [1]
@@ -425,7 +425,7 @@ def random_point_specs():
         while len(rows) < n:
             rows.add(tuple(rng.randrange(p) for _ in range(3)))
         rows = sorted(rows, key=lambda _: rng.random())
-        yield CodeSpec(p, find_irreducible_cubic(p), range(1, n + 1), alpha_rows=rows)
+        yield CodeSpec(p, CubicField(p).g, range(1, n + 1), alpha_rows=rows)
 
 
 def test_check_injectivity_matches_reference_random_points():
@@ -581,7 +581,7 @@ def test_audit_small_code():
 def test_audit_exhaustive_pairs_small():
     # all distinct message pairs over (5, 4): LCS never exceeds 2
     spec = get_spec(5, 4)
-    msgs = [Message(spec.ext.from_coords(a), spec.ext.from_coords(b))
+    msgs = [Message(spec.ext.elem(*a), spec.ext.elem(*b))
             for a in itertools.product(range(5), repeat=3)
             for b in itertools.product(range(5), repeat=3)]
     rng = random.Random(17)
