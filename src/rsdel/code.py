@@ -29,8 +29,8 @@ from .field import (
     MonicCubic,
     _integers,
     reduce_mod,
-    shoup_columns,
-    shoup_product,
+    split_columns,
+    split_product,
 )
 
 
@@ -52,11 +52,13 @@ class CodeSpec:
     Its dtype is chosen here, once, by the four regimes of field: float64
     for p < field._FLOAT64_PRODUCT_MAX_P (about 5.5 * 10^7), where both
     products are exact in float64 and BLAS runs them; int64 below 2^30;
-    uint64 below 2^63, where _columns holds alpha's first w columns with
-    their 32-bit halves in field.shoup_product's (5, w, 1, n) layout (None
-    in the other regimes), and that kernel runs both products; object
-    above.  _lifted is the spec's one copy of its points: alpha_coords
-    reads a point back from it.  Codewords and received words hold their
+    uint64 below 2^63, where _columns holds field.split_product's operand
+    (None in the other regimes), the read-only (n, 1 + 2w) uint64 matrix
+    [1 | x_lo | x_hi | ...] of the 32-bit halves of alpha's first w columns
+    x and its read-only float64 copy divided by p, and that kernel runs
+    both products; object above.  _lifted is the spec's one copy of its
+    points: alpha_coords reads a point back from it.  Codewords and
+    received words hold their
     coordinates in ext.symbol_dtype.  delta_index maps each delta to its
     1-based position; both decoders read their kept positions from it.  No
     decoder keeps anything on the spec.  Two specs are equal when p, g,
@@ -73,8 +75,8 @@ class CodeSpec:
     delta and build the arrays and the index.  The quadratic map's columns
     come straight from delta: below 2^30 d^2 mod p is one int64 numpy pass,
     and from 2^30 on, where d^2 can pass 64 bits, one Python-int pass
-    writes it into _lifted.  In the uint64 regime _columns adds a copy of
-    the two columns and three passes for their halves.
+    writes it into _lifted.  In the uint64 regime _columns adds two bit
+    passes for the columns' halves and one divide for their float64 copy.
     """
 
     __slots__ = ("p", "g", "delta", "n", "ext", "delta_index",
@@ -129,7 +131,7 @@ class CodeSpec:
             lifted[:, 1:] = alpha[:, :w]
         lifted.setflags(write=False)
         self._lifted = lifted
-        self._columns = shoup_columns(lifted[:, 1:].T) if regime is np.uint64 else None
+        self._columns = split_columns(lifted[:, 1:], p) if regime is np.uint64 else None
 
     def __eq__(self, other):
         return other is self or (
@@ -380,14 +382,14 @@ def _lifted_product(spec: CodeSpec, rhs) -> np.ndarray:
     in place by field.reduce_mod, which picks one % or libdivide by the
     product's size (libdivide from 800 entries on: an encode from n of
     about 267 on, the search's product from n = 800).  Below 2^63
-    field.shoup_product multiplies the uint64 columns of spec._columns
-    exactly and returns canonical int64 (its docstring states its time and
-    memory).  From 2^63 on the product is Python ints, which reduce_mod
-    reduces by %.  O(N) time and memory for N entries of
-    the product.
+    field.split_product multiplies the halves in spec._columns by one
+    uint64 and one float64 matmul, exactly, and returns canonical int64
+    (its docstring proves its bound and states its time and memory).  From
+    2^63 on the product is Python ints, which reduce_mod reduces by %.
+    O(N) time and memory for N entries of the product.
     """
     if spec._columns is not None:
-        return shoup_product(spec._columns, rhs, spec.p)
+        return split_product(spec._columns, rhs, spec.p)
     lifted = spec._lifted
     # no name holds the float64 product, so it is freed before the reduction
     product = (lifted @ np.asarray(rhs, dtype=lifted.dtype)).astype(
@@ -408,10 +410,11 @@ def _evaluate(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
     in int64), 0.6 us for the cast and 2.1 us for field.reduce_mod's
     reduction; n = 4096 takes 3.7 us (21.7 us in int64), 3.0 us and
     7.2 us.  For
-    2^30 <= p < 2^63 the uint64 kernel (field.shoup_product) takes about
-    12 us at n = 64, 20 us at n = 512 and 60 us at n = 4096, against 23,
-    168 and 1320 us for the same product in Python ints; from 2^63 on the
-    product is Python ints.  Raises FieldMismatchError at the first message
+    2^30 <= p < 2^63 the uint64 kernel (field.split_product: one uint64
+    and one float64 matmul) takes about 13 us at n = 64, 25 us at n = 512
+    and 112 us at n = 4096 at p = 2^61 - 1, against 53, 405 and 3150 us for
+    the same product in Python ints; from 2^63 on the product is Python
+    ints.  Raises FieldMismatchError at the first message
     outside spec's field.
     """
     ext = spec.ext
@@ -437,8 +440,8 @@ def encode_many(spec: CodeSpec, messages: Iterable[Message]) -> np.ndarray:
     message, then a fixed number of numpy calls (one matmul, in float64
     through BLAS for p < about 5.5 * 10^7, its cast to int64 and the
     in-place reduction of its 3nB entries by field.reduce_mod; for
-    2^30 <= p < 2^63 the uint64 Shoup kernel's fixed number of passes over
-    its 2 * 3nB column products: see _evaluate).
+    2^30 <= p < 2^63 the uint64 split kernel's two matmuls and its fixed
+    number of passes over their 3nB entries: see _evaluate).
     """
     words = _evaluate(spec, messages)
     return words.reshape(spec.n, words.shape[1] // 3, 3)
@@ -452,8 +455,8 @@ def encode(spec: CodeSpec, m: Message) -> Codeword:
     n = 512 and 15 us at n = 4096, against 7.0 and 32 us with an int64
     product (see _evaluate).  field.reduce_mod reduces the 3n entries,
     through libdivide from n of about 267 on and by one % below.  For
-    2^30 <= p < 2^63 the product is the uint64 Shoup kernel: at
-    p = 2^61 - 1 about 12 us at n = 64 and 20 us at n = 512.  Takes O(n)
+    2^30 <= p < 2^63 the product is the uint64 split kernel: at
+    p = 2^61 - 1 about 16 us at n = 64 and 28 us at n = 512.  Takes O(n)
     time and memory.  The one message's rows [m1; rows 0..w-1 of M_{m2}]
     go straight to _lifted_product as tuples, without _evaluate's batch
     layout.  The reduced product is canonical, so the codeword takes it

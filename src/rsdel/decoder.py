@@ -321,10 +321,10 @@ def solve_deltas(p: int, coeffs, den: int = 1):
 # reduction's quotients); nothing is kept between decodes.  The product
 # runs on all n rows in every regime, in the re-encode's kernel for
 # _lifted's dtype, which CodeSpec fixes once: float64 through BLAS up to
-# about 5.5 * 10^7, an int64 matmul below 2^30, the uint64 Shoup kernel
-# (field.shoup_product) below 2^63, about 10 us at n = 64 and 12 us at
-# n = 512 (p = 2^61 - 1, x86-64) with a (5, 2, 1, n) uint64 buffer, and
-# Python ints from 2^63 on.
+# about 5.5 * 10^7, an int64 matmul below 2^30, the uint64 split kernel
+# (field.split_product) below 2^63, about 9 us at n = 64 and 14 us at
+# n = 512 (p = 2^61 - 1, x86-64), the (n, 5) halves of spec._columns
+# times q split into five scalars, and Python ints from 2^63 on.
 
 
 def _scan_ops(n, rows):
@@ -530,9 +530,10 @@ def decode_cubic(spec: CodeSpec, y: ReceivedWord,
     identification takes one F_p inverse and no F_{p^3} inverse;
     interpolation takes one more.  The product runs on all n rows for
     every p, through the re-encode's kernel for the regime (float64 BLAS,
-    int64, the uint64 Shoup kernel from 2^30 on, Python ints from 2^63
-    on).  O(n) time and O(n) memory, and the re-encode adds O(n).
-    Nothing is kept with the spec between decodes.
+    int64, from 2^30 on the uint64 split kernel's one uint64 and one
+    float64 matmul, Python ints from 2^63 on).  O(n) time and O(n)
+    memory, and the re-encode adds O(n).  Nothing is kept with the spec
+    between decodes.
     Under a probe, the nominal op count still prices the Theta(n^3) scan
     up to the match row.  y is a channel output of 3 <= m <= n symbols:
     the search runs on its first three, and the later ones add O(n + m)

@@ -20,8 +20,10 @@ cubic search, takes one of four regimes by p:
     with coordinates are exact there and run through BLAS, cast back to
     int64 before any reduction;
   - p < _INT64_PRODUCT_MAX_P (2^30): int64, a numpy matmul;
-  - p < _INT64_COORD_MAX_P (2^63): uint64, multiplied by shoup_product,
-    exact for every odd p there;
+  - p < _INT64_COORD_MAX_P (2^63): uint64, multiplied by split_product,
+    exact for every odd p there: the columns' 32-bit halves meet the rows
+    in one uint64 matmul, the exact sum mod 2^64, and one float64 matmul
+    estimates its quotient by p;
   - above: object dtype, Python ints.
 Codewords hold int64 coordinates in the first three regimes.
 """
@@ -38,7 +40,7 @@ from .errors import FieldMismatchError, ParameterError
 # The int64 bounds on p, stated once: a column is exact in int64 while p is
 # below the bound for what it holds, and holds Python ints (object dtype) above.
 _INT64_PRODUCT_MAX_P = 1 << 30  # three products of coordinates plus one: 3p^2 + p < 2^63
-_INT64_COORD_MAX_P = 1 << 63    # one coordinate: int64 codewords and shoup_product's operands;
+_INT64_COORD_MAX_P = 1 << 63    # one coordinate: int64 codewords and split_product's operands;
                                 # a wider int enters a key by its low 63 bits
 # The same sum of three products plus one, in float64: the least p with
 # 3p^2 + p >= 2^53.  Below it every entry of a product whose terms are
@@ -446,88 +448,88 @@ def reduce_mod(a, p, scratch=None):
     return a
 
 
-def shoup_columns(cols):
-    """The columns x of the (w, n) array cols, canonical residues mod an odd
-    p < 2^63, laid out for shoup_product: the read-only (5, w, 1, n) uint64
-    stack (x_lo, x_hi, x_lo, x_hi, x) of x's 32-bit halves and x itself,
-    the left factors of the kernel's one multiply, each inner loop over one
-    column's n entries.  One copy of cols into the stack (for an object
-    array, one Python-int conversion per entry), two passes for the halves
-    and one copy of them."""
-    w, n = cols.shape
-    stack = np.empty((5, w, 1, n), dtype=np.uint64)
-    x = stack[4, :, 0]
-    x[...] = cols
-    np.bitwise_and(x, 0xFFFFFFFF, out=stack[0, :, 0])
-    np.right_shift(x, 32, out=stack[1, :, 0])
-    stack[2:4] = stack[:2]
-    stack.setflags(write=False)
-    return stack
+def split_columns(cols, p):
+    """The (n, w) array cols of canonical residues mod an odd p < 2^63, w <= 3,
+    laid out for split_product: the pair (L, L/p) of the read-only (n, 1 + 2w)
+    uint64 matrix L = [1 | x_lo | x_hi | ...], whose column pairs are the
+    32-bit halves of cols' columns x, and its read-only float64 copy divided
+    by p.  Both are column-major, so that each pass writes one contiguous
+    column.  Two bit passes over cols and one divide."""
+    n, w = cols.shape
+    halves = np.empty((1 + 2 * w, n), dtype=np.uint64)
+    halves[0] = 1
+    np.bitwise_and(cols.T, 0xFFFFFFFF, out=halves[1::2])
+    np.right_shift(cols.T, 32, out=halves[2::2])
+    halves = halves.T
+    scaled = halves / float(p)
+    halves.setflags(write=False)
+    scaled.setflags(write=False)
+    return halves, scaled
 
 
-def shoup_product(columns, rhs, p):
-    """[1 | x.T] @ rhs mod p, canonical int64, exactly, for the columns x of
-    shoup_columns and every odd p < 2^63.
+def split_product(operand, rhs, p):
+    """[1 | x] @ rhs mod p, canonical int64, exactly, for the operand
+    (L, L/p) that split_columns built from the columns x, and every odd
+    p < 2^63 (code.CodeSpec takes it from 2^30 on: below, its int64 matmul
+    is faster).
 
     rhs holds 1 + w rows of K canonical residues (nested sequences of Python
     ints, or an integer array), and the result is C-contiguous (n, K); a 1-D
-    rhs of 1 + w residues gives an (n,) result.  Each column-times-scalar
-    product is Shoup's (as analysed by D. Harvey, "Faster arithmetic for
-    number-theoretic transforms", J. Symbolic Comput. 2014) with beta = 2^63:
-    the scalar v has the precomputed quotient v' = floor(v * 2^63 / p) < 2^63,
-    one Python division, and for x < 2^63, q = floor(x * v' / 2^63) leaves
-    r = x*v - q*p in [0, 2p), which uint64 holds, so both products may wrap
-    mod 2^64.  q is built exactly from the 32-bit halves of x and v': with
-    x_hi, v'_hi < 2^31 the middle word x_lo*v'_lo/2^32 + x_hi*v'_lo +
-    x_lo*v'_hi stays below 2^64 - 2^33, and q = 2*x_hi*v'_hi + (that word
-    >> 31).  The four half products and x*v are one broadcast multiply of
-    the stack by the scalars' five factors.  r is then folded to [0, p) by
-    np.minimum(r, r - p), since r - p wraps above r exactly when r < p, and
-    so is each sum of two canonical terms, which stays below 2p < 2^64: no
-    bound depends on p beyond p < 2^63, and no sum is lazy.
+    rhs of 1 + w residues gives an (n,) result through the same products.
+    Each scalar v of the rows below the head h gets u = v * 2^32 mod p, one
+    Python big-int step, so that x*v = x_lo*v + x_hi*u (mod p), and the
+    rows [h; v; u; ...] meet L in two products: S = L @ rows in uint64,
+    the exact sum T = h + sum(x_lo*v + x_hi*u) mod 2^64, and
+    q = rint((L/p) @ rows) in float64, an estimate of T/p (the float
+    estimate of the quotient takes the place of Shoup's precomputed ones:
+    D. Harvey, J. Symbolic Comput. 2014; the products run through BLAS as
+    in J.-G. Dumas, P. Giorgi and C. Pernet, ACM TOMS 2008).
 
-    Time: O(wK) Python big-int divisions, one broadcast multiply over
-    5wKn entries, 9 elementwise uint64 passes over wKn and 3 over Kn per
-    term of the sum, each inner loop over n.  An encode at p = 2^61 - 1
-    (w = 2, K = 3) takes about 12 us at n = 64, 20 us at n = 512 and 60 us
-    at n = 4096, and the search's product (K = 1) 10, 12 and 28 us (numpy
-    2.4, x86-64).  Memory: the (5, w, K, n) uint64 products and the (n, K)
-    result, 8(5w + 1)K bytes per row.
+    The bound.  Every term is non-negative: h/p < 1, x_lo*v/p < 2^32 and,
+    as x < 2^63, x_hi*u/p < 2^31, so T/p < 1 + w(2^32 + 2^31) < 2^34.2 for
+    w <= 3.  Each of the at most 1 + 2w = 7 terms of the float64 sum
+    carries at most four roundings of relative size 2^-53 (p to float64,
+    the divide that gives the entry of L/p, v or u to float64, and the
+    product; an entry of L, below 2^32, is exact), and a sum of at most 7
+    non-negative terms adds at most 6 more, in any summation order and
+    with FMA alike: the estimate is within 11 * 2^-53 * 2^34.2 < 2^-15 of
+    T/p.  So q = rint(estimate) is a non-negative integer below 2^35
+    within 1/2 + 2^-15 of T/p, and r = T - q*p lies in (-p, p): S - q*p,
+    taken mod 2^64 (both products may wrap), plus p is r + p in (0, 2p),
+    below 2^64.  np.minimum(r, r - p) then folds it to [0, p), since r - p
+    wraps above r exactly when r < p.
+
+    Time: O(wK) Python big-int steps, one uint64 matmul (numpy's own loop)
+    and one float64 matmul (BLAS), 7 elementwise passes over the (n, K)
+    result and no transpose copy.  At p = 2^61 - 1 an encode's product
+    (w = 2, K = 3) takes about 13 us at n = 64, 25 us at n = 512 and 112 us
+    at n = 4096, and the search's (K = 1) 9, 14 and 50 us (numpy 2.4,
+    OpenBLAS on one thread, a shared 2-vCPU x86-64 VM whose speed swings by
+    up to 1.8x).  Memory: the (n, K) sum, estimate and quotients, 24K bytes
+    per row.
     """
-    _, w, _, n = columns.shape
+    halves, scaled = operand
     if isinstance(rhs, np.ndarray):
         rhs = rhs.tolist()
     head, *rows = rhs
-    vector = isinstance(head, int)
-    if vector:
-        head, rows = (head,), [(v,) for v in rows]
-    k = len(head)
-    scalars = [v for row in rows for v in row]
-    quotients = [(v << 63) // p for v in scalars]
-    lo = [t & 0xFFFFFFFF for t in quotients]
-    factors = np.array([*lo, *lo, *[t >> 32 for t in quotients],
-                        *[t >> 32 << 1 for t in quotients], *scalars, *head], dtype=np.uint64)
-    products = columns * factors[:5 * w * k].reshape(5, w, k, 1)
-    mid, _, _, q, r = products   # x_lo*v'_lo, x_hi*v'_lo, x_lo*v'_hi, x_hi*2v'_hi, x*v
-    mid >>= 32
-    mid += products[1]
-    mid += products[2]   # the middle word, below 2^64 - 2^33
-    mid >>= 31
-    q += mid
+    split = [head]
+    if isinstance(head, int):   # a 1-D rhs: one column
+        for v in rows:
+            split += (v, (v << 32) % p)
+    else:
+        for row in rows:
+            split += (row, [(v << 32) % p for v in row])
+    split = np.array(split, dtype=np.uint64)
+    acc = halves @ split         # T mod 2^64
+    estimate = scaled @ split    # T/p, within 2^-15
+    np.rint(estimate, out=estimate)
+    q = estimate.astype(np.uint64)
     q *= p
-    r -= q               # x*v - q*p in [0, 2p)
-    np.subtract(r, p, out=q)
-    np.minimum(r, q, out=r)
-    acc, scratch = r[0], q[0]
-    for term in r[1:]:
-        acc += term
-        np.subtract(acc, p, out=scratch)
-        np.minimum(acc, scratch, out=acc)
-    acc += factors[5 * w * k:, None]
-    np.subtract(acc, p, out=scratch)
-    np.minimum(acc, scratch, out=acc)
-    acc = acc.view(np.int64)
-    return acc[0] if vector else np.ascontiguousarray(acc.T)
+    acc -= q
+    acc += p                     # r + p in (0, 2p)
+    np.subtract(acc, p, out=q)
+    np.minimum(acc, q, out=acc)
+    return acc.view(np.int64)
 
 
 def _batch_inverse(values, p):

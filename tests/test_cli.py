@@ -313,7 +313,7 @@ def test_audit_command(tmp_path, capsys):
 @pytest.mark.parametrize("p, n, pairs, seed, max_lcs", [
     (5, 4, 1000, 2, 2),        # two audit chunks, of 512 and 488 pairs
     (10007, 150, 250, 3, 0),   # twenty audit chunks of up to 13 pairs
-    ((1 << 61) - 1, 20, 30, 5, 0),   # int64 words of the Shoup kernel, 24-byte rows
+    ((1 << 61) - 1, 20, 30, 5, 0),   # int64 words of the split kernel, 24-byte rows
     ((1 << 64) - 59, 20, 30, 5, 0),   # object words, coordinate tuples
 ])
 def test_audit_command_streams_seeded_pairs(tmp_path, capsys, monkeypatch, p, n, pairs,

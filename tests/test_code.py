@@ -108,6 +108,18 @@ def test_code_parameters_are_integers():
             CodeSpec(p, g, (1, 2, 3))
 
 
+def assert_split_operand(spec, rows):
+    """spec._columns is field.split_product's operand for the rows
+    [1 | x_lo | x_hi | ...]: the read-only (n, 1 + 2w) uint64 matrix L of
+    those rows and its read-only float64 copy L/p, entry by entry."""
+    halves, scaled = spec._columns
+    shape = (spec.n, len(rows[0]))
+    assert halves.dtype == np.uint64 and halves.shape == shape and not halves.flags.writeable
+    assert scaled.dtype == np.float64 and scaled.shape == shape and not scaled.flags.writeable
+    assert halves.tolist() == rows
+    assert scaled.tolist() == [[float(h) / float(spec.p) for h in row] for row in rows]
+
+
 @pytest.mark.parametrize("p", (1073741827, (1 << 61) - 1, (1 << 63) - 25))
 def test_lifted_from_delta_matches_python_ints(p):
     # the quadratic map's columns are written straight from delta, d^2 mod
@@ -119,11 +131,8 @@ def test_lifted_from_delta_matches_python_ints(p):
     assert (p < 1 << 32) or any(d * d >= 1 << 64 for d in delta)
     assert spec._lifted.dtype == np.uint64 and not spec._lifted.flags.writeable
     assert [tuple(int(c) for c in row) for row in spec._lifted.tolist()] == rows
-    cols = [[row[1] for row in rows], [row[2] for row in rows]]
-    halves = [[[x & 0xFFFFFFFF for x in col] for col in cols], [[x >> 32 for x in col] for col in cols]]
-    stack = spec._columns
-    assert stack.shape == (5, 2, 1, len(delta)) and not stack.flags.writeable
-    assert [stack[k, :, 0].tolist() for k in range(5)] == halves + halves + [cols]
+    halves = [[1, d & 0xFFFFFFFF, d >> 32, d2 & 0xFFFFFFFF, d2 >> 32] for _, d, d2 in rows]
+    assert_split_operand(spec, halves)
     assert [spec.alpha_coords(i) for i in range(1, len(delta) + 1)] == [(d, d2, 0) for _, d, d2 in rows]
 
 
@@ -235,10 +244,10 @@ def test_encode_exact_at_dtype_boundary(p):
     # the evaluation matrix is float64, and 54794197 the first prime above
     # it, where it is int64; 1073741789 is the largest prime <= 2^30, the
     # last int64 regime.  2^61 - 1 and 2^63 - 25 (the largest prime below
-    # 2^63) take the uint64 Shoup kernel, and 2^64 - 59 Python ints; the
+    # 2^63) take the uint64 split kernel, and 2^64 - 59 Python ints; the
     # codewords are int64 below 2^63.  A matmul entry can reach
     # (p-1) + 3(p-1)^2, which must stay exact and be reduced exactly (the
-    # Shoup kernel folds each term and each sum instead).  The n largest
+    # split kernel folds one sum from (-p, p) instead).  The n largest
     # residues put alpha's first coordinates next to p, and a message of
     # all p-1 coordinates maximises M_{m2}'s inputs.  The alpha_rows spec (w = 3)
     # has every coordinate within n of p - 1 and first point
@@ -636,13 +645,18 @@ def test_encode_many_matches_encode(p, dtype):
         encode_many(spec, [good, Message(other.ext.one, other.ext.zero)])
 
 
-SHOUP_PRIMES = ((1 << 31) - 1, (1 << 61) - 1, (1 << 63) - 25)
+# 2^31 - 1, whose residues have no high half; 2^32 + 15, the first prime
+# above 2^32, where x_hi first is nonzero; 2^61 - 1; 2^62 + 135, the first
+# prime above 2^62, where r + p can first pass 2^63; and 2^63 - 25, the last
+# prime below 2^63, where x_hi and u take their full range and r + p comes
+# closest to 2^64
+SPLIT_PRIMES = ((1 << 31) - 1, (1 << 32) + 15, (1 << 61) - 1, (1 << 62) + 135, (1 << 63) - 25)
 
 
-def shoup_edges(p):
+def split_edges(p):
     """The uint64 kernel's edge residues: 0, 1, 2, p - 2, p - 1, (p - 1)/2
-    and the 32-bit boundary 2^32 - 1, 2^32, 2^32 + 1, where x_hi and v'_hi
-    change."""
+    and the 32-bit boundary 2^32 - 1, 2^32, 2^32 + 1, where x_lo wraps and
+    x_hi changes."""
     return sorted({v % p for v in (0, 1, 2, p - 2, p - 1, (p - 1) // 2,
                                    2**32 - 1, 2**32, 2**32 + 1)})
 
@@ -655,20 +669,23 @@ def lifted_reference(spec, rhs):
              for k in range(len(head))] for i in range(1, spec.n + 1)]
 
 
-@pytest.mark.parametrize("p", SHOUP_PRIMES)
-def test_shoup_kernel_exact_on_edges(p):
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_split_kernel_exact_on_edges(p):
     # the uint64 kernel against Python ints, with every edge residue in
     # every column and every scalar: the product itself, one message
     # (encode), B messages (encode_many) and the search's 3-scalar column
-    edges = shoup_edges(p)
+    edges = split_edges(p)
     e = len(edges)
     quadratic = get_spec(p, e - 1, tuple(edges[1:]))   # columns d and d^2
     wide = CodeSpec(p, quadratic.g, range(1, e**3 + 1),   # w = 3, every edge triple
                     alpha_rows=[(a, b, c) for a in edges for b in edges for c in edges])
     rng = random.Random(p)
     for spec in (quadratic, wide):
-        assert spec._lifted.dtype == np.uint64 and spec._columns.dtype == np.uint64
+        assert spec._lifted.dtype == np.uint64
         ext, w = spec.ext, spec._lifted.shape[1] - 1
+        assert_split_operand(spec, [[1, *(h for x in spec.alpha_coords(i)[:w]
+                                          for h in (x & 0xFFFFFFFF, x >> 32))]
+                                    for i in range(1, spec.n + 1)])
         # every row of rhs holds every edge residue, in e^2 columns shifted
         # against each other, so each meets every column entry of the spec
         rhs = [[edges[(k + r * (k // e)) % e] for k in range(e * e)] for r in range(1 + w)]
@@ -699,7 +716,7 @@ def test_shoup_kernel_exact_on_edges(p):
     ((1 << 63) - 25, np.uint64, np.int64), ((1 << 64) - 59, object, object)])
 def test_lifted_and_codeword_dtype_boundary(tmp_path, p, lifted, symbols):
     # 1073741789 is the last prime below 2^30 (int64 matmul) and 2^31 - 1 a
-    # prime above it (uint64 Shoup kernel), 2^63 - 25 the last prime below
+    # prime above it (the uint64 split kernel), 2^63 - 25 the last prime below
     # 2^63 and 2^64 - 59 a prime above it (Python ints).  Codewords take one
     # symbol dtype per spec however they are built, so equal codewords
     # hash equally
@@ -707,9 +724,8 @@ def test_lifted_and_codeword_dtype_boundary(tmp_path, p, lifted, symbols):
     spec = get_spec(p, n)
     assert spec._lifted.dtype == lifted and spec.ext.symbol_dtype == symbols
     if lifted == np.uint64:
-        assert spec._columns.shape == (5, 2, 1, n) and not spec._columns.flags.writeable
-        assert spec._columns[4, :, 0].tolist() == [list(range(1, n + 1)),
-                                                   [i * i % p for i in range(1, n + 1)]]
+        assert_split_operand(spec, [[1, i, 0, i * i % p & 0xFFFFFFFF, i * i % p >> 32]
+                                    for i in range(1, n + 1)])
     else:
         assert spec._columns is None
     m = random_message(spec, random.Random(p % 1000))

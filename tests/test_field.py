@@ -186,12 +186,12 @@ def brute_force_first_irreducible(p):
     raise AssertionError("no irreducible cubic found")
 
 
-def test_find_irreducible_matches_brute_force():
+def test_cubic_field_g_matches_brute_force():
     for p in (3, 5, 7, 11, 13):
         assert CubicField(p).g == brute_force_first_irreducible(p)
 
 
-def test_find_irreducible_frozen_values():
+def test_cubic_field_g_frozen_values():
     assert CubicField(5).g == MonicCubic(1, 1, 0)
     assert CubicField(3).g == MonicCubic(1, 2, 0)
     # deterministic: same answer every call
@@ -204,7 +204,7 @@ def test_find_irreducible_frozen_values():
         assert CubicField(p).g == MonicCubic(*g), p
 
 
-def test_find_irreducible_rejects_bad_modulus():
+def test_cubic_field_rejects_bad_modulus():
     for p in (2, 9, 10005, 318665857834031151167461):
         with pytest.raises(ParameterError, match=f"modulus must be an odd prime, got {p}"):
             CubicField(p)
@@ -243,7 +243,7 @@ def test_pow_x_ladder_matches_square_and_multiply(p):
             assert _pow_x_mod_cubic(p, g, e) == pow_x_right_to_left(p, g, e), (p, g, e)
 
 
-def test_find_irreducible_large_primes_fast():
+def test_cubic_field_g_irreducible_at_large_primes():
     for p in (10007, 2**61 - 1):
         g = CubicField(p).g
         assert is_irreducible_cubic(p, g)

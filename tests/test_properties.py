@@ -159,12 +159,18 @@ def test_later_symbols_add_their_price(case):
 
 # small primes, whose random symbols often repeat, and one prime per regime
 # of the codewords' keys: int64 through float64 or uint64 products, and
-# object above 2^63
-AUDIT_PRIMES = (5, 7, 13, 10007, (1 << 61) - 1, (1 << 64) - 59)
+# object above 2^63; the uint64 regime at 2^32 + 15 and 2^63 - 25 as well
+# (see REGIME_PRIMES)
+AUDIT_PRIMES = (5, 7, 13, 10007, (1 << 32) + 15, (1 << 61) - 1, (1 << 63) - 25,
+                (1 << 64) - 59)
 
 # one prime per regime of the evaluation matrix: float64 (BLAS), int64,
-# uint64 (the Shoup kernel) and object (Python ints)
-REGIME_PRIMES = (10007, 54794197, (1 << 61) - 1, (1 << 64) - 59)
+# uint64 (the split kernel) and object (Python ints); the uint64 regime also
+# at the first prime above 2^32, where a column's high half x_hi first
+# reaches 1, and at 2^63 - 25, where x_hi and u = v * 2^32 mod p take their
+# full range and the kernel's r + p comes closest to 2^64
+REGIME_PRIMES = (10007, 54794197, (1 << 32) + 15, (1 << 61) - 1, (1 << 63) - 25,
+                 (1 << 64) - 59)
 
 
 def draw_cubic(draw, p):
